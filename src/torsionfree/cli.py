@@ -63,16 +63,12 @@ def _bool(b: bool) -> str:
 @click.group()
 @click.option("--config", "config_path", default=None,
               help="Path to a JSON config file (or set TORSIONFREE_CONFIG).")
-@click.option("--threads", default=1, type=int, show_default=True,
-              help="Worker threads for internal scans.")
 @click.pass_context
-def cli(ctx, config_path, threads):
-    if threads < 1:
-        raise PreconditionError("threads must be >= 1")
+def cli(ctx, config_path):
     cfg, warnings = load_config(config_path)
     for line in warnings:
         click.echo(line, err=True)
-    ctx.obj = {"config": cfg, "threads": threads}
+    ctx.obj = {"config": cfg}
 
 
 # ------------------------------------------------------------------ field
@@ -106,7 +102,6 @@ def level_find(ctx, polyfile, dimg):
     K = make_field(read_poly_file(polyfile))
     unreliable: list[int] = []
     lvl = find_congruence_level(K, dimg, scan_cap=cfg.prime_scan_cap,
-                                threads=ctx.obj["threads"],
                                 unreliable_out=unreliable)
     report = lvl.to_json()
     report["skipped_index_divisible"] = [str(q) for q in unreliable]

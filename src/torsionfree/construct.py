@@ -27,7 +27,7 @@ from .ntheory import is_prime, primes_in_range
 from .numfield import (FieldElement, NumberField, _dedekind_index_test,
                        element_charpoly, make_cosine_field, sign_at_embeddings)
 from .polyalg import (clear_denominators, compare_root, discriminant,
-                      isolate_real_roots, minpoly_two_cos,
+                      isolate_two_cos_roots, minpoly_two_cos,
                       minpoly_two_cos_conductor, newton_polygon)
 from .report import mpf_str
 
@@ -104,8 +104,8 @@ def _require_construction_prime(p: int) -> None:
 def _interval_data(p: int):
     fp = minpoly_two_cos(p)
     f2p = minpoly_two_cos_conductor(2 * p)
-    ivp = isolate_real_roots(fp)[-1]     # 2cos(2pi/p), the largest root
-    iv2 = isolate_real_roots(f2p)[-2]    # 2cos(3pi/p), the second largest
+    ivp = isolate_two_cos_roots(p)[-1]       # 2cos(2pi/p), the largest root
+    iv2 = isolate_two_cos_roots(2 * p)[-2]   # 2cos(3pi/p), the second largest
     return fp, ivp, f2p, iv2
 
 
@@ -147,23 +147,34 @@ def archimedean_ok(c: FieldElement) -> bool:
 def choose_T(p: int, denominator_cap: int = 1024,
              field: NumberField | None = None) -> Fraction:
     """First T = a/2^j (j ascending, then |a| ascending, + before -) inside
-    the cosine interval that also passes the 2-adic test."""
+    the cosine interval that also passes the 2-adic test.
+
+    For each j only the odd numerators that an mpmath value of the interval
+    (-cos 2pi/p, -cos 3pi/p) puts inside are tried, with one more on each
+    side as slack; interval_certificate still decides every candidate.
+    """
     _require_construction_prime(p)
     if denominator_cap < 1 or denominator_cap & (denominator_cap - 1):
         raise PreconditionError("denominator_cap must be a power of 2")
     if field is None:
         field = make_cosine_field(p)
     half = Fraction(1, 2)
-    for j in range(denominator_cap.bit_length()):
+    bits = denominator_cap.bit_length()
+    # 30 digits beyond the cap's bits put lo * 2^j and hi * 2^j far closer
+    # than the one numerator of slack
+    with workdps(30 + bits):
+        lo, hi = -mp.cos(2 * mp.pi / p), -mp.cos(3 * mp.pi / p)
+        windows = [range(int(mp.floor(lo * 2**j)) - 1,
+                         int(mp.ceil(hi * 2**j)) + 2) for j in range(bits)]
+    for j, window in enumerate(windows):
         den = 1 << j
-        a = 1
-        while a < den:   # |T| < 1 always, the interval lies in (-1, 1)
-            for sign in (1, -1):
-                T = Fraction(sign * a, den)
-                if interval_certificate(p, T) and \
-                        two_adic_condition(field.element([T, half])):
-                    return T
-            a += 2
+        # |T| < 1 always, the interval lies in (-1, 1)
+        numerators = [a for a in window if a % 2 and abs(a) < den]
+        for a in sorted(numerators, key=lambda a: (abs(a), a < 0)):
+            T = Fraction(a, den)
+            if interval_certificate(p, T) and \
+                    two_adic_condition(field.element([T, half])):
+                return T
     raise ResourceCapError(
         f"no feasible T with denominator <= {denominator_cap} for p = {p}")
 

@@ -4,6 +4,11 @@ Everything here is exact. Splitting of rational primes is only trusted away
 from index-dividing primes (Dedekind criterion); the monogenic_certified
 flag records whether the full discriminant is known. Real embeddings are
 isolating intervals, ordered by ascending embedding value.
+
+Library-built cosine fields Q(2cos(2pi/n)) carry their conductor n. Their
+real embeddings come from the closed form 2cos(2pi k/n) and are certified
+exactly, and a prime q not dividing n splits by the abelian law instead of
+by factorisation mod q.
 """
 
 from __future__ import annotations
@@ -13,13 +18,15 @@ from fractions import Fraction
 from math import isqrt
 
 from . import _kernels
-from .errors import NotSquarefreeError, PreconditionError, ResourceCapError
+from .errors import (NotSquarefreeError, PreconditionError, ResourceCapError,
+                     TorsionfreeError)
 from .ntheory import factorize, is_prime, primes_upto
 from .polyalg import (
     IntPoly,
     discriminant,
     factor_mod_p,
     isolate_real_roots,
+    isolate_two_cos_roots,
     minpoly_two_cos_conductor,
     roots_mod_p,
     sign_at_root,
@@ -161,10 +168,12 @@ def _dedekind_index_test(f: IntPoly, p: int) -> bool:
     fbar = [c % p for c in f.coeffs]
     gbar = [c % p for c in g.coeffs]
     hbar, rem = gf_divmod(fbar, gbar, p)
-    assert not gf_trim(list(rem)), "radical must divide f mod p"
+    if gf_trim(list(rem)):
+        raise TorsionfreeError(f"radical of f mod {p} does not divide f")
     h = IntPoly(tuple(hbar)) if hbar else IntPoly((1,))
     big = g * h - f
-    assert all(c % p == 0 for c in big.coeffs)
+    if any(c % p for c in big.coeffs):
+        raise TorsionfreeError(f"g * h - f is not divisible by {p}")
     F = [(c // p) % p for c in big.coeffs]
     d1 = gf_gcd(F, gbar, p)
     d2 = gf_gcd(d1, [c % p for c in h.coeffs], p)
@@ -175,12 +184,15 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
     """Build a NumberField from a monic integer polynomial.
 
     Irreducibility is the caller's responsibility; visibly reducible input
-    (rational root, repeated factor) is rejected. conductor marks library
-    provenance: the minimal polynomial of 2cos(2pi/n), which makes the
-    abelian splitting law available to count_prime_ideals.
+    (rational root, repeated factor) is rejected. conductor = n declares f
+    the minimal polynomial of 2cos(2pi/n), which is checked; it makes the
+    closed-form embeddings and the abelian splitting law available.
     """
     if not isinstance(f, IntPoly):
         f = IntPoly(tuple(int(c) for c in f))
+    if conductor is not None and f != minpoly_two_cos_conductor(conductor):
+        raise PreconditionError(
+            f"polynomial is not the minimal polynomial of 2cos(2pi/{conductor})")
     if f.degree < 1:
         raise PreconditionError("defining polynomial must have degree >= 1")
     if not f.is_monic():
@@ -198,7 +210,8 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
         disc_poly=disc,
         field_disc=disc if certified else None,
         monogenic_certified=certified,
-        real_embeddings=isolate_real_roots(f),
+        real_embeddings=(isolate_real_roots(f) if conductor is None
+                         else isolate_two_cos_roots(conductor)),
         conductor=conductor,
         sq_disc_primes=sq_primes,
     )
@@ -303,10 +316,19 @@ def dedekind_split(K: NumberField, p: int) -> PrimeSplit:
     """Shape of p * O via factoring the defining polynomial mod p.
 
     index_divisible = True marks the one unreliable case (p may divide
-    [O : Z[theta]]); consumers skip such primes and report them.
+    [O : Z[theta]]); consumers skip such primes and report them. In a
+    certified cosine field of conductor n, a prime p not dividing n is
+    unramified with inertia degree the order of p in (Z/n)*/{+-1}
+    (Washington, Introduction to Cyclotomic Fields, Thm 2.13), so no
+    factorisation is needed.
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
+    n = K.conductor
+    if n is not None and K.monogenic_certified and n % p:
+        f = _order_up_to_sign(p, n)
+        return PrimeSplit(p=p, factors=((1, f),) * (K.degree // f),
+                          index_divisible=False)
     factors = factor_mod_p(K.defining_poly, p)
     efs = tuple(sorted(((e, g.degree) for g, e in factors),
                        key=lambda t: (t[1], t[0])))
@@ -315,19 +337,13 @@ def dedekind_split(K: NumberField, p: int) -> PrimeSplit:
     return PrimeSplit(p=p, factors=efs, index_divisible=False)
 
 
-def _order_mod(q: int, n: int, phi_n: int, phi_factors: dict[int, int]) -> int:
-    t = phi_n
-    for r in phi_factors:
-        while t % r == 0 and pow(q, t // r, n) == 1:
-            t //= r
-    return t
-
-
-def _order_up_to_sign(q: int, n: int, phi_n: int, phi_factors: dict[int, int]) -> int:
-    t = _order_mod(q, n, phi_n, phi_factors)
-    if t % 2 == 0 and pow(q, t // 2, n) == n - 1:
-        return t // 2
-    return t
+def _order_up_to_sign(q: int, n: int) -> int:
+    """Order of q in (Z/n)*/{+-1}, for n >= 3 and q prime to n."""
+    x, f = q % n, 1
+    while x != 1 and x != n - 1:
+        x = x * q % n
+        f += 1
+    return f
 
 
 def count_prime_ideals(K: NumberField, x: int,
@@ -372,27 +388,25 @@ def _count_generic(K: NumberField, x: int,
 
 
 def _count_abelian(K: NumberField, x: int) -> int:
-    """Counting route for the real cyclotomic subfield of conductor n:
-    an unramified q has inertia degree = order of q in (Z/n)*/{±1}."""
+    """Counting route for the real cyclotomic subfield of conductor n.
+
+    dedekind_split takes every prime up to sqrt(x) and every ramified prime
+    (a divisor of n) from the abelian law. An unramified q above sqrt(x)
+    counts only with inertia degree 1, that is for q = +-1 mod n, and then
+    with d prime ideals; the class sieve counts those primes.
+    """
     n = K.conductor
-    d = K.degree
-    assert n is not None
-    total = 0
-    for q in factorize(n):
-        sp = dedekind_split(K, q)
-        assert not sp.index_divisible
-        total += sum(1 for e, f in sp.factors if q**f <= x)
-    phi_n = 2 * d if n > 2 else 1
-    phi_factors = factorize(phi_n)
     B = isqrt(x)
-    for q in primes_upto(B):
-        if n % q == 0:
-            continue
-        f = _order_up_to_sign(q, n, phi_n, phi_factors)
-        if q**f <= x:
-            total += d // f
+    total = 0
+    for q in primes_upto(B) + [q for q in factorize(n) if B < q <= x]:
+        sp = dedekind_split(K, q)
+        if sp.index_divisible:
+            raise TorsionfreeError(
+                f"{q} divides the index of a certified cosine field")
+        total += sum(1 for e, f in sp.factors if q**f <= x)
     if x > B:
-        total += d * _kernels.prime_count_in_classes(B + 1, x + 1, n, (1, n - 1))
+        total += K.degree * _kernels.prime_count_in_classes(
+            B + 1, x + 1, n, (1, n - 1))
     return total
 
 

@@ -13,6 +13,7 @@ from .cyclotomic import (
     chebyshev_T,
     cyclotomic_poly,
     euler_phi_small,
+    isolate_two_cos_roots,
     minpoly_cos,
     minpoly_two_cos,
     minpoly_two_cos_conductor,
@@ -42,6 +43,7 @@ __all__ = [
     "factor_mod_p",
     "is_squarefree",
     "isolate_real_roots",
+    "isolate_two_cos_roots",
     "minpoly_cos",
     "minpoly_two_cos",
     "minpoly_two_cos_conductor",

@@ -9,17 +9,30 @@ using the monic shifted-Chebyshev basis V_k (V_k(z + 1/z) = z^k + z^-k,
 V_0 = 2, V_1 = x, V_{k+1} = x V_k - V_{k-1}).  Psi_N is monic with integer
 coefficients of degree phi(N)/2, and 2cos(2pi k/N) for gcd(k, N) = 1 are
 exactly its roots.
+
+Those roots are known in closed form, so isolate_two_cos_roots places an
+isolating interval around each from an mpmath value and then certifies the
+intervals in exact integer arithmetic; no Sturm sequence is needed.
 """
 
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
+from math import gcd
+
+from mpmath import mp, workdps
 
 from ..errors import PreconditionError
 from ..ntheory import is_prime
 from .poly import IntPoly
+from .roots import Interval, isolate_real_roots
 
 X = IntPoly([0, 1])
+
+# isolate_two_cos_roots puts each root in a dyadic cell of width 2^-CELL_BITS,
+# the width isolate_real_roots refines to by default
+CELL_BITS = 20
 
 
 def chebyshev_T(n: int) -> IntPoly:
@@ -87,6 +100,52 @@ def minpoly_two_cos_conductor(n: int) -> IntPoly:
     if not out.is_monic() or out.degree != m:
         raise AssertionError("cosine minimal polynomial construction failed")
     return out
+
+
+def _scaled_value(f: IntPoly, m: int, k: int) -> int:
+    """2^(k deg f) * f(m / 2^k), exactly, by integer Horner."""
+    acc = 0
+    for i, c in enumerate(reversed(f.coeffs)):
+        acc = acc * m + (c << (k * i))
+    return acc
+
+
+def _cells_certified(f: IntPoly, cells: list[int], k: int) -> bool:
+    """True when the cells [m, m + 1] / 2^k, m in cells, hold one root of f
+    each: there are deg f of them, their interiors are disjoint, and f is
+    nonzero with opposite signs at the two ends of every cell. Each cell
+    then holds an odd number of roots, and deg f cells leave room for one."""
+    if len(cells) != f.degree or any(b <= a for a, b in zip(cells, cells[1:])):
+        return False
+    signs = {}
+    for m in cells:
+        for end in (m, m + 1):
+            if end not in signs:
+                v = _scaled_value(f, end, k)
+                signs[end] = (v > 0) - (v < 0)
+    return all(signs[m] * signs[m + 1] == -1 for m in cells)
+
+
+def isolate_two_cos_roots(n: int) -> list[Interval]:
+    """Isolating intervals for the roots 2cos(2pi k/n), gcd(k, n) = 1, of
+    minpoly_two_cos_conductor(n), ascending, as isolate_real_roots returns
+    them.
+
+    Each root gets the dyadic cell [m, m + 1] / 2^CELL_BITS around a 30-digit
+    mpmath value, and _cells_certified checks the cells in exact arithmetic.
+    Should that check fail, the Sturm route isolate_real_roots answers
+    instead: an uncertified interval is never returned.
+    """
+    f = minpoly_two_cos_conductor(n)
+    if f.degree == 1:  # n = 3, 4, 6: the root is an integer
+        return isolate_real_roots(f)
+    scale = 1 << CELL_BITS
+    with workdps(30):
+        cells = sorted(int(mp.floor(2 * mp.cos(2 * mp.pi * k / n) * scale))
+                       for k in range(1, n // 2 + 1) if gcd(k, n) == 1)
+    if not _cells_certified(f, cells, CELL_BITS):
+        return isolate_real_roots(f)
+    return [(Fraction(m, scale), Fraction(m + 1, scale)) for m in cells]
 
 
 def minpoly_two_cos(p: int) -> IntPoly:

@@ -9,18 +9,20 @@ illustrative values supplied by the caller.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workdps
 
-from .errors import PreconditionError, ResourceCapError
+from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime, primes_in_range
 from .numfield import NumberField, dedekind_split
 
 _DPS = 30
 _THRESHOLD_CAP = 1 << 64
 ERR_CONSTANT = 13
+# cap on the exponent d * dim H of 3^(d dim H): its decimal form then has at
+# most 3909 digits, within Python's default limit for int-to-str conversion
+UNCONDITIONAL_EXPONENT_CAP = 8192
 
 
 @dataclass(frozen=True)
@@ -83,63 +85,36 @@ def kionke_criterion(q: int, e: int) -> bool:
 
 
 def find_congruence_level(K: NumberField, dim_G: int, scan_cap: int = 10**6,
-                          threads: int = 1,
                           unreliable_out: list[int] | None = None) -> CongruenceLevel:
     """Smallest-norm prime ideal giving a torsion-free congruence level.
 
-    Scans rational primes in increasing order, splits each, and keeps the
-    minimal passing norm; ties go to smaller q, then smaller inertia. The
-    scan stops once no unscanned prime can beat the best norm, or raises
-    when the cap is hit first.
+    Scans rational primes in increasing order, in blocks of 64 integers,
+    splits each, and keeps the minimal passing norm; ties go to smaller q,
+    then smaller inertia. The scan stops after the block in which no
+    unscanned prime can beat the best norm any more, or raises when the cap
+    is hit first.
     """
     if dim_G < 1:
         raise PreconditionError("dim_G must be >= 1")
     best: tuple[int, int, int, int] | None = None  # (norm, q, f, e)
-
-    def scan_block(block: list[int]) -> tuple[tuple[int, int, int, int] | None, list[int]]:
-        local_best = None
-        local_unreliable = []
-        for q in block:
-            sp = dedekind_split(K, q)
-            if sp.index_divisible:
-                local_unreliable.append(q)
-                continue
-            for e, f in sp.factors:
-                if not kionke_criterion(q, e):
-                    continue
-                cand = (q**f, q, f, e)
-                if local_best is None or cand < local_best:
-                    local_best = cand
-        return local_best, local_unreliable
-
     lo = 2
     block_span = 64
-    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-            if threads > 1 else None)
-    try:
-        while True:
-            if best is not None and lo > best[0]:
-                break
-            if lo > scan_cap:
-                raise ResourceCapError(
-                    f"prime scan cap {scan_cap} exceeded without a final answer")
-            spans = []
-            for _ in range(max(1, threads)):
-                spans.append((lo, min(lo + block_span, scan_cap + 1)))
-                lo = spans[-1][1]
-                if lo > scan_cap:
-                    break
-            blocks = [primes_in_range(a, b) for a, b in spans]
-            results = (pool.map(scan_block, blocks) if pool is not None
-                       else map(scan_block, blocks))
-            for local_best, local_unreliable in results:
+    while best is None or lo <= best[0]:
+        if lo > scan_cap:
+            raise ResourceCapError(
+                f"prime scan cap {scan_cap} exceeded without a final answer")
+        hi = min(lo + block_span, scan_cap + 1)
+        for q in primes_in_range(lo, hi):
+            sp = dedekind_split(K, q)
+            if sp.index_divisible:
                 if unreliable_out is not None:
-                    unreliable_out.extend(local_unreliable)
-                if local_best is not None and (best is None or local_best < best):
-                    best = local_best
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    unreliable_out.append(q)
+                continue
+            for e, f in sp.factors:
+                cand = (q**f, q, f, e)
+                if kionke_criterion(q, e) and (best is None or cand < best):
+                    best = cand
+        lo = hi
     norm_, q, f, e = best
     return CongruenceLevel(
         rational_prime=q, inertia=f, ramification=e, norm=norm_,
@@ -235,6 +210,14 @@ def li_lower_surrogate(x):
         return mpf(x) / mp.log(x)
 
 
+def _finite(name: str, value):
+    """value as an mpf; PreconditionError when it is nan or infinite."""
+    vm = mpf(value)
+    if not mp.isfinite(vm):
+        raise PreconditionError(f"{name} must be finite, got {value}")
+    return vm
+
+
 def grh_error(x, d: int, log_D):
     """Err(x) = 13 sqrt(x) (log D + d log x)."""
     if x < 2:
@@ -261,7 +244,7 @@ def grh_threshold(d: int, log_D, field: NumberField | None = None,
     if d < 1:
         raise PreconditionError("degree must be >= 1")
     with workdps(_DPS):
-        if mpf(log_D) < 0:
+        if _finite("log_D", log_D) < 0:
             raise PreconditionError("log_D must be >= 0")
         x = 4
         while not _grh_holds(x, d, log_D):
@@ -275,7 +258,8 @@ def grh_threshold(d: int, log_D, field: NumberField | None = None,
                 hi = mid
             else:
                 lo = mid
-        assert not _grh_holds(hi // 2, d, log_D), "no crossing at half threshold"
+        if _grh_holds(hi // 2, d, log_D):
+            raise TorsionfreeError("no crossing at half the GRH threshold")
         norm_ = None
         if field is not None:
             norm_ = find_congruence_level(field, 1, scan_cap=scan_cap).norm
@@ -288,9 +272,16 @@ def grh_threshold(d: int, log_D, field: NumberField | None = None,
 
 
 def unconditional_index_bound(d: int, dim_H: int) -> int:
-    """3^(d dim H): the level-3 congruence subgroup is always torsion-free."""
+    """3^(d dim H): the level-3 congruence subgroup is always torsion-free.
+
+    Raises ResourceCapError when d dim H exceeds UNCONDITIONAL_EXPONENT_CAP.
+    """
     if d < 1 or dim_H < 1:
         raise PreconditionError("d and dim_H must be >= 1")
+    if d * dim_H > UNCONDITIONAL_EXPONENT_CAP:
+        raise ResourceCapError(
+            f"d * dim_H = {d * dim_H} exceeds the cap "
+            f"{UNCONDITIONAL_EXPONENT_CAP} on the exponent of 3")
     return 3 ** (d * dim_H)
 
 
@@ -299,24 +290,27 @@ def volume_index_bound_grh(v, dim_H: int, epsilon, prasad_c1, prasad_c2, lemma_C
     if dim_H < 1:
         raise PreconditionError("dim_H must be >= 1")
     with workdps(_DPS):
-        vm = mpf(v)
+        vm = _finite("v", v)
         if vm <= mp.e:
             raise PreconditionError("need v > e so that log v > 1")
-        base = (mpf(prasad_c1) + mpf(prasad_c2)) * mp.log(vm)
-        return mpf(lemma_C) * base ** ((2 + mpf(epsilon)) * dim_H)
+        base = (_finite("prasad_c1", prasad_c1)
+                + _finite("prasad_c2", prasad_c2)) * mp.log(vm)
+        return _finite("lemma_C", lemma_C) * \
+            base ** ((2 + _finite("epsilon", epsilon)) * dim_H)
 
 
 def generator_bound_pipeline(v, alpha, c, f_form: str = "power"):
     """(f(v log^c v) + log log v) / v with f(u) = u^(1-alpha) or (log u)^alpha."""
     with workdps(_DPS):
-        vm = mpf(v)
+        vm = _finite("v", v)
         if vm <= mp.e ** mp.e:
             raise PreconditionError("need v > e^e so that log log v > 1")
-        u = vm * mp.log(vm) ** mpf(c)
+        alpha, c = _finite("alpha", alpha), _finite("c", c)
+        u = vm * mp.log(vm) ** c
         if f_form == "power":
-            fu = u ** (1 - mpf(alpha))
+            fu = u ** (1 - alpha)
         elif f_form == "polylog":
-            fu = mp.log(u) ** mpf(alpha)
+            fu = mp.log(u) ** alpha
         else:
             raise PreconditionError(f"unsupported f_form: {f_form!r}")
         return (fu + mp.log(mp.log(vm))) / vm

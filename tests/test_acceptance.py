@@ -236,7 +236,3 @@ def test_criterion_8_determinism():
             c2, out2, _ = run_cli(*args)
             assert c1 == c2 == 0
             assert out1 == out2, args
-        threaded = ["level", "find", str(DATA / "sqrt2.poly"), "--dimg", "3"]
-        _, one, _ = run_cli("--threads", "1", *threaded)
-        _, four, _ = run_cli("--threads", "4", *threaded)
-        assert one == four

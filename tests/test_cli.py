@@ -1,11 +1,15 @@
+import ast
 import json
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from conftest import DATA, GOLDEN, run_cli
+from conftest import DATA, GOLDEN, child_env, run_cli
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "torsionfree" / "schemas" /
@@ -98,6 +102,40 @@ class TestExitCodes:
         payload = json.loads(err.splitlines()[-1])
         assert payload["error"]["type"] == "ResourceCapError"
 
+    @pytest.mark.parametrize("args", [
+        ["bound", "grh", "--v", "nan", "--dimh", "3"],
+        ["bound", "grh", "--v", "inf", "--dimh", "3"],
+        ["apply", "generators", "--v", "nan", "--alpha", "0.5", "--c", "1.0"],
+        ["apply", "generators", "--v", "1e6", "--alpha", "nan", "--c", "1.0"],
+        ["grh", "threshold", "--d", "1", "--logd", "nan"],
+    ], ids=lambda a: " ".join(a))
+    def test_non_finite_float_is_2(self, args):
+        code, out, err = run_cli(*args)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err.splitlines()[-1])
+        assert payload["error"]["type"] == "PreconditionError"
+
+    def test_unconditional_exponent_cap_is_3(self):
+        start = time.monotonic()
+        code, _out, err = run_cli("bound", "unconditional",
+                                  "--d", "100000", "--dimh", "100000")
+        assert code == 3
+        assert time.monotonic() - start < 30
+        payload = json.loads(err.splitlines()[-1])
+        assert payload["error"]["type"] == "ResourceCapError"
+
+    def test_unconditional_at_cap_is_0(self):
+        code, out, _err = run_cli("bound", "unconditional",
+                                  "--d", "8", "--dimh", "1024")
+        assert code == 0
+        assert json.loads(out)["report"]["bound"] == str(3 ** 8192)
+
+    def test_threads_option_is_gone(self):
+        code, _out, _err = run_cli("--threads", "1", "level", "find",
+                                   str(DATA / "q.poly"), "--dimg", "3")
+        assert code == 64
+
     def test_probe_guard_is_3(self):
         # 6 coordinates at 13 bits each blows the enumeration budget
         code, _out, _err = run_cli("construct", "--p", "13", "--probe-k", "3")
@@ -154,11 +192,6 @@ class TestConfig:
         assert code == 0
         assert "warning" in err
 
-    def test_bad_threads_rejected(self):
-        code, _o, _e = run_cli("--threads", "0", "level", "find",
-                               str(DATA / "q.poly"), "--dimg", "3")
-        assert code == 2
-
 
 class TestDeterminism:
     CASES = [
@@ -175,11 +208,29 @@ class TestDeterminism:
         _c2, out2, _e = run_cli(*args)
         assert out1 == out2
 
-    def test_threads_do_not_change_output(self):
-        args = ["level", "find", str(DATA / "sqrt2.poly"), "--dimg", "3"]
-        _c, out1, _e = run_cli("--threads", "1", *args)
-        _c, out4, _e = run_cli("--threads", "4", *args)
-        assert out1 == out4
+
+class TestOptimizedInterpreter:
+    """Certificates are explicit checks, so python -O changes nothing."""
+
+    def test_no_assert_in_package(self):
+        src = Path(__file__).parent.parent / "src" / "torsionfree"
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert)]
+            assert not lines, f"{path.name}: assert at lines {lines}"
+
+    @pytest.mark.parametrize("args", [
+        ["grh", "threshold", "--d", "1", "--logd", "0"],
+        ["construct", "--p", "7"],
+    ], ids=lambda a: " ".join(a[:2]))
+    def test_same_report_under_O(self, args):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "torsionfree.cli", *args],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        _code, want, _err = run_cli(*args)
+        assert proc.stdout == want
 
 
 class TestPolyFileParsing:

@@ -13,6 +13,7 @@ from torsionfree.construct import (CHECK_NAMES, archimedean_check,
                                    volume_estimate)
 from torsionfree.errors import (PreconditionError, ResourceCapError,
                                 TorsionfreeError)
+from torsionfree.ntheory import primes_in_range
 from torsionfree.numfield import make_cosine_field, make_field
 from torsionfree.polyalg import IntPoly
 
@@ -40,6 +41,24 @@ class TestChooseT:
         c = K.element([Fraction(1, 4), Fraction(1, 2)])
         assert not two_adic_condition(c)
         assert choose_T(5, field=K) == Fraction(1, 8)
+
+    @staticmethod
+    def exhaustive_T(p, field, denominator_cap=1024):
+        """The scan over every odd numerator, in choose_T's order."""
+        half = Fraction(1, 2)
+        for j in range(denominator_cap.bit_length()):
+            den = 1 << j
+            for a in range(1, den, 2):
+                for T in (Fraction(a, den), Fraction(-a, den)):
+                    if interval_certificate(p, T) and \
+                            two_adic_condition(field.element([T, half])):
+                        return T
+        return None
+
+    @pytest.mark.parametrize("p", primes_in_range(5, 84))
+    def test_window_matches_exhaustive_scan(self, p):
+        K = make_cosine_field(p)
+        assert choose_T(p, field=K) == self.exhaustive_T(p, K)
 
     def test_denominator_cap(self):
         with pytest.raises(ResourceCapError):

@@ -6,6 +6,7 @@ import pytest
 import torsionfree._kernels as kernels
 from torsionfree.errors import (NotSquarefreeError, PreconditionError,
                                 ResourceCapError)
+from torsionfree import numfield
 from torsionfree.ntheory import primes_upto
 from torsionfree.numfield import (count_prime_ideals, dedekind_split,
                                   element_charpoly, make_cosine_field,
@@ -47,6 +48,17 @@ class TestMakeField:
             assert K.field_disc == want[p] == p ** ((p - 3) // 2)
             assert K.monogenic_certified
             assert K.conductor == p
+
+    def test_wrong_conductor_hint_rejected(self):
+        # x^2 - 2 is not the minimal polynomial of 2cos(2pi/5); trusting the
+        # hint would count 163 prime ideals of norm <= 1000 instead of 167
+        with pytest.raises(PreconditionError):
+            make_field(IntPoly((-2, 0, 1)), conductor=5)
+        with pytest.raises(PreconditionError):
+            make_field(make_cosine_field(7).defining_poly, conductor=14)
+        with pytest.raises(PreconditionError):
+            make_field(IntPoly((-2, 0, 1)), conductor=2)
+        assert count_prime_ideals(make_field(IntPoly((-2, 0, 1))), 1000) == 167
 
     def test_rationals(self, field_q):
         assert field_q.degree == 1
@@ -129,6 +141,23 @@ class TestDedekindSplit:
                 if sp.index_divisible:
                     continue
                 assert sum(e * f for e, f in sp.factors) == K.degree
+
+    @pytest.mark.parametrize("n", (5, 7, 9, 11, 12, 13, 15, 16, 20, 21, 24))
+    def test_abelian_law_matches_factorisation(self, n, monkeypatch):
+        # the conductor hint switches dedekind_split to the abelian law for
+        # q prime to n; without it every q is factored mod q
+        K_ab = make_cosine_field(n)
+        K_gen = make_field(K_ab.defining_poly)
+        primes = primes_upto(2000)
+        want = [dedekind_split(K_gen, q) for q in primes]
+        factor = numfield.factor_mod_p
+
+        def factor_only_ramified(f, q):
+            assert n % q == 0, f"{q} was factored"
+            return factor(f, q)
+
+        monkeypatch.setattr(numfield, "factor_mod_p", factor_only_ramified)
+        assert [dedekind_split(K_ab, q) for q in primes] == want
 
     def test_index_divisible_classical_cubic(self):
         # x^3 - x^2 - 2x - 8: 2 divides the index of Z[theta], and the

@@ -5,12 +5,15 @@ import mpmath as mp
 import pytest
 
 from torsionfree.errors import PreconditionError
+from torsionfree.ntheory import primes_in_range
 from torsionfree.polyalg import (IntPoly, chebyshev_T, clear_denominators,
                                  compare_root, discriminant, factor_mod_p,
-                                 isolate_real_roots, minpoly_cos,
-                                 minpoly_two_cos, minpoly_two_cos_conductor,
-                                 newton_polygon, padic_valuation, resultant,
-                                 roots_mod_p, sign_at_root, sturm_sequence)
+                                 isolate_real_roots, isolate_two_cos_roots,
+                                 minpoly_cos, minpoly_two_cos,
+                                 minpoly_two_cos_conductor, newton_polygon,
+                                 padic_valuation, resultant, roots_mod_p,
+                                 sign_at_root, sturm_sequence)
+from torsionfree.polyalg import cyclotomic
 
 
 def poly_eval_mpf(coeffs, x):
@@ -240,6 +243,51 @@ class TestSturmIsolation:
         assert sign_at_root(f, neg, (Fraction(-1), Fraction(1))) == -1
         with pytest.raises(PreconditionError):
             sign_at_root(f, pos, (Fraction(0),))
+
+
+# every conductor up to 120, and 2p for the larger construction primes p,
+# whose conductor-2p field gives the upper end of the T interval
+TWO_COS_CONDUCTORS = list(range(3, 121)) + \
+    [2 * p for p in primes_in_range(61, 84)]
+
+
+class TestTwoCosRoots:
+    @pytest.mark.parametrize("n", TWO_COS_CONDUCTORS)
+    def test_overlaps_sturm_isolation(self, n, monkeypatch):
+        f = minpoly_two_cos_conductor(n)
+        want = isolate_real_roots(f)
+        if f.degree > 1:
+            # the closed form must certify itself, without the Sturm fallback
+            monkeypatch.setattr(cyclotomic, "isolate_real_roots", None)
+        got = isolate_two_cos_roots(n)
+        assert len(got) == len(want) == f.degree
+        for (a, b), (c, d) in zip(got, want):
+            assert max(a, c) <= min(b, d), (n, (a, b), (c, d))
+        assert got == sorted(got)
+
+    def test_wrong_guess_refused(self):
+        f = minpoly_two_cos_conductor(11)
+        k = cyclotomic.CELL_BITS
+        cells = [iv[0] * 2**k for iv in isolate_two_cos_roots(11)]
+        assert all(m.denominator == 1 for m in cells)
+        cells = [int(m) for m in cells]
+        assert cyclotomic._cells_certified(f, cells, k)
+        shifted = cells[:2] + [cells[2] + 1] + cells[3:]
+        assert not cyclotomic._cells_certified(f, shifted, k)
+        assert not cyclotomic._cells_certified(f, cells[:-1], k)
+        merged = cells[:1] + cells[:-1]
+        assert not cyclotomic._cells_certified(f, merged, k)
+
+    def test_refused_guess_falls_back(self, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "_cells_certified", lambda *a: False)
+        f = minpoly_two_cos_conductor(13)
+        assert isolate_two_cos_roots(13) == isolate_real_roots(f)
+
+    def test_scaled_value_is_exact(self):
+        f = minpoly_two_cos_conductor(7)
+        for m in (-5, 0, 3, 1 << 21):
+            assert cyclotomic._scaled_value(f, m, 20) == \
+                f(Fraction(m, 1 << 20)) * (1 << (20 * f.degree))
 
 
 class TestNewtonPolygon:

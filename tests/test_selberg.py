@@ -1,9 +1,11 @@
+import time
+
 import mpmath as mp
 import pytest
 
 import torsionfree._kernels as kernels
 from torsionfree.errors import PreconditionError, ResourceCapError
-from torsionfree.numfield import count_prime_ideals
+from torsionfree.numfield import count_prime_ideals, make_cosine_field
 from torsionfree.selberg import (find_congruence_level, generator_bound_pipeline,
                                  grh_error, grh_threshold, kionke_criterion,
                                  li_lower_surrogate, logarithmic_integral,
@@ -64,10 +66,14 @@ class TestFindCongruenceLevel:
                 assert kionke_criterion(lvl.rational_prime, lvl.ramification)
                 assert lvl.dim_G == dim_G
 
-    def test_threads_deterministic(self, field_sqrt2):
-        a = find_congruence_level(field_sqrt2, 3, threads=1)
-        b = find_congruence_level(field_sqrt2, 3, threads=4)
-        assert a == b
+    def test_large_cosine_field_fast(self):
+        # p = 193 is totally ramified of norm 193, and every unramified q < 193
+        # has q^f > 193; the closed-form paths make this a sub-second job
+        start = time.monotonic()
+        lvl = find_congruence_level(make_cosine_field(193), 3)
+        assert time.monotonic() - start < 2
+        assert (lvl.norm, lvl.rational_prime, lvl.inertia,
+                lvl.ramification) == (193, 193, 1, 96)
 
     def test_scan_cap(self, field_q):
         with pytest.raises(ResourceCapError):
