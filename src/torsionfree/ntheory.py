@@ -9,7 +9,6 @@ handled by this package are pure prime powers).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 # Deterministic Miller-Rabin witnesses, valid for n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -43,53 +42,44 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n, ascending."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, fl in enumerate(sieve) if fl]
+_BLOCK = 1 << 22
+
+
+def prime_blocks(lo: int, hi: int):
+    """Yield int64 numpy arrays of the primes in [lo, hi), ascending, one
+    block of at most _BLOCK integers at a time (segmented sieve of
+    Eratosthenes; the base primes up to sqrt(hi) come from the same sieve).
+
+    This is the package's one sieve. numpy is imported on first use, so
+    code paths that never sieve do not load it.
+    """
+    import numpy as np
+
+    lo = max(lo, 2)
+    if hi <= lo:
+        return
+    root = math.isqrt(hi - 1)
+    base = [b for block in prime_blocks(2, root + 1) for b in block.tolist()]
+    for s in range(lo, hi, _BLOCK):
+        e = min(s + _BLOCK, hi)
+        seg = np.ones(e - s, dtype=bool)
+        for p in base:
+            if p * p >= e:
+                break
+            start = max(p * p, ((s + p - 1) // p) * p)
+            if start < e:
+                seg[start - s :: p] = False
+        yield np.nonzero(seg)[0].astype(np.int64) + s
 
 
 def primes_in_range(a: int, b: int) -> list[int]:
-    """Primes p with a <= p < b, ascending (segmented, O(b-a) memory)."""
-    a = max(a, 2)
-    if b <= a:
-        return []
-    seg = bytearray([1]) * (b - a)
-    for p in primes_upto(math.isqrt(b - 1)):
-        start = max(p * p, ((a + p - 1) // p) * p)
-        if start < b:
-            seg[start - a :: p] = bytearray(len(range(start, b, p)))
-    return [a + i for i, fl in enumerate(seg) if fl]
+    """Primes p with a <= p < b, ascending."""
+    return [p for block in prime_blocks(a, b) for p in block.tolist()]
 
 
-def primes(start: int = 2) -> Iterator[int]:
-    """Unbounded ascending prime generator (segmented sieve, lazy)."""
-    lo = max(2, start)
-    seg = 1 << 16
-    base: list[int] = []
-    base_limit = 1
-    while True:
-        hi = lo + seg
-        root = math.isqrt(hi - 1)
-        if root > base_limit:
-            base = primes_upto(root)
-            base_limit = root
-        block = bytearray([1]) * (hi - lo)
-        for p in base:
-            if p * p >= hi:
-                break
-            first = max(p * p, ((lo + p - 1) // p) * p)
-            block[first - lo :: p] = bytearray(len(block[first - lo :: p]))
-        for i, fl in enumerate(block):
-            if fl and lo + i >= 2:
-                yield lo + i
-        lo = hi
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n, ascending."""
+    return primes_in_range(2, n + 1)
 
 
 def iroot(n: int, k: int) -> int:

@@ -374,8 +374,8 @@ def _count_generic(K: NumberField, x: int,
             continue
         total += sum(1 for e, f in sp.factors if p**f <= x)
     if x > B:
-        if x + 1 > (1 << 31) and _kernels.COMPILED:
-            raise ResourceCapError("prime scan exceeds the compiled kernel range (2^31)")
+        if x + 1 > (1 << 31):
+            raise ResourceCapError("prime scan exceeds the kernel range (2^31)")
         total += _kernels.poly_root_count_over_primes(K.defining_poly.coeffs, B + 1, x + 1)
         # the straight root count is only wrong at index-divisible primes;
         # those all divide disc to order >= 2

@@ -12,7 +12,6 @@ from .poly import (
 from .cyclotomic import (
     chebyshev_T,
     cyclotomic_poly,
-    euler_phi_small,
     isolate_two_cos_roots,
     minpoly_cos,
     minpoly_two_cos,
@@ -39,7 +38,6 @@ __all__ = [
     "count_roots_in",
     "cyclotomic_poly",
     "discriminant",
-    "euler_phi_small",
     "factor_mod_p",
     "is_squarefree",
     "isolate_real_roots",

@@ -54,22 +54,6 @@ def _v_basis(upto: int) -> list[IntPoly]:
 
 
 @functools.cache
-def euler_phi_small(n: int) -> int:
-    phi = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            phi -= phi // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        phi -= phi // m
-    return phi
-
-
-@functools.cache
 def cyclotomic_poly(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial Phi_n, exact over Z."""
     if n < 1:

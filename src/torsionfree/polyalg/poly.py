@@ -297,13 +297,6 @@ def q_from_int(f: IntPoly) -> tuple[Fraction, ...]:
     return tuple(Fraction(a) for a in f.coeffs)
 
 
-def q_eval(coeffs, x):
-    acc = Fraction(0) if not isinstance(x, float) else 0.0
-    for a in reversed(coeffs):
-        acc = acc * x + a
-    return acc
-
-
 def q_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     a, b = list(q_trim(a)), q_trim(b)
     if not b:

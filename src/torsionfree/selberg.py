@@ -123,83 +123,13 @@ def find_congruence_level(K: NumberField, dim_G: int, scan_cap: int = 10**6,
 
 # ---------------------------------------------------------------- analytics
 
-def _integrand(t):
-    return 1 / mp.log(t)
-
-
-# Gauss-Legendre nodes, computed once per order by Newton on the recurrence.
-# Keyed only by order, so concurrent first calls race benignly to the same value.
-_gl_nodes: dict[int, tuple] = {}
-
-
-def _legendre_nodes(n: int):
-    nodes = _gl_nodes.get(n)
-    if nodes is None:
-        with workdps(_DPS + 15):
-            pts = []
-            for k in range(1, n + 1):
-                x = mp.cos(mp.pi * (k - mpf(1) / 4) / (n + mpf(1) / 2))
-                dp = mpf(1)
-                for _ in range(80):
-                    p0, p1 = mpf(1), x
-                    for j in range(2, n + 1):
-                        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-                    dp = n * (x * p1 - p0) / (x * x - 1)
-                    dx = p1 / dp
-                    x = x - dx
-                    if abs(dx) < mpf(10) ** (-_DPS - 10):
-                        break
-                pts.append((x, 2 / ((1 - x * x) * dp * dp)))
-            nodes = tuple(pts)
-        _gl_nodes[n] = nodes
-    return nodes
-
-
-def _gauss(a, b, n):
-    c = (b - a) / 2
-    m = (a + b) / 2
-    s = mpf(0)
-    for x, w in _legendre_nodes(n):
-        s += w * _integrand(m + c * x)
-    return c * s
-
-
-def _integral(a, b, tol):
-    if a == b:
-        return mpf(0)
-    lo = _gauss(a, b, 16)
-    hi = _gauss(a, b, 24)
-    if abs(hi - lo) <= tol * (1 + abs(hi)):
-        return hi
-    m = (a + b) / 2
-    return _integral(a, m, tol / 2) + _integral(m, b, tol / 2)
-
-# cache of dyadic segments [2^i, 2^(i+1)]; each entry depends only on i, so
-# evaluation order (and thread interleaving) cannot change any result
-_li_segments: dict[int, object] = {}
-
-
-def _li_segment(i: int):
-    seg = _li_segments.get(i)
-    if seg is None:
-        seg = _integral(mpf(2) ** i, mpf(2) ** (i + 1), mpf(10) ** -14)
-        _li_segments[i] = seg
-    return seg
-
-
 def logarithmic_integral(x):
-    """Li(x) = integral from 2 to x of dt/log t, relative error < 1e-6."""
+    """Li(x) = integral from 2 to x of dt/log t (mpmath's offset li), at
+    _DPS significant digits."""
     if x < 2:
         raise PreconditionError("Li is taken from 2; need x >= 2")
     with workdps(_DPS):
-        xm = mpf(x)
-        total = mpf(0)
-        i = 1
-        while mpf(2) ** (i + 1) <= xm:
-            total += _li_segment(i)
-            i += 1
-        total += _integral(mpf(2) ** i, xm, mpf(10) ** -14)
-        return total
+        return mp.li(mpf(x), offset=True)
 
 
 def li_lower_surrogate(x):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-import torsionfree._kernels as kernels
 from torsionfree.errors import (NotSquarefreeError, PreconditionError,
                                 ResourceCapError)
 from torsionfree import numfield
@@ -202,7 +201,6 @@ class TestCounting:
         count_prime_ideals(K, 100, unreliable_out=seen)
         assert 2 in seen
 
-    @pytest.mark.skipif(not kernels.COMPILED, reason="cap applies to compiled kernels")
     def test_scan_cap(self, field_sqrt2):
         with pytest.raises(ResourceCapError):
             count_prime_ideals(field_sqrt2, (1 << 31) + 2)

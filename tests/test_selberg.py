@@ -3,7 +3,6 @@ import time
 import mpmath as mp
 import pytest
 
-import torsionfree._kernels as kernels
 from torsionfree.errors import PreconditionError, ResourceCapError
 from torsionfree.numfield import count_prime_ideals, make_cosine_field
 from torsionfree.selberg import (find_congruence_level, generator_bound_pipeline,
@@ -167,7 +166,6 @@ class TestGrhMachinery:
         assert js["config"]["err_constant"] == 13
         assert js["d"] == 1
 
-    @pytest.mark.skipif(not kernels.COMPILED, reason="needs compiled kernels")
     def test_enough_ideals_at_threshold(self, field_q, field_sqrt2,
                                         cosine_fields):
         # the point of the threshold: well beyond d^2 prime ideals exist
