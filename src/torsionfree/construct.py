@@ -27,8 +27,7 @@ from .ntheory import is_prime, primes_in_range
 from .numfield import (FieldElement, NumberField, _dedekind_index_test,
                        element_charpoly, make_cosine_field, sign_at_embeddings)
 from .polyalg import (clear_denominators, compare_root, discriminant,
-                      isolate_two_cos_roots, minpoly_two_cos,
-                      minpoly_two_cos_conductor, newton_polygon)
+                      isolate_two_cos_roots, minpoly_two_cos, newton_polygon)
 from .report import mpf_str
 
 PROBE_K_CAP = 20
@@ -102,19 +101,18 @@ def _require_construction_prime(p: int) -> None:
 
 @lru_cache(maxsize=None)
 def _interval_data(p: int):
-    fp = minpoly_two_cos(p)
-    f2p = minpoly_two_cos_conductor(2 * p)
-    ivp = isolate_two_cos_roots(p)[-1]       # 2cos(2pi/p), the largest root
-    iv2 = isolate_two_cos_roots(2 * p)[-2]   # 2cos(3pi/p), the second largest
-    return fp, ivp, f2p, iv2
+    ivs = isolate_two_cos_roots(p)
+    # 2cos(2pi/p) is the largest root; 2cos(3pi/p) = -2cos(2pi k/p) with
+    # k = (p - 3)/2, and 2cos(2pi k/p) is the second smallest root
+    return minpoly_two_cos(p), ivs[-1], ivs[1]
 
 
 def interval_certificate(p: int, T) -> bool:
     """Exact certificate that 2cos(3pi/p) < -2T < 2cos(2pi/p)."""
     _require_construction_prime(p)
-    q = Fraction(-2) * Fraction(T)
-    fp, ivp, f2p, iv2 = _interval_data(p)
-    return compare_root(f2p, iv2, q) == -1 and compare_root(fp, ivp, q) == 1
+    q = 2 * Fraction(T)
+    fp, ivp, ivk = _interval_data(p)
+    return compare_root(fp, ivk, q) == 1 and compare_root(fp, ivp, -q) == 1
 
 
 def two_adic_condition(c: FieldElement) -> bool:

@@ -22,7 +22,6 @@ from .roots import (
     compare_root,
     count_roots_in,
     isolate_real_roots,
-    refine_interval,
     root_bound,
     sign_at_root,
     sturm_sequence,
@@ -48,7 +47,6 @@ __all__ = [
     "newton_polygon",
     "padic_valuation",
     "poly_gcd",
-    "refine_interval",
     "resultant",
     "root_bound",
     "roots_mod_p",

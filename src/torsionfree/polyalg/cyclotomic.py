@@ -26,7 +26,7 @@ from mpmath import mp, workdps
 from ..errors import PreconditionError
 from ..ntheory import is_prime
 from .poly import IntPoly
-from .roots import Interval, isolate_real_roots
+from .roots import Interval, _sign_at, isolate_real_roots
 
 X = IntPoly([0, 1])
 
@@ -86,14 +86,6 @@ def minpoly_two_cos_conductor(n: int) -> IntPoly:
     return out
 
 
-def _scaled_value(f: IntPoly, m: int, k: int) -> int:
-    """2^(k deg f) * f(m / 2^k), exactly, by integer Horner."""
-    acc = 0
-    for i, c in enumerate(reversed(f.coeffs)):
-        acc = acc * m + (c << (k * i))
-    return acc
-
-
 def _cells_certified(f: IntPoly, cells: list[int], k: int) -> bool:
     """True when the cells [m, m + 1] / 2^k, m in cells, hold one root of f
     each: there are deg f of them, their interiors are disjoint, and f is
@@ -105,8 +97,7 @@ def _cells_certified(f: IntPoly, cells: list[int], k: int) -> bool:
     for m in cells:
         for end in (m, m + 1):
             if end not in signs:
-                v = _scaled_value(f, end, k)
-                signs[end] = (v > 0) - (v < 0)
+                signs[end] = _sign_at(f, Fraction(end, 1 << k))
     return all(signs[m] * signs[m + 1] == -1 for m in cells)
 
 

@@ -3,8 +3,9 @@
 Intervals are closed [lo, hi] with Fraction endpoints. A degenerate interval
 lo == hi marks an exact rational root. For a squarefree input the returned
 intervals are pairwise disjoint, ascending, each of width at most the
-requested precision, and each contains exactly one real root. All sign
-evaluations are exact rational arithmetic; floats never decide anything here.
+requested precision, and each contains exactly one real root. Every sign is
+an exact integer evaluation (_sign_at), and every bisection is one _halve
+step; floats never decide anything here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import NotSquarefreeError, PreconditionError
-from .poly import IntPoly, is_squarefree, poly_gcd
+from .poly import IntPoly, clear_denominators, is_squarefree, poly_gcd
 
 Interval = tuple[Fraction, Fraction]
 
@@ -37,31 +38,26 @@ def sturm_sequence(f: IntPoly) -> list[IntPoly]:
     return seq
 
 
-def _sign_variations(values) -> int:
-    count = 0
-    prev = 0
-    for v in values:
-        s = (v > 0) - (v < 0)
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
+def _sign_at(f: IntPoly, x: Fraction) -> int:
+    """Sign of f(x) for rational x = num/den, den > 0: the sign of
+    den^deg f * f(num/den), computed by Horner over Z."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(f.coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
 def _variations_at(seq, x: Fraction) -> int:
-    return _sign_variations(p(x) for p in seq)
-
-
-def _variations_at_inf(seq, positive: bool) -> int:
-    vals = []
+    """Sign variations of the chain seq at x, zeros skipped."""
+    count = prev = 0
     for p in seq:
-        s = p.lc
-        if not positive and p.degree % 2:
-            s = -s
-        vals.append(s)
-    return _sign_variations(vals)
+        s = _sign_at(p, x)
+        if s:
+            count += prev == -s
+            prev = s
+    return count
 
 
 def root_bound(f: IntPoly) -> int:
@@ -76,6 +72,25 @@ def root_bound(f: IntPoly) -> int:
 def count_roots_in(seq, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi]."""
     return _variations_at(seq, lo) - _variations_at(seq, hi)
+
+
+def _halve(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int) -> Interval:
+    """One bisection step on [lo, hi], which holds one root of f in (lo, hi]
+    while f has the sign s_lo != 0 at lo: the half that keeps the root, or
+    (mid, mid) when the midpoint is the root. f has the sign s_lo at the
+    new lo too."""
+    mid = (lo + hi) / 2
+    s = _sign_at(f, mid)
+    if s == 0:
+        return mid, mid
+    return (lo, mid) if s != s_lo else (mid, hi)
+
+
+def _sign_at_lo(f: IntPoly, lo: Fraction) -> int:
+    s = _sign_at(f, lo)
+    if s == 0:
+        raise PreconditionError("endpoint is a root; pass a degenerate interval")
+    return s
 
 
 def isolate_real_roots(f: IntPoly, precision: Fraction = Fraction(1, 2**20)) -> list[Interval]:
@@ -95,69 +110,27 @@ def isolate_real_roots(f: IntPoly, precision: Fraction = Fraction(1, 2**20)) -> 
     bound = root_bound(f)
     out: list[Interval] = []
 
-    def emit_exact(r: Fraction):
-        out.append((r, r))
-
-    def refine(lo: Fraction, hi: Fraction, flo: Fraction, fhi: Fraction):
-        # exactly one root in (lo, hi), f(lo) f(hi) < 0
-        while hi - lo > precision:
-            mid = (lo + hi) / 2
-            fm = f(mid)
-            if fm == 0:
-                emit_exact(mid)
-                return
-            if (flo < 0) != (fm < 0):
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-        out.append((lo, hi))
-
     def split(lo: Fraction, hi: Fraction, n: int):
         if n == 0:
             return
-        flo, fhi = f(lo), f(hi)
-        if n == 1 and flo != 0 and fhi != 0 and (flo < 0) != (fhi < 0):
-            refine(lo, hi, flo, fhi)
+        s_lo, s_hi = _sign_at(f, lo), _sign_at(f, hi)
+        if n == 1 and s_lo * s_hi == -1:
+            while hi - lo > precision:
+                lo, hi = _halve(f, lo, hi, s_lo)
+            out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        fm = f(mid)
-        at_mid = 1 if fm == 0 else 0
+        at_mid = 1 if _sign_at(f, mid) == 0 else 0
         n_left = count_roots_in(seq, lo, mid) - at_mid
         n_right = n - n_left - at_mid
         split(lo, mid, n_left)
         if at_mid:
-            emit_exact(mid)
+            out.append((mid, mid))
         split(mid, hi, n_right)
 
     lo, hi = Fraction(-bound), Fraction(bound)
-    total = count_roots_in(seq, lo, hi)
-    split(lo, hi, total)
-    out.sort(key=lambda iv: iv[0])
+    split(lo, hi, count_roots_in(seq, lo, hi))
     return out
-
-
-def refine_interval(f: IntPoly, iv: Interval, width: Fraction) -> Interval:
-    """Shrink an isolating interval of squarefree f to the given width."""
-    lo, hi = iv
-    if lo == hi:
-        return iv
-    flo, fhi = f(lo), f(hi)
-    if flo == 0:
-        return (lo, lo)
-    if fhi == 0:
-        return (hi, hi)
-    if (flo < 0) == (fhi < 0):
-        raise PreconditionError("not an isolating interval (no sign change)")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if fm == 0:
-            return (mid, mid)
-        if (flo < 0) != (fm < 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return (lo, hi)
 
 
 def sign_at_root(f: IntPoly, iv: Interval, g_coeffs) -> int:
@@ -166,64 +139,43 @@ def sign_at_root(f: IntPoly, iv: Interval, g_coeffs) -> int:
     g is given as rational coefficients (any iterable accepted by Fraction).
     The interval is bisected until g provably has constant nonzero sign on it:
     both endpoint signs agree and a Sturm count certifies g has no root inside.
+    A non-degenerate iv must not have a root of f at lo.
     """
-    from .poly import clear_denominators
-
     lo, hi = iv
     g_int, _den = clear_denominators([Fraction(c) for c in g_coeffs])
     if g_int.is_zero():
         raise PreconditionError("zero polynomial has no sign")
-    if lo == hi:
-        v = g_int(lo)
-        if v == 0:
-            raise PreconditionError("polynomial vanishes at the root")
-        return 1 if v > 0 else -1
-    gsf = g_int.exact_div(poly_gcd(g_int, g_int.derivative())) if g_int.degree > 0 else g_int
-    gseq = sturm_sequence(gsf) if gsf.degree > 0 else None
-    flo = f(lo)
-    if flo == 0:
-        raise PreconditionError("endpoint is a root; pass a degenerate interval")
-    while True:
-        vlo, vhi = g_int(lo), g_int(hi)
-        if vlo != 0 and vhi != 0 and (vlo > 0) == (vhi > 0):
-            if gseq is None or count_roots_in(gseq, lo, hi) == 0:
-                return 1 if vlo > 0 else -1
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if fm == 0:
-            v = g_int(mid)
-            if v == 0:
-                raise PreconditionError("polynomial vanishes at the root")
-            return 1 if v > 0 else -1
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
+    if lo != hi:
+        gsf = g_int.exact_div(poly_gcd(g_int, g_int.derivative())) if g_int.degree > 0 else g_int
+        gseq = sturm_sequence(gsf) if gsf.degree > 0 else None
+        s_lo = _sign_at_lo(f, lo)
+        while lo != hi:
+            v = _sign_at(g_int, lo)
+            if v and v == _sign_at(g_int, hi) and \
+                    (gseq is None or count_roots_in(gseq, lo, hi) == 0):
+                return v
+            lo, hi = _halve(f, lo, hi, s_lo)
+    v = _sign_at(g_int, lo)
+    if v == 0:
+        raise PreconditionError("polynomial vanishes at the root")
+    return v
 
 
 def compare_root(f: IntPoly, iv: Interval, q: Fraction) -> int:
     """Sign of (root - q) for the unique root of squarefree f inside iv.
 
     Returns +1 if the root exceeds q, -1 if it is below, 0 if the root is
-    exactly the rational q.
+    exactly the rational q. A non-degenerate iv must not have a root of f
+    at lo.
     """
     lo, hi = iv
     q = Fraction(q)
+    if lo != hi:
+        s_lo = _sign_at_lo(f, lo)
+        if lo < q <= hi and _sign_at(f, q) == 0:
+            return 0
+        while lo < q < hi:
+            lo, hi = _halve(f, lo, hi, s_lo)
     if lo == hi:
         return (lo > q) - (lo < q)
-    if f(q) == 0 and lo <= q <= hi:
-        return 0
-    flo = f(lo)
-    while lo < q < hi:
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if fm == 0:
-            # mid is the root; compare directly
-            return (mid > q) - (mid < q)
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    if q <= lo:
-        return 1
-    return -1
+    return 1 if q <= lo else -1

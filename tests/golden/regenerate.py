@@ -4,8 +4,10 @@ Run from the repository root:
 
     python3 tests/golden/regenerate.py
 
-Outputs are committed; the test suite compares fresh CLI output against
-them (JSON modulo the generated_by line, CSV byte-exact).
+The CLI runs from this checkout's src/, which goes first on PYTHONPATH,
+so no install is needed. Outputs are committed; the test suite compares
+fresh CLI output against them (JSON modulo the generated_by line, CSV
+byte-exact).
 """
 import os
 import subprocess
@@ -14,6 +16,7 @@ from pathlib import Path
 
 HERE = Path(__file__).parent
 DATA = HERE.parent / "data"
+SRC = HERE.parent.parent / "src"
 
 CASES = {
     "level_find_q.json": ["level", "find", str(DATA / "q.poly"), "--dimg", "3"],
@@ -37,6 +40,8 @@ CASES = {
 def main() -> int:
     env = os.environ.copy()
     env.pop("TORSIONFREE_CONFIG", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.resolve()), env.get("PYTHONPATH")) if p)
     for name, args in CASES.items():
         proc = subprocess.run([sys.executable, "-m", "torsionfree.cli", *args],
                               capture_output=True, text=True, env=env)

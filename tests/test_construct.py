@@ -15,7 +15,8 @@ from torsionfree.errors import (PreconditionError, ResourceCapError,
                                 TorsionfreeError)
 from torsionfree.ntheory import primes_in_range
 from torsionfree.numfield import make_cosine_field, make_field
-from torsionfree.polyalg import IntPoly
+from torsionfree.polyalg import (IntPoly, compare_root, isolate_two_cos_roots,
+                                 minpoly_two_cos, minpoly_two_cos_conductor)
 
 PRIMES = (5, 7, 11, 13)
 FROZEN_T = {5: Fraction(1, 8), 7: Fraction(-1, 2),
@@ -85,6 +86,29 @@ class TestIntervalCertificate:
     def test_rejects_outside(self):
         assert not interval_certificate(7, Fraction(1))
         assert not interval_certificate(5, Fraction(-1))
+
+    @pytest.mark.parametrize("p", primes_in_range(5, 84))
+    def test_matches_two_field_form(self, p):
+        # reference: 2cos(3pi/p) as the second largest root of the
+        # conductor-2p minimal polynomial, 2cos(2pi/p) as the largest root
+        # of the conductor-p one
+        f2p, iv2 = minpoly_two_cos_conductor(2 * p), isolate_two_cos_roots(2 * p)[-2]
+        fp, ivp = minpoly_two_cos(p), isolate_two_cos_roots(p)[-1]
+
+        def two_field(T):
+            q = -2 * T
+            return compare_root(f2p, iv2, q) == -1 and compare_root(fp, ivp, q) == 1
+
+        Ts = [Fraction(a, den) for den in (1, 2, 4, 8, 64, 1024)
+              for a in range(-den, den + 1)]
+        # and the dyadics of denominator 2^40 on either side of each end
+        with mp.workdps(40):
+            for end in (-mp.cos(2 * mp.pi / p), -mp.cos(3 * mp.pi / p)):
+                m = int(mp.floor(end * 2**40))
+                Ts += [Fraction(m + d, 2**40) for d in (-1, 0, 1, 2)]
+        got = [interval_certificate(p, T) for T in Ts]
+        assert got == [two_field(T) for T in Ts]
+        assert True in got and False in got
 
 
 class TestTwoAdicCondition:

@@ -10,7 +10,7 @@ from torsionfree.ntheory import primes_upto
 from torsionfree.numfield import (count_prime_ideals, dedekind_split,
                                   element_charpoly, make_cosine_field,
                                   make_field, norm, sign_at_embeddings)
-from torsionfree.polyalg import IntPoly, refine_interval
+from torsionfree.polyalg import IntPoly, isolate_real_roots
 
 
 class TestMakeField:
@@ -232,10 +232,15 @@ class TestEmbeddings:
         f = K.defining_poly
         alpha = K.generator() * K.generator() - K.element([2])
         before = sign_at_embeddings(alpha)
-        # independently refine each isolating interval and recompute signs
+        # isolate the roots again, far narrower, and recompute the signs
         from torsionfree.polyalg import sign_at_root
         from torsionfree.numfield import q_trim
         g = q_trim(alpha.rep)
-        refined = tuple(refine_interval(f, iv, 30) for iv in K.real_embeddings)
+        refined = isolate_real_roots(f, Fraction(1, 2**40))
+        assert len(refined) == len(K.real_embeddings)
+        for (a, b), (c, d) in zip(K.real_embeddings, refined):
+            assert d - c < b - a
+            assert max(a, c) <= min(b, d)  # the same root
         after = tuple(sign_at_root(f, iv, g) for iv in refined)
         assert before == after
+        assert set(before) == {1, -1}

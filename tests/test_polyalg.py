@@ -13,7 +13,7 @@ from torsionfree.polyalg import (IntPoly, chebyshev_T, clear_denominators,
                                  minpoly_two_cos_conductor, newton_polygon,
                                  padic_valuation, resultant, roots_mod_p,
                                  sign_at_root, sturm_sequence)
-from torsionfree.polyalg import cyclotomic
+from torsionfree.polyalg import cyclotomic, roots
 
 
 def poly_eval_mpf(coeffs, x):
@@ -233,6 +233,33 @@ class TestSturmIsolation:
         g = IntPoly((-1, 1))
         iv1 = isolate_real_roots(g)[0]
         assert compare_root(g, iv1, Fraction(1)) == 0
+        # q at an end of, or outside, a non-degenerate interval
+        lo, hi = pos
+        assert lo < hi
+        assert compare_root(f, pos, lo) == 1
+        assert compare_root(f, pos, hi) == -1
+        assert compare_root(f, pos, lo - 1) == 1
+        assert compare_root(f, pos, hi + 1) == -1
+        assert compare_root(f, ivs[0], Fraction(0)) == -1
+        f = IntPoly((0, -1, 0, 1))  # x^3 - x, roots -1, 0, 1
+        # 0 is the first midpoint of [-1/2, 1/2] and the second of [-3/4, 1/4]
+        for iv in ((Fraction(-1, 2), Fraction(1, 2)),
+                   (Fraction(-3, 4), Fraction(1, 4))):
+            assert compare_root(f, iv, Fraction(0)) == 0
+            assert compare_root(f, iv, Fraction(1, 8)) == -1
+            assert compare_root(f, iv, Fraction(-1, 8)) == 1
+        # a degenerate interval
+        one = (Fraction(1), Fraction(1))
+        assert compare_root(f, one, Fraction(1)) == 0
+        assert compare_root(f, one, Fraction(0)) == 1
+        assert compare_root(f, one, Fraction(2)) == -1
+        # a root at hi is inside (lo, hi]
+        assert compare_root(f, (Fraction(-1, 2), Fraction(0)), Fraction(-1, 4)) == 1
+        assert compare_root(f, (Fraction(-1, 2), Fraction(0)), Fraction(0)) == 0
+        # a root at lo must be passed as a degenerate interval
+        for q in (Fraction(0), Fraction(1, 4), Fraction(1)):
+            with pytest.raises(PreconditionError):
+                compare_root(f, (Fraction(0), Fraction(1, 2)), q)
 
     def test_sign_at_root(self):
         # sign of theta - 1 at theta = sqrt(2): positive
@@ -243,10 +270,69 @@ class TestSturmIsolation:
         assert sign_at_root(f, neg, (Fraction(-1), Fraction(1))) == -1
         with pytest.raises(PreconditionError):
             sign_at_root(f, pos, (Fraction(0),))
+        # x^2 - 2 + 10^-12 has a root 3.5e-13 from each root of f: the
+        # interval must shrink far below its 2^-20 width
+        g = (Fraction(-2) + Fraction(1, 10**12), Fraction(0), Fraction(1))
+        assert sign_at_root(f, pos, g) == 1
+        assert sign_at_root(f, neg, g) == 1
+        f = IntPoly((0, -1, 0, 1))  # x^3 - x
+        iv = (Fraction(-1, 2), Fraction(1, 2))  # 0 is the midpoint
+        assert sign_at_root(f, iv, (Fraction(-1, 8), Fraction(1))) == -1
+        assert sign_at_root(f, iv, (Fraction(1, 8), Fraction(1))) == 1
+        with pytest.raises(PreconditionError):
+            sign_at_root(f, iv, (Fraction(0), Fraction(1)))  # g(0) = 0
+        # a degenerate interval
+        one = (Fraction(1), Fraction(1))
+        assert sign_at_root(f, one, (Fraction(2), Fraction(-3))) == -1
+        with pytest.raises(PreconditionError):
+            sign_at_root(f, one, (Fraction(-1), Fraction(1)))
+        # a root at hi is inside (lo, hi]; a root at lo is refused
+        assert sign_at_root(f, (Fraction(-1, 2), Fraction(0)),
+                            (Fraction(-1, 4), Fraction(1))) == -1
+        with pytest.raises(PreconditionError):
+            sign_at_root(f, (Fraction(0), Fraction(1, 2)), (Fraction(1),))
+
+    def test_sign_at_is_exact(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            f = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(1, 9))])
+            x = Fraction(rng.randint(-10**5, 10**5), rng.choice([1, 3, 2**20, 10**4]))
+            if rng.random() < 0.2:  # make x a root
+                f = f * IntPoly((-x.numerator, x.denominator))
+            v = sum(c * x**i for i, c in enumerate(f.coeffs))
+            assert roots._sign_at(f, x) == (v > 0) - (v < 0)
+        assert roots._sign_at(IntPoly((5, -1)), 5) == 0
+
+    def test_no_rational_horner(self, monkeypatch):
+        """Every sign the root layer takes is an integer evaluation; the
+        Fraction Horner of IntPoly.__call__ is never used."""
+        def refuse(self, x):
+            raise AssertionError("IntPoly.__call__ used")
+
+        f = minpoly_two_cos_conductor(29)
+        monkeypatch.setattr(IntPoly, "__call__", refuse)
+        ivs = isolate_real_roots(f)
+        assert len(ivs) == f.degree
+        assert len(isolate_two_cos_roots(29)) == f.degree
+        monkeypatch.setattr(cyclotomic, "_cells_certified", lambda *a: False)
+        assert isolate_two_cos_roots(29) == ivs
+        cubic = IntPoly((0, -1, 0, 1))
+        assert isolate_real_roots(cubic)[1] == (0, 0)
+        lo, hi = ivs[3]
+        q = (lo + hi) / 2
+        with mp.workdps(40):
+            r = sorted(2 * mp.cos(2 * mp.pi * k / 29) for k in range(1, 15))[3]
+            want = 1 if r > mp.mpf(q.numerator) / q.denominator else -1
+        assert compare_root(f, ivs[3], q) == want
+        assert compare_root(f, ivs[3], hi) == -1
+        assert compare_root(cubic, (Fraction(-1, 2), Fraction(1, 2)), 0) == 0
+        assert sign_at_root(f, ivs[0], (Fraction(1, 7), Fraction(-3), Fraction(1))) in (1, -1)
+        assert sign_at_root(cubic, (Fraction(-1, 2), Fraction(1, 2)),
+                            (Fraction(-1, 8), Fraction(1))) == -1
 
 
-# every conductor up to 120, and 2p for the larger construction primes p,
-# whose conductor-2p field gives the upper end of the T interval
+# every conductor up to 120, and the even conductors 2p, p = 61..83,
+# beyond it
 TWO_COS_CONDUCTORS = list(range(3, 121)) + \
     [2 * p for p in primes_in_range(61, 84)]
 
@@ -282,12 +368,6 @@ class TestTwoCosRoots:
         monkeypatch.setattr(cyclotomic, "_cells_certified", lambda *a: False)
         f = minpoly_two_cos_conductor(13)
         assert isolate_two_cos_roots(13) == isolate_real_roots(f)
-
-    def test_scaled_value_is_exact(self):
-        f = minpoly_two_cos_conductor(7)
-        for m in (-5, 0, 3, 1 << 21):
-            assert cyclotomic._scaled_value(f, m, 20) == \
-                f(Fraction(m, 1 << 20)) * (1 << (20 * f.degree))
 
 
 class TestNewtonPolygon:
