@@ -1,13 +1,18 @@
 """Prime-scan kernels: counts over the primes of a half-open range [lo, hi).
 
-Both kernels draw their primes from ntheory.prime_blocks and work in int64
-numpy, imported on first use. IMPLEMENTATION names the one backend;
-benchmark records carry it as their backend stamp.
+Both kernels draw their primes from the package's one sieve,
+ntheory.progression_blocks: the class count sieves only the progressions
+r + k n it counts, and the root count takes every prime from
+ntheory.prime_blocks, which sieves the odd numbers as the progression 1 + 2k.
+They work in int64 numpy, imported on first use. IMPLEMENTATION names the one
+backend; benchmark records carry it as their backend stamp.
 """
 
 from __future__ import annotations
 
-from .ntheory import prime_blocks
+from math import gcd
+
+from .ntheory import is_prime, prime_blocks, progression_blocks
 
 IMPLEMENTATION = "pure"
 
@@ -19,22 +24,33 @@ _BATCH_WORDS = 1 << 15
 _PRIME_CAP = 1 << 31
 _MAX_DEGREE = 63
 
+# Sieved values r + k n are int64.
+_VALUE_CAP = 1 << 62
+
 
 def prime_count_in_classes(lo: int, hi: int, modulus: int = 1,
                            residues: tuple[int, ...] = ()) -> int:
-    """Count primes p in [lo, hi) with p % modulus in residues.
+    """Count primes p in [lo, hi) with p % modulus in residues; hi must be
+    at most 2^62, so that every value fits in int64.
 
-    modulus 1 counts every prime regardless of residues.
+    modulus 1 counts every prime regardless of residues. Each distinct class
+    r prime to the modulus is sieved on its own; a class sharing the factor
+    g > 1 with the modulus holds no prime but g itself.
     """
-    import numpy as np
-
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    if hi > _VALUE_CAP:
+        raise ValueError("range cap: values must be <= 2^62")
+    if modulus == 1:
+        return sum(len(block) for block in prime_blocks(lo, hi))
     total = 0
-    res = np.array(sorted(set(r % modulus for r in residues)), dtype=np.int64)
-    for primes in prime_blocks(lo, hi):
-        if modulus > 1:
-            total += int(np.isin(primes % modulus, res).sum())
+    for r in {r % modulus for r in residues}:
+        g = gcd(r, modulus)
+        if g == 1:
+            total += sum(len(block) for block in
+                         progression_blocks(lo, hi, modulus, r))
         else:
-            total += len(primes)
+            total += g % modulus == r and lo <= g < hi and is_prime(g)
     return total
 
 

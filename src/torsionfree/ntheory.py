@@ -4,6 +4,11 @@ Everything here is exact and deterministic. Sizes are desk scale: primality
 up to ~3e24 (fixed Miller-Rabin witness set), factoring meant for numbers
 whose prime factors are either small or few (discriminants of the fields
 handled by this package are pure prime powers).
+
+Primes come from one segmented sieve over an arithmetic progression r + k n
+(progression_blocks). prime_blocks runs it on the odd numbers 1 + 2k for
+every prime of a range, and the class-count kernel runs it on just the
+classes it counts.
 """
 
 from __future__ import annotations
@@ -42,34 +47,57 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_BLOCK = 1 << 22
+# Indices per segment: 2^20 flags (1 MB) stay in cache while every base
+# prime strides over them.
+_BLOCK = 1 << 20
 
 
-def prime_blocks(lo: int, hi: int):
-    """Yield int64 numpy arrays of the primes in [lo, hi), ascending, one
-    block of at most _BLOCK integers at a time (segmented sieve of
-    Eratosthenes; the base primes up to sqrt(hi) come from the same sieve).
+def progression_blocks(lo: int, hi: int, n: int, r: int):
+    """Yield int64 numpy arrays of the primes p = r + k n in [lo, hi),
+    ascending, one block of at most _BLOCK consecutive indices k at a time;
+    gcd(r, n) must be 1.
 
-    This is the package's one sieve. numpy is imported on first use, so
+    This is the package's one sieve: a segmented sieve of Eratosthenes over
+    the progression alone (Bays-Hudson, BIT 17, 1977). A base prime
+    l <= sqrt(hi - 1) that does not divide n hits the progression at the
+    indices k = -r / n (mod l), and marks them from the first one whose value
+    is at least l^2, so l itself survives. numpy is imported on first use, so
     code paths that never sieve do not load it.
     """
     import numpy as np
 
-    lo = max(lo, 2)
+    r %= n
+    if math.gcd(r, n) != 1:
+        raise ValueError("the progression needs gcd(r, n) = 1")
+    lo = max(lo, 2)  # so 1 (and 0) are never yielded
     if hi <= lo:
         return
-    root = math.isqrt(hi - 1)
-    base = [b for block in prime_blocks(2, root + 1) for b in block.tolist()]
-    for s in range(lo, hi, _BLOCK):
-        e = min(s + _BLOCK, hi)
+    k_lo, k_hi = -((r - lo) // n), -((r - hi) // n)
+    base = [b for block in prime_blocks(2, math.isqrt(hi - 1) + 1)
+            for b in block.tolist() if n % b]
+    step = np.array(base, dtype=np.int64)
+    hit = np.array([-r * pow(n, -1, b) % b for b in base], dtype=np.int64)
+    first = np.array([-((r - b * b) // n) for b in base], dtype=np.int64)
+    for s in range(k_lo, k_hi, _BLOCK):
+        e = min(s + _BLOCK, k_hi)
+        live = int(np.searchsorted(first, e))
+        start = np.maximum(first[:live], s)
+        start += (hit[:live] - start) % step[:live]
         seg = np.ones(e - s, dtype=bool)
-        for p in base:
-            if p * p >= e:
-                break
-            start = max(p * p, ((s + p - 1) // p) * p)
-            if start < e:
-                seg[start - s :: p] = False
-        yield np.nonzero(seg)[0].astype(np.int64) + s
+        for b, k in zip(base, (start - s).tolist()):
+            seg[k::b] = False
+        yield r + n * (s + np.flatnonzero(seg))
+
+
+def prime_blocks(lo: int, hi: int):
+    """Yield int64 numpy arrays of the primes in [lo, hi), ascending: 2 when
+    lo <= 2 < hi, then the odd primes, sieved as the progression 1 + 2k.
+    Every prime the package scans comes from here or progression_blocks."""
+    if lo <= 2 < hi:
+        import numpy as np
+
+        yield np.array([2], dtype=np.int64)
+    yield from progression_blocks(lo, hi, 2, 1)
 
 
 def primes_in_range(a: int, b: int) -> list[int]:

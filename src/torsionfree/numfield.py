@@ -34,6 +34,10 @@ from .polyalg import (
 from .polyalg.modp import gf_divmod, gf_gcd, gf_trim
 from .polyalg.poly import clear_denominators, q_trim
 
+# Largest x (exclusive) for the class-sieve count of a cosine field; the
+# generic route stops at 2^31, the root-count kernel's range.
+ABELIAN_COUNT_CAP = 1 << 40
+
 
 @dataclass(frozen=True)
 class NumberField:
@@ -395,6 +399,8 @@ def _count_abelian(K: NumberField, x: int) -> int:
     counts only with inertia degree 1, that is for q = +-1 mod n, and then
     with d prime ideals; the class sieve counts those primes.
     """
+    if x >= ABELIAN_COUNT_CAP:
+        raise ResourceCapError("prime count exceeds the class sieve cap (2^40)")
     n = K.conductor
     B = isqrt(x)
     total = 0

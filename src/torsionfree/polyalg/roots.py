@@ -139,16 +139,21 @@ def sign_at_root(f: IntPoly, iv: Interval, g_coeffs) -> int:
     g is given as rational coefficients (any iterable accepted by Fraction).
     The interval is bisected until g provably has constant nonzero sign on it:
     both endpoint signs agree and a Sturm count certifies g has no root inside.
-    A non-degenerate iv must not have a root of f at lo.
+    A non-degenerate iv must not have a root of f at lo. A common root of f
+    and g in iv is refused before bisecting, since no bisection ends there
+    when the root is irrational.
     """
     lo, hi = iv
     g_int, _den = clear_denominators([Fraction(c) for c in g_coeffs])
     if g_int.is_zero():
         raise PreconditionError("zero polynomial has no sign")
     if lo != hi:
-        gsf = g_int.exact_div(poly_gcd(g_int, g_int.derivative())) if g_int.degree > 0 else g_int
-        gseq = sturm_sequence(gsf) if gsf.degree > 0 else None
         s_lo = _sign_at_lo(f, lo)
+        gsf = g_int.exact_div(poly_gcd(g_int, g_int.derivative())) if g_int.degree > 0 else g_int
+        h = poly_gcd(f, gsf)  # squarefree, as gsf is
+        if h.degree > 0 and count_roots_in(sturm_sequence(h), lo, hi):
+            raise PreconditionError("polynomial vanishes at the root")
+        gseq = sturm_sequence(gsf) if gsf.degree > 0 else None
         while lo != hi:
             v = _sign_at(g_int, lo)
             if v and v == _sign_at(g_int, hi) and \

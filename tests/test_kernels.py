@@ -1,19 +1,39 @@
 import random
 import subprocess
 import sys
+from math import isqrt
 
+import numpy as np
 import pytest
 
-from torsionfree import _kernels
+from torsionfree import _kernels, ntheory
 from torsionfree._kernels import (IMPLEMENTATION, poly_root_count_over_primes,
                                   prime_count_in_classes)
-from torsionfree.ntheory import is_prime, primes_in_range, primes_upto
+from torsionfree.ntheory import (is_prime, prime_blocks, primes_in_range,
+                                 primes_upto, progression_blocks)
 from torsionfree.polyalg import IntPoly, roots_mod_p
 
 
 def brute_root_count(coeffs, lo, hi):
     f = IntPoly(tuple(coeffs))
     return sum(len(roots_mod_p(f, q)) for q in primes_in_range(lo, hi))
+
+
+def brute_class_count(lo, hi, modulus, residues):
+    """The class count by trial primality, one integer at a time."""
+    classes = {r % modulus for r in residues}
+    return sum(1 for q in range(max(lo, 0), hi) if is_prime(q)
+               and (modulus == 1 or q % modulus in classes))
+
+
+def plain_sieve(hi):
+    """Primes below hi from one unsegmented sieve over every integer."""
+    flags = np.ones(hi, dtype=bool)
+    flags[:2] = False
+    for p in range(2, isqrt(hi - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
 
 
 class TestPrimeCounts:
@@ -35,6 +55,87 @@ class TestPrimeCounts:
         # primes = 1 or 12 mod 13 below 1000
         want = sum(1 for q in primes_upto(999) if q % 13 in (1, 12))
         assert prime_count_in_classes(2, 1000, 13, (1, 12)) == want
+        # a class sharing the factor g with the modulus holds g alone, when g
+        # is prime and in the class
+        assert prime_count_in_classes(2, 100, 13, (0,)) == 1
+        cases = [
+            (14, 100, 13, (0,)), (2, 13, 13, (0,)),
+            (2, 100, 12, (2,)), (2, 100, 12, (3, 8, 10)),
+            # odd moduli: 2 is a base prime, or even values survive
+            (2, 3000, 3, (1,)), (2, 3000, 3, (2,)), (2, 5000, 13, (1,)),
+            # base primes dividing the modulus mark nothing
+            (2, 10**4, 210, (1, 11, 13, 209)),
+            # base primes (3, 7, 13, 17, 23) inside the classes count
+            (2, 1000, 10, (3, 7)),
+            # negative residues, residues >= the modulus, repeats
+            (2, 1000, 13, (-1, 1, 14, 25, 12, -12)),
+            (50, 10, 13, (1,)), (-5, 100, 4, (1, 3)), (0, 3, 2, (0, 1)),
+        ]
+        for lo, hi, modulus, residues in cases:
+            assert prime_count_in_classes(lo, hi, modulus, residues) == \
+                brute_class_count(lo, hi, modulus, residues)
+
+    @pytest.mark.parametrize("block", [None, 5, 64])
+    def test_against_primality(self, block, monkeypatch):
+        """Random ranges and classes against trial primality; small blocks
+        put many segment boundaries inside each range."""
+        if block is not None:
+            monkeypatch.setattr(ntheory, "_BLOCK", block)
+        rng = random.Random(7)
+        for _ in range(300):
+            lo = rng.choice([rng.randint(0, 40), rng.randint(0, 3000),
+                             rng.randint(10**6, 2 * 10**6)])
+            hi = lo + rng.randint(-20, 2000)
+            n = rng.randint(1, 200)
+            residues = tuple(rng.randint(-n, 2 * n)
+                             for _ in range(rng.randint(0, 4)))
+            assert primes_in_range(lo, hi) == \
+                [q for q in range(max(lo, 0), hi) if is_prime(q)]
+            assert prime_count_in_classes(lo, hi, n, residues) == \
+                brute_class_count(lo, hi, n, residues)
+
+    def test_hi_at_square_of_base_prime(self):
+        # l^2 is the first value l marks: hi = l^2 leaves l out of the base
+        # primes, hi = l^2 + 1 must still strike l^2
+        for l in (2, 3, 5, 7, 11, 97, 101):
+            for hi in (l * l, l * l + 1, l * l + 2):
+                assert primes_in_range(0, hi) == \
+                    [q for q in range(hi) if is_prime(q)]
+                for n in (3, 4, 12, 13, 20):
+                    residues = ((l * l) % n, (l * l + 2) % n)
+                    assert prime_count_in_classes(2, hi, n, residues) == \
+                        brute_class_count(2, hi, n, residues)
+
+    def test_long_range(self):
+        # more than 2 _BLOCK indices, odd and mod 3, against a plain sieve
+        hi = 6 * ntheory._BLOCK + 1001
+        want = plain_sieve(hi)
+        blocks = list(prime_blocks(2, hi))
+        assert blocks[0].tolist() == [2] and len(blocks) > 3
+        for a, b in zip(blocks, blocks[1:]):
+            assert a.dtype == np.int64 and np.all(np.diff(a) > 0)
+            assert len(b) == 0 or len(a) == 0 or a[-1] < b[0]
+        assert np.array_equal(np.concatenate(blocks), want)
+        for r in (1, 2):
+            assert prime_count_in_classes(2, hi, 3, (r,)) == \
+                int(np.count_nonzero(want % 3 == r))
+        lo = 2 * ntheory._BLOCK + 17
+        assert prime_count_in_classes(lo, hi, 1, ()) == \
+            int(np.count_nonzero(want >= lo))
+
+    def test_prime_blocks_yields_two_first(self):
+        assert [b.tolist() for b in prime_blocks(2, 3)] == [[2]]
+        assert [b.tolist() for b in prime_blocks(-7, 12)][0] == [2]
+        assert 2 not in primes_in_range(3, 50)
+        assert list(prime_blocks(3, 3)) == [] and list(prime_blocks(9, 4)) == []
+
+    def test_rejections(self):
+        with pytest.raises(ValueError):
+            prime_count_in_classes(2, (1 << 62) + 1, 13, (1, 12))
+        with pytest.raises(ValueError):
+            prime_count_in_classes(2, 100, 0, (1,))
+        with pytest.raises(ValueError):
+            next(progression_blocks(2, 100, 12, 2))
 
     def test_modulus_one_counts_all(self):
         assert prime_count_in_classes(2, 1000, 1, (0,)) == \

@@ -201,9 +201,13 @@ class TestCounting:
         count_prime_ideals(K, 100, unreliable_out=seen)
         assert 2 in seen
 
-    def test_scan_cap(self, field_sqrt2):
+    def test_scan_cap(self, field_sqrt2, cosine_fields):
         with pytest.raises(ResourceCapError):
             count_prime_ideals(field_sqrt2, (1 << 31) + 2)
+        # the class sieve of a cosine field stops at 2^40, before any work
+        for x in (numfield.ABELIAN_COUNT_CAP, 10**30):
+            with pytest.raises(ResourceCapError):
+                count_prime_ideals(cosine_fields[13], x)
 
     def test_small_x(self, field_sqrt2):
         assert count_prime_ideals(field_sqrt2, 1) == 0

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import mpmath as mp
@@ -291,6 +292,29 @@ class TestSturmIsolation:
                             (Fraction(-1, 4), Fraction(1))) == -1
         with pytest.raises(PreconditionError):
             sign_at_root(f, (Fraction(0), Fraction(1, 2)), (Fraction(1),))
+
+    def test_sign_at_common_root_is_refused(self):
+        """A g that vanishes at an irrational root of f is refused at once;
+        bisection alone would never end."""
+        def timeout(signum, frame):
+            raise TimeoutError("sign_at_root ran for 2 s")
+
+        f = IntPoly((-2, 0, 1))
+        sqrt2 = isolate_real_roots(f)[-1]
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(2)
+        try:
+            for g in ((-2, 0, 1), (0, -2, 0, 1)):  # x^2 - 2, x (x^2 - 2)
+                with pytest.raises(PreconditionError):
+                    sign_at_root(f, sqrt2, [Fraction(c) for c in g])
+            # a common root outside the interval leaves the sign to find
+            f3 = IntPoly((6, -2, -3, 1))  # (x^2 - 2)(x - 3)
+            for iv in isolate_real_roots(f3)[:2]:
+                assert sign_at_root(f3, iv, (Fraction(-3), Fraction(1))) == -1
+            assert sign_at_root(f, sqrt2, (Fraction(-3), Fraction(0), Fraction(1))) == -1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
 
     def test_sign_at_is_exact(self):
         rng = random.Random(11)
