@@ -9,8 +9,12 @@ Newton-polygon slope) blocks isotropy at 2, and the rotation
     M = [[0, -1], [1, 2w]],  w = cos(2pi/p)
 
 is an exact isometry of the binary block [[1, w], [w, 1]] of order p.
-Everything a returned construction claims is checked in exact arithmetic;
-floating point only guides nothing here at all.
+Everything a returned construction claims is checked in exact arithmetic.
+Floating point (mpmath) only guides: it sets the window of numerators that
+choose_T tries at each denominator, and it places the dyadic cells around
+the real embeddings of the cosine field. What decides is exact: the interval
+certificate, the Newton slope, the certified cells, Sturm-certified signs,
+and integer field arithmetic for the isometry and order checks.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from mpmath import mp, mpf, workdps
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime, primes_in_range
 from .numfield import (FieldElement, NumberField, _dedekind_index_test,
-                       element_charpoly, make_cosine_field, sign_at_embeddings)
+                       element_charpoly, make_cosine_field, mul_mod,
+                       sign_at_embeddings)
 from .polyalg import (clear_denominators, compare_root, discriminant,
                       isolate_two_cos_roots, minpoly_two_cos, newton_polygon)
 from .report import mpf_str
+from .torsion import mat_mul, mat_pow
 
 PROBE_K_CAP = 20
 PROBE_CANDIDATE_BITS = 30
@@ -193,38 +199,6 @@ def order_p_element(p: int, field: NumberField):
             (zero, zero, one))
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, n):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _identity(field: NumberField, n: int = 3):
-    zero, one = field.element([0]), field.element([1])
-    return tuple(tuple(one if i == j else zero for j in range(n))
-                 for i in range(n))
-
-
-def _mat_pow(A, e: int, field: NumberField):
-    out = _identity(field, len(A))
-    base = A
-    while e:
-        if e & 1:
-            out = _mat_mul(out, base)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base)
-    return out
-
-
 def _det(M):
     n = len(M)
     if n == 1:
@@ -244,8 +218,10 @@ def verify_order(g, p: int) -> bool:
     if not is_prime(p):
         raise PreconditionError("p must be prime")
     field = g[0][0].owner
-    ident = _identity(field, len(g))
-    return g != ident and _mat_pow(g, p, field) == ident
+    n = len(g)
+    ident = tuple(tuple(field.element([int(i == j)]) for j in range(n))
+                  for i in range(n))
+    return g != ident and mat_pow(g, p) == ident
 
 
 def form_preservation_check(g, gram) -> bool:
@@ -254,7 +230,7 @@ def form_preservation_check(g, gram) -> bool:
     n = len(g)
     gt = tuple(tuple(g[i][j] for i in range(n)) for j in range(n))
     field = g[0][0].owner
-    return (_mat_mul(_mat_mul(gt, gram), g) == gram
+    return (mat_mul(mat_mul(gt, gram), g) == gram
             and _det(g) == field.element([1]))
 
 
@@ -265,8 +241,9 @@ def cosine_field_disc(p: int) -> int:
     """Exact field discriminant of Q(2cos(2pi/p)), certified cheaply.
 
     The polynomial discriminant is a power of p alone, so one Dedekind
-    index test at p settles monogenicity; no real-root isolation, which
-    matters once the sweep reaches degree 48.
+    index test at p settles monogenicity. That skips the rest of
+    make_cosine_field: the rational-root screen, the factorisation of the
+    discriminant and the certificate of the embedding cells.
     """
     _require_construction_prime(p)
     f = minpoly_two_cos(p)
@@ -336,27 +313,15 @@ def mod2k_isotropy_probe(c: FieldElement, k: int) -> list:
             f"2^{bits} candidate triples exceed the 2^{PROBE_CANDIDATE_BITS} "
             "search guard")
     mod = 1 << k
-    dens = [fr.denominator for fr in c.rep]
-    if any(den & (den - 1) for den in dens):
+    den = c.den
+    if den & (den - 1):
         raise PreconditionError("c must have power-of-two denominators")
-    m = max(den.bit_length() - 1 for den in dens)
-    t = (m + 1) // 2   # c * 4^t is integral and in the square class of c
-    cc = tuple(int(fr * 4 ** t) % mod for fr in c.rep)
-    fm = [co % mod for co in K.defining_poly.coeffs]
+    t = den.bit_length() // 2   # c * 4^t is integral and in the square class of c
+    cc = tuple(a * 4 ** t // den % mod for a in c.num)
+    f = K.defining_poly
 
     def pmul(u, v):
-        prod = [0] * (2 * d - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    prod[i + j] = (prod[i + j] + ui * vj) % mod
-        for i in range(len(prod) - 1, d - 1, -1):
-            ci = prod[i]
-            if ci:
-                prod[i] = 0
-                for j in range(d):
-                    prod[i - d + j] = (prod[i - d + j] - ci * fm[j]) % mod
-        return tuple(prod[:d])
+        return tuple(a % mod for a in mul_mod(u, v, f))
 
     coords = list(product(range(mod), repeat=d))
     squares = [pmul(u, u) for u in coords]

@@ -1,9 +1,15 @@
 """Number fields presented as Q[x]/(f) with f monic in Z[x].
 
-Everything here is exact. Splitting of rational primes is only trusted away
-from index-dividing primes (Dedekind criterion); the monogenic_certified
-flag records whether the full discriminant is known. Real embeddings are
-isolating intervals, ordered by ascending embedding value.
+Everything here is exact. A field element is a vector of integer numerators
+over one positive denominator, with no common factor among them (Cohen, A
+Course in Computational Algebraic Number Theory, GTM 138, 4.2); a product
+multiplies the numerators in Z[x] and reduces by the monic f (mul_mod), and
+no Fraction is built until .rep asks for the rational coefficients.
+
+Splitting of rational primes is only trusted away from index-dividing primes
+(Dedekind criterion); the monogenic_certified flag records whether the full
+discriminant is known. Real embeddings are isolating intervals, ordered by
+ascending embedding value.
 
 Library-built cosine fields Q(2cos(2pi/n)) carry their conductor n. Their
 real embeddings come from the closed form 2cos(2pi k/n) and are certified
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from . import _kernels
 from .errors import (NotSquarefreeError, PreconditionError, ResourceCapError,
@@ -29,10 +35,9 @@ from .polyalg import (
     isolate_two_cos_roots,
     minpoly_two_cos_conductor,
     roots_mod_p,
-    sign_at_root,
+    sign_at_roots,
 )
 from .polyalg.modp import gf_divmod, gf_gcd, gf_trim
-from .polyalg.poly import clear_denominators, q_trim
 
 # Largest x (exclusive) for the class-sieve count of a cosine field; the
 # generic route stops at 2^31, the root-count kernel's range.
@@ -55,8 +60,9 @@ class NumberField:
         c = [Fraction(x) for x in coeffs]
         if len(c) > self.degree:
             raise PreconditionError("representation degree exceeds field degree")
-        c += [Fraction(0)] * (self.degree - len(c))
-        return FieldElement(self, tuple(c))
+        den = lcm(*(a.denominator for a in c))
+        num = [a.numerator * (den // a.denominator) for a in c]
+        return FieldElement(self, num + [0] * (self.degree - len(c)), den)
 
     def generator(self) -> "FieldElement":
         if self.degree == 1:
@@ -73,17 +79,51 @@ class NumberField:
         }
 
 
+def mul_mod(u, v, f) -> list[int]:
+    """u * v reduced modulo the monic f, for integer coefficient vectors u, v
+    of length deg f (lowest degree first); the result is integral too."""
+    d = len(u)
+    prod = [0] * (2 * d - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                prod[i + j] += a * b
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k]
+        if c:
+            for j in range(d):
+                prod[k - d + j] -= c * f[j]
+    return prod[:d]
+
+
 @dataclass(frozen=True)
 class FieldElement:
+    """(num[0] + num[1] theta + ... + num[d-1] theta^(d-1)) / den.
+
+    The constructor requires den > 0 and divides out gcd(den, *num), so zero
+    is (0, ..., 0) / 1 and equal elements have equal (num, den).
+    """
     owner: NumberField
-    rep: tuple[Fraction, ...]  # length = degree, coefficient of theta^i at i
+    num: tuple[int, ...]  # length = degree, coefficient of theta^i at i
+    den: int
 
     def __post_init__(self):
-        if len(self.rep) != self.owner.degree:
+        num, den = tuple(self.num), self.den
+        if len(num) != self.owner.degree:
             raise PreconditionError("representation length must equal degree")
+        if den < 1:
+            raise PreconditionError("denominator must be positive")
+        g = gcd(den, *num)
+        object.__setattr__(self, "num", tuple(a // g for a in num) if g > 1 else num)
+        object.__setattr__(self, "den", den // g)
+
+    @property
+    def rep(self) -> tuple[Fraction, ...]:
+        """Rational coefficients of theta^0 .. theta^(d-1)."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.rep)
+        return not any(self.num)
 
     def _same_field(self, other: "FieldElement") -> None:
         if self.owner is not other.owner and self.owner != other.owner:
@@ -91,45 +131,35 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)
+        s, t = other.den, self.den
         return FieldElement(self.owner,
-                            tuple(a + b for a, b in zip(self.rep, other.rep)))
+                            tuple(a * s + b * t for a, b in zip(self.num, other.num)),
+                            s * t)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement(self.owner,
-                            tuple(a - b for a, b in zip(self.rep, other.rep)))
+        return self + -other
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.owner, tuple(-a for a in self.rep))
+        return FieldElement(self.owner, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return FieldElement(self.owner, tuple(a * q for a in self.rep))
+            return FieldElement(self.owner,
+                                tuple(a * other.numerator for a in self.num),
+                                self.den * other.denominator)
         self._same_field(other)
-        d = self.owner.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.rep):
-            if a:
-                for j, b in enumerate(other.rep):
-                    prod[i + j] += a * b
-        f = self.owner.defining_poly
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(d):
-                    prod[k - d + j] -= c * f[j]
-        return FieldElement(self.owner, tuple(prod[:d]))
+        return FieldElement(self.owner,
+                            mul_mod(self.num, other.num, self.owner.defining_poly),
+                            self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldElement) and self.owner == other.owner
-                and self.rep == other.rep)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.owner.defining_poly, self.rep))
+        return hash((self.owner.defining_poly, self.num, self.den))
 
 
 @dataclass(frozen=True)
@@ -229,16 +259,17 @@ def make_cosine_field(n: int) -> NumberField:
 def element_charpoly(alpha: FieldElement) -> tuple[Fraction, ...]:
     """Characteristic polynomial of multiplication by alpha, monic, degree d.
 
-    Linear expressions in the generator take the closed form b^d f((x-a)/b);
-    the general case finds the minimal polynomial by linear algebra and
-    raises it to the power d/deg (multiplication acts block-diagonally on K
-    viewed as a Q(alpha)-vector space).
+    Linear expressions (a + b theta)/den take the closed form over Z (see
+    _charpoly_linear); the general case finds the minimal polynomial by
+    linear algebra and raises it to the power d/deg (multiplication acts
+    block-diagonally on K viewed as a Q(alpha)-vector space).
     """
     K = alpha.owner
     d = K.degree
-    rep = alpha.rep
-    if all(c == 0 for c in rep[2:]):
-        return _charpoly_linear(K.defining_poly, rep[0], rep[1] if d > 1 else Fraction(0))
+    num = alpha.num
+    if not any(num[2:]):
+        return _charpoly_linear(K.defining_poly, num[0], num[1] if d > 1 else 0,
+                                alpha.den)
     m = _minpoly_by_dependence(alpha)
     k = len(m) - 1
     if d % k != 0:
@@ -258,26 +289,18 @@ def _q_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, 
     return tuple(prod)
 
 
-def _charpoly_linear(f: IntPoly, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
-    # charpoly of a + b*theta: product of (x - a - b*r) over roots r of f,
-    # i.e. b^d f((x - a)/b); for b = 0 it degenerates to (x - a)^d
+def _charpoly_linear(f: IntPoly, a: int, b: int, den: int) -> tuple[Fraction, ...]:
+    # the charpoly of (a + b*theta)/den is h(den*x)/den^d, where
+    # h(y) = prod (y - a - b*r) over the roots r of f = b^d f((y - a)/b)
+    # = sum f_i b^(d-i) (y - a)^i lies in Z[y] (Horner in y - a; for b = 0
+    # it is (y - a)^d); so the coefficient of x^k is h_k / den^(d-k)
     d = f.degree
-    if b == 0:
-        out = (Fraction(1),)
-        for _ in range(d):
-            out = _q_mul(out, (-a, Fraction(1)))
-        return out
-    shift = (-a, Fraction(1))  # x - a
-    out = [Fraction(0)] * (d + 1)
-    powt = (Fraction(1),)
-    for i in range(d + 1):
-        ci = Fraction(f[i]) * b ** (d - i)
-        if ci:
-            for j, t in enumerate(powt):
-                out[j] += ci * t
-        if i < d:
-            powt = _q_mul(powt, shift)
-    return tuple(out)
+    t = IntPoly((-a, 1))
+    h, bp = IntPoly((1,)), 1
+    for i in range(d - 1, -1, -1):
+        bp *= b
+        h = h * t + IntPoly((f[i] * bp,))
+    return tuple(Fraction(h[k], den ** (d - k)) for k in range(d + 1))
 
 
 def _minpoly_by_dependence(alpha: FieldElement) -> tuple[Fraction, ...]:
@@ -423,5 +446,4 @@ def sign_at_embeddings(alpha: FieldElement) -> tuple[int, ...]:
     K = alpha.owner
     if not K.real_embeddings:
         raise PreconditionError("field has no real embedding")
-    g = q_trim(alpha.rep)
-    return tuple(sign_at_root(K.defining_poly, iv, g) for iv in K.real_embeddings)
+    return sign_at_roots(K.defining_poly, K.real_embeddings, alpha.num)

@@ -125,24 +125,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise PreconditionError("negative polynomial power")
-        result = IntPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     # -- evaluation and calculus ------------------------------------------
 
     def __call__(self, x):

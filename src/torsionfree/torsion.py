@@ -11,7 +11,9 @@ odd witness since phi(2m) = phi(m) for odd m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
+from operator import add, mul
 
 from mpmath import mp, mpf, workdps
 
@@ -185,29 +187,34 @@ def witness_matrix(witness_orders: tuple[int, ...], size: int) -> list[list[int]
     return M
 
 
-def mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+def mat_mul(A, B) -> tuple[tuple, ...]:
+    """A B for square matrices over any ring: ints or field elements. Each
+    sum starts from its first product, not from the int 0."""
+    cols = tuple(zip(*B))
+    return tuple(tuple(reduce(add, map(mul, row, col)) for col in cols)
+                 for row in A)
 
 
-def mat_pow(A: list[list[int]], e: int) -> list[list[int]]:
-    n = len(A)
-    out = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = A
-    while e:
+def mat_pow(A, e: int) -> tuple[tuple, ...]:
+    """A^e for e >= 1 by binary exponentiation, with no identity needed; a
+    tuple of row tuples, or A itself when e = 1."""
+    if e < 1:
+        raise PreconditionError("matrix power needs e >= 1")
+    out = None
+    while True:
         if e & 1:
-            out = mat_mul(out, base)
+            out = A if out is None else mat_mul(out, A)
         e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return out
+        if not e:
+            return out
+        A = mat_mul(A, A)
 
 
-def matrix_order_is(M: list[list[int]], ell: int) -> bool:
+def matrix_order_is(M, ell: int) -> bool:
     """Exactly order ell: M^ell = I and M^(ell/q) != I for every prime q | ell."""
     n = len(M)
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    M = tuple(map(tuple, M))
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     if mat_pow(M, ell) != ident:
         return False
     return all(mat_pow(M, ell // q) != ident for q in factorize(ell))

@@ -22,6 +22,10 @@ PRIMES = (5, 7, 11, 13)
 FROZEN_T = {5: Fraction(1, 8), 7: Fraction(-1, 2),
             11: Fraction(-21, 32), 13: Fraction(-7, 8)}
 FROZEN_DISC = {5: 5, 7: 49, 11: 11**4, 13: 13**5}
+# T at denominator cap 8192 for degrees 44 to 99
+LARGE_T = {89: Fraction(-2037, 2048), 97: Fraction(-2039, 2048),
+           151: Fraction(-2045, 2048), 193: Fraction(-8183, 8192),
+           199: Fraction(-8183, 8192)}
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +247,23 @@ class TestBuildConstruction:
     def test_composite_rejected(self):
         with pytest.raises(PreconditionError):
             build_construction(9)
+
+
+class TestLargePrimes:
+    @pytest.mark.parametrize("p", sorted(LARGE_T))
+    def test_frozen_T_and_all_checks(self, p):
+        con = build_construction(p, 8192)
+        assert con.T == LARGE_T[p]
+        assert all(con.checks[name] is True for name in CHECK_NAMES)
+
+    def test_perturbed_generator_fails_order(self):
+        p = 199
+        K = make_cosine_field(p)
+        g = order_p_element(p, K)
+        assert verify_order(g, p)
+        one = K.element([1])
+        bad = (g[0], (g[1][0], g[1][1] + one, g[1][2]), g[2])
+        assert not verify_order(bad, p)
 
 
 class TestVolumeEstimate:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,10 +8,14 @@ from torsionfree.errors import (NotSquarefreeError, PreconditionError,
                                 ResourceCapError)
 from torsionfree import numfield
 from torsionfree.ntheory import primes_upto
-from torsionfree.numfield import (count_prime_ideals, dedekind_split,
-                                  element_charpoly, make_cosine_field,
-                                  make_field, norm, sign_at_embeddings)
+from torsionfree.numfield import (FieldElement, count_prime_ideals,
+                                  dedekind_split, element_charpoly,
+                                  make_cosine_field, make_field, norm,
+                                  sign_at_embeddings)
 from torsionfree.polyalg import IntPoly, isolate_real_roots
+
+# x^6 + 2x + 2, Eisenstein at 2
+EISENSTEIN_6 = IntPoly((2, 2, 0, 0, 0, 0, 1))
 
 
 class TestMakeField:
@@ -95,7 +100,7 @@ class TestElements:
         rng = random.Random(2718)
         for K, pairs in ((field_q, 200), (field_sqrt2, 200),
                          (cosine_fields[5], 200), (cosine_fields[7], 100),
-                         (cosine_fields[13], 25)):
+                         (cosine_fields[13], 25), (make_field(EISENSTEIN_6), 25)):
             d = K.degree
             for _ in range(pairs):
                 a = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
@@ -117,6 +122,112 @@ class TestElements:
         e = th * (K.element([3]) - th * th)
         with pytest.raises(PreconditionError):
             element_charpoly(e)
+
+
+def _q_poly_mul(a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return prod
+
+
+def _ref_mul(x, y, f):
+    """x * y mod f on Fraction coefficient vectors: the reference product."""
+    d = len(x)
+    prod = _q_poly_mul(x, y)
+    for k in range(2 * d - 2, d - 1, -1):
+        c, prod[k] = prod[k], 0
+        for j in range(d):
+            prod[k - d + j] -= c * f[j]
+    return tuple(prod[:d])
+
+
+def _ref_charpoly_linear(f, a, b):
+    """Charpoly of a + b*theta over Q: b^d f((x - a)/b), or (x - a)^d for
+    b = 0, summed in Fractions as the reference."""
+    d = f.degree
+    shift = (-a, Fraction(1))
+    if b == 0:
+        out = [Fraction(1)]
+        for _ in range(d):
+            out = _q_poly_mul(out, shift)
+        return tuple(out)
+    out = [Fraction(0)] * (d + 1)
+    powt = [Fraction(1)]
+    for i in range(d + 1):
+        ci = Fraction(f[i]) * b ** (d - i)
+        for j, t in enumerate(powt):
+            out[j] += ci * t
+        powt = _q_poly_mul(powt, shift)
+    return tuple(out)
+
+
+@pytest.fixture(scope="module")
+def rep_fields(field_q, field_sqrt2, cosine_fields):
+    return (field_q, field_sqrt2, cosine_fields[7], make_field(EISENSTEIN_6))
+
+
+def _is_normalised(e):
+    return e.den > 0 and gcd(e.den, *e.num) == 1
+
+
+class TestRepresentation:
+    """Integer numerators over one denominator against Fraction formulas."""
+
+    def test_arithmetic_matches_fraction_reference(self, rep_fields):
+        rng = random.Random(1618)
+        for K in rep_fields:
+            f, d = K.defining_poly, K.degree
+            for _ in range(150):
+                x, y = ([Fraction(rng.randint(-40, 40),
+                                  rng.choice((1, 2, 3, 4, 6, 9, 1024)))
+                         for _ in range(d)] for _ in range(2))
+                q = rng.choice((0, 1, -3, 7, Fraction(-5, 6), Fraction(4, 9)))
+                X, Y = K.element(x), K.element(y)
+                cases = (
+                    (X + Y, [a + b for a, b in zip(x, y)]),
+                    (X - Y, [a - b for a, b in zip(x, y)]),
+                    (-X, [-a for a in x]),
+                    (X * Y, _ref_mul(x, y, f)),
+                    (X * q, [a * q for a in x]),
+                    (q * X, [a * q for a in x]),
+                    (X - X, [0] * d),
+                )
+                for got, want in cases:
+                    assert got.rep == tuple(want)
+                    assert _is_normalised(got)
+                assert (X - X).num == (0,) * d and (X - X).den == 1
+
+    def test_equal_values_have_equal_numerators(self, field_sqrt2):
+        K = field_sqrt2
+        a, b = K.element([Fraction(2, 4)]), K.element([Fraction(1, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert (a.num, a.den) == ((1, 0), 2)
+        # the constructor normalises as element() does
+        c = FieldElement(K, (6, -4), 4)
+        assert (c.num, c.den) == ((3, -2), 2)
+        assert c == K.element([Fraction(3, 2), -1])
+        assert FieldElement(K, (0, 0), 7) == K.element([0])
+        for den in (0, -2):
+            with pytest.raises(PreconditionError):
+                FieldElement(K, (1, 0), den)
+
+    def test_charpoly_linear_matches_reference(self, rep_fields):
+        rng = random.Random(1414)
+        for K in rep_fields:
+            f = K.defining_poly
+            triples = [(0, 0, 1), (5, 0, 3), (-7, 0, 4), (-3, 2, 1),
+                       (-5, -7, 6), (1, 1, 1024)]
+            triples += [(rng.randint(-50, 50), rng.randint(-50, 50),
+                         rng.randint(1, 64)) for _ in range(20)]
+            for a, b, den in triples:
+                if K.degree == 1:
+                    b = 0
+                want = _ref_charpoly_linear(f, Fraction(a, den), Fraction(b, den))
+                assert numfield._charpoly_linear(f, a, b, den) == want
+                alpha = K.element([Fraction(a, den), Fraction(b, den)][:K.degree])
+                assert element_charpoly(alpha) == want
 
 
 class TestDedekindSplit:
@@ -238,8 +349,7 @@ class TestEmbeddings:
         before = sign_at_embeddings(alpha)
         # isolate the roots again, far narrower, and recompute the signs
         from torsionfree.polyalg import sign_at_root
-        from torsionfree.numfield import q_trim
-        g = q_trim(alpha.rep)
+        g = alpha.num
         refined = isolate_real_roots(f, Fraction(1, 2**40))
         assert len(refined) == len(K.real_embeddings)
         for (a, b), (c, d) in zip(K.real_embeddings, refined):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import lcm
 
 import mpmath as mp
@@ -5,7 +6,8 @@ import pytest
 
 from torsionfree.errors import PreconditionError, ResourceCapError
 from torsionfree.torsion import (companion_matrix, finite_subgroup_bound,
-                                 matrix_order_is, max_torsion_order,
+                                 mat_mul, mat_pow, matrix_order_is,
+                                 max_torsion_order,
                                  naive_max_order, paper_order_bounds, totient,
                                  torsion_order_volume_bound,
                                  totient_sqrt_inequality, witness_matrix)
@@ -145,11 +147,42 @@ class TestMatrixWitnesses:
         assert matrix_order_is(M, 3)
         assert not matrix_order_is(M, 6)
         assert not matrix_order_is(M, 2)
+        assert not matrix_order_is(M, 1)
+        # the identity, given as lists, has order 1 and not a prime order
+        I2 = [[1, 0], [0, 1]]
+        assert matrix_order_is(I2, 1)
+        assert not matrix_order_is(I2, 3)
 
     def test_identity_padding(self):
         M = witness_matrix((2,), 3)
         assert len(M) == 3
         assert matrix_order_is(M, 2)
+
+
+class TestMatPow:
+    def test_rejects_exponent_below_one(self):
+        for e in (0, -1):
+            with pytest.raises(PreconditionError):
+                mat_pow(((2,),), e)
+
+    def test_int_product_matches_sums(self):
+        A = ((1, 2, 0), (0, -1, 3), (4, 0, 1))
+        B = ((2, 0, -1), (1, 1, 0), (0, 5, 2))
+        assert mat_mul(A, B) == tuple(
+            tuple(sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3))
+            for i in range(3))
+
+    def test_matches_repeated_products(self, cosine_fields):
+        K = cosine_fields[7]
+        th, half = K.generator(), K.element([Fraction(1, 2)])
+        zero, one = K.element([0]), K.element([1])
+        over_ints = ((1, 2, 0), (0, -1, 3), (4, 0, 1))
+        over_field = ((th, half, zero), (-one, th * th, half), (zero, one, th))
+        for M in (over_ints, over_field):
+            acc = M
+            for e in range(1, 40):
+                assert mat_pow(M, e) == acc
+                acc = mat_mul(acc, M)
 
 
 class TestVolumeBounds:
