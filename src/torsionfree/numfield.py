@@ -35,7 +35,7 @@ from .polyalg import (
     isolate_two_cos_roots,
     minpoly_two_cos_conductor,
     roots_mod_p,
-    sign_at_roots,
+    sign_at_root,
 )
 from .polyalg.modp import gf_divmod, gf_gcd, gf_trim
 
@@ -446,4 +446,5 @@ def sign_at_embeddings(alpha: FieldElement) -> tuple[int, ...]:
     K = alpha.owner
     if not K.real_embeddings:
         raise PreconditionError("field has no real embedding")
-    return sign_at_roots(K.defining_poly, K.real_embeddings, alpha.num)
+    f = K.defining_poly
+    return tuple(sign_at_root(f, iv, alpha.num) for iv in K.real_embeddings)

@@ -24,7 +24,6 @@ from .roots import (
     isolate_real_roots,
     root_bound,
     sign_at_root,
-    sign_at_roots,
     sturm_sequence,
 )
 from .newton import NewtonPolygon, newton_polygon, padic_valuation
@@ -52,6 +51,5 @@ __all__ = [
     "root_bound",
     "roots_mod_p",
     "sign_at_root",
-    "sign_at_roots",
     "sturm_sequence",
 ]

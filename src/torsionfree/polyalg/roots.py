@@ -134,49 +134,36 @@ def isolate_real_roots(f: IntPoly, precision: Fraction = Fraction(1, 2**20)) -> 
 
 
 def sign_at_root(f: IntPoly, iv: Interval, g_coeffs) -> int:
-    """Exact sign of g at the unique root of f inside iv: sign_at_roots on
-    the one interval."""
-    return sign_at_roots(f, (iv,), g_coeffs)[0]
-
-
-def sign_at_roots(f: IntPoly, ivs, g_coeffs) -> tuple[int, ...]:
-    """Exact sign of g at the unique root of f inside each interval of ivs;
-    requires g to be nonzero at each of those roots.
+    """Exact sign of g at the unique root r of f inside iv; requires g(r) != 0.
 
     g is given as rational coefficients (any iterable accepted by Fraction).
-    Each interval is bisected until g provably has constant nonzero sign on
-    it: both endpoint signs agree and a Sturm count certifies g has no root
-    inside. A non-degenerate interval must not have a root of f at lo. A
-    common root of f and g in an interval is refused before bisecting, since
-    no bisection ends there when the root is irrational. The squarefree part
-    of g, its gcd with f and both Sturm chains are computed once for all
-    intervals.
+    The interval is bisected until g provably has constant nonzero sign on it:
+    both endpoint signs agree and a Sturm count certifies g has no root inside.
+    A non-degenerate iv must not have a root of f at lo. A common root of f
+    and g in iv is refused before bisecting, since no bisection ends there
+    when the root is irrational.
     """
+    lo, hi = iv
     g_int, _den = clear_denominators([Fraction(c) for c in g_coeffs])
     if g_int.is_zero():
         raise PreconditionError("zero polynomial has no sign")
-    gsf = g_int.exact_div(poly_gcd(g_int, g_int.derivative())) if g_int.degree > 0 else g_int
-    h = poly_gcd(f, gsf)  # squarefree, as gsf is
-    hseq = sturm_sequence(h) if h.degree > 0 else None
-    gseq = sturm_sequence(gsf) if gsf.degree > 0 else None
-
-    def sign_in(lo: Fraction, hi: Fraction) -> int:
-        if lo != hi:
-            s_lo = _sign_at_lo(f, lo)
-            if hseq is not None and count_roots_in(hseq, lo, hi):
-                raise PreconditionError("polynomial vanishes at the root")
-            while lo != hi:
-                v = _sign_at(g_int, lo)
-                if v and v == _sign_at(g_int, hi) and \
-                        (gseq is None or count_roots_in(gseq, lo, hi) == 0):
-                    return v
-                lo, hi = _halve(f, lo, hi, s_lo)
-        v = _sign_at(g_int, lo)
-        if v == 0:
+    if lo != hi:
+        s_lo = _sign_at_lo(f, lo)
+        gsf = g_int.exact_div(poly_gcd(g_int, g_int.derivative())) if g_int.degree > 0 else g_int
+        h = poly_gcd(f, gsf)  # squarefree, as gsf is
+        if h.degree > 0 and count_roots_in(sturm_sequence(h), lo, hi):
             raise PreconditionError("polynomial vanishes at the root")
-        return v
-
-    return tuple(sign_in(lo, hi) for lo, hi in ivs)
+        gseq = sturm_sequence(gsf) if gsf.degree > 0 else None
+        while lo != hi:
+            v = _sign_at(g_int, lo)
+            if v and v == _sign_at(g_int, hi) and \
+                    (gseq is None or count_roots_in(gseq, lo, hi) == 0):
+                return v
+            lo, hi = _halve(f, lo, hi, s_lo)
+    v = _sign_at(g_int, lo)
+    if v == 0:
+        raise PreconditionError("polynomial vanishes at the root")
+    return v
 
 
 def compare_root(f: IntPoly, iv: Interval, q: Fraction) -> int:

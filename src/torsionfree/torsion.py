@@ -197,9 +197,10 @@ def mat_mul(A, B) -> tuple[tuple, ...]:
 
 def mat_pow(A, e: int) -> tuple[tuple, ...]:
     """A^e for e >= 1 by binary exponentiation, with no identity needed; a
-    tuple of row tuples, or A itself when e = 1."""
+    tuple of row tuples."""
     if e < 1:
         raise PreconditionError("matrix power needs e >= 1")
+    A = tuple(map(tuple, A))
     out = None
     while True:
         if e & 1:
@@ -213,7 +214,6 @@ def mat_pow(A, e: int) -> tuple[tuple, ...]:
 def matrix_order_is(M, ell: int) -> bool:
     """Exactly order ell: M^ell = I and M^(ell/q) != I for every prime q | ell."""
     n = len(M)
-    M = tuple(map(tuple, M))
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     if mat_pow(M, ell) != ident:
         return False

@@ -178,8 +178,9 @@ class TestMatPow:
         zero, one = K.element([0]), K.element([1])
         over_ints = ((1, 2, 0), (0, -1, 3), (4, 0, 1))
         over_field = ((th, half, zero), (-one, th * th, half), (zero, one, th))
-        for M in (over_ints, over_field):
-            acc = M
+        as_lists = [list(row) for row in over_ints]  # the result is row tuples
+        for M in (over_ints, as_lists, over_field):
+            acc = tuple(map(tuple, M))
             for e in range(1, 40):
                 assert mat_pow(M, e) == acc
                 acc = mat_mul(acc, M)
