@@ -65,10 +65,19 @@ def _bool(b: bool) -> str:
               help="Path to a JSON config file (or set TORSIONFREE_CONFIG).")
 @click.pass_context
 def cli(ctx, config_path):
-    cfg, warnings = load_config(config_path)
-    for line in warnings:
+    cfg, notes, defaulted = load_config(config_path)
+    for line in notes:
         click.echo(line, err=True)
-    ctx.obj = {"config": cfg}
+    ctx.obj = {"config": cfg, "defaulted": defaulted}
+
+
+def _config(ctx, *reads):
+    """The config, after a stderr warning for each constant in reads that is
+    left at its illustrative default."""
+    for name in reads:
+        if name in ctx.obj["defaulted"]:
+            click.echo(ctx.obj["defaulted"][name], err=True)
+    return ctx.obj["config"]
 
 
 # ------------------------------------------------------------------ field
@@ -141,7 +150,7 @@ def bound():
 @click.option("--dimh", type=int, required=True, help="dim H.")
 @click.pass_context
 def bound_grh(ctx, v, dimh):
-    cfg = ctx.obj["config"]
+    cfg = _config(ctx, "epsilon", "prasad_c1", "prasad_c2", "lemma_C")
     val = volume_index_bound_grh(v, dimh, cfg.epsilon, cfg.prasad_c1,
                                  cfg.prasad_c2, cfg.lemma_C)
     report = {
@@ -209,19 +218,17 @@ def torsion_table(nmax, d, fmt):
 
 @cli.group(invoke_without_command=True)
 @click.option("--p", type=int, default=None, help="Odd prime >= 5.")
-@click.option("--dencap", type=int, default=1024, show_default=True,
-              help="Power-of-two cap on the denominator of T.")
 @click.option("--probe-k", type=int, default=None,
               help="Also run the mod-2^k isotropy probe.")
 @click.pass_context
-def construct(ctx, p, dencap, probe_k):
+def construct(ctx, p, probe_k):
     """Order-p lattice construction (or 'construct sweep')."""
     if ctx.invoked_subcommand is not None:
         return
     if p is None:
         raise click.UsageError("construct requires --p (or a subcommand)")
-    cfg = ctx.obj["config"]
-    con = build_construction(p, dencap, a_const=cfg.belolipetsky_a,
+    cfg = _config(ctx, "belolipetsky_a", "belolipetsky_b")
+    con = build_construction(p, a_const=cfg.belolipetsky_a,
                              b_const=cfg.belolipetsky_b)
     report = con.to_json()
     if probe_k is not None:
@@ -241,7 +248,7 @@ def construct(ctx, p, dencap, probe_k):
               default="csv", show_default=True)
 @click.pass_context
 def construct_sweep(ctx, pmax, fmt):
-    cfg = ctx.obj["config"]
+    cfg = _config(ctx, "belolipetsky_a", "belolipetsky_b")
     rows = sweep(pmax, a_const=cfg.belolipetsky_a, b_const=cfg.belolipetsky_b)
     if fmt == "json":
         out = [{"p": p, "disc": str(disc), "log_v_hat": mpf_str(lv),

@@ -3,8 +3,9 @@
 Every constant here except prime_scan_cap is an illustrative default: the
 asymptotic statements leave c1, c2, a, b, the Jordan index and the epsilon
 margin unspecified, so silent defaults would launder invented numbers into
-results. Loading emits one warning line per defaulted constant; a config
-file (JSON object, same keys) or the TORSIONFREE_CONFIG env var overrides.
+results. Loading gives one warning line per defaulted constant, which a
+command prints when it reads that constant; a config file (JSON object,
+same keys) or the TORSIONFREE_CONFIG env var overrides.
 """
 
 from __future__ import annotations
@@ -45,9 +46,12 @@ class Config:
             raise PreconditionError("prime_scan_cap must be an integer")
 
 
-def load_config(path: str | None = None) -> tuple[Config, list[str]]:
-    """Config plus the warning lines the caller should print to stderr."""
-    warnings: list[str] = []
+def load_config(path: str | None = None
+                ) -> tuple[Config, list[str], dict[str, str]]:
+    """Config, the notes about the config file the caller should print to
+    stderr, and a warning line for each illustrative constant left at its
+    default, keyed by name."""
+    notes: list[str] = []
     source = path or os.environ.get(ENV_VAR)
     data: dict = {}
     if source:
@@ -61,18 +65,16 @@ def load_config(path: str | None = None) -> tuple[Config, list[str]]:
             if not isinstance(data, dict):
                 raise PreconditionError("config file must hold a JSON object")
         else:
-            warnings.append(f"config file {source} not found; "
-                            "defaults in effect")
+            notes.append(f"config file {source} not found; "
+                         "defaults in effect")
     else:
-        warnings.append("no config file given; defaults in effect")
+        notes.append("no config file given; defaults in effect")
     known = {f.name for f in fields(Config)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise PreconditionError(f"unknown config keys: {', '.join(unknown)}")
     cfg = Config(**data)
-    for name in ILLUSTRATIVE:
-        if name not in data:
-            warnings.append(
-                f"warning: {name} = {getattr(cfg, name)} is an illustrative "
-                "default, not a published value")
-    return cfg, warnings
+    defaulted = {name: f"warning: {name} = {getattr(cfg, name)} is an "
+                       "illustrative default, not a published value"
+                 for name in ILLUSTRATIVE if name not in data}
+    return cfg, notes, defaulted

@@ -31,11 +31,14 @@ from .ntheory import is_prime, primes_in_range
 from .numfield import (FieldElement, NumberField, _dedekind_index_test,
                        element_charpoly, make_cosine_field, mul_mod,
                        sign_at_embeddings)
-from .polyalg import (clear_denominators, compare_root, discriminant,
-                      isolate_two_cos_roots, minpoly_two_cos, newton_polygon)
+from .polyalg import (compare_root, discriminant, isolate_two_cos_roots,
+                      minpoly_two_cos)
 from .report import mpf_str
 from .torsion import mat_mul, mat_pow
 
+# largest p that a construction or a sweep accepts; build_construction(503)
+# takes about 5 s on 2 cores
+P_CAP = 503
 PROBE_K_CAP = 20
 PROBE_CANDIDATE_BITS = 30
 
@@ -103,6 +106,8 @@ def _element_json(e: FieldElement) -> list[str]:
 def _require_construction_prime(p: int) -> None:
     if p < 5 or not is_prime(p):
         raise PreconditionError("p must be an odd prime >= 5")
+    if p > P_CAP:
+        raise ResourceCapError(f"p is capped at {P_CAP}")
 
 
 @lru_cache(maxsize=None)
@@ -121,19 +126,29 @@ def interval_certificate(p: int, T) -> bool:
     return compare_root(fp, ivk, q) == 1 and compare_root(fp, ivp, -q) == 1
 
 
+def _v2(x: Fraction) -> int:
+    n, d = x.numerator, x.denominator
+    return (n & -n).bit_length() - (d & -d).bit_length()
+
+
 def two_adic_condition(c: FieldElement) -> bool:
     """Odd valuation of c at every place over 2, all at once.
 
-    The Newton polygon at 2 of the characteristic polynomial must be a
-    single segment whose slope is an odd integer. Stricter than needed
-    (slopes could differ per place and still all be odd) but it avoids
-    any prime-by-prime valuation machinery.
+    The Newton polygon at 2 of the monic characteristic polynomial cp of
+    degree d must be a single segment whose slope s = v2(cp_0)/d is an odd
+    integer. A lower hull is one segment exactly when no point lies below
+    the chord from (0, v2(cp_0)) to (d, 0), that is v2(cp_k) >= (d - k) s
+    for every nonzero cp_k. Stricter than needed (slopes could differ per
+    place and still all be odd) but it avoids any prime-by-prime valuation
+    machinery.
     """
     if c.is_zero():
         raise PreconditionError("c must be nonzero")
-    cleared, _den = clear_denominators(element_charpoly(c))
-    s = newton_polygon(cleared, 2).single_slope()
-    return s is not None and s.denominator == 1 and int(s) % 2 == 1
+    cp = element_charpoly(c)
+    d = len(cp) - 1
+    s, r = divmod(_v2(cp[0]), d)
+    return r == 0 and s % 2 == 1 and all(
+        _v2(a) >= (d - k) * s for k, a in enumerate(cp) if a)
 
 
 def archimedean_check(c: FieldElement) -> tuple[int, tuple[int, ...]]:
@@ -148,28 +163,34 @@ def archimedean_ok(c: FieldElement) -> bool:
     return ident == 1 and all(s == -1 for s in others)
 
 
-def choose_T(p: int, denominator_cap: int = 1024,
-             field: NumberField | None = None) -> Fraction:
+def choose_T(p: int, field: NumberField | None = None) -> Fraction:
     """First T = a/2^j (j ascending, then |a| ascending, + before -) inside
     the cosine interval that also passes the 2-adic test.
 
     For each j only the odd numerators that an mpmath value of the interval
-    (-cos 2pi/p, -cos 3pi/p) puts inside are tried, with one more on each
-    side as slack; interval_certificate still decides every candidate.
+    (lo, hi) = (-cos 2pi/p, -cos 3pi/p) puts inside are tried, with one more
+    on each side as slack; interval_certificate and two_adic_condition
+    still decide every candidate.
+
+    The search ends at the first odd j >= 3 with 2^j (hi - lo) > 2. That
+    window holds two consecutive integers, so an odd a with a/2^j inside
+    the interval; and since theta = 2cos(2pi/p) is a unit and 2 is
+    unramified, c = (a + 2^(j-1) theta)/2^j has valuation -j, odd, at every
+    place over 2, so the 2-adic test passes too.
     """
     _require_construction_prime(p)
-    if denominator_cap < 1 or denominator_cap & (denominator_cap - 1):
-        raise PreconditionError("denominator_cap must be a power of 2")
     if field is None:
         field = make_cosine_field(p)
     half = Fraction(1, 2)
-    bits = denominator_cap.bit_length()
-    # 30 digits beyond the cap's bits put lo * 2^j and hi * 2^j far closer
-    # than the one numerator of slack
-    with workdps(30 + bits):
+    # 2^last < p^2 has fewer than p.bit_length() digits, so 30 more put
+    # lo * 2^j and hi * 2^j far closer than the one numerator of slack
+    with workdps(30 + p.bit_length()):
         lo, hi = -mp.cos(2 * mp.pi / p), -mp.cos(3 * mp.pi / p)
+        last = 3
+        while 2**last * (hi - lo) <= 2:
+            last += 2
         windows = [range(int(mp.floor(lo * 2**j)) - 1,
-                         int(mp.ceil(hi * 2**j)) + 2) for j in range(bits)]
+                         int(mp.ceil(hi * 2**j)) + 2) for j in range(last + 1)]
     for j, window in enumerate(windows):
         den = 1 << j
         # |T| < 1 always, the interval lies in (-1, 1)
@@ -180,7 +201,7 @@ def choose_T(p: int, denominator_cap: int = 1024,
                     two_adic_condition(field.element([T, half])):
                 return T
     raise ResourceCapError(
-        f"no feasible T with denominator <= {denominator_cap} for p = {p}")
+        f"no feasible T with denominator <= 2^{last} for p = {p}")
 
 
 # ---------------------------------------------------------------- isometry
@@ -341,12 +362,11 @@ def mod2k_isotropy_probe(c: FieldElement, k: int) -> list:
 
 # ------------------------------------------------------------ full pipeline
 
-def build_construction(p: int, denominator_cap: int = 1024,
-                       a_const=1.0, b_const=1.0,
+def build_construction(p: int, a_const=1.0, b_const=1.0,
                        plogp_c=1.0) -> LatticeConstruction:
     _require_construction_prime(p)
     field = make_cosine_field(p)
-    T = choose_T(p, denominator_cap, field=field)
+    T = choose_T(p, field=field)
     half = Fraction(1, 2)
     omega = field.element([0, half])
     c = field.element([T, half])
@@ -375,6 +395,8 @@ def sweep(pmax: int, a_const=1.0, b_const=1.0, plogp_c=1.0) -> list:
     cheap certified-discriminant route (no T search, no root isolation)."""
     if pmax < 5:
         raise PreconditionError("pmax must be >= 5")
+    if pmax > P_CAP:
+        raise ResourceCapError(f"pmax is capped at {P_CAP}")
     rows = []
     for p in primes_in_range(5, pmax + 1):
         disc, _formula, log_v_hat = volume_estimate(p, a_const, b_const,

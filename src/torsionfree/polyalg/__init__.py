@@ -1,5 +1,5 @@
 """Exact polynomial arithmetic: Z[x] basics, cyclotomic and cosine minimal
-polynomials, factorization mod p, real root isolation, Newton polygons."""
+polynomials, factorization mod p, real root isolation."""
 
 from .poly import (
     IntPoly,
@@ -26,11 +26,9 @@ from .roots import (
     sign_at_root,
     sturm_sequence,
 )
-from .newton import NewtonPolygon, newton_polygon, padic_valuation
 
 __all__ = [
     "IntPoly",
-    "NewtonPolygon",
     "chebyshev_T",
     "clear_denominators",
     "compare_root",
@@ -44,8 +42,6 @@ __all__ = [
     "minpoly_cos",
     "minpoly_two_cos",
     "minpoly_two_cos_conductor",
-    "newton_polygon",
-    "padic_valuation",
     "poly_gcd",
     "resultant",
     "root_bound",

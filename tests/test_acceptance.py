@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA, run_cli
-from torsionfree.construct import build_construction, sweep
+from torsionfree.construct import build_construction, choose_T, sweep
 from torsionfree.ntheory import primes_upto
 from torsionfree.numfield import make_cosine_field, make_field
 from torsionfree.polyalg import IntPoly
@@ -216,6 +216,10 @@ def test_criterion_6_lower_bound_ratio():
         with mp.workdps(30):
             for p, _disc, _lv, ratio in rows:
                 assert ratio >= mp.mpf("0.2"), p
+        # every row is a construction that exists: choose_T raises
+        # ResourceCapError when its search finds no T
+        for p, _disc, _lv, _ratio in rows:
+            choose_T(p)
 
 
 def test_criterion_7_cross_module():

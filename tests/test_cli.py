@@ -132,9 +132,31 @@ class TestExitCodes:
         assert json.loads(out)["report"]["bound"] == str(3 ** 8192)
 
     def test_threads_option_is_gone(self):
-        code, _out, _err = run_cli("--threads", "1", "level", "find",
-                                   str(DATA / "q.poly"), "--dimg", "3")
-        assert code == 64
+        for args in (["--threads", "1", "level", "find",
+                      str(DATA / "q.poly"), "--dimg", "3"],
+                     ["construct", "--p", "5", "--dencap", "1024"]):
+            code, _out, _err = run_cli(*args)
+            assert code == 64, args
+
+    @pytest.mark.parametrize("args", [
+        ["construct", "--p", "100003"],
+        ["construct", "sweep", "--pmax", "100003"],
+    ], ids=lambda a: " ".join(a))
+    def test_p_above_cap_is_3(self, args):
+        start = time.monotonic()
+        code, out, err = run_cli(*args)
+        assert code == 3
+        assert time.monotonic() - start < 30
+        assert out == ""
+        payload = json.loads(err.splitlines()[-1])
+        assert payload["error"]["type"] == "ResourceCapError"
+
+    def test_p89_builds_with_all_checks(self):
+        code, out, _err = run_cli("construct", "--p", "89")
+        assert code == 0
+        checks = json.loads(out)["report"]["checks"]
+        assert len(checks) == 5
+        assert all(v is True for v in checks.values())
 
     def test_probe_guard_is_3(self):
         # 6 coordinates at 13 bits each blows the enumeration budget
@@ -144,11 +166,27 @@ class TestExitCodes:
 
 class TestConfig:
     def test_default_warns_on_stderr(self):
-        _code, _out, err = run_cli("construct", "sweep", "--pmax", "13")
-        for name in ("prasad_c1", "prasad_c2", "belolipetsky_a",
-                     "belolipetsky_b", "jordan_index", "epsilon", "lemma_C"):
-            assert name in err
-        assert "illustrative default" in err
+        # each command warns about the illustrative constants it reads and
+        # no others; no command reads jordan_index
+        reads = {
+            ("construct", "sweep", "--pmax", "13"):
+                {"belolipetsky_a", "belolipetsky_b"},
+            ("construct", "--p", "5"): {"belolipetsky_a", "belolipetsky_b"},
+            ("bound", "grh", "--v", "100", "--dimh", "3"):
+                {"epsilon", "prasad_c1", "prasad_c2", "lemma_C"},
+            ("field", "analyze", str(DATA / "q.poly")): set(),
+            ("bound", "unconditional", "--d", "1", "--dimh", "3"): set(),
+            ("torsion", "table", "--nmax", "2"): set(),
+            ("apply", "generators", "--v", "1000000", "--alpha", "0.5",
+             "--c", "1.0"): set(),
+        }
+        for args, names in reads.items():
+            code, _out, err = run_cli(*args)
+            assert code == 0, args
+            warned = set(re.findall(r"warning: (\w+) = .* is an illustrative "
+                                    "default", err))
+            assert warned == names, args
+            assert "jordan_index" not in err
 
     def test_stdout_stays_clean(self):
         _code, out, _err = run_cli("construct", "sweep", "--pmax", "13")

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from torsionfree.construct import (CHECK_NAMES, archimedean_check,
+from torsionfree import construct
+from torsionfree.construct import (CHECK_NAMES, P_CAP, archimedean_check,
                                    archimedean_ok, build_construction,
                                    choose_T, cosine_field_disc,
                                    form_preservation_check,
@@ -22,7 +24,8 @@ PRIMES = (5, 7, 11, 13)
 FROZEN_T = {5: Fraction(1, 8), 7: Fraction(-1, 2),
             11: Fraction(-21, 32), 13: Fraction(-7, 8)}
 FROZEN_DISC = {5: 5, 7: 49, 11: 11**4, 13: 13**5}
-# T at denominator cap 8192 for degrees 44 to 99
+# T for degrees 44 to 99, where the first admissible denominator is 2^11
+# or 2^13
 LARGE_T = {89: Fraction(-2037, 2048), 97: Fraction(-2039, 2048),
            151: Fraction(-2045, 2048), 193: Fraction(-8183, 8192),
            199: Fraction(-8183, 8192)}
@@ -48,10 +51,10 @@ class TestChooseT:
         assert choose_T(5, field=K) == Fraction(1, 8)
 
     @staticmethod
-    def exhaustive_T(p, field, denominator_cap=1024):
+    def exhaustive_T(p, field, jmax=10):
         """The scan over every odd numerator, in choose_T's order."""
         half = Fraction(1, 2)
-        for j in range(denominator_cap.bit_length()):
+        for j in range(jmax + 1):
             den = 1 << j
             for a in range(1, den, 2):
                 for T in (Fraction(a, den), Fraction(-a, den)):
@@ -65,13 +68,18 @@ class TestChooseT:
         K = make_cosine_field(p)
         assert choose_T(p, field=K) == self.exhaustive_T(p, K)
 
-    def test_denominator_cap(self):
+    def test_p_above_cap_refused(self):
+        p = 509  # the first prime above P_CAP
+        assert P_CAP < p
         with pytest.raises(ResourceCapError):
-            choose_T(5, denominator_cap=1)
-
-    def test_cap_must_be_power_of_two(self):
+            choose_T(p)
+        with pytest.raises(ResourceCapError):
+            build_construction(p)
+        with pytest.raises(ResourceCapError):
+            sweep(P_CAP + 1)
+        # the prime check comes first
         with pytest.raises(PreconditionError):
-            choose_T(5, denominator_cap=1000)
+            choose_T(511)
 
     def test_odd_composite_rejected(self):
         with pytest.raises(PreconditionError):
@@ -125,6 +133,57 @@ class TestTwoAdicCondition:
     def test_half_integer_slope_rejected(self, field_sqrt2):
         # theta has charpoly x^2 - 2: slope 1/2, not an odd integer
         assert not two_adic_condition(field_sqrt2.generator())
+        # x^2 + x + 4: the chord from (0, 2) to (2, 0) has the odd integer
+        # slope 1, but (1, 0) lies below it, so the polygon has two slopes
+        assert not two_adic_condition(make_field((4, 1, 1)).generator())
+
+    @staticmethod
+    def hull_reference(cp):
+        """One lower-hull segment of odd integer slope, by monotone chain."""
+        def v2(x):
+            n, d, v = x.numerator, x.denominator, 0
+            while n % 2 == 0:
+                n, v = n // 2, v + 1
+            while d % 2 == 0:
+                d, v = d // 2, v - 1
+            return v
+        hull = []
+        for pt in [(k, v2(a)) for k, a in enumerate(cp) if a]:
+            while len(hull) >= 2:
+                (x1, y1), (x2, y2) = hull[-2], hull[-1]
+                if (x2 - x1) * (pt[1] - y1) > (pt[0] - x1) * (y2 - y1):
+                    break
+                hull.pop()
+            hull.append(pt)
+        if len(hull) != 2:
+            return False
+        (x0, y0), (x1, y1) = hull
+        s = Fraction(y0 - y1, x1 - x0)
+        return s.denominator == 1 and s.numerator % 2 == 1
+
+    def test_chord_matches_lower_hull(self, monkeypatch, field_q):
+        rng = random.Random(2023)
+        polys = []
+        for _ in range(20000):
+            d = rng.randint(1, 7)
+            s = rng.randint(-4, 4)
+            cp = []
+            for k in range(d):
+                if k and rng.random() < 0.25:
+                    cp.append(Fraction(0))
+                    continue
+                v = (d - k) * s + rng.choice((-2, -1, 0, 0, 0, 1, 2, 5))
+                a = Fraction(rng.choice((1, -1, 3, -5, 7, 15)),
+                             rng.choice((1, 3, 5, 9)))
+                cp.append(a * Fraction(2) ** v)
+            polys.append(tuple(cp) + (Fraction(1),))
+        charpolys = iter(polys)
+        monkeypatch.setattr(construct, "element_charpoly",
+                            lambda _c: next(charpolys))
+        one = field_q.element([1])
+        got = [two_adic_condition(one) for _ in polys]
+        assert got == [self.hull_reference(cp) for cp in polys]
+        assert 1000 < sum(got) < len(got) - 1000
 
     def test_frozen_c_passes(self, cosine_fields):
         for p in PRIMES:
@@ -252,7 +311,7 @@ class TestBuildConstruction:
 class TestLargePrimes:
     @pytest.mark.parametrize("p", sorted(LARGE_T))
     def test_frozen_T_and_all_checks(self, p):
-        con = build_construction(p, 8192)
+        con = build_construction(p)
         assert con.T == LARGE_T[p]
         assert all(con.checks[name] is True for name in CHECK_NAMES)
 

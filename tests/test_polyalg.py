@@ -11,9 +11,8 @@ from torsionfree.polyalg import (IntPoly, chebyshev_T, clear_denominators,
                                  compare_root, discriminant, factor_mod_p,
                                  isolate_real_roots, isolate_two_cos_roots,
                                  minpoly_cos, minpoly_two_cos,
-                                 minpoly_two_cos_conductor, newton_polygon,
-                                 padic_valuation, resultant, roots_mod_p,
-                                 sign_at_root, sturm_sequence)
+                                 minpoly_two_cos_conductor, resultant,
+                                 roots_mod_p, sign_at_root, sturm_sequence)
 from torsionfree.polyalg import cyclotomic, roots
 
 
@@ -394,55 +393,8 @@ class TestTwoCosRoots:
         assert isolate_two_cos_roots(13) == isolate_real_roots(f)
 
 
-class TestNewtonPolygon:
-    def test_known_polygons(self):
-        np1 = newton_polygon(IntPoly((-6, 1)), 2)
-        assert np1.slopes == ((Fraction(1), 1),)
-        np2 = newton_polygon(IntPoly((-2, 0, 1)), 2)
-        assert np2.slopes == ((Fraction(1, 2), 2),)
-        assert np2.single_slope() == Fraction(1, 2)
-        np3 = newton_polygon(IntPoly((8, 2, 1)), 2)
-        assert np3.slopes == ((Fraction(1), 1), (Fraction(2), 1))
-        assert np3.single_slope() is None
-
-    def test_multiplicities_sum_to_degree(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            deg = rng.randint(1, 7)
-            coeffs = [rng.randint(-50, 50) for _ in range(deg)] + [rng.randint(1, 50)]
-            if coeffs[0] == 0:
-                coeffs[0] = 1
-            f = IntPoly(tuple(coeffs))
-            for p in (2, 3, 5):
-                np_ = newton_polygon(f, p)
-                assert sum(m for _, m in np_.slopes) == f.degree
-
-    def test_invariant_under_prime_free_scaling(self):
-        f = IntPoly((8, 2, 1))
-        g = IntPoly((8 * 15, 2 * 15, 15))
-        assert newton_polygon(f, 2).slopes == newton_polygon(g, 2).slopes
-
-    def test_rejections(self):
-        with pytest.raises(PreconditionError):
-            newton_polygon(IntPoly((0, 1)), 2)
-        with pytest.raises(PreconditionError):
-            newton_polygon(IntPoly((1, 1)), 4)
-        with pytest.raises(PreconditionError):
-            newton_polygon(IntPoly((0,)), 2)
-
-
 class TestHelpers:
-    def test_padic_valuation(self):
-        assert padic_valuation(12, 2) == 2
-        assert padic_valuation(Fraction(1, 8), 2) == -3
-        assert padic_valuation(Fraction(9, 5), 3) == 2
-        with pytest.raises(PreconditionError):
-            padic_valuation(0, 2)
-
     def test_clear_denominators(self):
         poly, den = clear_denominators((Fraction(1, 2), Fraction(1, 3), Fraction(1)))
         assert den == 6
         assert tuple(poly) == (3, 2, 6)
-        # scaling leaves newton slopes unchanged
-        f = IntPoly((3, 2, 6))
-        assert newton_polygon(f, 5).slopes == newton_polygon(IntPoly((15, 10, 30)), 5).slopes
