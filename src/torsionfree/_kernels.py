@@ -1,10 +1,12 @@
 """Prime-scan kernels: counts over the primes of a half-open range [lo, hi).
 
 Both kernels draw their primes from the package's one sieve,
-ntheory.progression_blocks: the class count sieves only the progressions
-r + k n it counts, and the root count takes every prime from
-ntheory.prime_blocks, which sieves the odd numbers as the progression 1 + 2k.
-They work in int64 numpy, imported on first use. IMPLEMENTATION names the one
+ntheory.progression_blocks, as (v, flags) segments: the class count sieves
+only the odd members of the classes r mod n it counts and sums the flags,
+and the root count sieves the odd numbers as the progression 1 + 2k. The
+root count is the only numpy code in the package: it turns each segment
+into an int64 array of primes and works on them in batches, importing numpy
+on first use, so no other command loads it. IMPLEMENTATION names the one
 backend; benchmark records carry it as their backend stamp.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .ntheory import is_prime, prime_blocks, progression_blocks
+from .ntheory import is_prime, progression_blocks
 
 IMPLEMENTATION = "pure"
 
@@ -24,14 +26,28 @@ _BATCH_WORDS = 1 << 15
 _PRIME_CAP = 1 << 31
 _MAX_DEGREE = 63
 
-# Sieved values r + k n are int64.
+# The class count's range cap. Its values are Python ints and cannot
+# overflow; the cap refuses at once a range whose base primes (up to
+# sqrt(hi)) could never be listed.
 _VALUE_CAP = 1 << 62
+
+
+def _class_count(lo: int, hi: int, n: int, r: int) -> int:
+    """Number of primes p = r (mod n) in [lo, hi), gcd(r, n) = 1. For odd n
+    that is 2 when it lies in the class, plus the odd members, which form
+    the progression r' + 2n k: so no even value is ever sieved."""
+    two = 0
+    if n % 2:
+        two = 2 % n == r and lo <= 2 < hi
+        r, n = (r if r % 2 else r + n), 2 * n
+    return two + sum(flags.count(1) for _v, flags in
+                     progression_blocks(lo, hi, n, r))
 
 
 def prime_count_in_classes(lo: int, hi: int, modulus: int = 1,
                            residues: tuple[int, ...] = ()) -> int:
     """Count primes p in [lo, hi) with p % modulus in residues; hi must be
-    at most 2^62, so that every value fits in int64.
+    at most 2^62.
 
     modulus 1 counts every prime regardless of residues. Each distinct class
     r prime to the modulus is sieved on its own; a class sharing the factor
@@ -42,13 +58,12 @@ def prime_count_in_classes(lo: int, hi: int, modulus: int = 1,
     if hi > _VALUE_CAP:
         raise ValueError("range cap: values must be <= 2^62")
     if modulus == 1:
-        return sum(len(block) for block in prime_blocks(lo, hi))
+        return _class_count(lo, hi, 1, 0)
     total = 0
     for r in {r % modulus for r in residues}:
         g = gcd(r, modulus)
         if g == 1:
-            total += sum(len(block) for block in
-                         progression_blocks(lo, hi, modulus, r))
+            total += _class_count(lo, hi, modulus, r)
         else:
             total += g % modulus == r and lo <= g < hi and is_prime(g)
     return total
@@ -65,12 +80,16 @@ def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int) -> in
         raise ValueError("monic polynomial required")
     if hi > _PRIME_CAP:
         raise ValueError("range cap: primes must be < 2^31")
-    batch = max(1, _BATCH_WORDS // (d * d))
+    if d == 1:
+        return _class_count(lo, hi, 1, 0)
+    import numpy as np
+
     total = 0
-    for block in prime_blocks(lo, hi):
-        if d == 1:
-            total += len(block)
-            continue
+    if lo <= 2 < hi:  # mod 2 the candidate roots are 0 and 1
+        total = (coeffs[0] % 2 == 0) + (sum(coeffs) % 2 == 0)
+    batch = max(1, _BATCH_WORDS // (d * d))
+    for v, flags in progression_blocks(lo, hi, 2, 1):
+        block = v + 2 * np.flatnonzero(np.frombuffer(flags, np.uint8))
         for i in range(0, len(block), batch):
             total += int(_root_counts(coeffs, block[i : i + batch]).sum())
     return total

@@ -66,14 +66,15 @@ def _bool(b: bool) -> str:
 @click.pass_context
 def cli(ctx, config_path):
     cfg, notes, defaulted = load_config(config_path)
-    for line in notes:
-        click.echo(line, err=True)
-    ctx.obj = {"config": cfg, "defaulted": defaulted}
+    ctx.obj = {"config": cfg, "notes": notes, "defaulted": defaulted}
 
 
 def _config(ctx, *reads):
-    """The config, after a stderr warning for each constant in reads that is
-    left at its illustrative default."""
+    """The config, after the notes about the config file and a stderr
+    warning for each constant in reads that is left at its illustrative
+    default. Only commands that read a config value call this."""
+    for line in ctx.obj["notes"]:
+        click.echo(line, err=True)
     for name in reads:
         if name in ctx.obj["defaulted"]:
             click.echo(ctx.obj["defaulted"][name], err=True)
@@ -107,7 +108,7 @@ def level():
               help="dim G, the exponent of the index bound.")
 @click.pass_context
 def level_find(ctx, polyfile, dimg):
-    cfg = ctx.obj["config"]
+    cfg = _config(ctx)
     K = make_field(read_poly_file(polyfile))
     unreliable: list[int] = []
     lvl = find_congruence_level(K, dimg, scan_cap=cfg.prime_scan_cap,
@@ -131,7 +132,7 @@ def grh():
               help="log of the field discriminant.")
 @click.pass_context
 def grh_threshold_cmd(ctx, d, logd):
-    cfg = ctx.obj["config"]
+    cfg = _config(ctx)
     rep = grh_threshold(d, logd, scan_cap=cfg.prime_scan_cap)
     report = rep.to_json()
     report["paper_discrepancies"] = []

@@ -1,40 +1,52 @@
 """Elementary integer routines: primality, prime generation, factoring.
 
-Everything here is exact and deterministic. Sizes are desk scale: primality
-up to ~3e24 (fixed Miller-Rabin witness set), factoring meant for numbers
-whose prime factors are either small or few (discriminants of the fields
-handled by this package are pure prime powers).
+Everything here is exact and deterministic. Sizes are desk scale. is_prime
+is proven correct below psi_13 = 3317044064679887385961981 (deterministic
+Miller-Rabin witness sets); above it the answer comes from BPSW, which has
+no known counterexample. Factoring is meant for numbers whose prime
+factors are either small or few (discriminants of the fields handled by
+this package are pure prime powers).
 
 Primes come from one segmented sieve over an arithmetic progression r + k n
-(progression_blocks). prime_blocks runs it on the odd numbers 1 + 2k for
-every prime of a range, and the class-count kernel runs it on just the
-classes it counts.
+(progression_blocks), in pure Python on bytearray flags. primes_in_range
+runs it on the odd numbers 1 + 2k, and the class-count kernel runs it on
+just the classes it counts.
 """
 
 from __future__ import annotations
 
 import math
-
-# Deterministic Miller-Rabin witnesses, valid for n < 3.317e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+from bisect import bisect_left
+from itertools import compress
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Miller-Rabin witnesses, and (psi_k, k): the first k witnesses decide every
+# n < psi_k, the least strong pseudoprime to all of them (Jaeschke 1993;
+# Sorenson-Webster 2017).
+_MR_WITNESSES = _SMALL_PRIMES + (41,)
+_MR_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+              (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+              (3825123056546413051, 9), (318665857834031151167461, 12))
+_PSI_13 = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
+    """Primality of n: proven for n < psi_13, BPSW above it."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
-        if a % n == 0:
-            continue
+    k = next((k for bound, k in _MR_BOUNDS if n < bound), 13)
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -44,65 +56,117 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a / n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41, Selfridge's
+    parameters: the first D in 5, -7, 9, -11, ... with (D / n) = -1, P = 1,
+    Q = (1 - D) / 4 (Baillie-Wagstaff 1980)."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would be found
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k, Q^k mod n for k running over the leading bits of d; P = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n if U & 1 else U) >> 1
+            V = (V + n if V & 1 else V) >> 1
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 # Indices per segment: 2^20 flags (1 MB) stay in cache while every base
 # prime strides over them.
 _BLOCK = 1 << 20
+# Zero bytes for striking: a stride of c flags takes _ZEROS[:c].
+_ZEROS = memoryview(bytes(_BLOCK))
 
 
 def progression_blocks(lo: int, hi: int, n: int, r: int):
-    """Yield int64 numpy arrays of the primes p = r + k n in [lo, hi),
-    ascending, one block of at most _BLOCK consecutive indices k at a time;
+    """Yield (v, flags) for the progression r + k n over [lo, hi), one
+    segment of at most _BLOCK consecutive indices at a time, ascending:
+    flags is a bytearray with flags[i] == 1 exactly when v + i n is prime.
     gcd(r, n) must be 1.
 
     This is the package's one sieve: a segmented sieve of Eratosthenes over
     the progression alone (Bays-Hudson, BIT 17, 1977). A base prime
     l <= sqrt(hi - 1) that does not divide n hits the progression at the
-    indices k = -r / n (mod l), and marks them from the first one whose value
-    is at least l^2, so l itself survives. numpy is imported on first use, so
-    code paths that never sieve do not load it.
+    indices k = -r / n (mod l), and strikes them from the first one whose
+    value is at least l^2, so l itself survives; each base prime carries its
+    next index from one segment to the next.
     """
-    import numpy as np
-
     r %= n
     if math.gcd(r, n) != 1:
         raise ValueError("the progression needs gcd(r, n) = 1")
-    lo = max(lo, 2)  # so 1 (and 0) are never yielded
+    lo = max(lo, 2)  # so 1 (and 0) are never flagged
     if hi <= lo:
         return
     k_lo, k_hi = -((r - lo) // n), -((r - hi) // n)
-    base = [b for block in prime_blocks(2, math.isqrt(hi - 1) + 1)
-            for b in block.tolist() if n % b]
-    step = np.array(base, dtype=np.int64)
-    hit = np.array([-r * pow(n, -1, b) % b for b in base], dtype=np.int64)
-    first = np.array([-((r - b * b) // n) for b in base], dtype=np.int64)
+    m = math.isqrt(hi - 1) + 1
+    base = [b for b in (2, *_odd_primes(3, m)) if b < m and n % b]
+    # first index whose value is >= b^2, ascending in b
+    first = [-((r - b * b) // n) for b in base]
+    nxt = []
+    for b, f in zip(base, first):
+        k = max(f, k_lo)
+        nxt.append(k + (-r * pow(n, -1, b) - k) % b)
     for s in range(k_lo, k_hi, _BLOCK):
         e = min(s + _BLOCK, k_hi)
-        live = int(np.searchsorted(first, e))
-        start = np.maximum(first[:live], s)
-        start += (hit[:live] - start) % step[:live]
-        seg = np.ones(e - s, dtype=bool)
-        for b, k in zip(base, (start - s).tolist()):
-            seg[k::b] = False
-        yield r + n * (s + np.flatnonzero(seg))
+        flags = bytearray(b"\x01") * (e - s)
+        for j in range(bisect_left(first, e)):
+            k = nxt[j]
+            if k < e:
+                b = base[j]
+                c = (e - 1 - k) // b + 1
+                flags[k - s :: b] = _ZEROS[:c]
+                nxt[j] = k + c * b
+        yield r + n * s, flags
 
 
-def prime_blocks(lo: int, hi: int):
-    """Yield int64 numpy arrays of the primes in [lo, hi), ascending: 2 when
-    lo <= 2 < hi, then the odd primes, sieved as the progression 1 + 2k.
-    Every prime the package scans comes from here or progression_blocks."""
-    if lo <= 2 < hi:
-        import numpy as np
-
-        yield np.array([2], dtype=np.int64)
-    yield from progression_blocks(lo, hi, 2, 1)
+def _odd_primes(a: int, b: int):
+    """The odd primes p with a <= p < b, ascending, from the progression
+    1 + 2k."""
+    for v, flags in progression_blocks(a, b, 2, 1):
+        yield from compress(range(v, v + 2 * len(flags), 2), flags)
 
 
 def primes_in_range(a: int, b: int) -> list[int]:
     """Primes p with a <= p < b, ascending."""
-    return [p for block in prime_blocks(a, b) for p in block.tolist()]
+    return ([2] if a <= 2 < b else []) + list(_odd_primes(a, b))
 
 
 def primes_upto(n: int) -> list[int]:

@@ -167,8 +167,13 @@ class TestExitCodes:
 class TestConfig:
     def test_default_warns_on_stderr(self):
         # each command warns about the illustrative constants it reads and
-        # no others; no command reads jordan_index
+        # no others; no command reads jordan_index. Only a command that
+        # reads a config value notes that no config file was given.
+        note = "no config file given; defaults in effect"
+        reads_no_config = {("field", "analyze"), ("bound", "unconditional"),
+                           ("torsion", "table"), ("apply", "generators")}
         reads = {
+            ("level", "find", str(DATA / "q.poly"), "--dimg", "3"): set(),
             ("construct", "sweep", "--pmax", "13"):
                 {"belolipetsky_a", "belolipetsky_b"},
             ("construct", "--p", "5"): {"belolipetsky_a", "belolipetsky_b"},
@@ -187,6 +192,7 @@ class TestConfig:
                                     "default", err))
             assert warned == names, args
             assert "jordan_index" not in err
+            assert (note in err) == (args[:2] not in reads_no_config), args
 
     def test_stdout_stays_clean(self):
         _code, out, _err = run_cli("construct", "sweep", "--pmax", "13")

@@ -1,15 +1,17 @@
 import random
 import subprocess
 import sys
+from itertools import compress
 from math import isqrt
 
 import numpy as np
 import pytest
+from conftest import DATA, child_env
 
 from torsionfree import _kernels, ntheory
 from torsionfree._kernels import (IMPLEMENTATION, poly_root_count_over_primes,
                                   prime_count_in_classes)
-from torsionfree.ntheory import (is_prime, prime_blocks, primes_in_range,
+from torsionfree.ntheory import (factorize, is_prime, primes_in_range,
                                  primes_upto, progression_blocks)
 from torsionfree.polyalg import IntPoly, roots_mod_p
 
@@ -24,6 +26,19 @@ def brute_class_count(lo, hi, modulus, residues):
     classes = {r % modulus for r in residues}
     return sum(1 for q in range(max(lo, 0), hi) if is_prime(q)
                and (modulus == 1 or q % modulus in classes))
+
+
+def progression_primes(lo, hi, n, r):
+    """The primes of progression_blocks(lo, hi, n, r) as one list, after
+    checking that its segments are consecutive and at most _BLOCK long."""
+    out, k = [], None
+    for v, flags in progression_blocks(lo, hi, n, r):
+        assert type(flags) is bytearray and 0 < len(flags) <= ntheory._BLOCK
+        assert k is None or v == k
+        assert set(flags) <= {0, 1}
+        out.extend(compress(range(v, v + n * len(flags), n), flags))
+        k = v + n * len(flags)
+    return out
 
 
 def plain_sieve(hi):
@@ -110,12 +125,9 @@ class TestPrimeCounts:
         # more than 2 _BLOCK indices, odd and mod 3, against a plain sieve
         hi = 6 * ntheory._BLOCK + 1001
         want = plain_sieve(hi)
-        blocks = list(prime_blocks(2, hi))
-        assert blocks[0].tolist() == [2] and len(blocks) > 3
-        for a, b in zip(blocks, blocks[1:]):
-            assert a.dtype == np.int64 and np.all(np.diff(a) > 0)
-            assert len(b) == 0 or len(a) == 0 or a[-1] < b[0]
-        assert np.array_equal(np.concatenate(blocks), want)
+        assert len(list(progression_blocks(2, hi, 2, 1))) > 3
+        assert primes_in_range(2, hi) == want.tolist()
+        assert [2] + progression_primes(2, hi, 2, 1) == want.tolist()
         for r in (1, 2):
             assert prime_count_in_classes(2, hi, 3, (r,)) == \
                 int(np.count_nonzero(want % 3 == r))
@@ -123,11 +135,42 @@ class TestPrimeCounts:
         assert prime_count_in_classes(lo, hi, 1, ()) == \
             int(np.count_nonzero(want >= lo))
 
-    def test_prime_blocks_yields_two_first(self):
-        assert [b.tolist() for b in prime_blocks(2, 3)] == [[2]]
-        assert [b.tolist() for b in prime_blocks(-7, 12)][0] == [2]
+    def test_primes_in_range_puts_two_first(self):
+        assert primes_in_range(2, 3) == [2]
+        assert primes_in_range(-7, 12) == [2, 3, 5, 7, 11]
         assert 2 not in primes_in_range(3, 50)
-        assert list(prime_blocks(3, 3)) == [] and list(prime_blocks(9, 4)) == []
+        assert primes_in_range(3, 3) == [] and primes_in_range(9, 4) == []
+        assert list(progression_blocks(3, 3, 2, 1)) == []
+        assert list(progression_blocks(9, 4, 2, 1)) == []
+
+    @pytest.mark.parametrize("n", [2, 13])
+    def test_ranges_on_block_boundaries(self, n):
+        """Ranges that start or end on a _BLOCK boundary of the indices k,
+        or one index either side of it: absolute boundaries j _BLOCK, and
+        the segment boundary _BLOCK indices past the first."""
+        B = ntheory._BLOCK
+        want = plain_sieve(n * 3 * B + n)
+        for r in {1, n - 1}:
+            in_class = want[want % n == r]
+            for k0 in (B - 1, B, B + 1):
+                for k1 in (k0 + B - 1, k0 + B, k0 + B + 1,
+                           2 * B - 1, 2 * B, 2 * B + 1):
+                    lo, hi = r + n * k0, r + n * k1
+                    got = in_class[(in_class >= lo) & (in_class < hi)]
+                    assert progression_primes(lo, hi, n, r) == got.tolist()
+                    assert prime_count_in_classes(lo, hi, n, (r,)) == len(got)
+
+    def test_base_prime_inside_range_survives(self):
+        # lo <= l < l^2 < hi for a base prime l in the progression: l is
+        # kept and l^2 struck
+        for lo, hi, n, r, l in [(5, 200, 2, 1, 13), (3, 200, 4, 3, 11),
+                                (40, 3000, 13, 1, 53),
+                                (100, 11000, 13, 12, 103)]:
+            assert l % n == r and lo <= l and l * l < hi
+            got = progression_primes(lo, hi, n, r)
+            assert l in got and l * l not in got
+            assert got == [q for q in range(lo, hi)
+                           if q % n == r and is_prime(q)]
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -202,7 +245,6 @@ class TestRootCounts:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    from conftest import child_env
     code = ("import sys, torsionfree.cli; "
             "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -211,10 +253,83 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+# Only the root-count kernel loads numpy: every command and count that
+# sieves but counts no roots above sqrt(x) runs without it.
+_NUMPY_CHECKS = {
+    "torsion table": "cli:torsion table --nmax 6 --d 1",
+    "construct sweep": "cli:construct sweep --pmax 13",
+    "level find": f"cli:level find {DATA / 'q.poly'} --dimg 3",
+    "cosine count": ("from torsionfree.numfield import count_prime_ideals, "
+                     "make_cosine_field; "
+                     "count_prime_ideals(make_cosine_field(13), 10**6)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NUMPY_CHECKS))
+def test_sieving_leaves_numpy_unloaded(name):
+    work = _NUMPY_CHECKS[name]
+    if work.startswith("cli:"):
+        work = (f"from torsionfree.cli import entrypoint; "
+                f"assert entrypoint({work[4:].split()!r}) == 0")
+    code = f"import sys; {work}; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_generic_root_count_loads_numpy():
+    code = ("import sys; from torsionfree.numfield import count_prime_ideals, "
+            "make_field; from torsionfree.polyalg import IntPoly; "
+            "count_prime_ideals(make_field(IntPoly((-2, 0, 1))), 10**4); "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
+
+
 class TestNtheory:
     def test_is_prime(self):
         assert is_prime(2) and is_prime(97) and is_prime(2**31 - 1)
         assert not is_prime(1) and not is_prime(561) and not is_prime(2**32)
+
+    def test_is_prime_against_trial_division(self):
+        # every witness count from 1 upward decides some n here
+        def trial(n):
+            return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+        assert [n for n in range(-3, 20000) if is_prime(n)] == \
+            [n for n in range(-3, 20000) if trial(n)]
+        rng = random.Random(17)
+        for bound, _k in ntheory._MR_BOUNDS[:5]:
+            for n in [*range(bound - 50, bound + 50),
+                      *(rng.randrange(bound // 2, bound) for _ in range(50))]:
+                if n < 10**10:
+                    assert is_prime(n) == trial(n), n
+
+    def test_strong_pseudoprimes_to_the_witnesses_used(self):
+        # psi_k is a strong pseudoprime to the first k witnesses, so the
+        # witness count at psi_k must be larger
+        for bound, _k in ntheory._MR_BOUNDS:
+            assert not is_prime(bound)
+
+    def test_psi_13(self):
+        # the least strong pseudoprime to all 13 witnesses (2..41)
+        psi13 = 3317044064679887385961981
+        assert not is_prime(psi13)
+        assert factorize(psi13) == {1287836182261: 1, 2575672364521: 1}
+        assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+        assert not is_prime((2**89 - 1) * (2**61 - 1))
+        assert not is_prime((2**89 - 1) ** 2)
+
+    def test_strong_lucas(self):
+        # strong Lucas pseudoprimes (Selfridge parameters) pass, strong
+        # pseudoprimes to base 2 fail, and so does a square
+        for n in (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199):
+            assert ntheory._strong_lucas(n)
+        for n in (2047, 3277, 4033, 4681, 8321, 1763**2):
+            assert not ntheory._strong_lucas(n)
+        assert all(ntheory._strong_lucas(q) for q in primes_in_range(43, 5000))
 
     def test_primes_upto(self):
         ps = primes_upto(100)
