@@ -6,8 +6,10 @@ Course in Computational Algebraic Number Theory, GTM 138, 4.2); a product
 multiplies the numerators in Z[x] and reduces by the monic f (mul_mod), and
 no Fraction is built until .rep asks for the rational coefficients.
 
-Splitting of rational primes is only trusted away from index-dividing primes
-(Dedekind criterion); the monogenic_certified flag records whether the full
+Splitting of rational primes is only trusted away from index-dividing primes.
+make_field runs Dedekind's criterion once for each prime whose square divides
+the polynomial discriminant and keeps the primes that fail it as
+index_primes; the monogenic_certified flag records whether the full
 discriminant is known. Real embeddings are isolating intervals, ordered by
 ascending embedding value.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 
 from . import _kernels
 from .errors import (NotSquarefreeError, PreconditionError, ResourceCapError,
@@ -53,8 +55,9 @@ class NumberField:
     monogenic_certified: bool
     real_embeddings: tuple[tuple[Fraction, Fraction], ...]
     conductor: int | None = None    # set for fields built by make_cosine_field
-    # primes q with q^2 | disc_poly; only these can divide the index
-    sq_disc_primes: tuple[int, ...] = ()
+    # primes that may divide [O : Z[theta]]: those q with q^2 | disc_poly
+    # that fail Dedekind's criterion, decided once by make_field
+    index_primes: tuple[int, ...] = ()
 
     def element(self, coeffs) -> "FieldElement":
         c = [Fraction(x) for x in coeffs]
@@ -176,23 +179,6 @@ class PrimeSplit:
         }
 
 
-def _has_rational_root(f: IntPoly) -> bool:
-    # monic, so rational roots are integers dividing the constant term
-    c0 = f[0]
-    if c0 == 0:
-        return True
-    if abs(c0).bit_length() > 64:
-        # cheap rejection only: don't factor huge constants
-        return any(f(d) == 0 or f(-d) == 0
-                   for d in range(1, 1001) if c0 % d == 0)
-    divs = {1}
-    for q, e in factorize(abs(c0)).items():
-        divs = {d * q**k for d in divs for k in range(e + 1)}
-        if len(divs) > 20000:
-            break  # height guard; missing a root here only skips a cheap rejection
-    return any(f(d) == 0 or f(-d) == 0 for d in divs)
-
-
 def _dedekind_index_test(f: IntPoly, p: int) -> bool:
     """True when p does NOT divide the index [O : Z[theta]]."""
     factors = factor_mod_p(f, p)
@@ -217,10 +203,16 @@ def _dedekind_index_test(f: IntPoly, p: int) -> bool:
 def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> NumberField:
     """Build a NumberField from a monic integer polynomial.
 
-    Irreducibility is the caller's responsibility; visibly reducible input
-    (rational root, repeated factor) is rejected. conductor = n declares f
-    the minimal polynomial of 2cos(2pi/n), which is checked; it makes the
-    closed-form embeddings and the abelian splitting law available.
+    Irreducibility is the caller's responsibility; visibly reducible input is
+    rejected. The checks run in this order: degree >= 1 and monic; a zero
+    discriminant (repeated factor) raises NotSquarefreeError; the real roots
+    are isolated; a rational root, which for monic f is an integer inside
+    its cell, raises PreconditionError; last, Dedekind's criterion runs once
+    for each prime whose square divides the discriminant.
+
+    conductor = n declares f the minimal polynomial of 2cos(2pi/n), which is
+    checked; it makes the closed-form embeddings and the abelian splitting
+    law available.
     """
     if not isinstance(f, IntPoly):
         f = IntPoly(tuple(int(c) for c in f))
@@ -231,23 +223,27 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
         raise PreconditionError("defining polynomial must have degree >= 1")
     if not f.is_monic():
         raise PreconditionError("defining polynomial must be monic")
-    if f.degree >= 2 and _has_rational_root(f):
-        raise PreconditionError("defining polynomial has a rational root")
     disc = discriminant(f)
     if disc == 0:
         raise NotSquarefreeError("defining polynomial has a repeated factor")
-    sq_primes = tuple(sorted(q for q, e in factorize(abs(disc)).items() if e >= 2))
-    certified = all(_dedekind_index_test(f, q) for q in sq_primes)
+    cells = (isolate_real_roots(f) if conductor is None
+             else isolate_two_cos_roots(conductor))
+    # a cell (lo, hi] is narrower than 1, so the one integer it can hold is
+    # floor(hi)
+    if f.degree >= 2 and any(lo == hi or (floor(hi) > lo and f(floor(hi)) == 0)
+                             for lo, hi in cells):
+        raise PreconditionError("defining polynomial has a rational root")
+    index_primes = tuple(sorted(q for q, e in factorize(abs(disc)).items()
+                                if e >= 2 and not _dedekind_index_test(f, q)))
     return NumberField(
         defining_poly=f,
         degree=f.degree,
         disc_poly=disc,
-        field_disc=disc if certified else None,
-        monogenic_certified=certified,
-        real_embeddings=(isolate_real_roots(f) if conductor is None
-                         else isolate_two_cos_roots(conductor)),
+        field_disc=None if index_primes else disc,
+        monogenic_certified=not index_primes,
+        real_embeddings=cells,
         conductor=conductor,
-        sq_disc_primes=sq_primes,
+        index_primes=index_primes,
     )
 
 
@@ -359,9 +355,7 @@ def dedekind_split(K: NumberField, p: int) -> PrimeSplit:
     factors = factor_mod_p(K.defining_poly, p)
     efs = tuple(sorted(((e, g.degree) for g, e in factors),
                        key=lambda t: (t[1], t[0])))
-    if p in K.sq_disc_primes and not _dedekind_index_test(K.defining_poly, p):
-        return PrimeSplit(p=p, factors=efs, index_divisible=True)
-    return PrimeSplit(p=p, factors=efs, index_divisible=False)
+    return PrimeSplit(p=p, factors=efs, index_divisible=p in K.index_primes)
 
 
 def _order_up_to_sign(q: int, n: int) -> int:
@@ -404,10 +398,9 @@ def _count_generic(K: NumberField, x: int,
         if x + 1 > (1 << 31):
             raise ResourceCapError("prime scan exceeds the kernel range (2^31)")
         total += _kernels.poly_root_count_over_primes(K.defining_poly.coeffs, B + 1, x + 1)
-        # the straight root count is only wrong at index-divisible primes;
-        # those all divide disc to order >= 2
-        for q in K.sq_disc_primes:
-            if B < q <= x and not _dedekind_index_test(K.defining_poly, q):
+        # the straight root count is only wrong at index-divisible primes
+        for q in K.index_primes:
+            if B < q <= x:
                 total -= len(roots_mod_p(K.defining_poly, q))
                 if unreliable_out is not None:
                     unreliable_out.append(q)

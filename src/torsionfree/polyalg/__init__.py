@@ -10,10 +10,8 @@ from .poly import (
     resultant,
 )
 from .cyclotomic import (
-    chebyshev_T,
     cyclotomic_poly,
     isolate_two_cos_roots,
-    minpoly_cos,
     minpoly_two_cos,
     minpoly_two_cos_conductor,
 )
@@ -29,7 +27,6 @@ from .roots import (
 
 __all__ = [
     "IntPoly",
-    "chebyshev_T",
     "clear_denominators",
     "compare_root",
     "count_roots_in",
@@ -39,7 +36,6 @@ __all__ = [
     "is_squarefree",
     "isolate_real_roots",
     "isolate_two_cos_roots",
-    "minpoly_cos",
     "minpoly_two_cos",
     "minpoly_two_cos_conductor",
     "poly_gcd",

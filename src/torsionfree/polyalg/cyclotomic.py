@@ -1,14 +1,13 @@
-"""Chebyshev, cyclotomic, and cosine minimal polynomials.
+"""Cyclotomic and cosine minimal polynomials.
 
 The minimal polynomial of 2cos(2pi/N) is obtained from the cyclotomic
 polynomial Phi_N through the palindromic rewrite
 
     Phi_N(z) = z^(phi(N)/2) * Psi_N(z + 1/z),      N >= 3,
 
-using the monic shifted-Chebyshev basis V_k (V_k(z + 1/z) = z^k + z^-k,
-V_0 = 2, V_1 = x, V_{k+1} = x V_k - V_{k-1}).  Psi_N is monic with integer
-coefficients of degree phi(N)/2, and 2cos(2pi k/N) for gcd(k, N) = 1 are
-exactly its roots.
+using the monic basis V_k (V_k(z + 1/z) = z^k + z^-k, V_0 = 2, V_1 = x,
+V_{k+1} = x V_k - V_{k-1}).  Psi_N is monic with integer coefficients of
+degree phi(N)/2, and 2cos(2pi k/N) for gcd(k, N) = 1 are exactly its roots.
 
 Those roots are known in closed form, so isolate_two_cos_roots places an
 isolating interval around each from an mpmath value and then certifies the
@@ -33,16 +32,6 @@ X = IntPoly([0, 1])
 # isolate_two_cos_roots puts each root in a dyadic cell of width 2^-CELL_BITS,
 # the width isolate_real_roots refines to by default
 CELL_BITS = 20
-
-
-def chebyshev_T(n: int) -> IntPoly:
-    """Chebyshev polynomial of the first kind, T_n(cos t) = cos(n t); n >= 1."""
-    if n < 1:
-        raise PreconditionError("chebyshev_T expects n >= 1")
-    prev, cur = IntPoly([1]), X
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * X * cur - prev
-    return cur
 
 
 def _v_basis(upto: int) -> list[IntPoly]:
@@ -128,15 +117,3 @@ def minpoly_two_cos(p: int) -> IntPoly:
     if p % 2 == 0 or not is_prime(p):
         raise PreconditionError(f"odd prime required, got {p}")
     return minpoly_two_cos_conductor(p)
-
-
-def minpoly_cos(p: int) -> IntPoly:
-    """Minimal polynomial of cos(2pi/p), p an odd prime; content-free, with
-    leading coefficient a power of 2."""
-    g = minpoly_two_cos(p)
-    scaled = g.compose(IntPoly([0, 2]))  # g(2x)
-    prim = scaled.primitive()
-    lc = prim.lc
-    if lc <= 0 or lc & (lc - 1):
-        raise AssertionError("leading coefficient is not a power of two")
-    return prim

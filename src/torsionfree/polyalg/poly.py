@@ -6,9 +6,12 @@ empty tuple. All operations are exact. Resultants use the primitive
 pseudo-remainder sequence with exact rational bookkeeping, so no floating
 point enters any algebraic result.
 
-Rational-coefficient polynomials appear only transiently (characteristic
-polynomials, Sturm data); they are plain tuples of Fraction handled by the
-q_* helpers at the bottom.
+Division is over Z. pseudo_rem scales the dividend by the divisor's leading
+coefficient instead of dividing by it, and exact_div divides each top
+coefficient by it and refuses when a remainder is left. Rational-coefficient polynomials
+(characteristic polynomials, Sturm data) enter only through
+clear_denominators, which turns them into an integer polynomial and one
+denominator.
 """
 
 from __future__ import annotations
@@ -137,12 +140,6 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly([i * a for i, a in enumerate(self.coeffs)][1:])
 
-    def compose(self, inner: "IntPoly") -> "IntPoly":
-        acc = IntPoly()
-        for a in reversed(self.coeffs):
-            acc = acc * inner + IntPoly([a])
-        return acc
-
     # -- content and divisibility ------------------------------------------
 
     def content(self) -> int:
@@ -164,35 +161,43 @@ class IntPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def pseudo_divmod(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Pseudo division: lc(other)^(da-db+1) * self = q*other + r."""
+    def pseudo_rem(self, other: "IntPoly") -> "IntPoly":
+        """Pseudo remainder r: lc(other)^(da-db+1) * self = q*other + r with
+        deg r < deg other, for some q in Z[x] that is never formed; self
+        itself when da < db."""
         if other.is_zero():
             raise ZeroDivisionError("pseudo division by zero polynomial")
         da, db = self.degree, other.degree
         if da < db:
-            return IntPoly(), self
+            return self
         lc_b = other.lc
         rem = list(self.coeffs)
-        quo = [0] * (da - db + 1)
         for k in range(da - db, -1, -1):
             # scale remaining dividend, then cancel the top term
             for i in range(k + db):
                 rem[i] *= lc_b
-            for i in range(len(quo)):
-                quo[i] *= lc_b
             coef = rem[k + db]
-            quo[k] = coef
             rem[k + db] = 0
             for i, b in enumerate(other.coeffs[:-1]):
                 rem[k + i] -= coef * b
-        return IntPoly(quo), IntPoly(rem)
+        return IntPoly(rem)
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """Exact quotient over Z; raises if the division is not exact."""
-        q, r = q_divmod(q_from_int(self), q_from_int(other))
-        if any(r) or any(c.denominator != 1 for c in q):
+        """Exact quotient over Z; PreconditionError unless other divides self
+        in Z[x]."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        db, lc_b = other.degree, other.lc
+        rem = list(self.coeffs)
+        quo = [0] * max(0, len(rem) - db)
+        for k in range(len(quo) - 1, -1, -1):
+            # a top coefficient not divisible by lc_b stays behind in rem
+            quo[k] = coef = rem[k + db] // lc_b
+            for i, b in enumerate(other.coeffs):
+                rem[k + i] -= coef * b
+        if any(rem):
             raise PreconditionError("non-exact polynomial division")
-        return IntPoly([int(c) for c in q])
+        return IntPoly(quo)
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -206,8 +211,7 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
         if a.degree < b.degree:
             a, b = b, a
         while not b.is_zero():
-            _, r = a.pseudo_divmod(b)
-            a, b = b, r.primitive()
+            a, b = b, a.pseudo_rem(b).primitive()
         c = a
     if c.lc < 0:
         c = -c
@@ -229,7 +233,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         if n == 0:
             val = acc * Fraction(b.lc) ** m
             break
-        _, r = a.pseudo_divmod(b)
+        r = a.pseudo_rem(b)
         if r.is_zero():
             return 0
         cont = r.content()
@@ -265,46 +269,9 @@ def is_squarefree(f: IntPoly) -> bool:
     return poly_gcd(f, f.derivative()).degree == 0
 
 
-# -- rational-coefficient helpers (plain tuples of Fraction) ----------------
-
-
-def q_trim(coeffs) -> tuple[Fraction, ...]:
-    c = [Fraction(x) for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def q_from_int(f: IntPoly) -> tuple[Fraction, ...]:
-    return tuple(Fraction(a) for a in f.coeffs)
-
-
-def q_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    a, b = list(q_trim(a)), q_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lc = 1 / b[-1]
-    while len(a) >= len(b):
-        coef = a[-1] * inv_lc
-        k = len(a) - len(b)
-        q[k] = coef
-        for i, bi in enumerate(b):
-            a[k + i] -= coef * bi
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return tuple(q), q_trim(a)
-
-
 def clear_denominators(coeffs) -> tuple[IntPoly, int]:
     """(integer polynomial, positive denominator) with poly/den equal to the
     input as rational polynomials; den is the lcm of coefficient denominators."""
-    c = q_trim(coeffs)
-    if not c:
-        return IntPoly(), 1
-    den = 1
-    for a in c:
-        den = den * a.denominator // math.gcd(den, a.denominator)
-    return IntPoly([int(a * den) for a in c]), den
+    c = [Fraction(a) for a in coeffs]
+    den = math.lcm(*(a.denominator for a in c))
+    return IntPoly([a.numerator * (den // a.denominator) for a in c]), den

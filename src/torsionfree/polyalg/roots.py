@@ -23,7 +23,7 @@ def sturm_sequence(f: IntPoly) -> list[IntPoly]:
     polynomials (positive scaling preserves the sign variation count)."""
     seq = [f, f.derivative()]
     while seq[-1].degree > 0:
-        _, r = seq[-2].pseudo_divmod(seq[-1])
+        r = seq[-2].pseudo_rem(seq[-1])
         # pseudo remainder = lc^k * true remainder; fix the sign when lc < 0
         # and the multiplier power is odd
         k = seq[-2].degree - seq[-1].degree + 1

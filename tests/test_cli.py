@@ -84,6 +84,16 @@ class TestExitCodes:
         payload = json.loads(err.splitlines()[-1])
         assert payload["error"]["type"] == "NotSquarefreeError"
 
+    def test_rational_root_is_2(self, tmp_path):
+        # x^2 - N^2 with N = 2^32 + 15 prime
+        bad = tmp_path / "square.poly"
+        bad.write_text(f"{-(2**32 + 15) ** 2}, 0, 1\n")
+        code, out, err = run_cli("field", "analyze", str(bad))
+        assert code == 2 and not out
+        payload = json.loads(err.splitlines()[-1])
+        assert payload["error"]["type"] == "PreconditionError"
+        assert "rational root" in payload["error"]["message"]
+
     def test_malformed_poly_file_is_2(self, tmp_path):
         bad = tmp_path / "bad.poly"
         bad.write_text("1, two, 3\n")

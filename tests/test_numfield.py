@@ -13,15 +13,46 @@ from torsionfree.numfield import (FieldElement, count_prime_ideals,
                                   make_cosine_field, make_field, norm,
                                   sign_at_embeddings)
 from torsionfree.polyalg import IntPoly, isolate_real_roots
+from torsionfree.selberg import find_congruence_level
 
 # x^6 + 2x + 2, Eisenstein at 2
 EISENSTEIN_6 = IntPoly((2, 2, 0, 0, 0, 0, 1))
+# a prime above 2^32
+BIG_PRIME = 2**32 + 15
 
 
 class TestMakeField:
     def test_rejects_rational_root(self):
         with pytest.raises(PreconditionError):
             make_field(IntPoly((-6, 1, 1)))  # (x-2)(x+3)
+
+    @pytest.mark.parametrize("f, hit", [
+        # x^2 - N^2, N a prime above 2^32
+        (IntPoly((-BIG_PRIME**2, 0, 1)), [False, False]),
+        # x^3 - x: the root 0 is a bisection midpoint, -1 and 1 are not
+        (IntPoly((0, -1, 0, 1)), [False, True, False]),
+        # (x - 5)(x^2 - 7): the integer root is never a midpoint
+        (IntPoly((-5, 1)) * IntPoly((-7, 0, 1)), [False, False, False]),
+        # a linear factor times a cubic, the root a midpoint or not
+        (IntPoly((5, 1)) * IntPoly((1, -3, 0, 1)), [True, False, False, False]),
+        (IntPoly((-3, 1)) * IntPoly((-1, -1, 0, 1)), [False, False]),
+    ])
+    def test_rational_root_read_from_cells(self, f, hit):
+        # hit: whether isolation lands on each real root as a midpoint
+        assert [lo == hi for lo, hi in isolate_real_roots(f)] == hit
+        with pytest.raises(PreconditionError, match="rational root"):
+            make_field(f)
+
+    def test_no_rational_root_accepted(self):
+        # x^2 + 1 has no real cell at all; (x^2 - 2)(x^2 - 3) is reducible
+        # but has no rational root, so the screen lets it through
+        for f, real in ((IntPoly((1, 0, 1)), 0), (IntPoly((6, 0, -5, 0, 1)), 4)):
+            assert len(make_field(f).real_embeddings) == real
+
+    def test_repeated_rational_root_is_not_squarefree(self):
+        # (x - 1)^2: the zero discriminant is refused before any root test
+        with pytest.raises(NotSquarefreeError):
+            make_field(IntPoly((1, -2, 1)))
 
     def test_rejects_repeated_factor(self):
         # (x^2-2)^2 has no rational root but is not squarefree
@@ -276,6 +307,50 @@ class TestDedekindSplit:
         assert dedekind_split(K, 2).index_divisible
         assert not dedekind_split(K, 3).index_divisible
         assert dedekind_split(K, 3).factors == ((1, 3),)
+
+
+class TestIndexPrimes:
+    """make_field decides each index prime once; splitting, counting and the
+    level search read K.index_primes without running the test again."""
+
+    # field, index_primes, primes up to 50 flagged index-divisible, counts
+    # at x = 3 and 10^5 with their unreliable primes, and the level norm
+    CASES = {
+        "cos13": (lambda: make_cosine_field(13), (), [], (0, []), (9591, []), 13),
+        "eisenstein6": (lambda: make_field(EISENSTEIN_6), (), [], (1, []),
+                        (9573, []), 5),
+        "x2-8": (lambda: make_field(IntPoly((-8, 0, 1))), (2,), [2], (0, [2]),
+                 (9600, [2]), 7),
+        "x3-12": (lambda: make_field(IntPoly((-12, 0, 0, 1))), (2,), [2],
+                  (1, [2]), (9608, [2]), 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_decided_once_at_build(self, name, monkeypatch):
+        build, index_primes, flagged, small, large, level_norm = self.CASES[name]
+        K = build()
+        assert K.index_primes == index_primes
+        assert K.monogenic_certified == (not index_primes)
+        assert (K.field_disc is None) == bool(index_primes)
+
+        def no_second_test(f, q):
+            raise AssertionError(f"index test run again at {q}")
+
+        monkeypatch.setattr(numfield, "_dedekind_index_test", no_second_test)
+        assert [q for q in primes_upto(50)
+                if dedekind_split(K, q).index_divisible] == flagged
+        for x, (count, unreliable) in ((3, small), (10**5, large)):
+            seen: list[int] = []
+            assert count_prime_ideals(K, x, seen) == count
+            assert seen == unreliable
+        assert find_congruence_level(K, 3).norm == level_norm
+
+    def test_square_prime_that_passes_is_not_an_index_prime(self):
+        # disc(x^3 - 12) = -3888 = -2^4 3^5; 3 passes Dedekind's criterion
+        K = make_field(IntPoly((-12, 0, 0, 1)))
+        assert K.disc_poly == -2**4 * 3**5
+        assert numfield._dedekind_index_test(K.defining_poly, 3)
+        assert not numfield._dedekind_index_test(K.defining_poly, 2)
 
 
 class TestCounting:

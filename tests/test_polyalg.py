@@ -7,12 +7,12 @@ import pytest
 
 from torsionfree.errors import PreconditionError
 from torsionfree.ntheory import primes_in_range
-from torsionfree.polyalg import (IntPoly, chebyshev_T, clear_denominators,
-                                 compare_root, discriminant, factor_mod_p,
+from torsionfree.polyalg import (IntPoly, clear_denominators, compare_root,
+                                 discriminant, factor_mod_p,
                                  isolate_real_roots, isolate_two_cos_roots,
-                                 minpoly_cos, minpoly_two_cos,
-                                 minpoly_two_cos_conductor, resultant,
-                                 roots_mod_p, sign_at_root, sturm_sequence)
+                                 minpoly_two_cos, minpoly_two_cos_conductor,
+                                 resultant, roots_mod_p, sign_at_root,
+                                 sturm_sequence)
 from torsionfree.polyalg import cyclotomic, roots
 
 
@@ -64,26 +64,87 @@ class TestResultantDiscriminant:
         assert discriminant(IntPoly((5, 1))) == 1
 
 
-class TestChebyshev:
-    def test_first_few(self):
-        assert tuple(chebyshev_T(1)) == (0, 1)
-        assert tuple(chebyshev_T(2)) == (-1, 0, 2)
-        assert tuple(chebyshev_T(3)) == (0, -3, 0, 4)
-        with pytest.raises(PreconditionError):
-            chebyshev_T(0)
+def _q_divmod(a, b):
+    """Reference long division over Q in exact Fractions: (quotient,
+    remainder), both trimmed lists."""
+    def trim(c):
+        c = [Fraction(x) for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
 
-    def test_matches_cosine_identity(self):
-        # T_n(cos t) = cos(n t) for 1000 random rational points in [-1, 1]
-        rng = random.Random(20240817)
-        with mp.workdps(40):
-            for n in range(1, 51):
-                tn = chebyshev_T(n)
-                for _ in range(20):
-                    q = Fraction(rng.randint(-10**6, 10**6), 10**6)
-                    x = mp.mpf(q.numerator) / q.denominator
-                    lhs = poly_eval_mpf(tuple(tn), x)
-                    rhs = mp.cos(n * mp.acos(x))
-                    assert abs(lhs - rhs) < mp.mpf("1e-9")
+    a, b = trim(a), trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv_lc = 1 / b[-1]
+    while len(a) >= len(b):
+        coef = a[-1] * inv_lc
+        k = len(a) - len(b)
+        q[k] = coef
+        for i, bi in enumerate(b):
+            a[k + i] -= coef * bi
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            break
+    return trim(q), a
+
+
+def _random_poly(rng, degree):
+    """Integer polynomial of exactly this degree; the leading coefficient is
+    +-1 a third of the time, else any nonzero value in [-20, 20]."""
+    coeffs = [rng.randint(-20, 20) for _ in range(degree)]
+    lc = rng.choice((1, -1)) if rng.random() < 1 / 3 else rng.choice(
+        [c for c in range(-20, 21) if c])
+    return IntPoly(coeffs + [lc])
+
+
+class TestDivision:
+    def test_pseudo_rem_against_rational_division(self):
+        rng = random.Random(4711)
+        seen_lc = set()
+        for _ in range(600):
+            a = _random_poly(rng, rng.randint(0, 12))
+            b = _random_poly(rng, rng.randint(0, 12))
+            seen_lc.add((b.lc > 0, abs(b.lc) == 1))
+            r = a.pseudo_rem(b)
+            assert r.degree < b.degree
+            k = max(0, a.degree - b.degree + 1)
+            scaled = b.lc ** k * a
+            # scaled - r is a multiple of b in Z[x] ...
+            quo = (scaled - r).exact_div(b)
+            assert quo * b + r == scaled
+            # ... and r is lc^k times the remainder over Q
+            q_ref, r_ref = _q_divmod(a, b)
+            assert list(r) == [b.lc ** k * c for c in r_ref]
+            assert list(quo) == [b.lc ** k * c for c in q_ref]
+        assert seen_lc == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_exact_div_round_trip(self):
+        rng = random.Random(1729)
+        for _ in range(600):
+            a = _random_poly(rng, rng.randint(0, 12))
+            b = _random_poly(rng, rng.randint(0, 12))
+            assert (a * b).exact_div(b) == a
+            q_ref, r_ref = _q_divmod(a * b, b)
+            assert not r_ref and list(a) == q_ref
+        assert IntPoly().exact_div(IntPoly((3, -2))) == IntPoly()
+
+    def test_refusals(self):
+        x = IntPoly((0, 1))
+        # 2x divides x over Q but not over Z
+        with pytest.raises(PreconditionError):
+            x.exact_div(IntPoly((0, 2)))
+        # x^2 + 1 = (x + 1)(x - 1) + 2
+        with pytest.raises(PreconditionError):
+            IntPoly((1, 0, 1)).exact_div(IntPoly((1, 1)))
+        # a divisor of higher degree leaves the whole dividend as remainder
+        with pytest.raises(PreconditionError):
+            x.exact_div(IntPoly((1, 0, 1)))
+        for op in (IntPoly.exact_div, IntPoly.pseudo_rem):
+            with pytest.raises(ZeroDivisionError):
+                op(x, IntPoly())
 
 
 class TestCosineMinimalPolynomials:
@@ -108,6 +169,12 @@ class TestCosineMinimalPolynomials:
             assert f.degree == (p - 1) // 2
             assert f.is_monic()
             assert self.small_prime_irreducible(f)
+            with mp.workdps(40):
+                # 2cos(2pi/p) is a root, up to the rounding of a 40-digit
+                # Horner sum with terms of size at most |c_i| 2^i
+                x = 2 * mp.cos(2 * mp.pi / p)
+                size = poly_eval_mpf([abs(c) for c in f], 2)
+                assert abs(poly_eval_mpf(tuple(f), x)) < mp.mpf("1e-30") * size
 
     def test_known_small_cases(self):
         assert tuple(minpoly_two_cos(5)) == (-1, 1, 1)
@@ -119,21 +186,6 @@ class TestCosineMinimalPolynomials:
         assert tuple(f10) == (-1, -1, 1)
         f5 = minpoly_two_cos_conductor(5)
         assert tuple(f5) == (-1, 1, 1)
-
-    def test_minpoly_cos_leading_power_of_two(self):
-        for p in (5, 7, 11, 13, 17, 19):
-            g = minpoly_cos(p)
-            lead = g[g.degree]
-            assert lead > 0 and lead & (lead - 1) == 0
-
-    def test_minpoly_cos_root(self):
-        with mp.workdps(40):
-            for p in (5, 7, 11, 13):
-                g = minpoly_cos(p)
-                x = mp.cos(2 * mp.pi / p)
-                assert abs(poly_eval_mpf(tuple(g), x)) < mp.mpf("1e-25")
-                f = minpoly_two_cos(p)
-                assert abs(poly_eval_mpf(tuple(f), 2 * x)) < mp.mpf("1e-25")
 
 
 class TestFactorModP:
