@@ -12,7 +12,8 @@ is an exact isometry of the binary block [[1, w], [w, 1]] of order p.
 Everything a returned construction claims is checked in exact arithmetic.
 Floating point (mpmath) only guides: it sets the window of numerators that
 choose_T tries at each denominator, and it places the dyadic cells around
-the real embeddings of the cosine field. What decides is exact: the interval
+the real embeddings of the cosine field, which make_cosine_field(p) builds
+once and every check reads. What decides is exact: the interval
 certificate, the Newton slope, the certified cells, Sturm-certified signs,
 and integer field arithmetic for the isometry and order checks.
 """
@@ -21,18 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from mpmath import mp, mpf, workdps
 
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime, primes_in_range
-from .numfield import (FieldElement, NumberField, _dedekind_index_test,
+from .numfield import (FieldElement, NumberField, dedekind_index_primes,
                        element_charpoly, make_cosine_field, mul_mod,
                        sign_at_embeddings)
-from .polyalg import (compare_root, discriminant, isolate_two_cos_roots,
-                      minpoly_two_cos)
+from .polyalg import compare_root, discriminant, minpoly_two_cos
 from .report import mpf_str
 from .torsion import mat_mul, mat_pow
 
@@ -110,20 +109,16 @@ def _require_construction_prime(p: int) -> None:
         raise ResourceCapError(f"p is capped at {P_CAP}")
 
 
-@lru_cache(maxsize=None)
-def _interval_data(p: int):
-    ivs = isolate_two_cos_roots(p)
-    # 2cos(2pi/p) is the largest root; 2cos(3pi/p) = -2cos(2pi k/p) with
-    # k = (p - 3)/2, and 2cos(2pi k/p) is the second smallest root
-    return minpoly_two_cos(p), ivs[-1], ivs[1]
-
-
 def interval_certificate(p: int, T) -> bool:
     """Exact certificate that 2cos(3pi/p) < -2T < 2cos(2pi/p)."""
     _require_construction_prime(p)
     q = 2 * Fraction(T)
-    fp, ivp, ivk = _interval_data(p)
-    return compare_root(fp, ivk, q) == 1 and compare_root(fp, ivp, -q) == 1
+    K = make_cosine_field(p)
+    # 2cos(2pi/p) is the largest root; 2cos(3pi/p) = -2cos(2pi k/p) with
+    # k = (p - 3)/2, and 2cos(2pi k/p) is the second smallest root
+    f, cells = K.defining_poly, K.real_embeddings
+    return (compare_root(f, cells[1], q) == 1
+            and compare_root(f, cells[-1], -q) == 1)
 
 
 def _v2(x: Fraction) -> int:
@@ -163,7 +158,7 @@ def archimedean_ok(c: FieldElement) -> bool:
     return ident == 1 and all(s == -1 for s in others)
 
 
-def choose_T(p: int, field: NumberField | None = None) -> Fraction:
+def choose_T(p: int) -> Fraction:
     """First T = a/2^j (j ascending, then |a| ascending, + before -) inside
     the cosine interval that also passes the 2-adic test.
 
@@ -179,8 +174,7 @@ def choose_T(p: int, field: NumberField | None = None) -> Fraction:
     place over 2, so the 2-adic test passes too.
     """
     _require_construction_prime(p)
-    if field is None:
-        field = make_cosine_field(p)
+    field = make_cosine_field(p)
     half = Fraction(1, 2)
     # 2^last < p^2 has fewer than p.bit_length() digits, so 30 more put
     # lo * 2^j and hi * 2^j far closer than the one numerator of slack
@@ -257,48 +251,16 @@ def form_preservation_check(g, gram) -> bool:
 
 # ------------------------------------------------------------------ volume
 
-@lru_cache(maxsize=None)
-def cosine_field_disc(p: int) -> int:
-    """Exact field discriminant of Q(2cos(2pi/p)), certified cheaply.
-
-    The polynomial discriminant is a power of p alone, so one Dedekind
-    index test at p settles monogenicity. That skips the rest of
-    make_cosine_field: the rational-root screen, the factorisation of the
-    discriminant and the certificate of the embedding cells.
-    """
-    _require_construction_prime(p)
-    f = minpoly_two_cos(p)
-    dp = discriminant(f)
-    m, k = abs(dp), 0
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        field = make_cosine_field(p)
-        if field.field_disc is None:
-            raise PreconditionError("field discriminant not certified")
-        return field.field_disc
-    if k >= 2 and not _dedekind_index_test(f, p):
-        raise PreconditionError(
-            "index divisible by p; polynomial discriminant is not the "
-            "field discriminant")
-    return dp
-
-
-def volume_estimate(p: int, a_const, b_const, plogp_c=1.0):
-    """(disc_computed, published-formula value p^((p-2)/2), log v_hat) with
-    log v_hat = log a + b log disc. Enforces log disc <= plogp_c * p log p."""
+def log_volume(p: int, disc: int, a_const, b_const):
+    """log v_hat = log a + b log disc for the discriminant disc of the
+    conductor-p field; refuses log disc > p log p."""
     if a_const <= 0 or b_const <= 0:
         raise PreconditionError("volume constants must be positive")
-    disc = cosine_field_disc(p)
     with workdps(30):
-        formula = mpf(p) ** (mpf(p - 2) / 2)
         log_disc = mp.log(mpf(disc))
-        if log_disc > mpf(plogp_c) * p * mp.log(p):
-            raise TorsionfreeError(
-                f"log disc exceeds {plogp_c} * p log p at p = {p}")
-        log_v_hat = mp.log(mpf(a_const)) + mpf(b_const) * log_disc
-    return disc, formula, log_v_hat
+        if log_disc > p * mp.log(p):
+            raise TorsionfreeError(f"log disc exceeds p log p at p = {p}")
+        return mp.log(mpf(a_const)) + mpf(b_const) * log_disc
 
 
 def lower_bound_ratio(p: int, log_v_hat):
@@ -362,11 +324,14 @@ def mod2k_isotropy_probe(c: FieldElement, k: int) -> list:
 
 # ------------------------------------------------------------ full pipeline
 
-def build_construction(p: int, a_const=1.0, b_const=1.0,
-                       plogp_c=1.0) -> LatticeConstruction:
+def build_construction(p: int, a_const=1.0,
+                       b_const=1.0) -> LatticeConstruction:
     _require_construction_prime(p)
     field = make_cosine_field(p)
-    T = choose_T(p, field=field)
+    disc = field.field_disc
+    if disc is None:
+        raise PreconditionError("field discriminant not certified")
+    T = choose_T(p)
     half = Fraction(1, 2)
     omega = field.element([0, half])
     c = field.element([T, half])
@@ -382,24 +347,30 @@ def build_construction(p: int, a_const=1.0, b_const=1.0,
         "form_preserved": form_preservation_check(g, gram),
         "order_verified": verify_order(g, p),
     }
-    disc, _formula, log_v_hat = volume_estimate(p, a_const, b_const, plogp_c)
-    if field.field_disc is not None and field.field_disc != disc:
-        raise TorsionfreeError("discriminant routes disagree")
+    log_v_hat = log_volume(p, disc, a_const, b_const)
     return LatticeConstruction(p=p, field=field, T=T, c=c, gram=gram,
                                generator=g, checks=checks, disc_used=disc,
                                log_volume_estimate=log_v_hat)
 
 
-def sweep(pmax: int, a_const=1.0, b_const=1.0, plogp_c=1.0) -> list:
-    """(p, disc, log_v_hat, ratio) for every prime 5 <= p <= pmax, on the
-    cheap certified-discriminant route (no T search, no root isolation)."""
+def sweep(pmax: int, a_const=1.0, b_const=1.0) -> list:
+    """(p, disc, log_v_hat, ratio) for every prime 5 <= p <= pmax.
+
+    Only the discriminant is certified: the polynomial discriminant of
+    2cos(2pi/p) is the field discriminant when no prime fails Dedekind's
+    criterion. No field is built, so no root isolation and no T search."""
     if pmax < 5:
         raise PreconditionError("pmax must be >= 5")
     if pmax > P_CAP:
         raise ResourceCapError(f"pmax is capped at {P_CAP}")
     rows = []
     for p in primes_in_range(5, pmax + 1):
-        disc, _formula, log_v_hat = volume_estimate(p, a_const, b_const,
-                                                    plogp_c)
+        f = minpoly_two_cos(p)
+        disc = discriminant(f)
+        if dedekind_index_primes(f, disc):
+            raise PreconditionError(
+                f"an index prime divides [O : Z[2cos(2pi/{p})]]; the "
+                "polynomial discriminant is not the field discriminant")
+        log_v_hat = log_volume(p, disc, a_const, b_const)
         rows.append((p, disc, log_v_hat, lower_bound_ratio(p, log_v_hat)))
     return rows

@@ -7,22 +7,23 @@ multiplies the numerators in Z[x] and reduces by the monic f (mul_mod), and
 no Fraction is built until .rep asks for the rational coefficients.
 
 Splitting of rational primes is only trusted away from index-dividing primes.
-make_field runs Dedekind's criterion once for each prime whose square divides
-the polynomial discriminant and keeps the primes that fail it as
-index_primes; the monogenic_certified flag records whether the full
-discriminant is known. Real embeddings are isolating intervals, ordered by
-ascending embedding value.
+dedekind_index_primes runs Dedekind's criterion once for each prime whose
+square divides the polynomial discriminant; make_field keeps the primes that
+fail it as index_primes, and the monogenic_certified flag records whether
+the full discriminant is known. Real embeddings are isolating intervals,
+ordered by ascending embedding value.
 
-Library-built cosine fields Q(2cos(2pi/n)) carry their conductor n. Their
-real embeddings come from the closed form 2cos(2pi k/n) and are certified
-exactly, and a prime q not dividing n splits by the abelian law instead of
-by factorisation mod q.
+Library-built cosine fields Q(2cos(2pi/n)) carry their conductor n and are
+built once per conductor. Their real embeddings come from the closed form
+2cos(2pi k/n) and are certified exactly, and a prime q not dividing n splits
+by the abelian law instead of by factorisation mod q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import floor, gcd, isqrt, lcm
 
 from . import _kernels
@@ -200,6 +201,14 @@ def _dedekind_index_test(f: IntPoly, p: int) -> bool:
     return len(d2) == 1
 
 
+def dedekind_index_primes(f: IntPoly, disc: int) -> tuple[int, ...]:
+    """The primes q with q^2 | disc (the discriminant of f) at which
+    Dedekind's criterion fails, ascending: the only primes that may divide
+    [O : Z[theta]]."""
+    return tuple(sorted(q for q, e in factorize(abs(disc)).items()
+                        if e >= 2 and not _dedekind_index_test(f, q)))
+
+
 def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> NumberField:
     """Build a NumberField from a monic integer polynomial.
 
@@ -233,22 +242,24 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
     if f.degree >= 2 and any(lo == hi or (floor(hi) > lo and f(floor(hi)) == 0)
                              for lo, hi in cells):
         raise PreconditionError("defining polynomial has a rational root")
-    index_primes = tuple(sorted(q for q, e in factorize(abs(disc)).items()
-                                if e >= 2 and not _dedekind_index_test(f, q)))
+    index_primes = dedekind_index_primes(f, disc)
     return NumberField(
         defining_poly=f,
         degree=f.degree,
         disc_poly=disc,
         field_disc=None if index_primes else disc,
         monogenic_certified=not index_primes,
-        real_embeddings=cells,
+        real_embeddings=tuple(cells),
         conductor=conductor,
         index_primes=index_primes,
     )
 
 
+@cache
 def make_cosine_field(n: int) -> NumberField:
-    """The field Q(2cos(2pi/n)) = Q(cos(2pi/n)), via its minimal polynomial."""
+    """The field Q(2cos(2pi/n)) = Q(cos(2pi/n)), via its minimal polynomial.
+
+    Built once per conductor: every caller shares the same frozen field."""
     return make_field(minpoly_two_cos_conductor(n), conductor=n)
 
 

@@ -277,6 +277,7 @@ class TestOptimizedInterpreter:
     @pytest.mark.parametrize("args", [
         ["grh", "threshold", "--d", "1", "--logd", "0"],
         ["construct", "--p", "7"],
+        ["construct", "sweep", "--pmax", "13"],
     ], ids=lambda a: " ".join(a[:2]))
     def test_same_report_under_O(self, args):
         proc = subprocess.run(

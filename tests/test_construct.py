@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,12 +8,11 @@ import pytest
 from torsionfree import construct
 from torsionfree.construct import (CHECK_NAMES, P_CAP, archimedean_check,
                                    archimedean_ok, build_construction,
-                                   choose_T, cosine_field_disc,
-                                   form_preservation_check,
-                                   interval_certificate, lower_bound_ratio,
-                                   mod2k_isotropy_probe, order_p_element,
-                                   sweep, two_adic_condition, verify_order,
-                                   volume_estimate)
+                                   choose_T, form_preservation_check,
+                                   interval_certificate, log_volume,
+                                   lower_bound_ratio, mod2k_isotropy_probe,
+                                   order_p_element, sweep,
+                                   two_adic_condition, verify_order)
 from torsionfree.errors import (PreconditionError, ResourceCapError,
                                 TorsionfreeError)
 from torsionfree.ntheory import primes_in_range
@@ -37,9 +37,9 @@ def constructions():
 
 
 class TestChooseT:
-    def test_frozen_values(self, cosine_fields):
+    def test_frozen_values(self):
         for p in PRIMES:
-            assert choose_T(p, field=cosine_fields[p]) == FROZEN_T[p]
+            assert choose_T(p) == FROZEN_T[p]
 
     def test_interval_feasible_but_two_adic_fails(self, cosine_fields):
         # at p=5 the scan visits 1/4 before 1/8; 1/4 passes the interval
@@ -48,7 +48,7 @@ class TestChooseT:
         assert interval_certificate(5, Fraction(1, 4))
         c = K.element([Fraction(1, 4), Fraction(1, 2)])
         assert not two_adic_condition(c)
-        assert choose_T(5, field=K) == Fraction(1, 8)
+        assert choose_T(5) == Fraction(1, 8)
 
     @staticmethod
     def exhaustive_T(p, field, jmax=10):
@@ -66,7 +66,7 @@ class TestChooseT:
     @pytest.mark.parametrize("p", primes_in_range(5, 84))
     def test_window_matches_exhaustive_scan(self, p):
         K = make_cosine_field(p)
-        assert choose_T(p, field=K) == self.exhaustive_T(p, K)
+        assert choose_T(p) == self.exhaustive_T(p, K)
 
     def test_p_above_cap_refused(self):
         p = 509  # the first prime above P_CAP
@@ -327,25 +327,24 @@ class TestLargePrimes:
 
 class TestVolumeEstimate:
     def test_frozen_p5(self):
-        disc, formula, log_v_hat = volume_estimate(5, 1.0, 1.0)
-        assert disc == 5
+        log_v_hat = log_volume(5, 5, 1.0, 1.0)
         with mp.workdps(30):
-            assert mp.nstr(formula, 17) == "11.180339887498948"
             assert mp.nstr(log_v_hat, 17) == "1.6094379124341004"
 
     def test_log_v_hat_is_b_log_disc_plus_log_a(self):
         with mp.workdps(30):
-            _, _, lv1 = volume_estimate(7, 1.0, 1.0)
-            _, _, lv2 = volume_estimate(7, 2.0, 1.0)
+            lv1 = log_volume(7, 49, 1.0, 1.0)
+            lv2 = log_volume(7, 49, 2.0, 1.0)
             assert mp.nstr(lv2 - lv1, 12) == mp.nstr(mp.log(2), 12)
 
     def test_disc_growth_guard(self):
+        # log 5^6 exceeds 5 log 5
         with pytest.raises(TorsionfreeError):
-            volume_estimate(5, 1.0, 1.0, plogp_c=0.1)
+            log_volume(5, 5**6, 1.0, 1.0)
 
     def test_domain(self):
         with pytest.raises(PreconditionError):
-            volume_estimate(5, -1.0, 1.0)
+            log_volume(5, 5, -1.0, 1.0)
 
     def test_ratio_frozen(self):
         with mp.workdps(30):
@@ -358,16 +357,45 @@ class TestVolumeEstimate:
 
 
 class TestCosineFieldDisc:
-    def test_frozen(self):
+    """The sweep certifies the discriminant without building the field;
+    both routes give p^((p-3)/2)."""
+
+    def test_frozen(self, constructions):
         for p in PRIMES:
-            assert cosine_field_disc(p) == FROZEN_DISC[p]
+            assert make_cosine_field(p).field_disc == FROZEN_DISC[p]
+            assert constructions[p].disc_used == FROZEN_DISC[p]
+        assert [(p, disc) for p, disc, _lv, _r in sweep(13)] == \
+            sorted(FROZEN_DISC.items())
 
     def test_large_prime_fast(self):
-        assert cosine_field_disc(97) == 97**47
+        assert sweep(97)[-1][:2] == (97, 97**47)
 
-    def test_agrees_with_certified(self, cosine_fields):
-        for p, K in cosine_fields.items():
-            assert cosine_field_disc(p) == K.field_disc
+    def test_agrees_with_certified(self):
+        rows = sweep(97)
+        assert [p for p, *_ in rows] == primes_in_range(5, 98)
+        for p, disc, _lv, _r in rows:
+            assert disc == make_cosine_field(p).field_disc == p ** ((p - 3) // 2)
+
+    def test_uncertified_discriminant_refused(self, monkeypatch):
+        K = make_cosine_field(7)
+        uncertified = dataclasses.replace(K, field_disc=None,
+                                          monogenic_certified=False,
+                                          index_primes=(7,))
+        monkeypatch.setattr(construct, "make_cosine_field", lambda p: uncertified)
+        with pytest.raises(PreconditionError):
+            build_construction(7)
+        monkeypatch.setattr(construct, "dedekind_index_primes",
+                            lambda f, disc: (7,))
+        with pytest.raises(PreconditionError):
+            sweep(7)
+
+
+class TestFieldBuiltOnce:
+    def test_construction_reads_the_shared_field(self):
+        for p in PRIMES:
+            K = make_cosine_field(p)
+            assert make_cosine_field(p) is K
+            assert build_construction(p).field is K
 
 
 class TestIsotropyProbe:

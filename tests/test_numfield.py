@@ -84,6 +84,14 @@ class TestMakeField:
             assert K.monogenic_certified
             assert K.conductor == p
 
+    def test_fields_are_hashable(self, field_sqrt2):
+        # a shared, memoised field holds no mutable list
+        for K in (make_cosine_field(7), field_sqrt2):
+            assert isinstance(K.real_embeddings, tuple)
+            assert all(isinstance(iv, tuple) for iv in K.real_embeddings)
+            assert hash(K) == hash(make_field(K.defining_poly,
+                                              conductor=K.conductor))
+
     def test_wrong_conductor_hint_rejected(self):
         # x^2 - 2 is not the minimal polynomial of 2cos(2pi/5); trusting the
         # hint would count 163 prime ideals of norm <= 1000 instead of 167
