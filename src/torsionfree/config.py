@@ -5,7 +5,8 @@ asymptotic statements leave c1, c2, a, b, the Jordan index and the epsilon
 margin unspecified, so silent defaults would launder invented numbers into
 results. Loading gives one warning line per defaulted constant, which a
 command prints when it reads that constant; a config file (JSON object,
-same keys) or the TORSIONFREE_CONFIG env var overrides.
+same keys) or the TORSIONFREE_CONFIG env var overrides. A config path that
+does not exist is bad input, not a reason to fall back on the defaults.
 """
 
 from __future__ import annotations
@@ -55,18 +56,16 @@ def load_config(path: str | None = None
     source = path or os.environ.get(ENV_VAR)
     data: dict = {}
     if source:
-        if os.path.exists(source):
-            with open(source) as fh:
-                try:
-                    data = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise PreconditionError(
-                        f"config file {source} is not valid JSON: {exc}")
-            if not isinstance(data, dict):
-                raise PreconditionError("config file must hold a JSON object")
-        else:
-            notes.append(f"config file {source} not found; "
-                         "defaults in effect")
+        if not os.path.exists(source):
+            raise PreconditionError(f"config file {source} not found")
+        with open(source) as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise PreconditionError(
+                    f"config file {source} is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise PreconditionError("config file must hold a JSON object")
     else:
         notes.append("no config file given; defaults in effect")
     known = {f.name for f in fields(Config)}

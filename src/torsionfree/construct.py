@@ -3,8 +3,8 @@
 The data is a ternary form x^2 + y^2 - c z^2 over Q(cos 2pi/p) with
 c = T + cos(2pi/p) for a dyadic rational T. The interval condition on T
 makes the form have signature (2,1) at exactly one real place, the 2-adic
-condition (odd valuation of c at every place over 2, certified by a single
-Newton-polygon slope) blocks isotropy at 2, and the rotation
+condition certifies odd valuation of c at every place over 2 by a single
+Newton-polygon slope (it does not certify anisotropy at 2), and the rotation
 
     M = [[0, -1], [1, 2w]],  w = cos(2pi/p)
 
@@ -14,8 +14,8 @@ Floating point (mpmath) only guides: it sets the window of numerators that
 choose_T tries at each denominator, and it places the dyadic cells around
 the real embeddings of the cosine field, which make_cosine_field(p) builds
 once and every check reads. What decides is exact: the interval
-certificate, the Newton slope, the certified cells, Sturm-certified signs,
-and integer field arithmetic for the isometry and order checks.
+certificate, the Newton slope, the certified cells, signs by one root
+comparison, and integer field arithmetic for the isometry and order checks.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .report import mpf_str
 from .torsion import mat_mul, mat_pow
 
 # largest p that a construction or a sweep accepts; build_construction(503)
-# takes about 5 s on 2 cores
+# takes about 1 s on 2 cores
 P_CAP = 503
 PROBE_K_CAP = 20
 PROBE_CANDIDATE_BITS = 30

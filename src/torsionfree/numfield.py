@@ -263,37 +263,21 @@ def make_cosine_field(n: int) -> NumberField:
     return make_field(minpoly_two_cos_conductor(n), conductor=n)
 
 
-def element_charpoly(alpha: FieldElement) -> tuple[Fraction, ...]:
-    """Characteristic polynomial of multiplication by alpha, monic, degree d.
-
-    Linear expressions (a + b theta)/den take the closed form over Z (see
-    _charpoly_linear); the general case finds the minimal polynomial by
-    linear algebra and raises it to the power d/deg (multiplication acts
-    block-diagonally on K viewed as a Q(alpha)-vector space).
-    """
-    K = alpha.owner
-    d = K.degree
+def _linear_parts(alpha: FieldElement) -> tuple[int, int]:
+    """(a, b) with alpha = (a + b theta)/den; an element with a theta^2 or
+    higher term is refused."""
     num = alpha.num
-    if not any(num[2:]):
-        return _charpoly_linear(K.defining_poly, num[0], num[1] if d > 1 else 0,
-                                alpha.den)
-    m = _minpoly_by_dependence(alpha)
-    k = len(m) - 1
-    if d % k != 0:
-        raise PreconditionError("defining polynomial appears reducible")
-    out = (Fraction(1),)
-    for _ in range(d // k):
-        out = _q_mul(out, m)
-    return out
+    if any(num[2:]):
+        raise PreconditionError("only linear elements (a + b theta)/den")
+    return num[0], num[1] if len(num) > 1 else 0
 
 
-def _q_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    prod = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    return tuple(prod)
+def element_charpoly(alpha: FieldElement) -> tuple[Fraction, ...]:
+    """Characteristic polynomial of multiplication by the linear element
+    alpha = (a + b theta)/den, monic of degree d, in closed form over Z
+    (see _charpoly_linear)."""
+    a, b = _linear_parts(alpha)
+    return _charpoly_linear(alpha.owner.defining_poly, a, b, alpha.den)
 
 
 def _charpoly_linear(f: IntPoly, a: int, b: int, den: int) -> tuple[Fraction, ...]:
@@ -308,42 +292,6 @@ def _charpoly_linear(f: IntPoly, a: int, b: int, den: int) -> tuple[Fraction, ..
         bp *= b
         h = h * t + IntPoly((f[i] * bp,))
     return tuple(Fraction(h[k], den ** (d - k)) for k in range(d + 1))
-
-
-def _minpoly_by_dependence(alpha: FieldElement) -> tuple[Fraction, ...]:
-    """Monic minimal polynomial of alpha by Gaussian elimination on its powers."""
-    K = alpha.owner
-    d = K.degree
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    combos: list[list[Fraction]] = []  # expression of each reduced row in powers
-    cur = K.element([1])
-    for k in range(d + 1):
-        vec = list(cur.rep)
-        combo = [Fraction(0)] * (d + 1)
-        combo[k] = Fraction(1)
-        for row, piv, cmb in zip(rows, pivots, combos):
-            if vec[piv]:
-                c = vec[piv] / row[piv]
-                for i in range(d):
-                    vec[i] -= c * row[i]
-                for i in range(d + 1):
-                    combo[i] -= c * cmb[i]
-        piv = next((i for i, v in enumerate(vec) if v != 0), None)
-        if piv is None:
-            lead = combo[k]
-            return tuple(c / lead for c in combo[: k + 1])
-        rows.append(vec)
-        pivots.append(piv)
-        combos.append(combo)
-        cur = cur * alpha
-    raise AssertionError("no dependence among d+1 powers")
-
-
-def norm(alpha: FieldElement) -> Fraction:
-    cp = element_charpoly(alpha)
-    d = alpha.owner.degree
-    return cp[0] if d % 2 == 0 else -cp[0]
 
 
 def dedekind_split(K: NumberField, p: int) -> PrimeSplit:
@@ -444,11 +392,13 @@ def _count_abelian(K: NumberField, x: int) -> int:
 
 
 def sign_at_embeddings(alpha: FieldElement) -> tuple[int, ...]:
-    """Exact sign of alpha at every real embedding, ascending embedding order."""
+    """Exact sign of the linear element alpha = (a + b theta)/den at every
+    real embedding, ascending embedding order: one root comparison each."""
     if alpha.is_zero():
         raise PreconditionError("sign of the zero element")
     K = alpha.owner
     if not K.real_embeddings:
         raise PreconditionError("field has no real embedding")
+    g = _linear_parts(alpha)
     f = K.defining_poly
-    return tuple(sign_at_root(f, iv, alpha.num) for iv in K.real_embeddings)
+    return tuple(sign_at_root(f, iv, g) for iv in K.real_embeddings)

@@ -3,7 +3,6 @@ polynomials, factorization mod p, real root isolation."""
 
 from .poly import (
     IntPoly,
-    clear_denominators,
     discriminant,
     is_squarefree,
     poly_gcd,
@@ -27,7 +26,6 @@ from .roots import (
 
 __all__ = [
     "IntPoly",
-    "clear_denominators",
     "compare_root",
     "count_roots_in",
     "cyclotomic_poly",

@@ -25,13 +25,9 @@ from mpmath import mp, workdps
 from ..errors import PreconditionError
 from ..ntheory import is_prime
 from .poly import IntPoly
-from .roots import Interval, _sign_at, isolate_real_roots
+from .roots import CELL_BITS, Interval, _sign_at, isolate_real_roots
 
 X = IntPoly([0, 1])
-
-# isolate_two_cos_roots puts each root in a dyadic cell of width 2^-CELL_BITS,
-# the width isolate_real_roots refines to by default
-CELL_BITS = 20
 
 
 def _v_basis(upto: int) -> list[IntPoly]:

@@ -8,10 +8,7 @@ point enters any algebraic result.
 
 Division is over Z. pseudo_rem scales the dividend by the divisor's leading
 coefficient instead of dividing by it, and exact_div divides each top
-coefficient by it and refuses when a remainder is left. Rational-coefficient polynomials
-(characteristic polynomials, Sturm data) enter only through
-clear_denominators, which turns them into an integer polynomial and one
-denominator.
+coefficient by it and refuses when a remainder is left.
 """
 
 from __future__ import annotations
@@ -268,10 +265,3 @@ def is_squarefree(f: IntPoly) -> bool:
         return not f.is_zero()
     return poly_gcd(f, f.derivative()).degree == 0
 
-
-def clear_denominators(coeffs) -> tuple[IntPoly, int]:
-    """(integer polynomial, positive denominator) with poly/den equal to the
-    input as rational polynomials; den is the lcm of coefficient denominators."""
-    c = [Fraction(a) for a in coeffs]
-    den = math.lcm(*(a.denominator for a in c))
-    return IntPoly([a.numerator * (den // a.denominator) for a in c]), den

@@ -2,10 +2,11 @@
 
 Intervals are closed [lo, hi] with Fraction endpoints. A degenerate interval
 lo == hi marks an exact rational root. For a squarefree input the returned
-intervals are pairwise disjoint, ascending, each of width at most the
-requested precision, and each contains exactly one real root. Every sign is
-an exact integer evaluation (_sign_at), and every bisection is one _halve
-step; floats never decide anything here.
+intervals are pairwise disjoint, ascending, each of width at most
+2^-CELL_BITS, and each contains exactly one real root. Every sign is an
+exact integer evaluation (_sign_at), and every bisection is one _halve
+step; floats never decide anything here. The sign of a linear polynomial
+at a root is one root comparison (sign_at_root).
 """
 
 from __future__ import annotations
@@ -13,9 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import NotSquarefreeError, PreconditionError
-from .poly import IntPoly, clear_denominators, is_squarefree, poly_gcd
+from .poly import IntPoly, is_squarefree
 
 Interval = tuple[Fraction, Fraction]
+
+# every real-root cell, from isolate_real_roots or isolate_two_cos_roots,
+# has width at most 2^-CELL_BITS
+CELL_BITS = 20
 
 
 def sturm_sequence(f: IntPoly) -> list[IntPoly]:
@@ -93,21 +98,21 @@ def _sign_at_lo(f: IntPoly, lo: Fraction) -> int:
     return s
 
 
-def isolate_real_roots(f: IntPoly, precision: Fraction = Fraction(1, 2**20)) -> list[Interval]:
-    """Isolating intervals for all real roots of squarefree f, ascending."""
+def isolate_real_roots(f: IntPoly) -> list[Interval]:
+    """Isolating intervals for all real roots of squarefree f, ascending,
+    each of width at most 2^-CELL_BITS."""
     if f.degree < 0:
         raise PreconditionError("zero polynomial has no isolated roots")
     if f.degree == 0:
         return []
     if not is_squarefree(f):
         raise NotSquarefreeError("input polynomial has repeated roots")
-    if precision <= 0:
-        raise PreconditionError("precision must be positive")
     if f.degree == 1:
         r = Fraction(-f[0], f[1])
         return [(r, r)]
     seq = sturm_sequence(f)
     bound = root_bound(f)
+    precision = Fraction(1, 1 << CELL_BITS)
     out: list[Interval] = []
 
     def split(lo: Fraction, hi: Fraction, n: int):
@@ -133,37 +138,23 @@ def isolate_real_roots(f: IntPoly, precision: Fraction = Fraction(1, 2**20)) -> 
     return out
 
 
-def sign_at_root(f: IntPoly, iv: Interval, g_coeffs) -> int:
-    """Exact sign of g at the unique root r of f inside iv; requires g(r) != 0.
+def sign_at_root(f: IntPoly, iv: Interval, g) -> int:
+    """Exact sign of g = g[0] + g[1] x at the unique root r of f inside iv.
 
-    g is given as rational coefficients (any iterable accepted by Fraction).
-    The interval is bisected until g provably has constant nonzero sign on it:
-    both endpoint signs agree and a Sturm count certifies g has no root inside.
-    A non-degenerate iv must not have a root of f at lo. A common root of f
-    and g in iv is refused before bisecting, since no bisection ends there
-    when the root is irrational.
+    g holds rational coefficients (anything Fraction accepts), lowest degree
+    first, of degree at most 1. For g[1] != 0 the sign is sign(g[1]) times
+    the side of -g[0]/g[1] on which r lies, one compare_root call, so a
+    non-degenerate iv must not have a root of f at lo. A zero g, g(r) = 0
+    and g of degree 2 or more are refused.
     """
-    lo, hi = iv
-    g_int, _den = clear_denominators([Fraction(c) for c in g_coeffs])
-    if g_int.is_zero():
-        raise PreconditionError("zero polynomial has no sign")
-    if lo != hi:
-        s_lo = _sign_at_lo(f, lo)
-        gsf = g_int.exact_div(poly_gcd(g_int, g_int.derivative())) if g_int.degree > 0 else g_int
-        h = poly_gcd(f, gsf)  # squarefree, as gsf is
-        if h.degree > 0 and count_roots_in(sturm_sequence(h), lo, hi):
-            raise PreconditionError("polynomial vanishes at the root")
-        gseq = sturm_sequence(gsf) if gsf.degree > 0 else None
-        while lo != hi:
-            v = _sign_at(g_int, lo)
-            if v and v == _sign_at(g_int, hi) and \
-                    (gseq is None or count_roots_in(gseq, lo, hi) == 0):
-                return v
-            lo, hi = _halve(f, lo, hi, s_lo)
-    v = _sign_at(g_int, lo)
-    if v == 0:
+    a, b, *rest = (*g, 0, 0)
+    if any(rest):
+        raise PreconditionError("sign_at_root takes g of degree at most 1")
+    a, b = Fraction(a), Fraction(b)
+    s = compare_root(f, iv, -a / b) if b else (a > 0) - (a < 0)
+    if s == 0:
         raise PreconditionError("polynomial vanishes at the root")
-    return v
+    return s if b >= 0 else -s
 
 
 def compare_root(f: IntPoly, iv: Interval, q: Fraction) -> int:

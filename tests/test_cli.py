@@ -240,11 +240,17 @@ class TestConfig:
                                "construct", "sweep", "--pmax", "7")
         assert code == 2
 
-    def test_missing_config_file_warns_but_runs(self, tmp_path):
-        code, out, err = run_cli("--config", str(tmp_path / "absent.json"),
-                                 "construct", "sweep", "--pmax", "7")
-        assert code == 0
-        assert "warning" in err
+    def test_missing_config_file_rejected(self, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        for opts, env in ((("--config", absent), None),
+                          ((), {"TORSIONFREE_CONFIG": absent})):
+            code, out, err = run_cli(*opts, "construct", "sweep", "--pmax", "7",
+                                     env_extra=env)
+            assert code == 2
+            assert out == ""
+            error = json.loads(err.strip().splitlines()[-1])["error"]
+            assert error["type"] == "PreconditionError"
+            assert "not found" in error["message"]
 
 
 class TestDeterminism:

@@ -2,17 +2,19 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import mpmath as mp
 import pytest
 
 from torsionfree.errors import (NotSquarefreeError, PreconditionError,
                                 ResourceCapError)
 from torsionfree import numfield
-from torsionfree.ntheory import primes_upto
+from torsionfree.construct import choose_T
+from torsionfree.ntheory import primes_in_range, primes_upto
 from torsionfree.numfield import (FieldElement, count_prime_ideals,
                                   dedekind_split, element_charpoly,
-                                  make_cosine_field, make_field, norm,
+                                  make_cosine_field, make_field,
                                   sign_at_embeddings)
-from torsionfree.polyalg import IntPoly, isolate_real_roots
+from torsionfree.polyalg import IntPoly, isolate_real_roots, roots, sign_at_root
 from torsionfree.selberg import find_congruence_level
 
 # x^6 + 2x + 2, Eisenstein at 2
@@ -121,8 +123,8 @@ class TestElements:
         th = field_sqrt2.generator()
         cp = element_charpoly(th + field_sqrt2.element([1]))
         assert cp == (Fraction(-1), Fraction(-2), Fraction(1))
-        assert norm(th + field_sqrt2.element([1])) == -1
-        assert norm(th) == -2
+        # in even degree the norm is the constant term
+        assert element_charpoly(th)[0] == -2
 
     def test_charpoly_of_rational(self, field_sqrt2):
         # rational r has charpoly (x - r)^d
@@ -132,36 +134,24 @@ class TestElements:
     def test_charpoly_cosine(self, cosine_fields):
         K = cosine_fields[7]
         th = K.generator()
-        cp = element_charpoly(th * th)
+        # (2cos t)^2 = 2cos 2t + 2, so theta + 2 is a conjugate of theta^2
+        cp = element_charpoly(th + K.element([2]))
         assert cp == (Fraction(-1), Fraction(6), Fraction(-5), Fraction(1))
-
-    def test_norm_multiplicative(self, field_q, field_sqrt2, cosine_fields):
-        rng = random.Random(2718)
-        for K, pairs in ((field_q, 200), (field_sqrt2, 200),
-                         (cosine_fields[5], 200), (cosine_fields[7], 100),
-                         (cosine_fields[13], 25), (make_field(EISENSTEIN_6), 25)):
-            d = K.degree
-            for _ in range(pairs):
-                a = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                               for _ in range(d)])
-                b = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                               for _ in range(d)])
-                assert norm(a) * norm(b) == norm(a * b)
 
     def test_owner_mismatch_rejected(self, field_q, field_sqrt2):
         with pytest.raises(PreconditionError):
             field_q.generator() + field_sqrt2.generator()
 
-    def test_reducible_algebra_detected(self):
-        # (x^2-2)(x^2-3) passes the squarefree/rational-root screen, but the
-        # element theta*(3 - theta^2) has minimal degree 3, which cannot
-        # divide 4: the "field" is exposed as a product
-        K = make_field(IntPoly((6, 0, -5, 0, 1)))
+    def test_nonlinear_element_refused(self, cosine_fields):
+        # signs and charpolys are taken of (a + b theta)/den only
+        K = cosine_fields[7]
         th = K.generator()
-        e = th * (K.element([3]) - th * th)
-        with pytest.raises(PreconditionError):
-            element_charpoly(e)
-
+        sq = th * th
+        for fn in (element_charpoly, sign_at_embeddings):
+            with pytest.raises(PreconditionError, match="linear"):
+                fn(sq)
+        with pytest.raises(PreconditionError, match="degree"):
+            sign_at_root(K.defining_poly, K.real_embeddings[0], sq.rep)
 
 def _q_poly_mul(a, b):
     prod = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -428,16 +418,46 @@ class TestEmbeddings:
     def test_stable_under_refinement(self, cosine_fields):
         K = cosine_fields[11]
         f = K.defining_poly
-        alpha = K.generator() * K.generator() - K.element([2])
+        alpha = K.generator() - K.element([Fraction(1, 3)])
         before = sign_at_embeddings(alpha)
-        # isolate the roots again, far narrower, and recompute the signs
-        from torsionfree.polyalg import sign_at_root
-        g = alpha.num
-        refined = isolate_real_roots(f, Fraction(1, 2**40))
-        assert len(refined) == len(K.real_embeddings)
-        for (a, b), (c, d) in zip(K.real_embeddings, refined):
-            assert d - c < b - a
-            assert max(a, c) <= min(b, d)  # the same root
-        after = tuple(sign_at_root(f, iv, g) for iv in refined)
+        # halve every cell 20 more times and recompute the signs
+        refined = []
+        for lo, hi in K.real_embeddings:
+            s_lo = roots._sign_at(f, lo)
+            for _ in range(20):
+                lo, hi = roots._halve(f, lo, hi, s_lo)
+            refined.append((lo, hi))
+        after = tuple(sign_at_root(f, iv, alpha.rep[:2]) for iv in refined)
         assert before == after
+        assert [before] == _oracle_signs(11, [alpha.rep[:2]])
         assert set(before) == {1, -1}
+
+    def test_signs_match_oracle(self):
+        # every construction prime up to 199, and P_CAP: the c of choose_T
+        # and ten seeded random linear elements, against 2cos(2pi k/p) at
+        # 50 digits
+        rng = random.Random(4049)
+        for p in primes_in_range(5, 200) + [503]:
+            K = make_cosine_field(p)
+            elements = [(choose_T(p), Fraction(1, 2))]
+            elements += [(Fraction(rng.randint(-99, 99), rng.randint(1, 64)),
+                          Fraction(rng.choice((-1, 1)) * rng.randint(1, 99),
+                                   rng.randint(1, 64))) for _ in range(10)]
+            got = [sign_at_embeddings(K.element(ab)) for ab in elements]
+            assert got == _oracle_signs(p, elements), p
+
+
+def _oracle_signs(n, elements):
+    """For each (a, b), the signs of a + b 2cos(2pi k/n), gcd(k, n) = 1,
+    ascending in the root, from 50-digit values."""
+    out = []
+    with mp.workdps(50):
+        rs = sorted(2 * mp.cos(2 * mp.pi * k / n)
+                    for k in range(1, n // 2 + 1) if gcd(k, n) == 1)
+        for a, b in elements:
+            vals = [mp.mpf(a.numerator) / a.denominator
+                    + mp.mpf(b.numerator) / b.denominator * r for r in rs]
+            if min(abs(v) for v in vals) < mp.mpf(10) ** -40:
+                raise AssertionError("oracle too close to zero")
+            out.append(tuple(1 if v > 0 else -1 for v in vals))
+    return out
