@@ -8,6 +8,16 @@ root count is the only numpy code in the package: it turns each segment
 into an int64 array of primes and works on them in batches, importing numpy
 on first use, so no other command loads it. IMPLEMENTATION names the one
 backend; benchmark records carry it as their backend stamp.
+
+The root count of f mod p is d - rank(x^p - x) on F_p[x]/(f), for a batch
+of primes in lockstep. x^p comes from square-and-multiply: a square is one
+product of shifted windows of its operand, and its top d - 1 coefficients
+fold back with the precomputed x^(d + j) mod f. Products are summed lazily:
+with every residue at most m = max(P) - 1, k = (2^63 - 1 - m) // m^2
+products fit in one int64 sum on top of a residue, so a batch reduces mod P
+once per k terms (k >= 63 below 33,000, k = 2 just below 2^31). The rank is
+lockstep Gaussian elimination that updates only the columns right of each
+pivot.
 """
 
 from __future__ import annotations
@@ -22,8 +32,10 @@ IMPLEMENTATION = "pure"
 # primes, so its d x d matrices stay the same size whatever the degree.
 _BATCH_WORDS = 1 << 15
 
-# Every prime is below 2^31, so a product of two residues stays below 2^62.
+# Every prime is below 2^31, so a product of two residues stays below 2^62
+# and at least two of them fit in one int64 sum (_lazy_terms).
 _PRIME_CAP = 1 << 31
+_INT64_MAX = (1 << 63) - 1
 _MAX_DEGREE = 63
 
 # The class count's range cap. Its values are Python ints and cannot
@@ -110,16 +122,35 @@ def _residues(c: int, P):
     return -r % P if c < 0 else r
 
 
+def _lazy_terms(m: int) -> int:
+    """How many products of two residues in [0, m] one int64 sum holds on
+    top of one residue: the largest k with k m^2 + m <= 2^63 - 1. For
+    m <= 2^31 - 2 that is at least 2."""
+    return (_INT64_MAX - m) // (m * m)
+
+
+def _lazy_dot(acc, a, b, P, k: int):
+    """(acc + sum over t of a[t] * b[t]) mod P, for residues acc, a and b
+    broadcast over the leading axis t: k products are summed between two
+    reductions, so no partial sum leaves int64."""
+    for s in range(0, len(a), k):
+        acc = (acc + (a[s : s + k] * b[s : s + k]).sum(axis=0)) % P
+    return acc
+
+
 def _root_counts(coeffs: tuple[int, ...], P):
     """Distinct roots of f mod p for each prime p in P (int64 array), as
     d - rank of multiplication by x^p - x on F_p[x]/(f).
 
     A residue class mod f is a (d, len(P)) array: row i holds the
-    coefficient of x^i for every prime of the batch.
+    coefficient of x^i for every prime of the batch. Every sum of products
+    goes through _lazy_dot, _lazy_terms(max(P) - 1) terms per reduction.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
     d = len(coeffs) - 1
+    k = _lazy_terms(int(P.max()) - 1)
     F = np.stack([_residues(c, P) for c in coeffs[:d]])  # x^d = -F
 
     def times_x(a):
@@ -128,13 +159,21 @@ def _root_counts(coeffs: tuple[int, ...], P):
         out[1:] = a[:-1]
         return (out - a[-1] * F) % P
 
+    # R[j] = x^(d + j) mod f, which folds the coefficient of x^(d + j) of a
+    # product back into degree < d
+    R = np.empty((d - 1, d, len(P)), dtype=np.int64)
+    R[0] = -F % P
+    for j in range(1, d - 1):
+        R[j] = times_x(R[j - 1])
+
     def square(a):
-        prod = np.zeros((2 * d - 1, len(P)), dtype=np.int64)
-        for i in range(d):
-            prod[i : i + d] = (prod[i : i + d] + a[i] * a) % P
-        for k in range(2 * d - 2, d - 1, -1):
-            prod[k - d : k] = (prod[k - d : k] - prod[k] * F) % P
-        return prod[:d]
+        # coefficient j of a^2 is sum_t a[d - 1 - t] * A[t + j], over the
+        # windows of a padded by d - 1 zeros on both sides
+        A = np.zeros((3 * d - 2, len(P)), dtype=np.int64)
+        A[d - 1 : 2 * d - 1] = a
+        windows = sliding_window_view(A, 2 * d - 1, axis=0).transpose(0, 2, 1)
+        prod = _lazy_dot(0, a[::-1, None], windows, P, k)
+        return _lazy_dot(prod[:d], prod[d:, None], R, P, k)
 
     # x^p mod f, left to right over the bits of p; above a prime's top bit
     # the accumulator stays 1
@@ -155,9 +194,16 @@ def _root_counts(coeffs: tuple[int, ...], P):
 
 def _rank_mod(M, P):
     """Rank over F_p of each matrix M[:, :, b], p = P[b]. Gaussian
-    elimination in lockstep: per column, every batch member that has a free
-    row with a nonzero entry takes it as pivot and clears that column in its
-    other free rows; a row is scaled by the pivot, never divided."""
+    elimination in lockstep: per column c, every batch member that has a
+    free row with a nonzero entry takes it as pivot and clears column c in
+    its other free rows; a row is scaled by the pivot, never divided.
+
+    The free rows of a member are zero left of c, so only the columns
+    right of c are updated. Every row takes the same two products: a member
+    without a pivot gets the multiplier 1 and a zero column, which leaves
+    its rows unchanged, and a row already used as a pivot is only scaled,
+    which never matters, since it is never read again.
+    """
     import numpy as np
 
     d = M.shape[0]
@@ -169,9 +215,14 @@ def _rank_mod(M, P):
         cand = (col != 0) & free
         has = cand.any(axis=0)
         r = cand.argmax(axis=0)
-        pivot = M[r, :, batch].T  # (d, len(P))
         free[r[has], batch[has]] = False
-        cleared = (M * pivot[c] - col[:, None] * pivot) % P
-        M = np.where((free & has)[:, None], cleared, M)
         rank += has
+        if c + 1 < d:
+            pivot = M[r, c + 1 :, batch].T  # (d - c - 1, len(P))
+            mult = np.where(has, col[r, batch], 1)
+            other = np.where(free, col, 0)
+            rest = M[:, c + 1 :]
+            rest *= mult
+            rest -= other[:, None] * pivot
+            rest %= P
     return rank

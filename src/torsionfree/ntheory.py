@@ -5,7 +5,8 @@ is proven correct below psi_13 = 3317044064679887385961981 (deterministic
 Miller-Rabin witness sets); above it the answer comes from BPSW, which has
 no known counterexample. Factoring is meant for numbers whose prime
 factors are either small or few (discriminants of the fields handled by
-this package are pure prime powers).
+this package are pure prime powers); Pollard rho runs within a fixed
+budget of steps and raises ResourceCapError beyond it.
 
 Primes come from one segmented sieve over an arithmetic progression r + k n
 (progression_blocks), in pure Python on bytearray flags. primes_in_range
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import compress
+
+from .errors import ResourceCapError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -188,14 +191,27 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant with deterministic parameter sweep.
+# Pollard-rho steps (one squaring mod n each) that one factorize call may
+# take: about 3 s on a 128-bit n (2 cores), enough to split off a prime
+# factor up to about 1e12 as a rule.
+_RHO_BUDGET = 1 << 22
+
+
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
+    """(a proper factor of n, the steps of budget left). Brent's cycle
+    variant with a deterministic parameter sweep; raises ResourceCapError
+    when the steps run out first."""
     if n % 2 == 0:
-        return 2
+        return 2, budget
     for c in range(1, 50):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            budget -= 2 * r  # the next two runs of r steps
+            if budget < 0:
+                raise ResourceCapError(
+                    f"factoring {n} exceeds the Pollard-rho budget of "
+                    f"{_RHO_BUDGET} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -214,12 +230,14 @@ def _pollard_rho(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, budget
     raise ValueError(f"failed to factor {n}")
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} of n >= 1."""
+    """Prime factorization {p: exponent} of n >= 1. Trial division up to
+    1e5, perfect powers, then Pollard rho within _RHO_BUDGET steps in all;
+    a cofactor that needs more raises ResourceCapError."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
@@ -237,6 +255,7 @@ def factorize(n: int) -> dict[int, int]:
         f += wheel[i]
         i = (i + 1) % 8
     if n > 1:
+        budget = _RHO_BUDGET
         stack = [n]
         while stack:
             m = stack.pop()
@@ -252,6 +271,6 @@ def factorize(n: int) -> dict[int, int]:
                     done = True
                     break
             if not done:
-                d = _pollard_rho(m)
+                d, budget = _pollard_rho(m, budget)
                 stack.extend([d, m // d])
     return dict(sorted(out.items()))

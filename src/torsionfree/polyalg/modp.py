@@ -1,8 +1,10 @@
 """Polynomial factorization over prime fields.
 
 Polynomials mod p are plain lists of ints in [0, p), lowest degree first,
-trimmed. The pipeline is squarefree decomposition, then distinct-degree
-splitting, then Cantor-Zassenhaus equal-degree splitting. Randomness comes
+trimmed. The pipeline is squarefree decomposition (each multiplicity read
+by repeated exact division), then distinct-degree splitting (h -> h^p as
+one product with the Frobenius matrix, rows x^(ip) mod f, after the first
+step), then Cantor-Zassenhaus equal-degree splitting. Randomness comes
 from a locally seeded generator so results are reproducible; the factor list
 is sorted by (degree, coefficients) regardless. Intended scale: degree up to
 a few dozen, p up to about 1e6 (larger p works, just slower).
@@ -62,18 +64,18 @@ def gf_divmod(a, b, p):
     if not b:
         raise ZeroDivisionError("mod-p division by zero polynomial")
     a = list(a)
+    db = len(b) - 1
+    low = b[:db]
     inv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        k = len(a) - len(b)
+    q = [0] * max(0, len(a) - db)
+    # step k clears a[k + db] (never read again) from the lower entries
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + db] * inv % p
         if c:
             q[k] = c
-            for i, bi in enumerate(b):
-                a[k + i] = (a[k + i] - c * bi) % p
-        a.pop()
-        gf_trim(a)
-    return q, a
+            for i, bi in enumerate(low, k):
+                a[i] = (a[i] - c * bi) % p
+    return q, gf_trim(a[:db])
 
 
 def gf_mod(a, b, p):
@@ -109,7 +111,16 @@ def _pth_root(a, p):
 
 def gf_squarefree_parts(f, p):
     """[(g, multiplicity)] with g monic squarefree pairwise coprime and
-    f = lc * prod g^multiplicity."""
+    f = lc * prod g^multiplicity.
+
+    v = f / gcd(f, f') is the product of the irreducible factors whose
+    multiplicity e is prime to p, and t = gcd(f, f') holds each of them
+    e - 1 times. At step k, v holds the factors with e >= k and t each of
+    them e - k times: when v divides t exactly, every e exceeds k and the
+    quotient is the next t; otherwise gcd(v, t mod v) keeps the factors
+    with e > k and the rest of v has multiplicity exactly k. So a step
+    costs one division of t, and a gcd only where factors leave v.
+    """
     f = gf_monic(f, p)
     out: list[tuple[list[int], int]] = []
 
@@ -122,15 +133,17 @@ def gf_squarefree_parts(f, p):
                 continue
             t = gf_gcd(f, df, p)
             v = gf_divmod(f, t, p)[0]
-            k = 0
+            k = 1
             while len(v) > 1:
+                q, rem = gf_divmod(t, v, p)
+                if rem:
+                    w = gf_gcd(v, rem, p)
+                    out.append((gf_divmod(v, w, p)[0], mult * k))
+                    v = w
+                    t = gf_divmod(t, w, p)[0]
+                else:
+                    t = q
                 k += 1
-                w = gf_gcd(t, v, p)
-                s = gf_divmod(v, w, p)[0]
-                if len(s) > 1:
-                    out.append((gf_monic(s, p), mult * k))
-                v = w
-                t = gf_divmod(t, w, p)[0]
             f = t  # leftover is a p-th power (or constant)
 
     walk(list(f), 1)
@@ -138,22 +151,54 @@ def gf_squarefree_parts(f, p):
 
 
 def _distinct_degree(f, p):
-    """[(product_of_irreducibles_of_degree_d, d)] for monic squarefree f."""
+    """[(product_of_irreducibles_of_degree_d, d)] for monic squarefree f.
+
+    Step d takes h = x^(p^(d-1)) to h^p and splits off gcd(h - x, f*), the
+    product of the factors of degree d. The first step is one powering,
+    h = x^p mod f*. Every later step is one product with the Frobenius
+    matrix Q of the modulus g = f* at the second step, whose row i is
+    x^(ip) mod g: since c^p = c in F_p, h^p = sum_i h_i x^(ip). The matrix
+    is built only when a second step is needed; h stays reduced mod g,
+    which every later f* divides.
+    """
     out = []
     h = [0, 1]  # x
     fstar = list(f)
     d = 0
     while len(fstar) - 1 >= 2 * (d + 1):
         d += 1
-        h = gf_powmod(h, p, fstar, p)
+        if d == 1:
+            h = gf_powmod(h, p, fstar, p)
+        else:
+            if d == 2:
+                h = gf_mod(h, fstar, p)
+                frob = _frobenius_rows(h, fstar, p)
+            h = _frobenius(h, frob, p)
         g = gf_gcd(gf_sub(h, [0, 1], p), fstar, p)
         if len(g) > 1:
             out.append((g, d))
             fstar = gf_divmod(fstar, g, p)[0]
-            h = gf_mod(h, fstar, p)
     if len(fstar) > 1:
         out.append((fstar, len(fstar) - 1))
     return out
+
+
+def _frobenius_rows(xp, g, p):
+    """Rows x^(ip) mod g for 0 <= i < deg g, from xp = x^p mod g."""
+    rows = [[1]]
+    for _ in range(len(g) - 2):
+        rows.append(gf_mod(gf_mul(rows[-1], xp, p), g, p))
+    return rows
+
+
+def _frobenius(h, rows, p):
+    """h^p mod g as sum_i h_i x^(ip), with rows from _frobenius_rows."""
+    out = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return gf_trim([v % p for v in out])
 
 
 def _equal_degree(f, d, p, rng):

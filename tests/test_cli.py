@@ -112,6 +112,21 @@ class TestExitCodes:
         payload = json.loads(err.splitlines()[-1])
         assert payload["error"]["type"] == "ResourceCapError"
 
+    def test_unfactorable_discriminant_is_3(self, tmp_path):
+        # x^2 - N, N the product of the first primes above 1e19 and
+        # 1e19 + 1e6: splitting 4N is beyond the Pollard-rho budget
+        poly = tmp_path / "semiprime.poly"
+        poly.write_text(f"{-(10**19 + 51) * (10**19 + 10**6 + 27)}, 0, 1\n")
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsionfree.cli", "field", "analyze",
+             str(poly)], capture_output=True, text=True, env=child_env(),
+            timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert time.monotonic() - start < 30
+        payload = json.loads(proc.stderr.splitlines()[-1])
+        assert payload["error"]["type"] == "ResourceCapError"
+
     @pytest.mark.parametrize("args", [
         ["bound", "grh", "--v", "nan", "--dimh", "3"],
         ["bound", "grh", "--v", "inf", "--dimh", "3"],

@@ -9,6 +9,7 @@ import pytest
 from conftest import DATA, child_env
 
 from torsionfree import _kernels, ntheory
+from torsionfree.errors import ResourceCapError
 from torsionfree._kernels import (IMPLEMENTATION, poly_root_count_over_primes,
                                   prime_count_in_classes)
 from torsionfree.ntheory import (factorize, is_prime, primes_in_range,
@@ -221,6 +222,36 @@ class TestRootCounts:
         assert poly_root_count_over_primes(coeffs, lo, hi) == \
             brute_root_count(coeffs, lo, hi)
 
+    def test_lazy_terms_fit_int64(self):
+        # k products of residues <= m plus one residue stay in int64, and
+        # k + 1 would not
+        for m in (2, 3, 180, 32_999, 1 << 20, (1 << 31) - 2):
+            k = _kernels._lazy_terms(m)
+            assert k >= 1
+            assert k * m * m + m <= 2**63 - 1 < (k + 1) * m * m + m
+        # one reduction per square below the workload's 33,000; chunks of
+        # two terms just below the cap
+        assert _kernels._lazy_terms(32_999) >= _kernels._MAX_DEGREE
+        assert _kernels._lazy_terms((1 << 31) - 2) == 2
+
+    @pytest.mark.parametrize("d", [20, 63])
+    def test_high_degree_just_below_cap(self, d):
+        # (x - 1)(x + 2)(x - 5) g with g random: at least three roots mod
+        # every prime here, each square summed two products at a time
+        rng = random.Random(d)
+        f = IntPoly((-1, 1)) * IntPoly((2, 1)) * IntPoly((-5, 1)) * IntPoly(
+            tuple(rng.randint(-10**6, 10**6) for _ in range(d - 3)) + (1,))
+        lo, hi = (1 << 31) - 240, 1 << 31
+        got = poly_root_count_over_primes(f.coeffs, lo, hi)
+        assert got == brute_root_count(f.coeffs, lo, hi)
+        assert got >= 3 * len(primes_in_range(lo, hi))
+
+    def test_degree_63_small_primes(self):
+        rng = random.Random(63)
+        coeffs = tuple(rng.randint(-99, 99) for _ in range(63)) + (1,)
+        assert poly_root_count_over_primes(coeffs, 2, 600) == \
+            brute_root_count(coeffs, 2, 600)
+
     def test_repeated_root(self):
         # (x - 1)^2 (x + 2) has the distinct roots 1 and -2, which collide
         # mod 3 only
@@ -349,3 +380,14 @@ class TestNtheory:
         from torsionfree.ntheory import factorize
         assert factorize(2**5 * 3**2 * 97) == {2: 5, 3: 2, 97: 1}
         assert factorize(1) == {}
+
+    def test_factorize_rho_budget(self):
+        # two prime factors near 1e10 split within the budget; the 39-digit
+        # product of the first primes above 1e19 and 1e19 + 1e6 does not
+        p, q = 10**10 + 19, 2 * 10**10 + 89
+        assert is_prime(p) and is_prime(q)
+        assert factorize(p * q) == {p: 1, q: 1}
+        p, q = 10**19 + 51, 10**19 + 10**6 + 27
+        assert is_prime(p) and is_prime(q)
+        with pytest.raises(ResourceCapError):
+            factorize(p * q)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -187,6 +188,27 @@ class TestCosineMinimalPolynomials:
         assert tuple(f5) == (-1, 1, 1)
 
 
+def monic_irreducibles(p, maxdeg):
+    """Every monic irreducible polynomial over F_p of degree <= maxdeg, as
+    coefficient tuples, lowest first: the monic polynomials that are no
+    product of two monic ones of lower degree."""
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return tuple(out)
+
+    monic = {n: [tuple(c) + (1,) for c in itertools.product(range(p), repeat=n)]
+             for n in range(1, maxdeg + 1)}
+    irreducible = []
+    for n in range(1, maxdeg + 1):
+        products = {mul(a, b) for k in range(1, n // 2 + 1)
+                    for a in monic[k] for b in monic[n - k]}
+        irreducible += [g for g in monic[n] if g not in products]
+    return irreducible
+
+
 class TestFactorModP:
     def test_product_reconstructs(self):
         rng = random.Random(99)
@@ -214,6 +236,26 @@ class TestFactorModP:
                 prod.pop()
             assert prod == want
             done += 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_against_enumerated_irreducibles(self, p):
+        # products of known irreducibles with repeated factors, also of
+        # multiplicity p and beyond, where the squarefree parts take p-th
+        # roots
+        irreducible = monic_irreducibles(p, 4 if p == 2 else 3)
+        assert len([g for g in irreducible if len(g) == 4]) == (p**3 - p) // 3
+        rng = random.Random(p)
+        for _ in range(150):
+            want = {}
+            for g in rng.sample(irreducible, rng.randint(1, 4)):
+                want[g] = rng.choice([1, 1, 2, 3, p - 1, p, p + 1, 2 * p])
+            f = IntPoly((rng.randrange(1, p),))
+            for g, m in want.items():
+                for _ in range(m):
+                    f = IntPoly(tuple(c % p for c in (f * IntPoly(g)).coeffs))
+            got = factor_mod_p(f, p)
+            assert [(tuple(g), m) for g, m in got] == sorted(
+                want.items(), key=lambda t: (len(t[0]), tuple(reversed(t[0]))))
 
     def test_linear_factors_match_roots(self):
         rng = random.Random(123)
