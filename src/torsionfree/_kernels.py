@@ -9,15 +9,15 @@ into an int64 array of primes and works on them in batches, importing numpy
 on first use, so no other command loads it. IMPLEMENTATION names the one
 backend; benchmark records carry it as their backend stamp.
 
-The root count of f mod p is d - rank(x^p - x) on F_p[x]/(f), for a batch
-of primes in lockstep. x^p comes from square-and-multiply: a square is one
-product of shifted windows of its operand, and its top d - 1 coefficients
-fold back with the precomputed x^(d + j) mod f. Products are summed lazily:
-with every residue at most m = max(P) - 1, k = (2^63 - 1 - m) // m^2
-products fit in one int64 sum on top of a residue, so a batch reduces mod P
-once per k terms (k >= 63 below 33,000, k = 2 just below 2^31). The rank is
-lockstep Gaussian elimination that updates only the columns right of each
-pivot.
+The root count of f mod p is deg gcd(f, x^p - x) over F_p, for a batch of
+primes in lockstep. x^p mod f comes from square-and-multiply: a square is
+one product of shifted windows of its operand, and its top d - 1
+coefficients fold back with the precomputed x^(d + j) mod f. Products are
+summed lazily: with every residue at most m = max(P) - 1,
+k = (2^63 - 1 - m) // m^2 products fit in one int64 sum on top of a
+residue, so a batch reduces mod P once per k terms (k >= 63 below 33,000,
+k = 2 just below 2^31). The gcd is a lockstep Euclid that takes no
+inverses, O(d^2) products per prime.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .ntheory import is_prime, progression_blocks
 IMPLEMENTATION = "pure"
 
 # int64 words in one root-count batch: a batch takes _BATCH_WORDS // d^2
-# primes, so its d x d matrices stay the same size whatever the degree.
+# primes, so the (d, 2d - 1) products of a square and the d - 1 fold-back
+# residues stay about the same size whatever the degree.
 _BATCH_WORDS = 1 << 15
 
 # Every prime is below 2^31, so a product of two residues stays below 2^62
@@ -140,11 +141,12 @@ def _lazy_dot(acc, a, b, P, k: int):
 
 def _root_counts(coeffs: tuple[int, ...], P):
     """Distinct roots of f mod p for each prime p in P (int64 array), as
-    d - rank of multiplication by x^p - x on F_p[x]/(f).
+    deg gcd(f, x^p - x) over F_p.
 
     A residue class mod f is a (d, len(P)) array: row i holds the
-    coefficient of x^i for every prime of the batch. Every sum of products
-    goes through _lazy_dot, _lazy_terms(max(P) - 1) terms per reduction.
+    coefficient of x^i for every prime of the batch. The sums of products
+    in x^p mod f go through _lazy_dot, _lazy_terms(max(P) - 1) terms per
+    reduction; the gcd is _gcd_degrees.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
@@ -183,46 +185,43 @@ def _root_counts(coeffs: tuple[int, ...], P):
         acc = square(acc)
         acc = np.where(((P >> bit) & 1) == 1, times_x(acc), acc)
     acc[1] = (acc[1] - 1) % P
-
-    # rows g, g x, ..., g x^(d-1) of the multiplication matrix
-    M = np.empty((d, d, len(P)), dtype=np.int64)
-    M[0] = acc
-    for i in range(1, d):
-        M[i] = times_x(M[i - 1])
-    return d - _rank_mod(M, P)
+    f = np.vstack([F, np.ones_like(P)])
+    return _gcd_degrees(f, np.vstack([acc, np.zeros_like(P)]), P)
 
 
-def _rank_mod(M, P):
-    """Rank over F_p of each matrix M[:, :, b], p = P[b]. Gaussian
-    elimination in lockstep: per column c, every batch member that has a
-    free row with a nonzero entry takes it as pivot and clears column c in
-    its other free rows; a row is scaled by the pivot, never divided.
+def _gcd_degrees(a, b, P):
+    """deg gcd(a, b) over F_p for each batch member, p = P[j]: a and b are
+    (n, len(P)) residue arrays, row i the coefficient of x^i, with a nonzero
+    and deg a >= deg b.
 
-    The free rows of a member are zero left of c, so only the columns
-    right of c are updated. Every row takes the same two products: a member
-    without a pivot gets the multiplier 1 and a zero column, which leaves
-    its rows unchanged, and a row already used as a pivot is only scaled,
-    which never matters, since it is never read again.
+    Lockstep Euclid without inverses: a step sets a to
+    lc(b) a - lc(a) x^(deg a - deg b) b, which cancels the top term of a
+    and keeps the gcd, and a and b swap when deg a falls below deg b. A
+    member whose b is zero is finished: a is scaled by 1 and its zero b
+    adds nothing, so later steps leave it unchanged. Each step lowers
+    deg a + deg b of every unfinished member, so at most 2n steps run.
+    Both products stay below 2^62, so a step reduces mod P once.
     """
     import numpy as np
 
-    d = M.shape[0]
-    batch = np.arange(len(P))
-    free = np.ones((d, len(P)), dtype=bool)
-    rank = np.zeros(len(P), dtype=np.int64)
-    for c in range(d):
-        col = M[:, c]
-        cand = (col != 0) & free
-        has = cand.any(axis=0)
-        r = cand.argmax(axis=0)
-        free[r[has], batch[has]] = False
-        rank += has
-        if c + 1 < d:
-            pivot = M[r, c + 1 :, batch].T  # (d - c - 1, len(P))
-            mult = np.where(has, col[r, batch], 1)
-            other = np.where(free, col, 0)
-            rest = M[:, c + 1 :]
-            rest *= mult
-            rest -= other[:, None] * pivot
-            rest %= P
-    return rank
+    cols = np.arange(len(P))
+
+    def degree(c):
+        nz = c != 0
+        top = len(c) - 1 - nz[::-1].argmax(axis=0)
+        return np.where(nz.any(axis=0), top, -1)
+
+    da, db = degree(a), degree(b)
+    while (live := db >= 0).any():
+        rows = da.max() + 1  # the rows above are zero in a and b alike
+        a, b = a[:rows], b[:rows]
+        # x^(deg a - deg b) b: a row index below 0 wraps round to a row
+        # above deg b, which is zero; a finished member's b is zero anyway
+        xb = b[np.arange(rows)[:, None] - (da - db), cols]
+        lb = np.where(live, b[db, cols], 1)
+        a = (lb * a - a[da, cols] * xb) % P
+        da = degree(a)
+        swap = da < db
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        da, db = np.maximum(da, db), np.minimum(da, db)
+    return da

@@ -215,16 +215,11 @@ def order_p_element(p: int, field: NumberField):
 
 
 def _det(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    if n == 3:
-        return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-                - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-                + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
-    raise PreconditionError("determinant implemented for n <= 3")
+    if len(M) != 3:
+        raise PreconditionError("determinant implemented for 3 x 3 only")
+    return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
 
 
 def verify_order(g, p: int) -> bool:

@@ -4,8 +4,6 @@ polynomials, factorization mod p, real root isolation."""
 from .poly import (
     IntPoly,
     discriminant,
-    is_squarefree,
-    poly_gcd,
     resultant,
 )
 from .cyclotomic import (
@@ -31,12 +29,10 @@ __all__ = [
     "cyclotomic_poly",
     "discriminant",
     "factor_mod_p",
-    "is_squarefree",
     "isolate_real_roots",
     "isolate_two_cos_roots",
     "minpoly_two_cos",
     "minpoly_two_cos_conductor",
-    "poly_gcd",
     "resultant",
     "root_bound",
     "roots_mod_p",

@@ -74,25 +74,6 @@ class IntPoly:
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            if i == 0:
-                parts.append(str(a))
-            else:
-                mon = "x" if i == 1 else f"x^{i}"
-                if a == 1:
-                    parts.append(mon)
-                elif a == -1:
-                    parts.append(f"-{mon}")
-                else:
-                    parts.append(f"{a}*{mon}")
-        return " + ".join(parts).replace("+ -", "- ")
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
@@ -197,24 +178,6 @@ class IntPoly:
         return IntPoly(quo)
 
 
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd over Z (positive leading coefficient)."""
-    a, b = f.primitive(), g.primitive()
-    if a.is_zero():
-        c = b
-    elif b.is_zero():
-        c = a
-    else:
-        if a.degree < b.degree:
-            a, b = b, a
-        while not b.is_zero():
-            a, b = b, a.pseudo_rem(b).primitive()
-        c = a
-    if c.lc < 0:
-        c = -c
-    return c
-
-
 def resultant(f: IntPoly, g: IntPoly) -> int:
     """Res(f, g) over Z, exact (primitive PRS with rational bookkeeping)."""
     if f.is_zero() or g.is_zero():
@@ -258,10 +221,3 @@ def discriminant(f: IntPoly) -> int:
     if res % f.lc:
         raise AssertionError("Res(f, f') not divisible by lc(f)")
     return sign * (res // f.lc)
-
-
-def is_squarefree(f: IntPoly) -> bool:
-    if f.degree < 1:
-        return not f.is_zero()
-    return poly_gcd(f, f.derivative()).degree == 0
-

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import NotSquarefreeError, PreconditionError
-from .poly import IntPoly, is_squarefree
+from .poly import IntPoly
 
 Interval = tuple[Fraction, Fraction]
 
@@ -100,17 +100,18 @@ def _sign_at_lo(f: IntPoly, lo: Fraction) -> int:
 
 def isolate_real_roots(f: IntPoly) -> list[Interval]:
     """Isolating intervals for all real roots of squarefree f, ascending,
-    each of width at most 2^-CELL_BITS."""
+    each of width at most 2^-CELL_BITS. The Sturm chain of f ends at
+    gcd(f, f'), so a last element of positive degree refuses f."""
     if f.degree < 0:
         raise PreconditionError("zero polynomial has no isolated roots")
     if f.degree == 0:
         return []
-    if not is_squarefree(f):
-        raise NotSquarefreeError("input polynomial has repeated roots")
     if f.degree == 1:
         r = Fraction(-f[0], f[1])
         return [(r, r)]
     seq = sturm_sequence(f)
+    if seq[-1].degree > 0:
+        raise NotSquarefreeError("input polynomial has repeated roots")
     bound = root_bound(f)
     precision = Fraction(1, 1 << CELL_BITS)
     out: list[Interval] = []

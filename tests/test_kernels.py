@@ -263,6 +263,14 @@ class TestRootCounts:
         # x - 1 has exactly one root mod every prime
         n = len(primes_in_range(2, 5000))
         assert poly_root_count_over_primes((-1, 1), 2, 5000) == n
+        # x(x - 1)(x - 2)(x - 3)(x + 1)(x + 2) has six distinct roots mod
+        # every p > 5, so x^p = x mod f and the gcd starts finished; mod 2,
+        # 3 and 5 the roots collide to 2, 3 and 5 of them
+        f = IntPoly((0, 1))
+        for r in (1, 2, 3, -1, -2):
+            f = f * IntPoly((-r, 1))
+        assert poly_root_count_over_primes(f.coeffs, 2, 5000) == \
+            2 + 3 + 5 + 6 * (n - 3) == 4006
 
     def test_rejections(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from torsionfree.errors import PreconditionError
+from torsionfree.errors import NotSquarefreeError, PreconditionError
 from torsionfree.ntheory import primes_in_range
 from torsionfree.polyalg import (IntPoly, compare_root,
                                  discriminant, factor_mod_p,
@@ -299,6 +299,9 @@ class TestSturmIsolation:
                 return changes
             assert len(ivs) == signs_at_inf(-1) - signs_at_inf(1)
             checked += 1
+        # the chain of (x - 1)^2 (x + 2) ends at gcd(f, f') = x - 1
+        with pytest.raises(NotSquarefreeError):
+            isolate_real_roots(IntPoly((2, -3, 0, 1)))
 
     def test_intervals_bracket_roots(self):
         f = minpoly_two_cos(11)
