@@ -300,15 +300,14 @@ def dedekind_split(K: NumberField, p: int) -> PrimeSplit:
     index_divisible = True marks the one unreliable case (p may divide
     [O : Z[theta]]); consumers skip such primes and report them. In a
     certified cosine field of conductor n, a prime p not dividing n is
-    unramified with inertia degree the order of p in (Z/n)*/{+-1}
-    (Washington, Introduction to Cyclotomic Fields, Thm 2.13), so no
-    factorisation is needed.
+    unramified with the inertia degree _inertia_degree reads from p mod n,
+    so no factorisation is needed.
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     n = K.conductor
     if n is not None and K.monogenic_certified and n % p:
-        f = _order_up_to_sign(p, n)
+        f = _inertia_degree(p % n, n)
         return PrimeSplit(p=p, factors=((1, f),) * (K.degree // f),
                           index_divisible=False)
     factors = factor_mod_p(K.defining_poly, p)
@@ -317,11 +316,15 @@ def dedekind_split(K: NumberField, p: int) -> PrimeSplit:
     return PrimeSplit(p=p, factors=efs, index_divisible=p in K.index_primes)
 
 
-def _order_up_to_sign(q: int, n: int) -> int:
-    """Order of q in (Z/n)*/{+-1}, for n >= 3 and q prime to n."""
-    x, f = q % n, 1
+@cache
+def _inertia_degree(c: int, n: int) -> int:
+    """Inertia degree in Q(2cos(2pi/n)), n >= 3, of every prime q = c
+    (mod n), gcd(c, n) = 1: the order of c in (Z/n)*/{+-1} (Washington,
+    Introduction to Cyclotomic Fields, Thm 2.13). Memoised per conductor
+    and residue class, so each class met is walked once."""
+    x, f = c, 1
     while x != 1 and x != n - 1:
-        x = x * q % n
+        x = x * c % n
         f += 1
     return f
 
@@ -369,24 +372,31 @@ def _count_generic(K: NumberField, x: int,
 def _count_abelian(K: NumberField, x: int) -> int:
     """Counting route for the real cyclotomic subfield of conductor n.
 
-    dedekind_split takes every prime up to sqrt(x) and every ramified prime
-    (a divisor of n) from the abelian law. An unramified q above sqrt(x)
-    counts only with inertia degree 1, that is for q = +-1 mod n, and then
-    with d prime ideals; the class sieve counts those primes.
+    A ramified prime (a divisor of n) goes through dedekind_split. An
+    unramified q <= sqrt(x) gives d/f prime ideals of norm q^f, with f read
+    from the inertia memo; they count when q^f <= x, which holds for f <= 2.
+    An unramified q above sqrt(x) counts only with inertia degree 1, that is
+    for q = +-1 mod n, and then with d prime ideals; the class sieve counts
+    those primes.
     """
     if x >= ABELIAN_COUNT_CAP:
         raise ResourceCapError("prime count exceeds the class sieve cap (2^40)")
-    n = K.conductor
+    n, d = K.conductor, K.degree
     B = isqrt(x)
     total = 0
-    for q in primes_upto(B) + [q for q in factorize(n) if B < q <= x]:
+    for q in factorize(n):
         sp = dedekind_split(K, q)
         if sp.index_divisible:
             raise TorsionfreeError(
                 f"{q} divides the index of a certified cosine field")
         total += sum(1 for e, f in sp.factors if q**f <= x)
+    for q in primes_upto(B):
+        if n % q:
+            f = _inertia_degree(q % n, n)
+            if f <= 2 or q**f <= x:
+                total += d // f
     if x > B:
-        total += K.degree * _kernels.prime_count_in_classes(
+        total += d * _kernels.prime_count_in_classes(
             B + 1, x + 1, n, (1, n - 1))
     return total
 

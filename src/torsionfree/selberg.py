@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, workdps
 
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
-from .ntheory import is_prime, primes_in_range
+from .ntheory import is_prime
 from .numfield import NumberField, dedekind_split
 
 _DPS = 30
@@ -104,7 +104,9 @@ def find_congruence_level(K: NumberField, dim_G: int, scan_cap: int = 10**6,
             raise ResourceCapError(
                 f"prime scan cap {scan_cap} exceeded without a final answer")
         hi = min(lo + block_span, scan_cap + 1)
-        for q in primes_in_range(lo, hi):
+        # is_prime bounds a block's cost by its 64 members; a sieve of the
+        # block would first list every prime below sqrt(hi)
+        for q in filter(is_prime, range(lo, hi)):
             sp = dedekind_split(K, q)
             if sp.index_divisible:
                 if unreliable_out is not None:

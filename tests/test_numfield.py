@@ -369,15 +369,59 @@ class TestCounting:
             assert cur >= prev
             prev = cur
 
-    def test_abelian_generic_agree(self, cosine_fields):
+    def test_abelian_generic_agree(self):
         # same minimal polynomial without the conductor hint runs the
-        # factor-every-prime route; the counts must coincide
-        for p in (5, 7, 11, 13):
-            K_ab = cosine_fields[p]
+        # factor-every-prime route; the counts must coincide, also where a
+        # norm q^f or a square B^2 sits at x or just past it. Norms above
+        # 2e4 are left out to keep the reference route short; the frozen
+        # counts below cover large x.
+        cap = 20_000
+        for n in (5, 7, 11, 13, 15, 20, 21, 31):
+            K_ab = make_cosine_field(n)
             K_gen = make_field(K_ab.defining_poly)
             assert K_gen.conductor is None
-            for x in (2, 10, 100, 1000, 5000):
-                assert count_prime_ideals(K_ab, x) == count_prime_ideals(K_gen, x)
+            xs = {2, 10, 100, 1000, 5000}
+            for q in primes_upto(60):
+                if n % q:
+                    f = dedekind_split(K_ab, q).factors[0][1]
+                    norms = [q**f] if f >= 3 else []
+                else:  # the ramified prime and its powers
+                    norms = [q**k for k in range(1, 20)]
+                for N in norms:
+                    if N <= cap:
+                        xs |= {N - 1, N, N + 1}
+                xs |= {q * q - 1, q * q, (q + 1)**2 - 1}
+            for x in sorted(xs):
+                assert count_prime_ideals(K_ab, x) == \
+                    count_prime_ideals(K_gen, x), (n, x)
+
+    def test_inertia_degrees_of_note(self):
+        # classes of inertia degree >= 3 that the agreement test reaches
+        for n, q, f in ((7, 2, 3), (7, 3, 3), (7, 5, 3), (31, 2, 5),
+                        (31, 5, 3), (21, 2, 6), (13, 2, 6)):
+            assert dedekind_split(make_cosine_field(n), q).factors[0] == (1, f)
+
+    def test_frozen_workload_counts(self):
+        # taken from the route that split every prime below sqrt(x) with
+        # dedekind_split
+        assert count_prime_ideals(make_cosine_field(31), 103_212_455) == 5_934_181
+        assert count_prime_ideals(make_cosine_field(79), 103_212_455) == 5_931_420
+
+    @pytest.mark.parametrize("n", (5, 13, 15, 20, 21, 31, 60))
+    def test_count_splits_only_ramified_primes(self, n, monkeypatch):
+        # the abelian count reads unramified primes from the inertia memo:
+        # dedekind_split runs only for the primes dividing the conductor
+        want = count_prime_ideals(make_cosine_field(n), 10**6)
+        split = numfield.dedekind_split
+        seen = []
+
+        def counting_split(K, q):
+            seen.append(q)
+            return split(K, q)
+
+        monkeypatch.setattr(numfield, "dedekind_split", counting_split)
+        assert count_prime_ideals(make_cosine_field(n), 10**6) == want
+        assert sorted(seen) == [q for q in primes_upto(n) if n % q == 0]
 
     def test_unreliable_reported_not_dropped(self):
         K = make_field(IntPoly((-8, -2, -1, 1)))
