@@ -4,16 +4,19 @@ Exit codes: 0 success, 2 precondition violation (structured JSON on
 stderr), 3 resource cap, 64 usage. JSON reports by default; the two table
 commands (torsion table, construct sweep) emit CSV natively and accept
 --format json.
+
+The parser is the standard library's argparse, so start-up loads no
+command-line framework; every program module is still imported here at load.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import re
 import sys
-
-import click
 
 from .config import load_config
 from .construct import build_construction, mod2k_isotropy_probe, sweep
@@ -60,104 +63,89 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-@click.group()
-@click.option("--config", "config_path", default=None,
-              help="Path to a JSON config file (or set TORSIONFREE_CONFIG).")
-@click.pass_context
-def cli(ctx, config_path):
-    cfg, notes, defaulted = load_config(config_path)
-    ctx.obj = {"config": cfg, "notes": notes, "defaulted": defaulted}
+class UsageError(Exception):
+    """A command line the parser or a command refuses: exit 64."""
 
 
-def _config(ctx, *reads):
+class _HelpFormatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups,
+                          "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises UsageError instead of exiting, takes
+    only whole option names and no -h, and reads every number float() reads
+    as a value, "-1e3" and "-inf" too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False,
+                         formatter_class=_HelpFormatter, **kwargs)
+        # argparse's own pattern leaves "-1e3" and "-inf" to be option
+        # names; no option here starts with a digit, inf or nan
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)",
+                                                   re.IGNORECASE)
+        self.add_argument("--help", action="help",
+                          help="Show this message and exit.")
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _config(args, *reads):
     """The config, after the notes about the config file and a stderr
     warning for each constant in reads that is left at its illustrative
     default. Only commands that read a config value call this."""
-    for line in ctx.obj["notes"]:
-        click.echo(line, err=True)
+    cfg, notes, defaulted = args.config
+    for line in notes:
+        print(line, file=sys.stderr)
     for name in reads:
-        if name in ctx.obj["defaulted"]:
-            click.echo(ctx.obj["defaulted"][name], err=True)
-    return ctx.obj["config"]
+        if name in defaulted:
+            print(defaulted[name], file=sys.stderr)
+    return cfg
 
 
 # ------------------------------------------------------------------ field
 
-@cli.group()
-def field():
-    """Number-field analysis."""
-
-
-@field.command("analyze")
-@click.argument("polyfile")
-def field_analyze(polyfile):
-    K = make_field(read_poly_file(polyfile))
-    click.echo(dumps_report(K.to_json()), nl=False)
+def field_analyze(args):
+    K = make_field(read_poly_file(args.polyfile))
+    sys.stdout.write(dumps_report(K.to_json()))
 
 
 # ------------------------------------------------------------------ level
 
-@cli.group()
-def level():
-    """Torsion-free congruence levels."""
-
-
-@level.command("find")
-@click.argument("polyfile")
-@click.option("--dimg", type=int, required=True,
-              help="dim G, the exponent of the index bound.")
-@click.pass_context
-def level_find(ctx, polyfile, dimg):
-    cfg = _config(ctx)
-    K = make_field(read_poly_file(polyfile))
+def level_find(args):
+    cfg = _config(args)
+    K = make_field(read_poly_file(args.polyfile))
     unreliable: list[int] = []
-    lvl = find_congruence_level(K, dimg, scan_cap=cfg.prime_scan_cap,
+    lvl = find_congruence_level(K, args.dimg, scan_cap=cfg.prime_scan_cap,
                                 unreliable_out=unreliable)
     report = lvl.to_json()
     report["skipped_index_divisible"] = [str(q) for q in unreliable]
     report["paper_discrepancies"] = []
-    click.echo(dumps_report(report), nl=False)
+    sys.stdout.write(dumps_report(report))
 
 
 # -------------------------------------------------------------------- grh
 
-@cli.group()
-def grh():
-    """GRH-conditional analytics."""
-
-
-@grh.command("threshold")
-@click.option("--d", type=int, required=True, help="Field degree.")
-@click.option("--logd", type=float, required=True,
-              help="log of the field discriminant.")
-@click.pass_context
-def grh_threshold_cmd(ctx, d, logd):
-    cfg = _config(ctx)
-    rep = grh_threshold(d, logd, scan_cap=cfg.prime_scan_cap)
+def grh_threshold_cmd(args):
+    cfg = _config(args)
+    rep = grh_threshold(args.d, args.logd, scan_cap=cfg.prime_scan_cap)
     report = rep.to_json()
     report["paper_discrepancies"] = []
-    click.echo(dumps_report(report), nl=False)
+    sys.stdout.write(dumps_report(report))
 
 
 # ------------------------------------------------------------------ bound
 
-@cli.group()
-def bound():
-    """Index bounds for torsion-free subgroups."""
-
-
-@bound.command("grh")
-@click.option("--v", type=float, required=True, help="Covolume.")
-@click.option("--dimh", type=int, required=True, help="dim H.")
-@click.pass_context
-def bound_grh(ctx, v, dimh):
-    cfg = _config(ctx, "epsilon", "prasad_c1", "prasad_c2", "lemma_C")
-    val = volume_index_bound_grh(v, dimh, cfg.epsilon, cfg.prasad_c1,
-                                 cfg.prasad_c2, cfg.lemma_C)
+def bound_grh(args):
+    cfg = _config(args, "epsilon", "prasad_c1", "prasad_c2", "lemma_C")
+    val = volume_index_bound_grh(args.v, args.dimh, cfg.epsilon,
+                                 cfg.prasad_c1, cfg.prasad_c2, cfg.lemma_C)
     report = {
         "bound": mpf_str(val),
-        "v": mpf_str(v),
-        "dim_H": dimh,
+        "v": mpf_str(args.v),
+        "dim_H": args.dimh,
         "constants": {
             "epsilon": mpf_str(cfg.epsilon),
             "prasad_c1": mpf_str(cfg.prasad_c1),
@@ -165,45 +153,32 @@ def bound_grh(ctx, v, dimh):
             "lemma_C": mpf_str(cfg.lemma_C),
         },
     }
-    click.echo(dumps_report(report), nl=False)
+    sys.stdout.write(dumps_report(report))
 
 
-@bound.command("unconditional")
-@click.option("--d", type=int, required=True, help="Field degree.")
-@click.option("--dimh", type=int, required=True, help="dim H.")
-def bound_unconditional(d, dimh):
+def bound_unconditional(args):
     report = {
-        "bound": str(unconditional_index_bound(d, dimh)),
-        "d": d,
-        "dim_H": dimh,
+        "bound": str(unconditional_index_bound(args.d, args.dimh)),
+        "d": args.d,
+        "dim_H": args.dimh,
         "level": "3",
     }
-    click.echo(dumps_report(report), nl=False)
+    sys.stdout.write(dumps_report(report))
 
 
 # ---------------------------------------------------------------- torsion
 
-@cli.group()
-def torsion():
-    """Exact torsion orders and their closed-form bounds."""
-
-
-@torsion.command("table")
-@click.option("--nmax", type=int, required=True)
-@click.option("--d", type=int, default=1, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-def torsion_table(nmax, d, fmt):
-    if nmax < 1:
+def torsion_table(args):
+    if args.nmax < 1:
         raise PreconditionError("nmax must be >= 1")
-    profiles = [max_torsion_order(n, d) for n in range(1, nmax + 1)]
-    if fmt == "json":
+    profiles = [max_torsion_order(n, args.d) for n in range(1, args.nmax + 1)]
+    if args.fmt == "json":
         rows = []
         for prof in profiles:
             row = prof.to_json()
             row["stated_holds"] = prof.exact_max_order <= prof.paper_bound_stated
             rows.append(row)
-        click.echo(dumps_report({"rows": rows}), nl=False)
+        sys.stdout.write(dumps_report({"rows": rows}))
         return
     header = ("n", "d", "exact_max_order", "witness_orders",
               "stated_bound", "proof_bound", "stated_holds")
@@ -212,98 +187,156 @@ def torsion_table(nmax, d, fmt):
              prof.paper_bound_stated, prof.paper_bound_proof,
              _bool(prof.exact_max_order <= prof.paper_bound_stated))
             for prof in profiles]
-    click.echo(_csv_lines(header, rows), nl=False)
+    sys.stdout.write(_csv_lines(header, rows))
 
 
 # -------------------------------------------------------------- construct
 
-@cli.group(invoke_without_command=True)
-@click.option("--p", type=int, default=None, help="Odd prime >= 5.")
-@click.option("--probe-k", type=int, default=None,
-              help="Also run the mod-2^k isotropy probe.")
-@click.pass_context
-def construct(ctx, p, probe_k):
-    """Order-p lattice construction (or 'construct sweep')."""
-    if ctx.invoked_subcommand is not None:
-        return
-    if p is None:
-        raise click.UsageError("construct requires --p (or a subcommand)")
-    cfg = _config(ctx, "belolipetsky_a", "belolipetsky_b")
-    con = build_construction(p, a_const=cfg.belolipetsky_a,
+def construct(args):
+    if args.p is None:
+        raise UsageError("construct requires --p (or a subcommand)")
+    cfg = _config(args, "belolipetsky_a", "belolipetsky_b")
+    con = build_construction(args.p, a_const=cfg.belolipetsky_a,
                              b_const=cfg.belolipetsky_b)
     report = con.to_json()
-    if probe_k is not None:
-        sols = mod2k_isotropy_probe(con.c, probe_k)
+    if args.probe_k is not None:
+        sols = mod2k_isotropy_probe(con.c, args.probe_k)
         report["isotropy_probe"] = {
-            "k": probe_k,
+            "k": args.probe_k,
             "solution_count": len(sols),
             "solutions_sample": [[list(x), list(y), list(z)]
                                  for x, y, z in sols[:8]],
         }
-    click.echo(dumps_report(report), nl=False)
+    sys.stdout.write(dumps_report(report))
 
 
-@construct.command("sweep")
-@click.option("--pmax", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.pass_context
-def construct_sweep(ctx, pmax, fmt):
-    cfg = _config(ctx, "belolipetsky_a", "belolipetsky_b")
-    rows = sweep(pmax, a_const=cfg.belolipetsky_a, b_const=cfg.belolipetsky_b)
-    if fmt == "json":
+def construct_sweep(args):
+    cfg = _config(args, "belolipetsky_a", "belolipetsky_b")
+    rows = sweep(args.pmax, a_const=cfg.belolipetsky_a,
+                 b_const=cfg.belolipetsky_b)
+    if args.fmt == "json":
         out = [{"p": p, "disc": str(disc), "log_v_hat": mpf_str(lv),
                 "ratio": mpf_str(r)} for p, disc, lv, r in rows]
-        click.echo(dumps_report({"rows": out}), nl=False)
+        sys.stdout.write(dumps_report({"rows": out}))
         return
     header = ("p", "disc", "log_v_hat", "ratio")
     csv_rows = [(p, disc, mpf_str(lv), mpf_str(r)) for p, disc, lv, r in rows]
-    click.echo(_csv_lines(header, csv_rows), nl=False)
+    sys.stdout.write(_csv_lines(header, csv_rows))
 
 
 # ------------------------------------------------------------------ apply
 
-@cli.group()
-def apply():
-    """Asymptotic pipelines applied at concrete scales."""
-
-
-@apply.command("generators")
-@click.option("--v", type=float, required=True, help="Covolume.")
-@click.option("--alpha", type=float, required=True)
-@click.option("--c", type=float, required=True)
-@click.option("--form", "f_form", type=click.Choice(["power", "polylog"]),
-              default="power", show_default=True)
-def apply_generators(v, alpha, c, f_form):
-    val = generator_bound_pipeline(v, alpha, c, f_form=f_form)
+def apply_generators(args):
+    val = generator_bound_pipeline(args.v, args.alpha, args.c,
+                                   f_form=args.f_form)
     report = {
         "value": mpf_str(val),
-        "v": mpf_str(v),
-        "alpha": mpf_str(alpha),
-        "c": mpf_str(c),
-        "f_form": f_form,
+        "v": mpf_str(args.v),
+        "alpha": mpf_str(args.alpha),
+        "c": mpf_str(args.c),
+        "f_form": args.f_form,
     }
-    click.echo(dumps_report(report), nl=False)
+    sys.stdout.write(dumps_report(report))
+
+
+# ----------------------------------------------------------------- parser
+
+def _command(subparsers, name: str, run, help_: str | None = None):
+    cmd = subparsers.add_parser(name, help=help_, description=help_)
+    cmd.set_defaults(run=run)
+    return cmd
+
+
+def _format_option(cmd) -> None:
+    cmd.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                     default="csv", help="[default: csv]")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    top = _Parser(prog="torsionfree")
+    top.add_argument("--config", dest="config_path", default=None,
+                     metavar="PATH", help="Path to a JSON config file (or "
+                                          "set TORSIONFREE_CONFIG).")
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+
+    def group(name: str, help_: str):
+        return commands.add_parser(name, help=help_, description=help_) \
+            .add_subparsers(metavar="COMMAND", required=True)
+
+    cmd = _command(group("field", "Number-field analysis."), "analyze",
+                   field_analyze)
+    cmd.add_argument("polyfile")
+
+    cmd = _command(group("level", "Torsion-free congruence levels."), "find",
+                   level_find)
+    cmd.add_argument("polyfile")
+    cmd.add_argument("--dimg", type=int, required=True,
+                     help="dim G, the exponent of the index bound.")
+
+    cmd = _command(group("grh", "GRH-conditional analytics."), "threshold",
+                   grh_threshold_cmd)
+    cmd.add_argument("--d", type=int, required=True, help="Field degree.")
+    cmd.add_argument("--logd", type=float, required=True,
+                     help="log of the field discriminant.")
+
+    bound = group("bound", "Index bounds for torsion-free subgroups.")
+    cmd = _command(bound, "grh", bound_grh)
+    cmd.add_argument("--v", type=float, required=True, help="Covolume.")
+    cmd.add_argument("--dimh", type=int, required=True, help="dim H.")
+    cmd = _command(bound, "unconditional", bound_unconditional)
+    cmd.add_argument("--d", type=int, required=True, help="Field degree.")
+    cmd.add_argument("--dimh", type=int, required=True, help="dim H.")
+
+    cmd = _command(group("torsion", "Exact torsion orders and their "
+                                    "closed-form bounds."),
+                   "table", torsion_table)
+    cmd.add_argument("--nmax", type=int, required=True)
+    cmd.add_argument("--d", type=int, default=1, help="[default: 1]")
+    _format_option(cmd)
+
+    # construct runs on its own (--p) or through its one subcommand
+    con = _command(commands, "construct", construct,
+                   "Order-p lattice construction (or 'construct sweep').")
+    con.add_argument("--p", type=int, default=None, help="Odd prime >= 5.")
+    con.add_argument("--probe-k", type=int, default=None,
+                     help="Also run the mod-2^k isotropy probe.")
+    cmd = _command(con.add_subparsers(metavar="COMMAND"), "sweep",
+                   construct_sweep)
+    cmd.add_argument("--pmax", type=int, required=True)
+    _format_option(cmd)
+
+    cmd = _command(group("apply", "Asymptotic pipelines applied at concrete "
+                                  "scales."),
+                   "generators", apply_generators)
+    cmd.add_argument("--v", type=float, required=True, help="Covolume.")
+    cmd.add_argument("--alpha", type=float, required=True)
+    cmd.add_argument("--c", type=float, required=True)
+    cmd.add_argument("--form", dest="f_form", choices=("power", "polylog"),
+                     default="power", help="[default: power]")
+    return top
 
 
 # ------------------------------------------------------------- entrypoint
 
 def entrypoint(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, after printing the help
+            return exc.code
+        args.config = load_config(args.config_path)
+        args.run(args)
         return 0
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 64
     except ResourceCapError as exc:
-        click.echo(json.dumps({"error": {"type": "ResourceCapError",
-                                         "message": str(exc)}}), err=True)
+        print(json.dumps({"error": {"type": "ResourceCapError",
+                                    "message": str(exc)}}), file=sys.stderr)
         return 3
     except TorsionfreeError as exc:
-        click.echo(json.dumps({"error": {"type": exc.__class__.__name__,
-                                         "message": str(exc)}}), err=True)
+        print(json.dumps({"error": {"type": exc.__class__.__name__,
+                                    "message": str(exc)}}), file=sys.stderr)
         return 2
 
 

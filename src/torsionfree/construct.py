@@ -10,12 +10,14 @@ Newton-polygon slope (it does not certify anisotropy at 2), and the rotation
 
 is an exact isometry of the binary block [[1, w], [w, 1]] of order p.
 Everything a returned construction claims is checked in exact arithmetic.
-Floating point (mpmath) only guides: it sets the window of numerators that
-choose_T tries at each denominator, and it places the dyadic cells around
-the real embeddings of the cosine field, which make_cosine_field(p) builds
-once and every check reads. What decides is exact: the interval
-certificate, the Newton slope, the certified cells, signs by one root
-comparison, and integer field arithmetic for the isometry and order checks.
+Floating point only guides: double values (math.cos) set the window of
+numerators that choose_T tries at each denominator, and place the dyadic
+cells around the real embeddings of the cosine field, which
+make_cosine_field(p) builds once and every check reads. What decides is
+exact: the interval certificate, the Newton slope, the certified cells,
+signs by one root comparison, and integer field arithmetic for the isometry
+and order checks. mpmath computes only the reported volume estimates, when
+they are read.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-
-from mpmath import mp, mpf, workdps
+from math import ceil, cos, floor, pi
 
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime, primes_in_range
@@ -55,14 +56,22 @@ class LatticeConstruction:
     generator: tuple
     checks: dict
     disc_used: int
-    log_volume_estimate: object
+    a_const: float
+    b_const: float
+
+    @property
+    def log_volume_estimate(self):
+        """log v_hat from log_volume, computed when read."""
+        return log_volume(self.p, self.disc_used, self.a_const, self.b_const)
 
     def all_checks_pass(self) -> bool:
         return all(self.checks[name] for name in CHECK_NAMES)
 
     def to_json(self) -> dict:
+        from mpmath import mpf, workdps
         with workdps(30):
             formula = mpf(self.p) ** (mpf(self.p - 2) / 2)
+        log_v_hat = self.log_volume_estimate
         exponent_matches = self.disc_used == self.p ** ((self.p - 3) // 2)
         discrepancies = [
             "published discriminant formula p^((p-2)/2) = "
@@ -91,9 +100,8 @@ class LatticeConstruction:
                 (self.p - 2) % 2 == 0
                 and self.disc_used == self.p ** ((self.p - 2) // 2)),
             "disc_matches_observed_exponent": exponent_matches,
-            "log_volume_estimate": mpf_str(self.log_volume_estimate),
-            "lower_bound_ratio": mpf_str(
-                lower_bound_ratio(self.p, self.log_volume_estimate)),
+            "log_volume_estimate": mpf_str(log_v_hat),
+            "lower_bound_ratio": mpf_str(lower_bound_ratio(self.p, log_v_hat)),
             "paper_discrepancies": discrepancies,
         }
 
@@ -158,14 +166,29 @@ def archimedean_ok(c: FieldElement) -> bool:
     return ident == 1 and all(s == -1 for s in others)
 
 
+def _T_windows(p: int) -> tuple[int, list[range]]:
+    """(last, windows): the last denominator exponent choose_T needs, and
+    for each j <= last the numerators it tries over 2^j. Those are the ones
+    that double values of the interval (lo, hi) = (-cos 2pi/p, -cos 3pi/p)
+    put inside, with one more on each side as slack. A double is within
+    1e-15 of lo and hi, and 2^last < p^2, so lo * 2^j and hi * 2^j are far
+    closer than the one numerator of slack."""
+    lo, hi = -cos(2 * pi / p), -cos(3 * pi / p)
+    last = 3
+    while 2**last * (hi - lo) <= 2:
+        last += 2
+    return last, [range(floor(lo * 2**j) - 1, ceil(hi * 2**j) + 2)
+                  for j in range(last + 1)]
+
+
 def choose_T(p: int) -> Fraction:
     """First T = a/2^j (j ascending, then |a| ascending, + before -) inside
     the cosine interval that also passes the 2-adic test.
 
-    For each j only the odd numerators that an mpmath value of the interval
-    (lo, hi) = (-cos 2pi/p, -cos 3pi/p) puts inside are tried, with one more
-    on each side as slack; interval_certificate and two_adic_condition
-    still decide every candidate.
+    For each j only the numerators of _T_windows are tried, those that a
+    double value of the interval puts inside plus one of slack on each side;
+    interval_certificate and two_adic_condition still decide every
+    candidate.
 
     The search ends at the first odd j >= 3 with 2^j (hi - lo) > 2. That
     window holds two consecutive integers, so an odd a with a/2^j inside
@@ -176,15 +199,7 @@ def choose_T(p: int) -> Fraction:
     _require_construction_prime(p)
     field = make_cosine_field(p)
     half = Fraction(1, 2)
-    # 2^last < p^2 has fewer than p.bit_length() digits, so 30 more put
-    # lo * 2^j and hi * 2^j far closer than the one numerator of slack
-    with workdps(30 + p.bit_length()):
-        lo, hi = -mp.cos(2 * mp.pi / p), -mp.cos(3 * mp.pi / p)
-        last = 3
-        while 2**last * (hi - lo) <= 2:
-            last += 2
-        windows = [range(int(mp.floor(lo * 2**j)) - 1,
-                         int(mp.ceil(hi * 2**j)) + 2) for j in range(last + 1)]
+    last, windows = _T_windows(p)
     for j, window in enumerate(windows):
         den = 1 << j
         # |T| < 1 always, the interval lies in (-1, 1)
@@ -246,20 +261,26 @@ def form_preservation_check(g, gram) -> bool:
 
 # ------------------------------------------------------------------ volume
 
+def _check_volume_inputs(p: int, disc: int, a_const, b_const) -> None:
+    """Positive constants, and disc <= p^p: log disc <= p log p in integers."""
+    if a_const <= 0 or b_const <= 0:
+        raise PreconditionError("volume constants must be positive")
+    if disc > p**p:
+        raise TorsionfreeError(f"log disc exceeds p log p at p = {p}")
+
+
 def log_volume(p: int, disc: int, a_const, b_const):
     """log v_hat = log a + b log disc for the discriminant disc of the
     conductor-p field; refuses log disc > p log p."""
-    if a_const <= 0 or b_const <= 0:
-        raise PreconditionError("volume constants must be positive")
+    _check_volume_inputs(p, disc, a_const, b_const)
+    from mpmath import mp, mpf, workdps
     with workdps(30):
-        log_disc = mp.log(mpf(disc))
-        if log_disc > p * mp.log(p):
-            raise TorsionfreeError(f"log disc exceeds p log p at p = {p}")
-        return mp.log(mpf(a_const)) + mpf(b_const) * log_disc
+        return mp.log(mpf(a_const)) + mpf(b_const) * mp.log(mpf(disc))
 
 
 def lower_bound_ratio(p: int, log_v_hat):
     """p log(log v) / log v: the index lower bound exhibited at volume v."""
+    from mpmath import mp, mpf, workdps
     with workdps(30):
         lv = mpf(log_v_hat)
         if lv <= 1:
@@ -342,10 +363,10 @@ def build_construction(p: int, a_const=1.0,
         "form_preserved": form_preservation_check(g, gram),
         "order_verified": verify_order(g, p),
     }
-    log_v_hat = log_volume(p, disc, a_const, b_const)
+    _check_volume_inputs(p, disc, a_const, b_const)
     return LatticeConstruction(p=p, field=field, T=T, c=c, gram=gram,
                                generator=g, checks=checks, disc_used=disc,
-                               log_volume_estimate=log_v_hat)
+                               a_const=a_const, b_const=b_const)
 
 
 def sweep(pmax: int, a_const=1.0, b_const=1.0) -> list:

@@ -10,17 +10,16 @@ V_{k+1} = x V_k - V_{k-1}).  Psi_N is monic with integer coefficients of
 degree phi(N)/2, and 2cos(2pi k/N) for gcd(k, N) = 1 are exactly its roots.
 
 Those roots are known in closed form, so isolate_two_cos_roots places an
-isolating interval around each from an mpmath value and then certifies the
-intervals in exact integer arithmetic; no Sturm sequence is needed.
+isolating interval around each from a floating-point value (math.cos) and
+then certifies the intervals in exact arithmetic; the float only guides, the
+exact check decides, and no Sturm sequence is needed unless it fails.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd
-
-from mpmath import mp, workdps
+from math import cos, floor, gcd, pi
 
 from ..errors import PreconditionError
 from ..ntheory import is_prime
@@ -86,23 +85,31 @@ def _cells_certified(f: IntPoly, cells: list[int], k: int) -> bool:
     return all(signs[m] * signs[m + 1] == -1 for m in cells)
 
 
+def _guide_cells(n: int) -> list[int]:
+    """The m with 2cos(2pi k/n) in [m, m + 1] / 2^CELL_BITS by a double
+    value, for gcd(k, n) = 1, ascending. A guess: the root sits about 1e-15
+    from its double, so only a root that close to a cell end can be placed in
+    the wrong cell, and _cells_certified then refuses the cells."""
+    scale = 1 << CELL_BITS
+    return sorted(floor(2 * cos(2 * pi * k / n) * scale)
+                  for k in range(1, n // 2 + 1) if gcd(k, n) == 1)
+
+
 def isolate_two_cos_roots(n: int) -> list[Interval]:
     """Isolating intervals for the roots 2cos(2pi k/n), gcd(k, n) = 1, of
     minpoly_two_cos_conductor(n), ascending, as isolate_real_roots returns
     them.
 
-    Each root gets the dyadic cell [m, m + 1] / 2^CELL_BITS around a 30-digit
-    mpmath value, and _cells_certified checks the cells in exact arithmetic.
-    Should that check fail, the Sturm route isolate_real_roots answers
-    instead: an uncertified interval is never returned.
+    Each root gets the dyadic cell [m, m + 1] / 2^CELL_BITS of _guide_cells,
+    and _cells_certified checks the cells in exact arithmetic. Should that
+    check fail, the Sturm route isolate_real_roots answers instead: an
+    uncertified interval is never returned.
     """
     f = minpoly_two_cos_conductor(n)
     if f.degree == 1:  # n = 3, 4, 6: the root is an integer
         return isolate_real_roots(f)
     scale = 1 << CELL_BITS
-    with workdps(30):
-        cells = sorted(int(mp.floor(2 * mp.cos(2 * mp.pi * k / n) * scale))
-                       for k in range(1, n // 2 + 1) if gcd(k, n) == 1)
+    cells = _guide_cells(n)
     if not _cells_certified(f, cells, CELL_BITS):
         return isolate_real_roots(f)
     return [(Fraction(m, scale), Fraction(m + 1, scale)) for m in cells]

@@ -2,14 +2,13 @@
 
 Every command emits one JSON document built here so the bytes are stable:
 keys sorted, floats printed through mpmath at a fixed 17 significant digits,
-big integers as decimal strings.
+big integers as decimal strings. mpmath is imported by the first number
+printed, so a report without one never loads it.
 """
 
 from __future__ import annotations
 
 import json
-
-from mpmath import mpf, nstr, workdps
 
 from . import __version__
 
@@ -17,6 +16,7 @@ GENERATED_BY = f"torsionfree {__version__}"
 
 
 def mpf_str(x) -> str:
+    from mpmath import mpf, nstr, workdps
     with workdps(30):
         return nstr(mpf(x), 17)
 

@@ -1,7 +1,8 @@
 """Torsion-free congruence level selection and the analytic index bounds.
 
 The congruence-level search is exact; the GRH threshold and the volume
-bounds are numeric (mpmath at 30 significant digits). No unstated constant
+bounds are numeric (mpmath at 30 significant digits, imported by the
+functions that compute them, so a level search never loads it). No unstated constant
 is invented: the error term's 13 and the unconditional level 3 are the only
 fixed numbers, and everything configurable defaults to documented
 illustrative values supplied by the caller.
@@ -10,8 +11,6 @@ illustrative values supplied by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from mpmath import mp, mpf, workdps
 
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime
@@ -130,6 +129,7 @@ def logarithmic_integral(x):
     _DPS significant digits."""
     if x < 2:
         raise PreconditionError("Li is taken from 2; need x >= 2")
+    from mpmath import mp, mpf, workdps
     with workdps(_DPS):
         return mp.li(mpf(x), offset=True)
 
@@ -138,12 +138,14 @@ def li_lower_surrogate(x):
     """The elementary lower-bound surrogate x / log x."""
     if x < 2:
         raise PreconditionError("need x >= 2")
+    from mpmath import mp, mpf, workdps
     with workdps(_DPS):
         return mpf(x) / mp.log(x)
 
 
 def _finite(name: str, value):
     """value as an mpf; PreconditionError when it is nan or infinite."""
+    from mpmath import mp, mpf
     vm = mpf(value)
     if not mp.isfinite(vm):
         raise PreconditionError(f"{name} must be finite, got {value}")
@@ -156,6 +158,7 @@ def grh_error(x, d: int, log_D):
         raise PreconditionError("need x >= 2")
     if d < 1:
         raise PreconditionError("degree must be >= 1")
+    from mpmath import mp, mpf, workdps
     with workdps(_DPS):
         xm = mpf(x)
         return ERR_CONSTANT * mp.sqrt(xm) * (mpf(log_D) + d * mp.log(xm))
@@ -175,6 +178,7 @@ def grh_threshold(d: int, log_D, field: NumberField | None = None,
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
+    from mpmath import mpf, workdps
     with workdps(_DPS):
         if _finite("log_D", log_D) < 0:
             raise PreconditionError("log_D must be >= 0")
@@ -221,6 +225,7 @@ def volume_index_bound_grh(v, dim_H: int, epsilon, prasad_c1, prasad_c2, lemma_C
     """lemma_C * ((c1 + c2) log v)^((2 + eps) dim H), the volume-only form."""
     if dim_H < 1:
         raise PreconditionError("dim_H must be >= 1")
+    from mpmath import mp, workdps
     with workdps(_DPS):
         vm = _finite("v", v)
         if vm <= mp.e:
@@ -233,6 +238,7 @@ def volume_index_bound_grh(v, dim_H: int, epsilon, prasad_c1, prasad_c2, lemma_C
 
 def generator_bound_pipeline(v, alpha, c, f_form: str = "power"):
     """(f(v log^c v) + log log v) / v with f(u) = u^(1-alpha) or (log u)^alpha."""
+    from mpmath import mp, workdps
     with workdps(_DPS):
         vm = _finite("v", v)
         if vm <= mp.e ** mp.e:

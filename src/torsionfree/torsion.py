@@ -15,8 +15,6 @@ from functools import reduce
 from math import lcm
 from operator import add, mul
 
-from mpmath import mp, mpf, workdps
-
 from .errors import PreconditionError, ResourceCapError
 from .ntheory import factorize, primes_upto
 from .polyalg import IntPoly, cyclotomic_poly
@@ -224,6 +222,7 @@ def matrix_order_is(M, ell: int) -> bool:
 
 def torsion_order_volume_bound(v, c1, c2):
     """c1 (log v)^c2, the order bound at volume v."""
+    from mpmath import mp, mpf, workdps
     with workdps(30):
         vm = mpf(v)
         if vm <= mp.e:
@@ -238,6 +237,7 @@ def finite_subgroup_bound(v, n: int, jordan_index, c1, c2):
         raise PreconditionError("n must be >= 1")
     if jordan_index < 1:
         raise PreconditionError("jordan_index must be >= 1")
+    from mpmath import mp, mpf, workdps
     with workdps(30):
         vm = mpf(v)
         if vm <= mp.e:

@@ -6,10 +6,13 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath as mp
+
 import jsonschema
 import pytest
 
 from conftest import DATA, GOLDEN, child_env, run_cli
+from torsionfree.cli import entrypoint
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "torsionfree" / "schemas" /
@@ -335,3 +338,121 @@ class TestProbeReport:
     def test_no_probe_block_without_flag(self):
         _c, out, _e = run_cli("construct", "--p", "5")
         assert "isotropy_probe" not in json.loads(out)["report"]
+
+
+class TestParser:
+    COMMANDS = [[], ["field"], ["field", "analyze"], ["level"],
+                ["level", "find"], ["grh"], ["grh", "threshold"], ["bound"],
+                ["bound", "grh"], ["bound", "unconditional"], ["torsion"],
+                ["torsion", "table"], ["construct"], ["construct", "sweep"],
+                ["apply"], ["apply", "generators"]]
+
+    @pytest.mark.parametrize("command", COMMANDS,
+                             ids=lambda c: " ".join(c) or "top")
+    def test_help(self, command, capsys):
+        assert entrypoint([*command, "--help"]) == 0
+        assert "Usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        ["torsion", "table", "--nmax", "3", "--format", "xml"],
+        ["construct", "sweep", "--pmax", "13", "--format", "yaml"],
+        ["torsion", "table", "--nmax", "2.5"],
+        ["torsion", "table", "--nmax", "three"],
+        ["construct", "sweep"],
+        ["grh", "threshold", "--d", "1"],
+        ["construct"],
+        ["construct", "--probe-k", "2"],
+        ["torsion", "table", "--nm", "3"],
+        ["-h"],
+    ], ids=lambda a: " ".join(a))
+    def test_usage_error_is_64(self, args, capsys):
+        assert entrypoint(args) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["grh", "threshold", "--d", "1", "--logd", "-1e3"],
+        ["grh", "threshold", "--d", "1", "--logd", "-inf"],
+        ["bound", "grh", "--v", "-1E2", "--dimh", "3"],
+    ], ids=lambda a: " ".join(a))
+    def test_negative_numbers_are_values(self, args, capsys):
+        """Parsed as the option's value and refused by the domain check
+        (exit 2), not taken for an unknown option (exit 64)."""
+        assert entrypoint(args) == 2
+        err = capsys.readouterr().err
+        error = json.loads(err.splitlines()[-1])["error"]
+        assert error["type"] == "PreconditionError"
+
+    def test_config_before_subcommand_is_read(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"belolipetsky_a": 2.0}))
+        code, out, err = run_cli("--config", str(cfg), "construct", "--p", "5")
+        assert code == 0
+        with mp.workdps(30):
+            want = mp.nstr(mp.log(2) + mp.log(5), 17)
+        assert json.loads(out)["report"]["log_volume_estimate"] == want
+        assert "belolipetsky_a" not in err
+        assert "belolipetsky_b" in err
+
+
+LOADED_SCRIPT = """
+import contextlib, io, sys
+with contextlib.redirect_stdout(io.StringIO()):
+{body}
+print(" ".join(m for m in ("click", "mpmath", "numpy") if m in sys.modules))
+"""
+
+
+def loaded_modules(*lines):
+    """Which of click, mpmath and numpy a fresh interpreter has loaded after
+    running lines (with stdout discarded)."""
+    body = "\n".join("    " + line for line in lines)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_SCRIPT.format(body=body)],
+        capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def golden_lines(names):
+    return ["from torsionfree.cli import entrypoint"] + [
+        f"assert entrypoint({GOLDEN_CASES[name]!r}) == 0" for name in names]
+
+
+class TestImportCost:
+    """Start-up loads no command-line framework, and mpmath only where a
+    number is computed with it; the checks run in fresh interpreters."""
+
+    MPMATH_FREE = ("level_find_q.json", "field_analyze_sqrt2.json",
+                   "bound_unconditional.json", "torsion_table_n6.csv",
+                   "torsion_table_n4.json")
+
+    def test_cli_import(self):
+        assert loaded_modules("import torsionfree.cli") == set()
+
+    def test_mpmath_free_commands(self):
+        assert loaded_modules(*golden_lines(self.MPMATH_FREE)) == set()
+
+    def test_golden_commands_load_no_numpy(self):
+        assert loaded_modules(*golden_lines(sorted(GOLDEN_CASES))) == \
+            {"mpmath"}
+
+    def test_cosine_pipeline(self):
+        assert "mpmath" not in loaded_modules(
+            "from torsionfree.construct import build_construction",
+            "from torsionfree.numfield import count_prime_ideals, "
+            "make_cosine_field",
+            "from torsionfree.selberg import find_congruence_level",
+            "K = make_cosine_field(11)",
+            "find_congruence_level(K, 3)",
+            "assert build_construction(11).all_checks_pass()",
+            "count_prime_ideals(K, 10**5)")
+
+    def test_generic_pipeline(self):
+        assert "mpmath" not in loaded_modules(
+            "from torsionfree.numfield import count_prime_ideals, make_field",
+            "from torsionfree.selberg import find_congruence_level",
+            "K = make_field((2, -2, 0, 2, 1))",
+            "find_congruence_level(K, 3)",
+            "count_prime_ideals(K, 2000)")

@@ -81,6 +81,24 @@ class TestChooseT:
         with pytest.raises(PreconditionError):
             choose_T(511)
 
+    @staticmethod
+    def mpmath_windows(p):
+        """last and the numerator windows from mpmath values of the interval
+        at 30 + p.bit_length() digits: the oracle for construct._T_windows."""
+        with mp.workdps(30 + p.bit_length()):
+            lo, hi = -mp.cos(2 * mp.pi / p), -mp.cos(3 * mp.pi / p)
+            last = 3
+            while 2**last * (hi - lo) <= 2:
+                last += 2
+            return last, [range(int(mp.floor(lo * 2**j)) - 1,
+                                int(mp.ceil(hi * 2**j)) + 2)
+                          for j in range(last + 1)]
+
+    def test_double_windows_match_mpmath(self):
+        wrong = [p for p in primes_in_range(5, 1010)
+                 if construct._T_windows(p) != self.mpmath_windows(p)]
+        assert wrong == []
+
     def test_odd_composite_rejected(self):
         with pytest.raises(PreconditionError):
             choose_T(9)
@@ -341,6 +359,27 @@ class TestVolumeEstimate:
         # log 5^6 exceeds 5 log 5
         with pytest.raises(TorsionfreeError):
             log_volume(5, 5**6, 1.0, 1.0)
+
+    @pytest.mark.parametrize("p", [5, 101, 503])
+    def test_disc_growth_guard_boundary(self, p):
+        """disc = p^p passes and p^p + 1 is refused. A 30-digit comparison
+        of the logs accepted p^p + 1 at p = 101 and 503."""
+        with mp.workdps(30):
+            assert mp.nstr(log_volume(p, p**p, 1.0, 1.0), 20) == \
+                mp.nstr(p * mp.log(p), 20)
+        with pytest.raises(TorsionfreeError):
+            log_volume(p, p**p + 1, 1.0, 1.0)
+
+    def test_estimate_computed_when_read(self, monkeypatch):
+        con = build_construction(5, a_const=2.0)
+        with mp.workdps(30):
+            assert mp.nstr(con.log_volume_estimate, 20) == \
+                mp.nstr(mp.log(2) + mp.log(5), 20)
+        calls = []
+        monkeypatch.setattr(construct, "log_volume",
+                            lambda *args: calls.append(args) or 1)
+        assert con.log_volume_estimate == 1
+        assert calls == [(5, 5, 2.0, 1.0)]
 
     def test_domain(self):
         with pytest.raises(PreconditionError):

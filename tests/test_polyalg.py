@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
@@ -440,6 +441,26 @@ class TestSturmIsolation:
 TWO_COS_CONDUCTORS = list(range(3, 121)) + \
     [2 * p for p in primes_in_range(61, 84)]
 
+# the double guide values are checked against 30-digit mpmath cells at every
+# conductor up to 600 and every prime up to 1009; isolating the roots costs
+# about p^3, 70 s over that range, so the whole isolation is compared on
+# TWO_COS_CONDUCTORS and two large construction primes only
+GUIDE_CONDUCTORS = list(range(5, 601)) + primes_in_range(601, 1010)
+
+
+def mpmath_cells(n):
+    """The cells of the roots of minpoly_two_cos_conductor(n) from 30-digit
+    mpmath values: the oracle for the double guide values."""
+    scale = 1 << cyclotomic.CELL_BITS
+    with mp.workdps(30):
+        return sorted(int(mp.floor(2 * mp.cos(2 * mp.pi * k / n) * scale))
+                      for k in range(1, n // 2 + 1) if gcd(k, n) == 1)
+
+
+def cells_as_intervals(cells):
+    scale = 1 << cyclotomic.CELL_BITS
+    return [(Fraction(m, scale), Fraction(m + 1, scale)) for m in cells]
+
 
 class TestTwoCosRoots:
     @pytest.mark.parametrize("n", TWO_COS_CONDUCTORS)
@@ -450,6 +471,8 @@ class TestTwoCosRoots:
             # the closed form must certify itself, without the Sturm fallback
             monkeypatch.setattr(cyclotomic, "isolate_real_roots", None)
         got = isolate_two_cos_roots(n)
+        if f.degree > 1:
+            assert got == cells_as_intervals(mpmath_cells(n))
         assert len(got) == len(want) == f.degree
         for (a, b), (c, d) in zip(got, want):
             assert max(a, c) <= min(b, d), (n, (a, b), (c, d))
@@ -467,6 +490,15 @@ class TestTwoCosRoots:
         assert not cyclotomic._cells_certified(f, cells[:-1], k)
         merged = cells[:1] + cells[:-1]
         assert not cyclotomic._cells_certified(f, merged, k)
+
+    def test_guide_cells_match_mpmath(self):
+        wrong = [n for n in GUIDE_CONDUCTORS
+                 if cyclotomic._guide_cells(n) != mpmath_cells(n)]
+        assert wrong == []
+
+    @pytest.mark.parametrize("p", [401, 503])
+    def test_large_prime_cells_are_the_mpmath_cells(self, p):
+        assert isolate_two_cos_roots(p) == cells_as_intervals(mpmath_cells(p))
 
     def test_refused_guess_falls_back(self, monkeypatch):
         monkeypatch.setattr(cyclotomic, "_cells_certified", lambda *a: False)
