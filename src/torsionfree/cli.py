@@ -117,11 +117,8 @@ def field_analyze(args):
 def level_find(args):
     cfg = _config(args)
     K = make_field(read_poly_file(args.polyfile))
-    unreliable: list[int] = []
-    lvl = find_congruence_level(K, args.dimg, scan_cap=cfg.prime_scan_cap,
-                                unreliable_out=unreliable)
+    lvl = find_congruence_level(K, args.dimg, scan_cap=cfg.prime_scan_cap)
     report = lvl.to_json()
-    report["skipped_index_divisible"] = [str(q) for q in unreliable]
     report["paper_discrepancies"] = []
     sys.stdout.write(dumps_report(report))
 

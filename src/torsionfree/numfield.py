@@ -6,11 +6,11 @@ Course in Computational Algebraic Number Theory, GTM 138, 4.2); a product
 multiplies the numerators in Z[x] and reduces by the monic f (mul_mod), and
 no Fraction is built until .rep asks for the rational coefficients.
 
-Splitting of rational primes is only trusted away from index-dividing primes.
-dedekind_index_primes runs Dedekind's criterion once for each prime whose
-square divides the polynomial discriminant; make_field keeps the primes that
-fail it as index_primes, and the monogenic_certified flag records whether
-the full discriminant is known. Real embeddings are isolating intervals,
+Splitting of rational primes is only read from f mod p away from the primes
+that may divide [O : Z[theta]]. dedekind_index_primes runs Dedekind's
+criterion once for each prime whose square divides the polynomial
+discriminant; make_field keeps the primes that fail it as index_primes, the
+one record of that decision. Real embeddings are isolating intervals,
 ordered by ascending embedding value.
 
 Library-built cosine fields Q(2cos(2pi/n)) carry their conductor n and are
@@ -52,13 +52,16 @@ class NumberField:
     defining_poly: IntPoly
     degree: int
     disc_poly: int
-    field_disc: int | None          # None when monogenicity is not certified
-    monogenic_certified: bool
     real_embeddings: tuple[tuple[Fraction, Fraction], ...]
     conductor: int | None = None    # set for fields built by make_cosine_field
     # primes that may divide [O : Z[theta]]: those q with q^2 | disc_poly
     # that fail Dedekind's criterion, decided once by make_field
     index_primes: tuple[int, ...] = ()
+
+    @property
+    def field_disc(self) -> int | None:
+        """disc_poly when no prime may divide the index, else None."""
+        return None if self.index_primes else self.disc_poly
 
     def element(self, coeffs) -> "FieldElement":
         c = [Fraction(x) for x in coeffs]
@@ -79,7 +82,7 @@ class NumberField:
             "degree": self.degree,
             "disc_poly": str(self.disc_poly),
             "field_disc": None if self.field_disc is None else str(self.field_disc),
-            "monogenic": self.monogenic_certified,
+            "monogenic": not self.index_primes,
         }
 
 
@@ -166,20 +169,6 @@ class FieldElement:
         return hash((self.owner.defining_poly, self.num, self.den))
 
 
-@dataclass(frozen=True)
-class PrimeSplit:
-    p: int
-    factors: tuple[tuple[int, int], ...]  # (e_i, f_i), ordered by (f_i, e_i)
-    index_divisible: bool
-
-    def to_json(self) -> dict:
-        return {
-            "p": str(self.p),
-            "factors": [[e, f] for e, f in self.factors],
-            "index_divisible": self.index_divisible,
-        }
-
-
 def _dedekind_index_test(f: IntPoly, p: int) -> bool:
     """True when p does NOT divide the index [O : Z[theta]]."""
     factors = factor_mod_p(f, p)
@@ -221,7 +210,8 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
 
     conductor = n declares f the minimal polynomial of 2cos(2pi/n), which is
     checked; it makes the closed-form embeddings and the abelian splitting
-    law available.
+    law available. Z[2cos(2pi/n)] is the maximal order (Washington, Prop.
+    2.16), so an index prime found there raises TorsionfreeError.
     """
     if not isinstance(f, IntPoly):
         f = IntPoly(tuple(int(c) for c in f))
@@ -243,12 +233,14 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
                              for lo, hi in cells):
         raise PreconditionError("defining polynomial has a rational root")
     index_primes = dedekind_index_primes(f, disc)
+    if conductor is not None and index_primes:
+        raise TorsionfreeError(
+            f"{index_primes[0]} divides the index of Z[2cos(2pi/{conductor})], "
+            "which is the maximal order")
     return NumberField(
         defining_poly=f,
         degree=f.degree,
         disc_poly=disc,
-        field_disc=None if index_primes else disc,
-        monogenic_certified=not index_primes,
         real_embeddings=tuple(cells),
         conductor=conductor,
         index_primes=index_primes,
@@ -294,26 +286,24 @@ def _charpoly_linear(f: IntPoly, a: int, b: int, den: int) -> tuple[Fraction, ..
     return tuple(Fraction(h[k], den ** (d - k)) for k in range(d + 1))
 
 
-def dedekind_split(K: NumberField, p: int) -> PrimeSplit:
-    """Shape of p * O via factoring the defining polynomial mod p.
-
-    index_divisible = True marks the one unreliable case (p may divide
-    [O : Z[theta]]); consumers skip such primes and report them. In a
-    certified cosine field of conductor n, a prime p not dividing n is
-    unramified with the inertia degree _inertia_degree reads from p mod n,
-    so no factorisation is needed.
+def dedekind_split(K: NumberField, p: int) -> tuple[tuple[int, int], ...]:
+    """Shape of p * O as (e_i, f_i) pairs ordered by (f_i, e_i), read from
+    the defining polynomial mod p; an index prime of K, where that reading
+    fails, raises PreconditionError. In a cosine field of conductor n, a
+    prime p not dividing n is unramified with the inertia degree
+    _inertia_degree reads from p mod n, so no factorisation is needed.
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
+    if p in K.index_primes:
+        raise PreconditionError(f"{p} may divide the index [O : Z[theta]]")
     n = K.conductor
-    if n is not None and K.monogenic_certified and n % p:
+    if n is not None and n % p:
         f = _inertia_degree(p % n, n)
-        return PrimeSplit(p=p, factors=((1, f),) * (K.degree // f),
-                          index_divisible=False)
+        return ((1, f),) * (K.degree // f)
     factors = factor_mod_p(K.defining_poly, p)
-    efs = tuple(sorted(((e, g.degree) for g, e in factors),
-                       key=lambda t: (t[1], t[0])))
-    return PrimeSplit(p=p, factors=efs, index_divisible=p in K.index_primes)
+    return tuple(sorted(((e, g.degree) for g, e in factors),
+                        key=lambda t: (t[1], t[0])))
 
 
 @cache
@@ -331,41 +321,36 @@ def _inertia_degree(c: int, n: int) -> int:
 
 def count_prime_ideals(K: NumberField, x: int,
                        unreliable_out: list[int] | None = None) -> int:
-    """Exact number of prime ideals of norm <= x.
+    """Exact number of prime ideals of norm <= x above no index prime of K.
 
-    Primes whose splitting is unreliable (index-divisible) are excluded from
-    the count and appended to unreliable_out instead of silently dropped.
-    For library-built cosine fields the abelian splitting law replaces
-    per-prime factorization; both routes agree on their common domain.
+    The index primes q <= x are appended, ascending, to unreliable_out
+    instead of silently dropped. For library-built cosine fields the abelian
+    splitting law replaces per-prime factorization; both routes agree on
+    their common domain.
     """
+    if unreliable_out is not None:
+        unreliable_out.extend(q for q in K.index_primes if q <= x)
     if x < 2:
         return 0
-    if K.conductor is not None and K.monogenic_certified:
+    if K.conductor is not None:
         return _count_abelian(K, x)
-    return _count_generic(K, x, unreliable_out)
+    return _count_generic(K, x)
 
 
-def _count_generic(K: NumberField, x: int,
-                   unreliable_out: list[int] | None) -> int:
+def _count_generic(K: NumberField, x: int) -> int:
     B = isqrt(x)
     total = 0
     for p in primes_upto(B):
-        sp = dedekind_split(K, p)
-        if sp.index_divisible:
-            if unreliable_out is not None:
-                unreliable_out.append(p)
-            continue
-        total += sum(1 for e, f in sp.factors if p**f <= x)
+        if p not in K.index_primes:
+            total += sum(1 for e, f in dedekind_split(K, p) if p**f <= x)
     if x > B:
         if x + 1 > (1 << 31):
             raise ResourceCapError("prime scan exceeds the kernel range (2^31)")
         total += _kernels.poly_root_count_over_primes(K.defining_poly.coeffs, B + 1, x + 1)
-        # the straight root count is only wrong at index-divisible primes
+        # the straight root count is only wrong at index primes
         for q in K.index_primes:
             if B < q <= x:
                 total -= len(roots_mod_p(K.defining_poly, q))
-                if unreliable_out is not None:
-                    unreliable_out.append(q)
     return total
 
 
@@ -385,11 +370,7 @@ def _count_abelian(K: NumberField, x: int) -> int:
     B = isqrt(x)
     total = 0
     for q in factorize(n):
-        sp = dedekind_split(K, q)
-        if sp.index_divisible:
-            raise TorsionfreeError(
-                f"{q} divides the index of a certified cosine field")
-        total += sum(1 for e, f in sp.factors if q**f <= x)
+        total += sum(1 for e, f in dedekind_split(K, q) if q**f <= x)
     for q in primes_upto(B):
         if n % q:
             f = _inertia_degree(q % n, n)

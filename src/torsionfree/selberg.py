@@ -33,6 +33,8 @@ class CongruenceLevel:
     torsion_free_certificate: bool
     index_bound: int
     dim_G: int
+    # index primes of the field that the scan passed over, ascending
+    skipped_index_divisible: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
@@ -43,6 +45,7 @@ class CongruenceLevel:
             "torsion_free_certificate": self.torsion_free_certificate,
             "index_bound": str(self.index_bound),
             "dim_G": self.dim_G,
+            "skipped_index_divisible": [str(q) for q in self.skipped_index_divisible],
         }
 
 
@@ -83,19 +86,20 @@ def kionke_criterion(q: int, e: int) -> bool:
     return e <= q - 2
 
 
-def find_congruence_level(K: NumberField, dim_G: int, scan_cap: int = 10**6,
-                          unreliable_out: list[int] | None = None) -> CongruenceLevel:
+def find_congruence_level(K: NumberField, dim_G: int,
+                          scan_cap: int = 10**6) -> CongruenceLevel:
     """Smallest-norm prime ideal giving a torsion-free congruence level.
 
     Scans rational primes in increasing order, in blocks of 64 integers,
     splits each, and keeps the minimal passing norm; ties go to smaller q,
     then smaller inertia. The scan stops after the block in which no
     unscanned prime can beat the best norm any more, or raises when the cap
-    is hit first.
+    is hit first. Index primes of K are skipped, not split, and reported.
     """
     if dim_G < 1:
         raise PreconditionError("dim_G must be >= 1")
     best: tuple[int, int, int, int] | None = None  # (norm, q, f, e)
+    skipped: list[int] = []
     lo = 2
     block_span = 64
     while best is None or lo <= best[0]:
@@ -106,12 +110,10 @@ def find_congruence_level(K: NumberField, dim_G: int, scan_cap: int = 10**6,
         # is_prime bounds a block's cost by its 64 members; a sieve of the
         # block would first list every prime below sqrt(hi)
         for q in filter(is_prime, range(lo, hi)):
-            sp = dedekind_split(K, q)
-            if sp.index_divisible:
-                if unreliable_out is not None:
-                    unreliable_out.append(q)
+            if q in K.index_primes:
+                skipped.append(q)
                 continue
-            for e, f in sp.factors:
+            for e, f in dedekind_split(K, q):
                 cand = (q**f, q, f, e)
                 if kionke_criterion(q, e) and (best is None or cand < best):
                     best = cand
@@ -119,7 +121,8 @@ def find_congruence_level(K: NumberField, dim_G: int, scan_cap: int = 10**6,
     norm_, q, f, e = best
     return CongruenceLevel(
         rational_prime=q, inertia=f, ramification=e, norm=norm_,
-        torsion_free_certificate=True, index_bound=norm_**dim_G, dim_G=dim_G)
+        torsion_free_certificate=True, index_bound=norm_**dim_G, dim_G=dim_G,
+        skipped_index_divisible=tuple(skipped))
 
 
 # ---------------------------------------------------------------- analytics

@@ -327,6 +327,29 @@ class TestPolyFileParsing:
         assert code == 2
 
 
+class TestLevelSkipsIndexPrimes:
+    """level find passes over a prime that may divide [O : Z[theta]] and
+    lists it under skipped_index_divisible."""
+
+    @pytest.mark.parametrize("coeffs, norm, bound, skipped", [
+        # theta = 3 sqrt 7: 3 divides the index of Z[theta]
+        ("-63, 0, 1", "7", "343", ["3"]),
+        # Dedekind's cubic x^3 - x^2 - 2x - 8: 2 divides every index
+        ("-8, -2, -1, 1", "5", "125", ["2"]),
+    ])
+    def test_skipped_primes_reported(self, tmp_path, coeffs, norm, bound,
+                                     skipped):
+        poly = tmp_path / "f.poly"
+        poly.write_text(coeffs + "\n")
+        code, out, _err = run_cli("level", "find", str(poly), "--dimg", "3")
+        assert code == 0
+        doc = json.loads(out)
+        VALIDATOR.validate(doc)
+        report = doc["report"]
+        assert (report["norm"], report["index_bound"]) == (norm, bound)
+        assert report["skipped_index_divisible"] == skipped
+
+
 class TestProbeReport:
     def test_probe_block_contents(self):
         _c, out, _e = run_cli("construct", "--p", "5", "--probe-k", "2")

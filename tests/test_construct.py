@@ -417,9 +417,8 @@ class TestCosineFieldDisc:
 
     def test_uncertified_discriminant_refused(self, monkeypatch):
         K = make_cosine_field(7)
-        uncertified = dataclasses.replace(K, field_disc=None,
-                                          monogenic_certified=False,
-                                          index_primes=(7,))
+        uncertified = dataclasses.replace(K, index_primes=(7,))
+        assert uncertified.field_disc is None
         monkeypatch.setattr(construct, "make_cosine_field", lambda p: uncertified)
         with pytest.raises(PreconditionError):
             build_construction(7)

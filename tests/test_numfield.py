@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from torsionfree.errors import (NotSquarefreeError, PreconditionError,
-                                ResourceCapError)
+                                ResourceCapError, TorsionfreeError)
 from torsionfree import numfield
 from torsionfree.construct import choose_T
 from torsionfree.ntheory import primes_in_range, primes_upto
@@ -14,7 +14,8 @@ from torsionfree.numfield import (FieldElement, count_prime_ideals,
                                   dedekind_split, element_charpoly,
                                   make_cosine_field, make_field,
                                   sign_at_embeddings)
-from torsionfree.polyalg import IntPoly, isolate_real_roots, roots, sign_at_root
+from torsionfree.polyalg import (IntPoly, factor_mod_p, isolate_real_roots,
+                                 roots, sign_at_root)
 from torsionfree.selberg import find_congruence_level
 
 # x^6 + 2x + 2, Eisenstein at 2
@@ -83,7 +84,7 @@ class TestMakeField:
         want = {5: 5, 7: 49, 11: 11**4, 13: 13**5}
         for p, K in cosine_fields.items():
             assert K.field_disc == want[p] == p ** ((p - 3) // 2)
-            assert K.monogenic_certified
+            assert K.index_primes == ()
             assert K.conductor == p
 
     def test_fields_are_hashable(self, field_sqrt2):
@@ -104,6 +105,15 @@ class TestMakeField:
         with pytest.raises(PreconditionError):
             make_field(IntPoly((-2, 0, 1)), conductor=2)
         assert count_prime_ideals(make_field(IntPoly((-2, 0, 1))), 1000) == 167
+
+    def test_cosine_field_with_index_prime_refused(self, monkeypatch):
+        # Z[2cos(2pi/n)] is the maximal order, so an index prime there is an
+        # internal fault; __wrapped__ bypasses the per-conductor cache
+        monkeypatch.setattr(numfield, "dedekind_index_primes",
+                            lambda f, disc: (7,))
+        with pytest.raises(TorsionfreeError, match="maximal order") as exc:
+            make_cosine_field.__wrapped__(7)
+        assert not isinstance(exc.value, PreconditionError)
 
     def test_rationals(self, field_q):
         assert field_q.degree == 1
@@ -261,25 +271,21 @@ class TestRepresentation:
 
 class TestDedekindSplit:
     def test_known_splits_sqrt2(self, field_sqrt2):
-        assert dedekind_split(field_sqrt2, 7).factors == ((1, 1), (1, 1))
-        assert dedekind_split(field_sqrt2, 5).factors == ((1, 2),)
-        assert dedekind_split(field_sqrt2, 2).factors == ((2, 1),)
-        assert not dedekind_split(field_sqrt2, 7).index_divisible
+        assert field_sqrt2.index_primes == ()
+        assert dedekind_split(field_sqrt2, 7) == ((1, 1), (1, 1))
+        assert dedekind_split(field_sqrt2, 5) == ((1, 2),)
+        assert dedekind_split(field_sqrt2, 2) == ((2, 1),)
 
     def test_ramified_cosine(self, cosine_fields):
         for p, K in cosine_fields.items():
-            sp = dedekind_split(K, p)
-            assert sp.factors == (((p - 1) // 2, 1),)
-            assert not sp.index_divisible
+            assert dedekind_split(K, p) == (((p - 1) // 2, 1),)
 
     def test_sum_ef_equals_degree(self, field_q, field_sqrt2, cosine_fields):
         fields = [field_q, field_sqrt2] + list(cosine_fields.values())
         for K in fields:
+            assert K.index_primes == ()
             for p in primes_upto(1000):
-                sp = dedekind_split(K, p)
-                if sp.index_divisible:
-                    continue
-                assert sum(e * f for e, f in sp.factors) == K.degree
+                assert sum(e * f for e, f in dedekind_split(K, p)) == K.degree
 
     @pytest.mark.parametrize("n", (5, 7, 9, 11, 12, 13, 15, 16, 20, 21, 24))
     def test_abelian_law_matches_factorisation(self, n, monkeypatch):
@@ -300,19 +306,21 @@ class TestDedekindSplit:
 
     def test_index_divisible_classical_cubic(self):
         # x^3 - x^2 - 2x - 8: 2 divides the index of Z[theta], and the
-        # factorization mod 2 cannot be trusted
+        # factorization mod 2 cannot be trusted, so it is refused
         K = make_field(IntPoly((-8, -2, -1, 1)))
-        assert dedekind_split(K, 2).index_divisible
-        assert not dedekind_split(K, 3).index_divisible
-        assert dedekind_split(K, 3).factors == ((1, 3),)
+        assert K.index_primes == (2,)
+        with pytest.raises(PreconditionError, match="index"):
+            dedekind_split(K, 2)
+        assert dedekind_split(K, 3) == ((1, 3),)
 
 
 class TestIndexPrimes:
     """make_field decides each index prime once; splitting, counting and the
     level search read K.index_primes without running the test again."""
 
-    # field, index_primes, primes up to 50 flagged index-divisible, counts
-    # at x = 3 and 10^5 with their unreliable primes, and the level norm
+    # field, index_primes, primes up to 50 that dedekind_split refuses,
+    # counts at x = 3 and 10^5 with their unreliable primes, and the level
+    # norm
     CASES = {
         "cos13": (lambda: make_cosine_field(13), (), [], (0, []), (9591, []), 13),
         "eisenstein6": (lambda: make_field(EISENSTEIN_6), (), [], (1, []),
@@ -328,20 +336,32 @@ class TestIndexPrimes:
         build, index_primes, flagged, small, large, level_norm = self.CASES[name]
         K = build()
         assert K.index_primes == index_primes
-        assert K.monogenic_certified == (not index_primes)
-        assert (K.field_disc is None) == bool(index_primes)
+        assert K.field_disc == (None if index_primes else K.disc_poly)
+        js = K.to_json()
+        assert js["field_disc"] == (None if index_primes else str(K.disc_poly))
+        assert js["monogenic"] == (not index_primes)
 
         def no_second_test(f, q):
             raise AssertionError(f"index test run again at {q}")
 
+        def refused(q):
+            try:
+                dedekind_split(K, q)
+            except PreconditionError:
+                return True
+            return False
+
         monkeypatch.setattr(numfield, "_dedekind_index_test", no_second_test)
-        assert [q for q in primes_upto(50)
-                if dedekind_split(K, q).index_divisible] == flagged
+        assert [q for q in primes_upto(50) if refused(q)] == flagged
         for x, (count, unreliable) in ((3, small), (10**5, large)):
             seen: list[int] = []
             assert count_prime_ideals(K, x, seen) == count
             assert seen == unreliable
-        assert find_congruence_level(K, 3).norm == level_norm
+        # every index prime here lies below the level norm, so the scan
+        # passes, skips and reports each of them
+        lvl = find_congruence_level(K, 3)
+        assert lvl.norm == level_norm
+        assert lvl.skipped_index_divisible == index_primes
 
     def test_square_prime_that_passes_is_not_an_index_prime(self):
         # disc(x^3 - 12) = -3888 = -2^4 3^5; 3 passes Dedekind's criterion
@@ -383,7 +403,7 @@ class TestCounting:
             xs = {2, 10, 100, 1000, 5000}
             for q in primes_upto(60):
                 if n % q:
-                    f = dedekind_split(K_ab, q).factors[0][1]
+                    f = dedekind_split(K_ab, q)[0][1]
                     norms = [q**f] if f >= 3 else []
                 else:  # the ramified prime and its powers
                     norms = [q**k for k in range(1, 20)]
@@ -399,7 +419,7 @@ class TestCounting:
         # classes of inertia degree >= 3 that the agreement test reaches
         for n, q, f in ((7, 2, 3), (7, 3, 3), (7, 5, 3), (31, 2, 5),
                         (31, 5, 3), (21, 2, 6), (13, 2, 6)):
-            assert dedekind_split(make_cosine_field(n), q).factors[0] == (1, f)
+            assert dedekind_split(make_cosine_field(n), q)[0] == (1, f)
 
     def test_frozen_workload_counts(self):
         # taken from the route that split every prime below sqrt(x) with
@@ -428,6 +448,23 @@ class TestCounting:
         seen: list[int] = []
         count_prime_ideals(K, 100, unreliable_out=seen)
         assert 2 in seen
+
+    @pytest.mark.parametrize("x, count, unreliable", [
+        (100, 25, []), (101, 25, [101]), (5000, 677, [101]),
+        (10200, 1242, [101]), (10201, 1242, [101])])
+    def test_index_prime_above_sqrt_x(self, x, count, unreliable):
+        # x^2 - 20402 = x^2 - 2 * 101^2: the index prime 101 lies above
+        # sqrt(x) up to x = 10200, so the root-count kernel counts it and the
+        # count takes its roots off again; at 10201 = 101^2 it is a small
+        # prime. The reference factors every prime up to x but 101.
+        f = IntPoly((-20402, 0, 1))
+        K = make_field(f)
+        assert K.index_primes == (101,)
+        want = sum(1 for p in primes_upto(x) if p != 101
+                   for g, _e in factor_mod_p(f, p) if p**g.degree <= x)
+        seen: list[int] = []
+        assert count_prime_ideals(K, x, seen) == want == count
+        assert seen == unreliable
 
     def test_scan_cap(self, field_sqrt2, cosine_fields):
         with pytest.raises(ResourceCapError):

@@ -83,6 +83,7 @@ class TestFindCongruenceLevel:
         assert js["norm"] == "7"
         assert js["index_bound"] == "343"
         assert js["torsion_free_certificate"] is True
+        assert js["skipped_index_divisible"] == []
 
 
 class TestLogarithmicIntegral:
