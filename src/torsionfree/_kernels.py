@@ -1,25 +1,32 @@
-"""Prime-scan kernels: counts over the primes of a half-open range [lo, hi).
+"""Prime-scan kernels: counts over the primes of a half-open range [lo, hi),
+and the count of small-degree factors over a list of primes.
 
-Both kernels draw their primes from the package's one sieve,
+The range kernels draw their primes from the package's one sieve,
 ntheory.progression_blocks, as (v, flags) segments: the class count sieves
 only the odd members of the classes r mod n it counts and sums the flags,
 and the root count sieves the odd numbers as the progression 1 + 2k. The
-root count is the only numpy code in the package: it turns each segment
-into an int64 array of primes and works on them in batches, importing numpy
-on first use, so no other command loads it. IMPLEMENTATION names the one
-backend; benchmark records carry it as their backend stamp.
+two polynomial counts are the only numpy code in the package: they work on
+int64 arrays in batches, importing numpy on first use, so no other command
+loads it. IMPLEMENTATION names the one backend; benchmark records carry it
+as their backend stamp.
 
-The root count of f mod p is deg gcd(f, x^p - x) over F_p, for a batch of
-primes in lockstep. x^p mod f comes from square-and-multiply: a square is
-one product of shifted windows of its operand, and its top d - 1
-coefficients fold back with the precomputed x^(d + j) mod f. Products are
-summed lazily: with every residue at most m = max(P) - 1,
-k = (2^63 - 1 - m) // m^2 products fit in one int64 sum on top of a
-residue, so a batch reduces mod P once per k terms (k >= 63 below 33,000,
-k = 2 just below 2^31). The gcd is a lockstep Euclid that takes no
-inverses, O(d^2) products per prime.
+Both polynomial counts rest on one core, _power_gcd_degrees: for a batch of
+columns (p, e) it computes deg gcd(f, x^e - x) over F_p in lockstep. The
+root count above sqrt(x) takes e = p. The factor count takes the rows
+(p, p^j) for j <= J_p = min(d, floor(log_p x)): D(j) = deg gcd(f,
+x^(p^j) - x) is the sum of deg g over the distinct irreducible factors g of
+f mod p with deg g | j, so Moebius inversion gives the number N_j of those
+of degree j, N_j = (D(j) - sum over i | j, i < j of i N_i) / j (Cohen,
+GTM 138, 3.4.3). Every exponent is at most x < 2^31.
+
+x^e mod f comes from square-and-multiply: a square is one product of
+shifted windows of its operand, and its top d - 1 coefficients fold back
+with the precomputed x^(d + j) mod f. Products are summed lazily: with
+every residue at most m = max(P) - 1, k = (2^63 - 1 - m) // m^2 products
+fit in one int64 sum on top of a residue, so a batch reduces mod P once
+per k terms (k >= 63 below 33,000, k = 2 just below 2^31). The gcd is a
+lockstep Euclid that takes no inverses, O(d^2) products per column.
 """
-
 from __future__ import annotations
 
 from math import gcd
@@ -82,15 +89,21 @@ def prime_count_in_classes(lo: int, hi: int, modulus: int = 1,
     return total
 
 
-def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int) -> int:
-    """Sum over primes p in [lo, hi) of the number of distinct roots of f
-    mod p. f = sum coeffs[i] x^i must be monic of degree 1..63, and hi at
-    most 2^31."""
+def _degree(coeffs: tuple[int, ...]) -> int:
+    """deg f for a monic f = sum coeffs[i] x^i of degree 1..63."""
     d = len(coeffs) - 1
     if not 1 <= d <= _MAX_DEGREE:
         raise ValueError("degree out of range")
     if coeffs[-1] != 1:
         raise ValueError("monic polynomial required")
+    return d
+
+
+def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int) -> int:
+    """Sum over primes p in [lo, hi) of the number of distinct roots of f
+    mod p. f = sum coeffs[i] x^i must be monic of degree 1..63, and hi at
+    most 2^31."""
+    d = _degree(coeffs)
     if hi > _PRIME_CAP:
         raise ValueError("range cap: primes must be < 2^31")
     if d == 1:
@@ -104,7 +117,52 @@ def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int) -> in
     for v, flags in progression_blocks(lo, hi, 2, 1):
         block = v + 2 * np.flatnonzero(np.frombuffer(flags, np.uint8))
         for i in range(0, len(block), batch):
-            total += int(_root_counts(coeffs, block[i : i + batch]).sum())
+            P = block[i : i + batch]
+            total += int(_power_gcd_degrees(coeffs, P, P).sum())
+    return total
+
+
+def poly_factor_count(coeffs: tuple[int, ...], primes, x: int) -> int:
+    """Sum over the given primes p of the number of distinct irreducible
+    factors g of f mod p with p^deg(g) <= x. f = sum coeffs[i] x^i must be
+    monic of degree 1..63, the primes prime, and x below 2^31.
+
+    At a prime p that does not divide [O : Z[theta]] this counts the prime
+    ideals above p of norm at most x; for p > sqrt(x) it is the number of
+    distinct roots of f mod p.
+    """
+    d = _degree(coeffs)
+    if x >= _PRIME_CAP:
+        raise ValueError("range cap: x must be < 2^31")
+    primes = [p for p in primes if p <= x]
+    if d == 1 or not primes:
+        return len(primes)
+    import numpy as np
+
+    # the rows (p, p^j), j = 1 .. J_p, one prime after another
+    levels, P, E = [], [], []
+    for p in primes:
+        e = p
+        for j in range(1, d + 1):
+            P.append(p)
+            E.append(e)
+            e *= p
+            if e > x:
+                break
+        levels.append(j)
+    P, E = np.array(P, dtype=np.int64), np.array(E, dtype=np.int64)
+    batch = max(1, _BATCH_WORDS // (d * d))
+    D = np.concatenate([_power_gcd_degrees(coeffs, P[i : i + batch],
+                                           E[i : i + batch])
+                        for i in range(0, len(P), batch)]).tolist()
+    total = row = 0
+    for J in levels:
+        N = [0] * (J + 1)
+        for j in range(1, J + 1):
+            N[j] = (D[row + j - 1] - sum(i * N[i] for i in range(1, j)
+                                         if j % i == 0)) // j
+        total += sum(N)
+        row += J
     return total
 
 
@@ -139,13 +197,14 @@ def _lazy_dot(acc, a, b, P, k: int):
     return acc
 
 
-def _root_counts(coeffs: tuple[int, ...], P):
-    """Distinct roots of f mod p for each prime p in P (int64 array), as
-    deg gcd(f, x^p - x) over F_p.
+def _power_gcd_degrees(coeffs: tuple[int, ...], P, E):
+    """deg gcd(f, x^e - x) over F_p for each column (p, e) of the int64
+    arrays P and E, p prime and 2 <= e < 2^31: for e = p that is the number
+    of distinct roots of f mod p.
 
     A residue class mod f is a (d, len(P)) array: row i holds the
-    coefficient of x^i for every prime of the batch. The sums of products
-    in x^p mod f go through _lazy_dot, _lazy_terms(max(P) - 1) terms per
+    coefficient of x^i for every column of the batch. The sums of products
+    in x^e mod f go through _lazy_dot, _lazy_terms(max(P) - 1) terms per
     reduction; the gcd is _gcd_degrees.
     """
     import numpy as np
@@ -177,13 +236,13 @@ def _root_counts(coeffs: tuple[int, ...], P):
         prod = _lazy_dot(0, a[::-1, None], windows, P, k)
         return _lazy_dot(prod[:d], prod[d:, None], R, P, k)
 
-    # x^p mod f, left to right over the bits of p; above a prime's top bit
+    # x^e mod f, left to right over the bits of e; above a column's top bit
     # the accumulator stays 1
     acc = np.zeros((d, len(P)), dtype=np.int64)
     acc[0] = 1
-    for bit in range(int(P.max()).bit_length() - 1, -1, -1):
+    for bit in range(int(E.max()).bit_length() - 1, -1, -1):
         acc = square(acc)
-        acc = np.where(((P >> bit) & 1) == 1, times_x(acc), acc)
+        acc = np.where(((E >> bit) & 1) == 1, times_x(acc), acc)
     acc[1] = (acc[1] - 1) % P
     f = np.vstack([F, np.ones_like(P)])
     return _gcd_degrees(f, np.vstack([acc, np.zeros_like(P)]), P)

@@ -37,13 +37,12 @@ from .polyalg import (
     isolate_real_roots,
     isolate_two_cos_roots,
     minpoly_two_cos_conductor,
-    roots_mod_p,
     sign_at_root,
 )
 from .polyalg.modp import gf_divmod, gf_gcd, gf_trim
 
 # Largest x (exclusive) for the class-sieve count of a cosine field; the
-# generic route stops at 2^31, the root-count kernel's range.
+# generic route stops at 2^31, the range of the kernels it runs in.
 ABELIAN_COUNT_CAP = 1 << 40
 
 
@@ -324,9 +323,12 @@ def count_prime_ideals(K: NumberField, x: int,
     """Exact number of prime ideals of norm <= x above no index prime of K.
 
     The index primes q <= x are appended, ascending, to unreliable_out
-    instead of silently dropped. For library-built cosine fields the abelian
-    splitting law replaces per-prime factorization; both routes agree on
-    their common domain.
+    instead of silently dropped. Library-built cosine fields count by the
+    abelian splitting law; every other field counts in the batched kernels,
+    distinct-degree counts of f mod p for p <= sqrt(x) and root counts
+    above, with no factorisation mod p; both routes agree on their common
+    domain. A generic field refuses x >= 2^31 (ResourceCapError) before
+    any prime is scanned.
     """
     if unreliable_out is not None:
         unreliable_out.extend(q for q in K.index_primes if q <= x)
@@ -338,20 +340,19 @@ def count_prime_ideals(K: NumberField, x: int,
 
 
 def _count_generic(K: NumberField, x: int) -> int:
+    """Counting route for a field without a conductor, in the batched
+    kernels: a prime p <= sqrt(x) adds its irreducible factors of f mod p
+    with p^deg <= x, a prime above sqrt(x) its roots of f mod p. The root
+    count of an index prime above sqrt(x) is taken back out; index primes
+    below stay out of the batch."""
+    if x + 1 > (1 << 31):
+        raise ResourceCapError("prime scan exceeds the kernel range (2^31)")
+    f, index = K.defining_poly.coeffs, K.index_primes
     B = isqrt(x)
-    total = 0
-    for p in primes_upto(B):
-        if p not in K.index_primes:
-            total += sum(1 for e, f in dedekind_split(K, p) if p**f <= x)
-    if x > B:
-        if x + 1 > (1 << 31):
-            raise ResourceCapError("prime scan exceeds the kernel range (2^31)")
-        total += _kernels.poly_root_count_over_primes(K.defining_poly.coeffs, B + 1, x + 1)
-        # the straight root count is only wrong at index primes
-        for q in K.index_primes:
-            if B < q <= x:
-                total -= len(roots_mod_p(K.defining_poly, q))
-    return total
+    small = [p for p in primes_upto(B) if p not in index]
+    return (_kernels.poly_factor_count(f, small, x)
+            + _kernels.poly_root_count_over_primes(f, B + 1, x + 1)
+            - _kernels.poly_factor_count(f, [q for q in index if q > B], x))
 
 
 def _count_abelian(K: NumberField, x: int) -> int:

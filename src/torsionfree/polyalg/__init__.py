@@ -12,7 +12,7 @@ from .cyclotomic import (
     minpoly_two_cos,
     minpoly_two_cos_conductor,
 )
-from .modp import factor_mod_p, roots_mod_p
+from .modp import factor_mod_p
 from .roots import (
     compare_root,
     count_roots_in,
@@ -35,7 +35,6 @@ __all__ = [
     "minpoly_two_cos_conductor",
     "resultant",
     "root_bound",
-    "roots_mod_p",
     "sign_at_root",
     "sturm_sequence",
 ]

@@ -251,26 +251,3 @@ def factor_mod_p(f: IntPoly, p: int) -> list[tuple[IntPoly, int]]:
                 factors.append((irr, mult))
     factors.sort(key=lambda t: (len(t[0]), tuple(reversed(t[0]))))
     return [(IntPoly(g), m) for g, m in factors]
-
-
-def roots_mod_p(f: IntPoly, p: int) -> list[int]:
-    """Distinct roots of f mod p (exhaustive for small p, gcd-based above)."""
-    fp = gf_trim([c % p for c in f.coeffs])
-    if not fp:
-        raise PreconditionError("polynomial vanishes mod p")
-    if p <= 50:
-        return [r for r in range(p) if _eval_mod(fp, r, p) == 0]
-    xp = gf_powmod([0, 1], p, fp, p)
-    g = gf_gcd(gf_sub(xp, [0, 1], p), fp, p)
-    out = []
-    for (lin, _m) in factor_mod_p(IntPoly(g), p):
-        if lin.degree == 1:
-            out.append((-lin[0]) % p)
-    return sorted(out)
-
-
-def _eval_mod(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -10,16 +11,36 @@ from conftest import DATA, child_env
 
 from torsionfree import _kernels, ntheory
 from torsionfree.errors import ResourceCapError
-from torsionfree._kernels import (IMPLEMENTATION, poly_root_count_over_primes,
+from torsionfree._kernels import (IMPLEMENTATION, poly_factor_count,
+                                  poly_root_count_over_primes,
                                   prime_count_in_classes)
 from torsionfree.ntheory import (factorize, is_prime, primes_in_range,
                                  primes_upto, progression_blocks)
-from torsionfree.polyalg import IntPoly, roots_mod_p
+from torsionfree.polyalg import IntPoly, factor_mod_p
 
 
 def brute_root_count(coeffs, lo, hi):
+    """The distinct roots of f mod q, summed over the primes q in [lo, hi),
+    as the linear factors of the full factorisation mod q."""
     f = IntPoly(tuple(coeffs))
-    return sum(len(roots_mod_p(f, q)) for q in primes_in_range(lo, hi))
+    return sum(1 for q in primes_in_range(lo, hi)
+               for g, _e in factor_mod_p(f, q) if g.degree == 1)
+
+
+def brute_factor_count(coeffs, primes, x):
+    """The distinct irreducible factors g of f mod p with p^deg(g) <= x,
+    summed over the given primes, from the full factorisation mod p."""
+    f = IntPoly(tuple(coeffs))
+    return sum(1 for p in primes for g, _e in factor_mod_p(f, p)
+               if p**g.degree <= x)
+
+
+def product(*factors):
+    """The coefficients of the product of the given coefficient tuples."""
+    f = IntPoly((1,))
+    for g in factors:
+        f = f * IntPoly(g)
+    return f.coeffs
 
 
 def brute_class_count(lo, hi, modulus, residues):
@@ -281,6 +302,102 @@ class TestRootCounts:
             poly_root_count_over_primes((1,), 2, 100)  # constant
         with pytest.raises(ValueError):
             poly_root_count_over_primes((-2, 0, 1), 2, (1 << 31) + 1)
+
+
+class TestFactorCounts:
+    def test_repeated_factors_at_2_and_3(self):
+        # Eisenstein at 2 and at 3: f = x^d mod p, one factor of degree 1
+        # with multiplicity d; then squares of irreducible factors mod 2
+        # and mod 3 next to simple ones
+        cases = [(2, 2, 0, 0, 0, 0, 1), (3, -3, 6, 0, 3, 1),
+                 product((1, 1, 1), (1, 1, 1), (1, 1, 0, 1), (3, 0, 1)),
+                 product((1, 0, 1), (1, 0, 1), (1, 0, 1), (2, 2, 0, 1),
+                         (2, 2, 0, 1)),
+                 product((-2, 1), (-2, 1), (-2, 1), (-2, 1), (1, 1, 0, 0, 1))]
+        for coeffs in cases:
+            for x in (2, 3, 8, 9, 30, 81, 1000, 10**5):
+                for primes in ([2], [3], [2, 3], primes_upto(50)):
+                    assert poly_factor_count(coeffs, primes, x) == \
+                        brute_factor_count(coeffs, primes, x), (coeffs, x)
+
+    @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+    def test_every_irreducible_of_one_degree(self, p, k):
+        # f is the product of all monic irreducibles of degree k mod p (for
+        # k <= 3, those without a root), times x - 1: N_k is their number,
+        # large enough that the Moebius step must subtract i N_i for every
+        # proper divisor i of j, not N_i or nothing
+        irreducibles = [
+            (*c, 1) for c in itertools.product(range(p), repeat=k)
+            if all(sum(a * r**i for i, a in enumerate((*c, 1))) % p
+                   for r in range(p))]
+        coeffs = product((-1, 1), *irreducibles)
+        for j in range(1, 13):
+            for x in (p**j - 1, p**j):
+                if 2 <= x < 1 << 31:
+                    assert poly_factor_count(coeffs, [p], x) == \
+                        brute_factor_count(coeffs, [p], x), x
+        assert poly_factor_count(coeffs, [p], p**k) == 1 + len(irreducibles)
+
+    def test_x_at_prime_powers(self):
+        # x = p^j counts the factors of degree j at p, x = p^j - 1 does not
+        rng = random.Random(8)
+        for _ in range(3):
+            coeffs = tuple(rng.randint(-20, 20) for _ in range(8)) + (1,)
+            for p in (2, 3, 5, 7):
+                for j in range(1, 9):
+                    for x in (p**j - 1, p**j):
+                        if not 2 <= x <= 10**5:
+                            continue
+                        primes = primes_upto(isqrt(x))
+                        assert poly_factor_count(coeffs, primes, x) == \
+                            brute_factor_count(coeffs, primes, x), (coeffs, x)
+
+    def test_against_bruteforce(self):
+        rng = random.Random(405)
+        for _ in range(30):
+            deg = rng.randint(2, 12)
+            coeffs = tuple(rng.randint(-30, 30) for _ in range(deg)) + (1,)
+            x = rng.choice([10, 100, 2000, 30_000, 10**6])
+            primes = primes_upto(min(x, 400))
+            assert poly_factor_count(coeffs, primes, x) == \
+                brute_factor_count(coeffs, primes, x), (coeffs, x)
+
+    def test_root_count_above_sqrt_x(self):
+        # every prime above sqrt(x) counts its roots only
+        coeffs = (3, -1, 0, 2, 1, 0, 0, -5, 0, 0, 1, 7, 1)
+        assert poly_factor_count(coeffs, primes_in_range(101, 9000), 10**4) == \
+            poly_root_count_over_primes(coeffs, 101, 9000)
+
+    def test_linear(self):
+        # over Q every prime p <= x is one prime ideal of norm p
+        assert poly_factor_count((-1, 1), primes_upto(100), 50) == \
+            len(primes_upto(50))
+        assert poly_factor_count((7, 1), [2, 3, 5], 4) == 2
+
+    def test_degree_20_just_below_cap(self):
+        # exponents up to 2^20 at 2 and 2^31 - 1 itself; residues near 2^31
+        # sum two products at a time
+        rng = random.Random(20)
+        f = IntPoly((-1, 1)) * IntPoly((1, 1, 1)) * IntPoly(
+            tuple(rng.randint(-10**6, 10**6) for _ in range(17)) + (1,))
+        x = (1 << 31) - 1
+        primes = [2, 3, 5, 7, 46337, 46349, (1 << 31) - 19, (1 << 31) - 1]
+        assert all(is_prime(p) for p in primes)
+        got = poly_factor_count(f.coeffs, primes, x)
+        assert got == brute_factor_count(f.coeffs, primes, x)
+        assert got >= len(primes)
+
+    def test_no_primes(self):
+        assert poly_factor_count((-2, 0, 1), [], 100) == 0
+        assert poly_factor_count((-2, 0, 1), [101, 103], 100) == 0
+
+    def test_rejections(self):
+        with pytest.raises(ValueError):
+            poly_factor_count((1, 2), [3], 100)  # not monic
+        with pytest.raises(ValueError):
+            poly_factor_count((1,), [3], 100)  # constant
+        with pytest.raises(ValueError):
+            poly_factor_count((-2, 0, 1), [3], 1 << 31)
 
 
 def test_cli_import_leaves_numpy_unloaded():

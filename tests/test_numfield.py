@@ -7,7 +7,8 @@ import pytest
 
 from torsionfree.errors import (NotSquarefreeError, PreconditionError,
                                 ResourceCapError, TorsionfreeError)
-from torsionfree import numfield
+from torsionfree import _kernels, numfield
+from torsionfree.polyalg import modp
 from torsionfree.construct import choose_T
 from torsionfree.ntheory import primes_in_range, primes_upto
 from torsionfree.numfield import (FieldElement, count_prime_ideals,
@@ -391,7 +392,7 @@ class TestCounting:
 
     def test_abelian_generic_agree(self):
         # same minimal polynomial without the conductor hint runs the
-        # factor-every-prime route; the counts must coincide, also where a
+        # kernel route; the counts must coincide, also where a
         # norm q^f or a square B^2 sits at x or just past it. Norms above
         # 2e4 are left out to keep the reference route short; the frozen
         # counts below cover large x.
@@ -466,6 +467,57 @@ class TestCounting:
         assert count_prime_ideals(K, x, seen) == want == count
         assert seen == unreliable
 
+    @pytest.mark.parametrize("coeffs, index", [
+        ((-63, 0, 1), (3,)), ((-8, -2, -1, 1), (2,))])
+    def test_index_prime_below_and_above_sqrt_x(self, coeffs, index):
+        # x^2 - 63 = x^2 - 3^2 7 and Dedekind's x^3 - x^2 - 2x - 8: the
+        # index prime lies above sqrt(x) for the smallest x and below it
+        # after; the reference splits every other prime up to x
+        K = make_field(IntPoly(coeffs))
+        assert K.index_primes == index
+        for x in (*range(2, 40), 80, 81, 1000, 4096, 20_000):
+            want = sum(1 for p in primes_upto(x) if p not in index
+                       for _e, f in dedekind_split(K, p) if p**f <= x)
+            assert count_prime_ideals(K, x) == want, x
+
+    def test_frozen_generic_workload_counts(self):
+        # Eisenstein fields of degree 6-12 (two with an index prime below
+        # sqrt(x)), taken from the route that split every prime below
+        # sqrt(x) with dedekind_split
+        for coeffs, x, count in [
+                ((2, -4, 0, -2, -4, 4, 4, 2, 1), 26949, 2961),
+                ((-3, -6, -3, 3, 0, 6, -3, 6, -3, 6, 1), 23144, 2611),
+                ((6, 3, -6, 0, 0, -6, 6, 1), 30362, 3295),
+                ((-2, 4, -2, 2, -2, -2, 1), 32363, 3418),
+                ((-10, 0, 0, -10, 10, -10, 10, 5, 0, 1), 24171, 2700),
+                ((3, -3, -3, 6, 3, 3, 3, 0, 6, -3, -3, 1), 20510, 2383),
+                ((2, 4, 2, -2, 4, -2, 2, -4, -4, -2, 2, 0, 1), 19441, 2217)]:
+            assert count_prime_ideals(make_field(coeffs), x) == count
+
+    @pytest.mark.parametrize("coeffs", [
+        (-2, 0, 1), (6, 3, -6, 0, 0, -6, 6, 1), (-63, 0, 1)])
+    def test_generic_count_factors_nothing(self, coeffs, monkeypatch):
+        # the generic count runs in the kernels: no prime is split or
+        # factored mod p
+        K = make_field(IntPoly(coeffs))
+        want = count_prime_ideals(K, 10**4)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(numfield, "dedekind_split",
+                            counted("split", numfield.dedekind_split))
+        monkeypatch.setattr(numfield, "factor_mod_p",
+                            counted("factor", numfield.factor_mod_p))
+        monkeypatch.setattr(modp, "factor_mod_p",
+                            counted("factor", modp.factor_mod_p))
+        assert count_prime_ideals(K, 10**4) == want
+        assert calls == []
+
     def test_scan_cap(self, field_sqrt2, cosine_fields):
         with pytest.raises(ResourceCapError):
             count_prime_ideals(field_sqrt2, (1 << 31) + 2)
@@ -473,6 +525,22 @@ class TestCounting:
         for x in (numfield.ABELIAN_COUNT_CAP, 10**30):
             with pytest.raises(ResourceCapError):
                 count_prime_ideals(cosine_fields[13], x)
+
+    def test_generic_cap_before_any_work(self, monkeypatch):
+        # x + 1 > 2^31 is refused before a prime is sieved, split or
+        # counted in a kernel
+        K = make_field(EISENSTEIN_6)
+
+        def no_work(*args):
+            raise AssertionError("work started before the cap check")
+
+        for name in ("poly_factor_count", "poly_root_count_over_primes"):
+            monkeypatch.setattr(_kernels, name, no_work)
+        monkeypatch.setattr(numfield, "dedekind_split", no_work)
+        monkeypatch.setattr(numfield, "primes_upto", no_work)
+        for x in (1 << 31, (1 << 31) + 2, 10**12):
+            with pytest.raises(ResourceCapError):
+                count_prime_ideals(K, x)
 
     def test_small_x(self, field_sqrt2):
         assert count_prime_ideals(field_sqrt2, 1) == 0
