@@ -19,13 +19,16 @@ f mod p with deg g | j, so Moebius inversion gives the number N_j of those
 of degree j, N_j = (D(j) - sum over i | j, i < j of i N_i) / j (Cohen,
 GTM 138, 3.4.3). Every exponent is at most x < 2^31.
 
-x^e mod f comes from square-and-multiply: a square is one product of
-shifted windows of its operand, and its top d - 1 coefficients fold back
-with the precomputed x^(d + j) mod f. Products are summed lazily: with
-every residue at most m = max(P) - 1, k = (2^63 - 1 - m) // m^2 products
-fit in one int64 sum on top of a residue, so a batch reduces mod P once
-per k terms (k >= 63 below 33,000, k = 2 just below 2^31). The gcd is a
-lockstep Euclid that takes no inverses, O(d^2) products per column.
+x^e mod f comes from square-and-multiply: a square adds the d shifted rows
+a[i] a of its operand into a (2d - 1)-row product, and its top d - 1 rows
+fold back top-down by x^d = -F, one reduced row at a time. Products are
+summed lazily: with every residue at most m = max(P) - 1, k = (2^63 - 1 -
+m) // m^2 products fit in one int64 sum on top of a residue, and each
+addition puts at most one product into a row, so a square reduces mod P
+once per k additions (k >= 63 below 33,000, k = 2 just below 2^31). The
+largest array is the (2d - 1)-row product, so a batch takes
+_BATCH_WORDS // d columns. The gcd is a lockstep Euclid that takes no
+inverses, O(d^2) products per column.
 """
 from __future__ import annotations
 
@@ -35,9 +38,10 @@ from .ntheory import is_prime, progression_blocks
 
 IMPLEMENTATION = "pure"
 
-# int64 words in one root-count batch: a batch takes _BATCH_WORDS // d^2
-# primes, so the (d, 2d - 1) products of a square and the d - 1 fold-back
-# residues stay about the same size whatever the degree.
+# int64 words in one residue array of a batch: a batch takes
+# _BATCH_WORDS // d columns, so the (2d - 1, len(P)) product of a square,
+# the largest array a batch builds, stays about the same size whatever the
+# degree.
 _BATCH_WORDS = 1 << 15
 
 # Every prime is below 2^31, so a product of two residues stays below 2^62
@@ -113,7 +117,7 @@ def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int) -> in
     total = 0
     if lo <= 2 < hi:  # mod 2 the candidate roots are 0 and 1
         total = (coeffs[0] % 2 == 0) + (sum(coeffs) % 2 == 0)
-    batch = max(1, _BATCH_WORDS // (d * d))
+    batch = max(1, _BATCH_WORDS // d)
     for v, flags in progression_blocks(lo, hi, 2, 1):
         block = v + 2 * np.flatnonzero(np.frombuffer(flags, np.uint8))
         for i in range(0, len(block), batch):
@@ -151,7 +155,7 @@ def poly_factor_count(coeffs: tuple[int, ...], primes, x: int) -> int:
                 break
         levels.append(j)
     P, E = np.array(P, dtype=np.int64), np.array(E, dtype=np.int64)
-    batch = max(1, _BATCH_WORDS // (d * d))
+    batch = max(1, _BATCH_WORDS // d)
     D = np.concatenate([_power_gcd_degrees(coeffs, P[i : i + batch],
                                            E[i : i + batch])
                         for i in range(0, len(P), batch)]).tolist()
@@ -188,53 +192,50 @@ def _lazy_terms(m: int) -> int:
     return (_INT64_MAX - m) // (m * m)
 
 
-def _lazy_dot(acc, a, b, P, k: int):
-    """(acc + sum over t of a[t] * b[t]) mod P, for residues acc, a and b
-    broadcast over the leading axis t: k products are summed between two
-    reductions, so no partial sum leaves int64."""
-    for s in range(0, len(a), k):
-        acc = (acc + (a[s : s + k] * b[s : s + k]).sum(axis=0)) % P
-    return acc
-
-
 def _power_gcd_degrees(coeffs: tuple[int, ...], P, E):
     """deg gcd(f, x^e - x) over F_p for each column (p, e) of the int64
     arrays P and E, p prime and 2 <= e < 2^31: for e = p that is the number
     of distinct roots of f mod p.
 
     A residue class mod f is a (d, len(P)) array: row i holds the
-    coefficient of x^i for every column of the batch. The sums of products
-    in x^e mod f go through _lazy_dot, _lazy_terms(max(P) - 1) terms per
-    reduction; the gcd is _gcd_degrees.
+    coefficient of x^i for every column of the batch. A square adds the d
+    shifted rows a[i] a into a (2d - 1, len(P)) product, then folds its top
+    rows back top-down by x^d = -F: row r, reduced, adds its multiple of
+    x^(r - d) (-F) to the d rows below it. Each addition puts at most one
+    product of two residues into any row, so with k = _lazy_terms(max(P) -
+    1), reducing the product after every k additions keeps every row
+    within k products on top of one residue, inside int64. The gcd is
+    _gcd_degrees.
     """
     import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
 
     d = len(coeffs) - 1
     k = _lazy_terms(int(P.max()) - 1)
-    F = np.stack([_residues(c, P) for c in coeffs[:d]])  # x^d = -F
+    F = np.stack([_residues(c, P) for c in coeffs[:d]])  # f = x^d + F
+    G = -F % P  # x^d mod f
 
     def times_x(a):
         out = np.empty_like(a)
         out[0] = 0
         out[1:] = a[:-1]
-        return (out - a[-1] * F) % P
-
-    # R[j] = x^(d + j) mod f, which folds the coefficient of x^(d + j) of a
-    # product back into degree < d
-    R = np.empty((d - 1, d, len(P)), dtype=np.int64)
-    R[0] = -F % P
-    for j in range(1, d - 1):
-        R[j] = times_x(R[j - 1])
+        return (out + a[-1] * G) % P
 
     def square(a):
-        # coefficient j of a^2 is sum_t a[d - 1 - t] * A[t + j], over the
-        # windows of a padded by d - 1 zeros on both sides
-        A = np.zeros((3 * d - 2, len(P)), dtype=np.int64)
-        A[d - 1 : 2 * d - 1] = a
-        windows = sliding_window_view(A, 2 * d - 1, axis=0).transpose(0, 2, 1)
-        prod = _lazy_dot(0, a[::-1, None], windows, P, k)
-        return _lazy_dot(prod[:d], prod[d:, None], R, P, k)
+        prod = np.zeros((2 * d - 1, len(P)), dtype=np.int64)
+        added = 0
+        for i in range(d):
+            prod[i : i + d] += a[i] * a
+            added += 1
+            if added == k:
+                prod %= P
+                added = 0
+        for r in range(2 * d - 2, d - 1, -1):
+            prod[r - d : r] += prod[r] % P * G
+            added += 1
+            if added == k:
+                prod[:r] %= P
+                added = 0
+        return prod[:d] % P
 
     # x^e mod f, left to right over the bits of e; above a column's top bit
     # the accumulator stays 1

@@ -234,12 +234,14 @@ def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
     raise ValueError(f"failed to factor {n}")
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} of n >= 1. Trial division up to
-    1e5, perfect powers, then Pollard rho within _RHO_BUDGET steps in all;
-    a cofactor that needs more raises ResourceCapError."""
-    if n < 1:
-        raise ValueError("factorize expects n >= 1")
+# Trial division tries every prime below this bound.
+_TRIAL_BOUND = 100000
+
+
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """({p: exponent} for the primes p < _TRIAL_BOUND dividing n >= 1, the
+    cofactor C). C is 1 or has no prime factor below _TRIAL_BOUND; when
+    the trial stops early at a prime above sqrt(C), C is 1 or prime."""
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -248,29 +250,66 @@ def factorize(n: int) -> dict[int, int]:
     f = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while f * f <= n and f < 100000:
+    while f * f <= n and f < _TRIAL_BOUND:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
         f += wheel[i]
         i = (i + 1) % 8
+    return out, n
+
+
+def _factor_cofactor(n: int, out: dict[int, int]) -> None:
+    """Add the prime factorization of n > 1 to out: perfect powers, then
+    Pollard rho within _RHO_BUDGET steps in all."""
+    budget = _RHO_BUDGET
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        # perfect powers first: cheap and common for discriminants
+        done = False
+        for k in range(2, m.bit_length()):
+            r = iroot(m, k)
+            if r > 1 and r**k == m:
+                stack.extend([r] * k)
+                done = True
+                break
+        if not done:
+            d, budget = _pollard_rho(m, budget)
+            stack.extend([d, m // d])
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: exponent} of n >= 1. Trial division up to
+    1e5, perfect powers, then Pollard rho within _RHO_BUDGET steps in all;
+    a cofactor that needs more raises ResourceCapError."""
+    if n < 1:
+        raise ValueError("factorize expects n >= 1")
+    out, n = _trial_divide(n)
     if n > 1:
-        budget = _RHO_BUDGET
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            # perfect powers first: cheap and common for discriminants
-            done = False
-            for k in range(2, m.bit_length()):
-                r = iroot(m, k)
-                if r > 1 and r**k == m:
-                    stack.extend([r] * k)
-                    done = True
-                    break
-            if not done:
-                d, budget = _pollard_rho(m, budget)
-                stack.extend([d, m // d])
+        _factor_cofactor(n, out)
     return dict(sorted(out.items()))
+
+
+def square_prime_factors(n: int) -> tuple[int, ...]:
+    """The primes q with q^2 | n, ascending, for n >= 1.
+
+    After trial division the cofactor C has no prime factor below
+    _TRIAL_BOUND = 1e5, so a C below 1e15 has at most two: it is 1, a
+    prime, the square of a prime (whose root is the one square prime) or
+    the product of two distinct primes (no square prime), and no rho step
+    runs. A larger C is factored as factorize does, within the same
+    Pollard-rho budget."""
+    if n < 1:
+        raise ValueError("square_prime_factors expects n >= 1")
+    out, c = _trial_divide(n)
+    if c >= _TRIAL_BOUND**3:
+        _factor_cofactor(c, out)
+    elif c > 1:
+        r = math.isqrt(c)
+        if r * r == c:
+            out[r] = 2
+    return tuple(sorted(q for q, e in out.items() if e >= 2))

@@ -29,7 +29,7 @@ from math import floor, gcd, isqrt, lcm
 from . import _kernels
 from .errors import (NotSquarefreeError, PreconditionError, ResourceCapError,
                      TorsionfreeError)
-from .ntheory import factorize, is_prime, primes_upto
+from .ntheory import factorize, is_prime, primes_upto, square_prime_factors
 from .polyalg import (
     IntPoly,
     discriminant,
@@ -39,7 +39,7 @@ from .polyalg import (
     minpoly_two_cos_conductor,
     sign_at_root,
 )
-from .polyalg.modp import gf_divmod, gf_gcd, gf_trim
+from .polyalg.modp import _distinct_degree, gf_divmod, gf_gcd, gf_trim
 
 # Largest x (exclusive) for the class-sieve count of a cosine field; the
 # generic route stops at 2^31, the range of the kernels it runs in.
@@ -193,8 +193,8 @@ def dedekind_index_primes(f: IntPoly, disc: int) -> tuple[int, ...]:
     """The primes q with q^2 | disc (the discriminant of f) at which
     Dedekind's criterion fails, ascending: the only primes that may divide
     [O : Z[theta]]."""
-    return tuple(sorted(q for q, e in factorize(abs(disc)).items()
-                        if e >= 2 and not _dedekind_index_test(f, q)))
+    return tuple(q for q in square_prime_factors(abs(disc))
+                 if not _dedekind_index_test(f, q))
 
 
 def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> NumberField:
@@ -316,6 +316,31 @@ def _inertia_degree(c: int, n: int) -> int:
         x = x * c % n
         f += 1
     return f
+
+
+def least_inertia_degree(K: NumberField, p: int,
+                         top: int | None = None) -> int | None:
+    """Least inertia degree f <= top of a prime ideal above a prime p that
+    does not divide disc_poly, or None when every prime above p has a
+    larger one; top defaults to the degree of K.
+
+    Such a p is unramified and no index prime, so the degrees are those of
+    the factors of the squarefree f mod p. A cosine field of conductor n
+    not divisible by p reads f from _inertia_degree; every other field
+    walks the distinct-degree steps of f mod p up to the least degree
+    present, or up to top, with no equal-degree factoring.
+    """
+    if not is_prime(p):
+        raise PreconditionError(f"{p} is not prime")
+    if K.disc_poly % p == 0:
+        raise PreconditionError(f"{p} divides the polynomial discriminant")
+    top = K.degree if top is None else top
+    n = K.conductor
+    if n is not None and n % p:
+        f = _inertia_degree(p % n, n)
+        return f if f <= top else None
+    fp = gf_trim([c % p for c in K.defining_poly.coeffs])
+    return next((d for _g, d in _distinct_degree(fp, p, top)), None)
 
 
 def count_prime_ideals(K: NumberField, x: int,

@@ -4,7 +4,8 @@ Polynomials mod p are plain lists of ints in [0, p), lowest degree first,
 trimmed. The pipeline is squarefree decomposition (each multiplicity read
 by repeated exact division), then distinct-degree splitting (h -> h^p as
 one product with the Frobenius matrix, rows x^(ip) mod f, after the first
-step), then Cantor-Zassenhaus equal-degree splitting. Randomness comes
+step; lazy, so a caller that needs only the least degree stops there),
+then Cantor-Zassenhaus equal-degree splitting. Randomness comes
 from a locally seeded generator so results are reproducible; the factor list
 is sorted by (degree, coefficients) regardless. Intended scale: degree up to
 a few dozen, p up to about 1e6 (larger p works, just slower).
@@ -150,8 +151,9 @@ def gf_squarefree_parts(f, p):
     return out
 
 
-def _distinct_degree(f, p):
-    """[(product_of_irreducibles_of_degree_d, d)] for monic squarefree f.
+def _distinct_degree(f, p, top=None):
+    """Yield (product_of_irreducibles_of_degree_d, d) for monic squarefree
+    f, d ascending; with top, only the d <= top, and the walk stops there.
 
     Step d takes h = x^(p^(d-1)) to h^p and splits off gcd(h - x, f*), the
     product of the factors of degree d. The first step is one powering,
@@ -159,13 +161,15 @@ def _distinct_degree(f, p):
     matrix Q of the modulus g = f* at the second step, whose row i is
     x^(ip) mod g: since c^p = c in F_p, h^p = sum_i h_i x^(ip). The matrix
     is built only when a second step is needed; h stays reduced mod g,
-    which every later f* divides.
+    which every later f* divides. The steps run as the pairs are asked
+    for, so the first pair costs only the steps up to the least degree.
     """
-    out = []
+    if top is None:
+        top = len(f) - 1
     h = [0, 1]  # x
     fstar = list(f)
     d = 0
-    while len(fstar) - 1 >= 2 * (d + 1):
+    while len(fstar) - 1 >= 2 * (d + 1) and d < top:
         d += 1
         if d == 1:
             h = gf_powmod(h, p, fstar, p)
@@ -176,11 +180,11 @@ def _distinct_degree(f, p):
             h = _frobenius(h, frob, p)
         g = gf_gcd(gf_sub(h, [0, 1], p), fstar, p)
         if len(g) > 1:
-            out.append((g, d))
+            yield g, d
             fstar = gf_divmod(fstar, g, p)[0]
-    if len(fstar) > 1:
-        out.append((fstar, len(fstar) - 1))
-    return out
+    # f* has no factor of degree <= d: below 2(d + 1) it is irreducible
+    if 1 < len(fstar) <= top + 1:
+        yield fstar, len(fstar) - 1
 
 
 def _frobenius_rows(xp, g, p):

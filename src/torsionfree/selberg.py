@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime
-from .numfield import NumberField, dedekind_split
+from .numfield import NumberField, dedekind_split, least_inertia_degree
 
 _DPS = 30
 _THRESHOLD_CAP = 1 << 64
@@ -91,10 +91,16 @@ def find_congruence_level(K: NumberField, dim_G: int,
     """Smallest-norm prime ideal giving a torsion-free congruence level.
 
     Scans rational primes in increasing order, in blocks of 64 integers,
-    splits each, and keeps the minimal passing norm; ties go to smaller q,
-    then smaller inertia. The scan stops after the block in which no
-    unscanned prime can beat the best norm any more, or raises when the cap
-    is hit first. Index primes of K are skipped, not split, and reported.
+    and keeps the minimal passing norm; ties go to smaller q, then smaller
+    inertia. Index primes of K are skipped, not split, and reported; q = 2
+    never passes (kionke_criterion(2, e) fails for every e >= 1) and is
+    passed over. A prime dividing disc_poly is split by dedekind_split,
+    which supplies its ramification indices. Every other prime is
+    unramified, so only its least inertia degree can win, and only with a
+    norm below the best so far: least_inertia_degree looks for it up to
+    that bound and no further. The scan stops after the block in which no
+    unscanned prime can beat the best norm any more, or raises when the
+    cap is hit first.
     """
     if dim_G < 1:
         raise PreconditionError("dim_G must be >= 1")
@@ -113,7 +119,15 @@ def find_congruence_level(K: NumberField, dim_G: int,
             if q in K.index_primes:
                 skipped.append(q)
                 continue
-            for e, f in dedekind_split(K, q):
+            if q == 2:
+                continue
+            if K.disc_poly % q:
+                f = least_inertia_degree(
+                    K, q, None if best is None else _degree_below(q, best[0]))
+                splits = () if f is None else ((1, f),)
+            else:
+                splits = dedekind_split(K, q)
+            for e, f in splits:
                 cand = (q**f, q, f, e)
                 if kionke_criterion(q, e) and (best is None or cand < best):
                     best = cand
@@ -123,6 +137,15 @@ def find_congruence_level(K: NumberField, dim_G: int,
         rational_prime=q, inertia=f, ramification=e, norm=norm_,
         torsion_free_certificate=True, index_bound=norm_**dim_G, dim_G=dim_G,
         skipped_index_divisible=tuple(skipped))
+
+
+def _degree_below(q: int, norm: int) -> int:
+    """The largest j >= 0 with q^j < norm."""
+    j, power = 0, q
+    while power < norm:
+        j += 1
+        power *= q
+    return j
 
 
 # ---------------------------------------------------------------- analytics

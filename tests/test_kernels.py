@@ -15,16 +15,21 @@ from torsionfree._kernels import (IMPLEMENTATION, poly_factor_count,
                                   poly_root_count_over_primes,
                                   prime_count_in_classes)
 from torsionfree.ntheory import (factorize, is_prime, primes_in_range,
-                                 primes_upto, progression_blocks)
+                                 primes_upto, progression_blocks,
+                                 square_prime_factors)
 from torsionfree.polyalg import IntPoly, factor_mod_p
+from torsionfree.polyalg.modp import gf_gcd, gf_powmod, gf_sub, gf_trim
 
 
 def brute_root_count(coeffs, lo, hi):
     """The distinct roots of f mod q, summed over the primes q in [lo, hi),
-    as the linear factors of the full factorisation mod q."""
-    f = IntPoly(tuple(coeffs))
-    return sum(1 for q in primes_in_range(lo, hi)
-               for g, _e in factor_mod_p(f, q) if g.degree == 1)
+    each as deg gcd(f, x^q - x) over F_q in list arithmetic."""
+    total = 0
+    for q in primes_in_range(lo, hi):
+        f = gf_trim([c % q for c in coeffs])
+        xq = gf_powmod([0, 1], q, f, q)
+        total += len(gf_gcd(f, gf_sub(xq, [0, 1], q), q)) - 1
+    return total
 
 
 def brute_factor_count(coeffs, primes, x):
@@ -225,9 +230,11 @@ class TestRootCounts:
         got = poly_root_count_over_primes(coeffs, 2, 1500)
         assert got == brute_root_count(coeffs, 2, 1500)
 
-    def test_range_spanning_several_batches(self):
+    def test_range_spanning_several_batches(self, monkeypatch):
+        # a batch of 200 columns, so the 955 primes run in 5 batches
+        monkeypatch.setattr(_kernels, "_BATCH_WORDS", 12 * 200)
         coeffs = (3, -1, 0, 2, 1, 0, 0, -5, 0, 0, 1, 7, 1)
-        batch = _kernels._BATCH_WORDS // 12**2
+        batch = _kernels._BATCH_WORDS // 12
         assert len(primes_in_range(1000, 9000)) > 3 * batch
         got = poly_root_count_over_primes(coeffs, 1000, 9000)
         assert got == brute_root_count(coeffs, 1000, 9000)
@@ -516,3 +523,50 @@ class TestNtheory:
         assert is_prime(p) and is_prime(q)
         with pytest.raises(ResourceCapError):
             factorize(p * q)
+
+    def test_square_prime_factors_against_factorize(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            n = 1
+            for _ in range(rng.randint(0, 6)):
+                n *= rng.choice([2, 3, 7, 97, 99991, 100003, 999983,
+                                 rng.randint(2, 10**7)])
+            assert square_prime_factors(n) == \
+                tuple(q for q, e in factorize(n).items() if e >= 2), n
+
+    def test_square_prime_factors_without_rho(self, monkeypatch):
+        # after trial division to 1e5 a cofactor below 1e15 is 1, a prime,
+        # a prime squared or two distinct primes: no rho step is taken
+        def no_rho(n, budget):
+            raise AssertionError(f"rho step on {n}")
+
+        monkeypatch.setattr(ntheory, "_pollard_rho", no_rho)
+        p, q = 999983, 1000003
+        assert is_prime(p) and is_prime(q) and p * q < 10**15
+        assert square_prime_factors(2**3 * 7**2 * 11 * q) == (2, 7)
+        assert square_prime_factors(12 * q * q) == (2, q)
+        assert square_prime_factors(45 * p * q) == (3,)
+        assert square_prime_factors(p * q) == ()
+        assert square_prime_factors(1) == () and square_prime_factors(49) == (7,)
+        # products just below 1e15: primes either side of 10^7.5
+        r, s = 31622743, 31622777
+        assert is_prime(r) and is_prime(s) and r * s < 10**15
+        assert square_prime_factors(r * s) == ()
+        assert square_prime_factors(r * r) == (r,)
+        with pytest.raises(ValueError):
+            square_prime_factors(0)
+
+    def test_square_prime_factors_large_cofactor(self, monkeypatch):
+        # a cofactor of 1e15 or more may have three prime factors, so it is
+        # factored, within the rho budget
+        rho, calls = ntheory._pollard_rho, []
+
+        def counted_rho(n, budget):
+            calls.append(n)
+            return rho(n, budget)
+
+        monkeypatch.setattr(ntheory, "_pollard_rho", counted_rho)
+        p, q = 100003, 100019
+        assert is_prime(p) and is_prime(q) and p * p * q >= 10**15
+        assert square_prime_factors(4 * p * p * q) == (2, p)
+        assert calls

@@ -1,10 +1,18 @@
+import json
+import random
 import time
 
 import mpmath as mp
 import pytest
+from conftest import DATA
 
+from torsionfree import numfield, selberg
 from torsionfree.errors import PreconditionError, ResourceCapError
-from torsionfree.numfield import count_prime_ideals, make_cosine_field
+from torsionfree.ntheory import primes_upto
+from torsionfree.numfield import (count_prime_ideals, dedekind_split,
+                                  least_inertia_degree, make_cosine_field,
+                                  make_field)
+from torsionfree.polyalg import IntPoly, minpoly_two_cos_conductor
 from torsionfree.selberg import (find_congruence_level, generator_bound_pipeline,
                                  grh_error, grh_threshold, kionke_criterion,
                                  li_lower_surrogate, logarithmic_integral,
@@ -84,6 +92,135 @@ class TestFindCongruenceLevel:
         assert js["index_bound"] == "343"
         assert js["torsion_free_certificate"] is True
         assert js["skipped_index_divisible"] == []
+
+
+def level_tuple(lvl):
+    return (lvl.norm, lvl.rational_prime, lvl.inertia, lvl.ramification,
+            lvl.skipped_index_divisible)
+
+
+def reference_level(K):
+    """The level by splitting every prime with dedekind_split, index primes
+    skipped, up to the end of the 64-integer block (from 2) in which the
+    best norm lies."""
+    best, skipped = None, []
+    for q in primes_upto(10**4):
+        if best is not None and (q - 2) // 64 > (best[0] - 2) // 64:
+            break
+        if q in K.index_primes:
+            skipped.append(q)
+            continue
+        for e, f in dedekind_split(K, q):
+            cand = (q**f, q, f, e)
+            if kionke_criterion(q, e) and (best is None or cand < best):
+                best = cand
+    return (*best, tuple(skipped))
+
+
+class TestLevelScan:
+    """The scan splits only the primes dividing disc_poly; every other
+    prime is unramified and gives only its least inertia degree, sought
+    no further than the best norm found so far."""
+
+    def test_generic_fields_frozen(self):
+        # the generic-fields benchmark inputs of seeds 1-50, with the
+        # answers of the scan that split every prime
+        rows = json.loads((DATA / "generic_levels.json").read_text())
+        assert len(rows) == 350
+        for coeffs, norm, q, f, e, skipped in rows:
+            lvl = find_congruence_level(make_field(coeffs), 3)
+            assert level_tuple(lvl) == (norm, q, f, e, tuple(skipped)), coeffs
+
+    @pytest.mark.parametrize("coeffs, want", [
+        ((-63, 0, 1), (7, 7, 1, 2, (3,))),
+        ((-8, -2, -1, 1), (5, 5, 1, 1, (2,))),
+        # x^4 + 1 has no root mod 3, 5, 7 or 11: the least degree is 2 at
+        # every small q, and 3^2 = 9 wins
+        ((1, 0, 0, 0, 1), (9, 3, 2, 1, ())),
+    ])
+    def test_examples(self, coeffs, want):
+        K = make_field(IntPoly(coeffs))
+        assert level_tuple(find_congruence_level(K, 3)) == want
+        assert reference_level(K) == want
+
+    def test_random_fields_match_reference(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            d = rng.randint(1, 7)
+            coeffs = tuple(rng.randint(-40, 40) for _ in range(d)) + (1,)
+            try:
+                K = make_field(coeffs)
+            except PreconditionError:  # a rational root or a repeated factor
+                continue
+            assert level_tuple(find_congruence_level(K, 3)) == \
+                reference_level(K), coeffs
+
+    def test_cosine_fields_without_conductor(self):
+        # the distinct-degree walk without the conductor agrees with the
+        # abelian law for every conductor up to 61 of degree at most 15
+        fields = 0
+        for n in range(3, 62):
+            f = minpoly_two_cos_conductor(n)
+            if f.degree > 15:
+                continue
+            fields += 1
+            generic = make_field(f)
+            assert generic.conductor is None
+            assert level_tuple(find_congruence_level(generic, 3)) == \
+                level_tuple(find_congruence_level(make_cosine_field(n), 3)), n
+        assert fields == 48
+
+    @pytest.mark.parametrize("coeffs", [
+        (-63, 0, 1), (-8, -2, -1, 1), (1, 0, 0, 0, 1),
+        (2, -4, 0, -2, -4, 4, 4, 2, 1),
+        (2, 4, 2, -2, 4, -2, 2, -4, -4, -2, 2, 0, 1)])
+    def test_factors_only_primes_dividing_disc(self, coeffs, monkeypatch):
+        K = make_field(IntPoly(coeffs))
+        want = find_congruence_level(K, 3)
+        factor, split = numfield.factor_mod_p, numfield.dedekind_split
+        factored, splits = [], []
+
+        def counted_factor(f, q):
+            factored.append(q)
+            return factor(f, q)
+
+        def counted_split(K, q):
+            splits.append(q)
+            return split(K, q)
+
+        monkeypatch.setattr(numfield, "factor_mod_p", counted_factor)
+        monkeypatch.setattr(numfield, "dedekind_split", counted_split)
+        monkeypatch.setattr(selberg, "dedekind_split", counted_split)
+        assert find_congruence_level(K, 3) == want
+        assert factored == splits
+        assert all(K.disc_poly % q == 0 and q != 2 for q in factored)
+
+    def test_least_inertia_degree(self):
+        # against the full splitting, for every bound on the degree
+        rng = random.Random(5)
+        for _ in range(12):
+            d = rng.randint(2, 8)
+            coeffs = tuple(rng.randint(-20, 20) for _ in range(d)) + (1,)
+            try:
+                K = make_field(coeffs)
+            except PreconditionError:
+                continue
+            for q in primes_upto(60):
+                if K.disc_poly % q == 0:
+                    with pytest.raises(PreconditionError):
+                        least_inertia_degree(K, q)
+                    continue
+                least = min(f for _e, f in dedekind_split(K, q))
+                assert least_inertia_degree(K, q) == least
+                for top in range(d + 1):
+                    assert least_inertia_degree(K, q, top) == \
+                        (least if least <= top else None)
+        K = make_cosine_field(13)  # inertia degree 6 at 2 and 3 at 3
+        assert least_inertia_degree(K, 2) == 6
+        assert least_inertia_degree(K, 2, 5) is None
+        assert least_inertia_degree(K, 3, 3) == 3
+        with pytest.raises(PreconditionError):
+            least_inertia_degree(K, 9)
 
 
 class TestLogarithmicIntegral:
