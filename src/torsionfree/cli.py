@@ -316,6 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------- entrypoint
 
 def entrypoint(argv=None) -> int:
+    # reports print every integer the tool holds, whatever its length; the
+    # limit is lifted here, for the tool's process, not on import
+    lift = getattr(sys, "set_int_max_str_digits", None)   # 3.10.7 and later
+    if lift is not None:
+        lift(0)
     try:
         try:
             args = build_parser().parse_args(argv)

@@ -34,10 +34,10 @@ from .numfield import (FieldElement, NumberField, dedekind_index_primes,
                        sign_at_embeddings)
 from .polyalg import compare_root, discriminant, minpoly_two_cos
 from .report import mpf_str
-from .torsion import mat_mul, mat_pow
+from .torsion import mat_mul
 
 # largest p that a construction or a sweep accepts; build_construction(503)
-# takes about 1 s on 2 cores
+# takes 0.5-0.7 s on 2 cores, its field build included
 P_CAP = 503
 PROBE_K_CAP = 20
 PROBE_CANDIDATE_BITS = 30
@@ -238,15 +238,39 @@ def _det(M):
 
 
 def verify_order(g, p: int) -> bool:
-    """g^p = I and g != I, in exact field arithmetic; p prime makes the
-    pair of checks decide the order."""
+    """g = blockdiag(M, 1) has exact order p, in exact field arithmetic.
+
+    g must be a 3 x 3 matrix over K whose last row and column are (0, 0, 1);
+    anything else is refused. Its 2 x 2 block M has characteristic
+    polynomial chi = x^2 - t x + n with t = tr M and n = det M. Write
+    x^p = q chi + r0 + r1 x in K[x]; by Cayley-Hamilton chi(M) = 0, so
+    M^p = r0 I + r1 M. The remainder comes from left-to-right
+    square-and-multiply in K[x]/(chi): a square of u0 + u1 x takes the
+    products u0^2, u0 u1 and u1^2 and folds x^2 = t x - n; a step by x
+    folds once. So g^p = I exactly when r0 I + r1 M = I, and since p is
+    prime, g^p = I with g != I means g has order p (Cohen, GTM 138).
+    """
     if not is_prime(p):
         raise PreconditionError("p must be prime")
+    if len(g) != 3 or any(len(row) != 3 for row in g):
+        raise PreconditionError("g must be a 3 x 3 matrix")
     field = g[0][0].owner
-    n = len(g)
-    ident = tuple(tuple(field.element([int(i == j)]) for j in range(n))
-                  for i in range(n))
-    return g != ident and mat_pow(g, p) == ident
+    zero, one = field.element([0]), field.element([1])
+    if g[2][2] != one or any(e != zero for e in (*g[2][:2], g[0][2], g[1][2])):
+        raise PreconditionError("g must be blockdiag(M, 1)")
+    (a, b), (c, d) = g[0][:2], g[1][:2]
+    t, n = a + d, a * d - b * c
+    # mul_mod skips the zero coefficients of its left factor, so the sparse
+    # t, n and entries of M go on the left
+    r0, r1 = zero, one    # x, the leading bit of p
+    for bit in bin(p)[3:]:
+        s1 = r1 * r1
+        r0, r1 = r0 * r0 - n * s1, 2 * (r0 * r1) + t * s1
+        if bit == "1":
+            r0, r1 = -(n * r1), r0 + t * r1
+    return ((a, b, c, d) != (one, zero, zero, one)
+            and (r0 + a * r1, b * r1, c * r1, r0 + d * r1)
+            == (one, zero, zero, one))
 
 
 def form_preservation_check(g, gram) -> bool:
@@ -344,9 +368,8 @@ def build_construction(p: int, a_const=1.0,
                        b_const=1.0) -> LatticeConstruction:
     _require_construction_prime(p)
     field = make_cosine_field(p)
-    disc = field.field_disc
-    if disc is None:
-        raise PreconditionError("field discriminant not certified")
+    # make_cosine_field refuses an index prime, so disc_poly is the field's
+    disc = field.disc_poly
     T = choose_T(p)
     half = Fraction(1, 2)
     omega = field.element([0, half])

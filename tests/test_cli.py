@@ -13,6 +13,7 @@ import pytest
 
 from conftest import DATA, GOLDEN, child_env, run_cli
 from torsionfree.cli import entrypoint
+from torsionfree.polyalg import IntPoly, discriminant
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "torsionfree" / "schemas" /
@@ -129,6 +130,24 @@ class TestExitCodes:
         assert time.monotonic() - start < 30
         payload = json.loads(proc.stderr.splitlines()[-1])
         assert payload["error"]["type"] == "ResourceCapError"
+
+    def test_discriminant_above_str_digit_limit_prints(self, tmp_path):
+        # disc(x^64 - 2^250) has 4,857 digits, above Python's default
+        # int-to-str limit of 4,300
+        f = IntPoly((-2**250,) + (0,) * 63 + (1,))
+        poly = tmp_path / "x64.poly"
+        poly.write_text(", ".join(map(str, f.coeffs)) + "\n")
+        code, out, _err = run_cli("field", "analyze", str(poly))
+        assert code == 0
+        printed = json.loads(out)["report"]["disc_poly"]
+        # this process may hold the default limit; lift it to compare
+        lift = getattr(sys, "set_int_max_str_digits", lambda n: None)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        lift(0)
+        try:
+            assert printed == str(discriminant(f))
+        finally:
+            lift(limit)
 
     @pytest.mark.parametrize("args", [
         ["bound", "grh", "--v", "nan", "--dimh", "3"],

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,16 +18,17 @@ from torsionfree.ntheory import primes_in_range
 from torsionfree.numfield import make_cosine_field, make_field
 from torsionfree.polyalg import (IntPoly, compare_root, isolate_two_cos_roots,
                                  minpoly_two_cos, minpoly_two_cos_conductor)
+from torsionfree.torsion import mat_pow
 
 PRIMES = (5, 7, 11, 13)
 FROZEN_T = {5: Fraction(1, 8), 7: Fraction(-1, 2),
             11: Fraction(-21, 32), 13: Fraction(-7, 8)}
 FROZEN_DISC = {5: 5, 7: 49, 11: 11**4, 13: 13**5}
-# T for degrees 44 to 99, where the first admissible denominator is 2^11
-# or 2^13
+# T for degrees 44 to 251 (p = 503 is P_CAP), where the first admissible
+# denominator is 2^11 or 2^13
 LARGE_T = {89: Fraction(-2037, 2048), 97: Fraction(-2039, 2048),
            151: Fraction(-2045, 2048), 193: Fraction(-8183, 8192),
-           199: Fraction(-8183, 8192)}
+           199: Fraction(-8183, 8192), 503: Fraction(-8191, 8192)}
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +246,43 @@ class TestOrderElement:
         I3 = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
         assert not verify_order(I3, 5)
 
+    def test_matches_matrix_power(self):
+        # the 3 x 3 power is the oracle: g^p = I and g != I
+        for p in primes_in_range(5, 200):
+            K = make_cosine_field(p)
+            g = order_p_element(p, K)
+            one, zero = K.element([1]), K.element([0])
+            I3 = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+            assert verify_order(g, p) == (mat_pow(g, p) == I3 and g != I3)
+
+    def test_wrong_orders_fail(self):
+        primes = primes_in_range(5, 212)    # 211 follows 199
+        for p, q in zip(primes, primes[1:]):
+            K = make_cosine_field(p)
+            g = order_p_element(p, K)
+            # diag(-M, 1) has order 2p
+            neg = tuple((-row[0], -row[1], row[2]) for row in g[:2]) + g[2:]
+            assert not verify_order(neg, p)
+            assert not verify_order(g, q)
+            # a shear: x^p = (1 - p) + p x mod (x - 1)^2, so only the
+            # off-diagonal entry p of its p-th power tells it from I
+            one, zero = K.element([1]), K.element([0])
+            shear = ((one, one, zero), (zero, one, zero), g[2])
+            assert not verify_order(shear, p)
+
+    def test_not_block_diagonal_refused(self, cosine_fields):
+        K = cosine_fields[5]
+        g = order_p_element(5, K)
+        one = K.element([1])
+        for i, j in ((0, 2), (1, 2), (2, 0), (2, 1)):
+            bad = [list(row) for row in g]
+            bad[i][j] = one
+            with pytest.raises(PreconditionError):
+                verify_order(tuple(map(tuple, bad)), 5)
+        corner = g[:2] + ((g[2][0], g[2][1], -one),)
+        with pytest.raises(PreconditionError):
+            verify_order(corner, 5)
+
 
 class TestFormPreservation:
     def test_identity_preserves(self, cosine_fields):
@@ -332,6 +369,7 @@ class TestLargePrimes:
         con = build_construction(p)
         assert con.T == LARGE_T[p]
         assert all(con.checks[name] is True for name in CHECK_NAMES)
+        assert con.disc_used == p ** ((p - 3) // 2)
 
     def test_perturbed_generator_fails_order(self):
         p = 199
@@ -416,12 +454,6 @@ class TestCosineFieldDisc:
             assert disc == make_cosine_field(p).field_disc == p ** ((p - 3) // 2)
 
     def test_uncertified_discriminant_refused(self, monkeypatch):
-        K = make_cosine_field(7)
-        uncertified = dataclasses.replace(K, index_primes=(7,))
-        assert uncertified.field_disc is None
-        monkeypatch.setattr(construct, "make_cosine_field", lambda p: uncertified)
-        with pytest.raises(PreconditionError):
-            build_construction(7)
         monkeypatch.setattr(construct, "dedekind_index_primes",
                             lambda f, disc: (7,))
         with pytest.raises(PreconditionError):
