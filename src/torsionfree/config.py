@@ -1,12 +1,14 @@
 """Configuration of the constants no published value pins down.
 
 Every constant here except prime_scan_cap is an illustrative default: the
-asymptotic statements leave c1, c2, a, b, the Jordan index and the epsilon
-margin unspecified, so silent defaults would launder invented numbers into
-results. Loading gives one warning line per defaulted constant, which a
-command prints when it reads that constant; a config file (JSON object,
-same keys) or the TORSIONFREE_CONFIG env var overrides. A config path that
-does not exist is bad input, not a reason to fall back on the defaults.
+asymptotic statements leave c1, c2, a, b, the lemma constant C and the
+epsilon margin unspecified, so silent defaults would launder invented
+numbers into results. Loading gives one warning line per defaulted
+constant, which a command prints when it reads that constant; a config file
+(JSON object, same keys) or the TORSIONFREE_CONFIG env var overrides. Every
+value must be finite and positive, and prime_scan_cap an integer (3.0 is
+read as 3). A config path that does not exist is bad input, not a reason
+to fall back on the defaults.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
+from math import isfinite
 
 from .errors import PreconditionError
 
 ENV_VAR = "TORSIONFREE_CONFIG"
 
 ILLUSTRATIVE = ("prasad_c1", "prasad_c2", "belolipetsky_a", "belolipetsky_b",
-                "jordan_index", "epsilon", "lemma_C")
+                "epsilon", "lemma_C")
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,6 @@ class Config:
     prasad_c2: float = 1.0
     belolipetsky_a: float = 1.0
     belolipetsky_b: float = 1.0
-    jordan_index: int = 60
     epsilon: float = 0.1
     prime_scan_cap: int = 10**6
     lemma_C: float = 1.0
@@ -39,12 +41,13 @@ class Config:
             v = getattr(self, f.name)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise PreconditionError(f"{f.name} must be numeric")
+            if isinstance(v, float) and not isfinite(v):
+                raise PreconditionError(f"{f.name} must be finite")
             if v <= 0:
                 raise PreconditionError(f"{f.name} must be positive")
-        if int(self.jordan_index) != self.jordan_index:
-            raise PreconditionError("jordan_index must be an integer")
         if int(self.prime_scan_cap) != self.prime_scan_cap:
             raise PreconditionError("prime_scan_cap must be an integer")
+        object.__setattr__(self, "prime_scan_cap", int(self.prime_scan_cap))
 
 
 def load_config(path: str | None = None

@@ -260,8 +260,6 @@ def verify_order(g, p: int) -> bool:
         raise PreconditionError("g must be blockdiag(M, 1)")
     (a, b), (c, d) = g[0][:2], g[1][:2]
     t, n = a + d, a * d - b * c
-    # mul_mod skips the zero coefficients of its left factor, so the sparse
-    # t, n and entries of M go on the left
     r0, r1 = zero, one    # x, the leading bit of p
     for bit in bin(p)[3:]:
         s1 = r1 * r1

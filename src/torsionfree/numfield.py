@@ -87,7 +87,11 @@ class NumberField:
 
 def mul_mod(u, v, f) -> list[int]:
     """u * v reduced modulo the monic f, for integer coefficient vectors u, v
-    of length deg f (lowest degree first); the result is integral too."""
+    of length deg f (lowest degree first); the result is integral too. The
+    outer loop runs over the factor with fewer nonzero coefficients and
+    skips its zeros, so a sparse factor costs O(d) on either side."""
+    if sum(map(bool, v)) < sum(map(bool, u)):
+        u, v = v, u
     d = len(u)
     prod = [0] * (2 * d - 1)
     for i, a in enumerate(u):
@@ -170,9 +174,8 @@ class FieldElement:
 
 def _dedekind_index_test(f: IntPoly, p: int) -> bool:
     """True when p does NOT divide the index [O : Z[theta]]."""
-    factors = factor_mod_p(f, p)
     g = IntPoly((1,))
-    for gi, _ in factors:
+    for gi, _d, _e in factor_mod_p(f, p):
         g = g * gi
     fbar = [c % p for c in f.coeffs]
     gbar = [c % p for c in g.coeffs]
@@ -300,9 +303,8 @@ def dedekind_split(K: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     if n is not None and n % p:
         f = _inertia_degree(p % n, n)
         return ((1, f),) * (K.degree // f)
-    factors = factor_mod_p(K.defining_poly, p)
-    return tuple(sorted(((e, g.degree) for g, e in factors),
-                        key=lambda t: (t[1], t[0])))
+    return tuple((e, d) for g, d, e in factor_mod_p(K.defining_poly, p)
+                 for _ in range(g.degree // d))
 
 
 @cache

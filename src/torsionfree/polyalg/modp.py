@@ -1,36 +1,27 @@
-"""Polynomial factorization over prime fields.
+"""Distinct-degree factorization over prime fields.
 
 Polynomials mod p are plain lists of ints in [0, p), lowest degree first,
 trimmed. The pipeline is squarefree decomposition (each multiplicity read
 by repeated exact division), then distinct-degree splitting (h -> h^p as
 one product with the Frobenius matrix, rows x^(ip) mod f, after the first
-step; lazy, so a caller that needs only the least degree stops there),
-then Cantor-Zassenhaus equal-degree splitting. Randomness comes
-from a locally seeded generator so results are reproducible; the factor list
-is sorted by (degree, coefficients) regardless. Intended scale: degree up to
-a few dozen, p up to about 1e6 (larger p works, just slower).
+step; lazy, so a caller that needs only the least degree stops there).
+That is all the splitting shape of a prime needs: there is no equal-degree
+stage, no irreducible factor is ever separated, and every step is
+deterministic. Intended scale: degree up to a few dozen, p up to about 1e6
+(larger p works, just slower).
 """
 
 from __future__ import annotations
 
-import random
-
 from ..errors import PreconditionError
 from ..ntheory import is_prime
 from .poly import IntPoly
-
-_CZ_SEED = 0x5EED_CA55
 
 
 def gf_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def gf_add(a, b, p):
-    n = max(len(a), len(b))
-    return gf_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
 
 
 def gf_sub(a, b, p):
@@ -205,53 +196,21 @@ def _frobenius(h, rows, p):
     return gf_trim([v % p for v in out])
 
 
-def _equal_degree(f, d, p, rng):
-    """Split monic squarefree f (all irreducible factors of degree d)."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = gf_trim(a)
-        if len(a) < 1:
-            continue
-        if p == 2:
-            # trace map over GF(2^d)
-            cur = gf_mod(list(a), f, p)
-            acc = list(cur)
-            for _ in range(d - 1):
-                cur = gf_mod(gf_mul(cur, cur, p), f, p)
-                acc = gf_add(acc, cur, p)
-            g = gf_gcd(acc, f, p)
-        else:
-            g = gf_gcd(a, f, p)  # lucky split if a shares a factor
-            if not 1 < len(g) < len(f):
-                b = gf_powmod(a, (p**d - 1) // 2, f, p)
-                g = gf_gcd(gf_sub(b, [1], p), f, p)
-        if 1 < len(g) < len(f):
-            rest = gf_divmod(f, g, p)[0]
-            return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
+def factor_mod_p(f: IntPoly, p: int) -> list[tuple[IntPoly, int, int]]:
+    """Distinct-degree factorization of f mod p as [(g, d, e)]: g is the
+    monic product of the irreducible factors of f mod p that have degree d
+    and multiplicity e, so it holds deg g / d of them.
 
-
-def factor_mod_p(f: IntPoly, p: int) -> list[tuple[IntPoly, int]]:
-    """Full factorization of f mod p as [(monic irreducible factor, mult)].
-
-    The product of the factors times (lc(f) mod p) reproduces f mod p.
-    Factors are IntPoly with coefficients in [0, p), sorted by (degree,
-    coefficient tuple).
+    The product of the g^e times (lc(f) mod p) reproduces f mod p. Each
+    (d, e) occurs once; the g are IntPoly with coefficients in [0, p),
+    sorted by (d, e).
     """
     if not is_prime(p):
         raise PreconditionError(f"modulus {p} is not prime")
     fp = gf_trim([c % p for c in f.coeffs])
     if not fp:
         raise PreconditionError("polynomial vanishes mod p")
-    if len(fp) == 1:
-        return []
-    rng = random.Random(_CZ_SEED ^ (p << 1) ^ len(fp))
-    factors: list[tuple[list[int], int]] = []
-    for g, mult in gf_squarefree_parts(fp, p):
-        for h, d in _distinct_degree(g, p):
-            for irr in _equal_degree(h, d, p, rng):
-                factors.append((irr, mult))
-    factors.sort(key=lambda t: (len(t[0]), tuple(reversed(t[0]))))
-    return [(IntPoly(g), m) for g, m in factors]
+    parts = [(g, d, e) for part, e in gf_squarefree_parts(fp, p)
+             for g, d in _distinct_degree(part, p)]
+    parts.sort(key=lambda t: (t[1], t[2]))
+    return [(IntPoly(g), d, e) for g, d, e in parts]

@@ -34,6 +34,18 @@ def cosine_fields():
     return {p: make_cosine_field(p) for p in CONSTRUCTION_PRIMES}
 
 
+def factor_degrees_mod_p(coeffs, p):
+    """The degrees of the distinct irreducible factors of f mod p, f given
+    by its coefficients lowest first, from sympy's factorisation over F_p:
+    an oracle that shares no code with the program's distinct-degree
+    factorization."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor, gf_from_int_poly
+    _lc, factors = gf_factor(gf_from_int_poly(list(reversed(coeffs)), p),
+                             p, ZZ)
+    return [len(g) - 1 for g, _e in factors]
+
+
 def child_env(**extra):
     """Environment for a child interpreter that imports this torsionfree.
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import mpmath as mp
@@ -13,6 +14,7 @@ import pytest
 
 from conftest import DATA, GOLDEN, child_env, run_cli
 from torsionfree.cli import entrypoint
+from torsionfree.config import Config
 from torsionfree.polyalg import IntPoly, discriminant
 
 SCHEMA = json.loads(
@@ -214,7 +216,7 @@ class TestExitCodes:
 class TestConfig:
     def test_default_warns_on_stderr(self):
         # each command warns about the illustrative constants it reads and
-        # no others; no command reads jordan_index. Only a command that
+        # no others. Only a command that
         # reads a config value notes that no config file was given.
         note = "no config file given; defaults in effect"
         reads_no_config = {("field", "analyze"), ("bound", "unconditional"),
@@ -238,7 +240,6 @@ class TestConfig:
             warned = set(re.findall(r"warning: (\w+) = .* is an illustrative "
                                     "default", err))
             assert warned == names, args
-            assert "jordan_index" not in err
             assert (note in err) == (args[:2] not in reads_no_config), args
 
     def test_stdout_stays_clean(self):
@@ -258,10 +259,13 @@ class TestConfig:
 
     def test_env_var_honored(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"jordan_index": 120}))
+        cfg.write_text(json.dumps({"belolipetsky_a": 2.0}))
+        _c, _o, err = run_cli("construct", "sweep", "--pmax", "7")
+        assert "warning: belolipetsky_a" in err
         _c, _o, err = run_cli("construct", "sweep", "--pmax", "7",
                               env_extra={"TORSIONFREE_CONFIG": str(cfg)})
-        assert "jordan_index" not in err
+        assert "belolipetsky_a" not in err
+        assert "warning: belolipetsky_b" in err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -269,6 +273,55 @@ class TestConfig:
         code, _o, err = run_cli("--config", str(cfg),
                                 "construct", "sweep", "--pmax", "7")
         assert code == 2
+
+    def test_jordan_index_is_unknown_key(self, tmp_path):
+        # no command reads a Jordan index, so the config holds none
+        message = self.refused(tmp_path, '{"jordan_index": 60}',
+                               "construct", "sweep", "--pmax", "7")
+        assert message == "unknown config keys: jordan_index"
+
+    @staticmethod
+    def refused(tmp_path, text, *args):
+        """Exit 2, nothing on stdout and a JSON PreconditionError on stderr
+        for the config file holding text."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run_cli("--config", str(cfg), *args)
+        assert (code, out) == (2, ""), (text, args, err)
+        error = json.loads(err.strip().splitlines()[-1])["error"]
+        assert error["type"] == "PreconditionError"
+        return error["message"]
+
+    @pytest.mark.parametrize("key", sorted(f.name for f in fields(Config)))
+    def test_non_finite_value_refused(self, tmp_path, key):
+        # json reads NaN, Infinity and 1e400 as non-finite floats
+        for value in ("NaN", "Infinity", "-Infinity", "1e400"):
+            message = self.refused(tmp_path, f'{{"{key}": {value}}}',
+                                   "level", "find", str(DATA / "q.poly"),
+                                   "--dimg", "3")
+            assert message == f"{key} must be finite"
+
+    @pytest.mark.parametrize("args", [("construct", "--p", "5"),
+                                      ("construct", "sweep", "--pmax", "7")],
+                             ids=" ".join)
+    def test_non_finite_constant_prints_nothing(self, tmp_path, args):
+        # these commands printed "nan" or "+inf" with exit 0 before
+        for text in ('{"belolipetsky_a": NaN}',
+                     '{"belolipetsky_b": Infinity}'):
+            self.refused(tmp_path, text, *args)
+
+    def test_integral_float_scan_cap(self, tmp_path):
+        # 3.0 is the integer 3; 3.5 is refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"prime_scan_cap": 3.0}')
+        args = ("level", "find", str(DATA / "q.poly"), "--dimg", "3")
+        code, out, err = run_cli("--config", str(cfg), *args)
+        assert code == 0, err
+        assert out == run_cli(*args)[1]
+        assert Config(prime_scan_cap=3.0).prime_scan_cap == 3
+        assert type(Config(prime_scan_cap=3.0).prime_scan_cap) is int
+        assert self.refused(tmp_path, '{"prime_scan_cap": 3.5}', *args) == \
+            "prime_scan_cap must be an integer"
 
     def test_invalid_json_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -304,6 +357,20 @@ class TestDeterminism:
         _c1, out1, _e = run_cli(*args)
         _c2, out2, _e = run_cli(*args)
         assert out1 == out2
+
+    def test_no_random_import_in_package(self):
+        # reports are deterministic by construction: no module draws from
+        # the random module, seeded or not
+        src = Path(__file__).parent.parent / "src" / "torsionfree"
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Import)
+                     and any(a.name.split(".")[0] == "random"
+                             for a in node.names)
+                     or isinstance(node, ast.ImportFrom)
+                     and (node.module or "").split(".")[0] == "random"]
+            assert not lines, f"{path.name}: random imported at lines {lines}"
 
 
 class TestOptimizedInterpreter:

@@ -7,7 +7,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from conftest import DATA, child_env
+from conftest import DATA, child_env, factor_degrees_mod_p
 
 from torsionfree import _kernels, ntheory
 from torsionfree.errors import ResourceCapError
@@ -17,7 +17,7 @@ from torsionfree._kernels import (IMPLEMENTATION, poly_factor_count,
 from torsionfree.ntheory import (factorize, is_prime, primes_in_range,
                                  primes_upto, progression_blocks,
                                  square_prime_factors)
-from torsionfree.polyalg import IntPoly, factor_mod_p
+from torsionfree.polyalg import IntPoly
 from torsionfree.polyalg.modp import gf_gcd, gf_powmod, gf_sub, gf_trim
 
 
@@ -34,10 +34,9 @@ def brute_root_count(coeffs, lo, hi):
 
 def brute_factor_count(coeffs, primes, x):
     """The distinct irreducible factors g of f mod p with p^deg(g) <= x,
-    summed over the given primes, from the full factorisation mod p."""
-    f = IntPoly(tuple(coeffs))
-    return sum(1 for p in primes for g, _e in factor_mod_p(f, p)
-               if p**g.degree <= x)
+    summed over the given primes, from sympy's factorisation mod p."""
+    return sum(1 for p in primes for d in factor_degrees_mod_p(coeffs, p)
+               if p**d <= x)
 
 
 def product(*factors):

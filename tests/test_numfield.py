@@ -4,6 +4,7 @@ from math import gcd
 
 import mpmath as mp
 import pytest
+from conftest import factor_degrees_mod_p
 
 from torsionfree.errors import (NotSquarefreeError, PreconditionError,
                                 ResourceCapError, TorsionfreeError)
@@ -15,8 +16,8 @@ from torsionfree.numfield import (FieldElement, count_prime_ideals,
                                   dedekind_split, element_charpoly,
                                   make_cosine_field, make_field,
                                   sign_at_embeddings)
-from torsionfree.polyalg import (IntPoly, factor_mod_p, isolate_real_roots,
-                                 roots, sign_at_root)
+from torsionfree.polyalg import (IntPoly, isolate_real_roots, roots,
+                                 sign_at_root)
 from torsionfree.selberg import find_congruence_level
 
 # x^6 + 2x + 2, Eisenstein at 2
@@ -253,6 +254,25 @@ class TestRepresentation:
             with pytest.raises(PreconditionError):
                 FieldElement(K, (1, 0), den)
 
+    def test_mul_mod_independent_of_operand_order(self):
+        # over the p = 503 cosine polynomial (degree 251): the sparse theta,
+        # a two-term vector, zero and two dense vectors, in both orders
+        f = make_cosine_field(503).defining_poly
+        d = f.degree
+        rng = random.Random(503)
+        theta, sparse, zero = ([0] * d for _ in range(3))
+        theta[1], sparse[3], sparse[200] = 1, -7, 5
+        dense = [[rng.randint(-10**6, 10**6) for _ in range(d)]
+                 for _ in range(2)]
+        vectors = [theta, sparse, zero, *dense]
+        for u in vectors:
+            for v in vectors:
+                assert numfield.mul_mod(u, v, f) == numfield.mul_mod(v, u, f)
+            # theta * u shifts u up and folds its top coefficient by f
+            top = u[-1]
+            assert numfield.mul_mod(u, theta, f) == [
+                a - top * c for a, c in zip([0, *u[:-1]], f.coeffs)]
+
     def test_charpoly_linear_matches_reference(self, rep_fields):
         rng = random.Random(1414)
         for K in rep_fields:
@@ -457,12 +477,13 @@ class TestCounting:
         # x^2 - 20402 = x^2 - 2 * 101^2: the index prime 101 lies above
         # sqrt(x) up to x = 10200, so the root-count kernel counts it and the
         # count takes its roots off again; at 10201 = 101^2 it is a small
-        # prime. The reference factors every prime up to x but 101.
+        # prime. The reference factors every prime up to x but 101 with
+        # sympy.
         f = IntPoly((-20402, 0, 1))
         K = make_field(f)
         assert K.index_primes == (101,)
         want = sum(1 for p in primes_upto(x) if p != 101
-                   for g, _e in factor_mod_p(f, p) if p**g.degree <= x)
+                   for d in factor_degrees_mod_p(f.coeffs, p) if p**d <= x)
         seen: list[int] = []
         assert count_prime_ideals(K, x, seen) == want == count
         assert seen == unreliable

@@ -155,9 +155,10 @@ class TestCosineMinimalPolynomials:
         for q in primes_upto(1000):
             if f[f.degree] % q == 0:
                 continue
-            factors = factor_mod_p(f, q)
-            if len(factors) == 1 and factors[0][1] == 1 \
-                    and factors[0][0].degree == f.degree:
+            # f is monic, so irreducible mod q means one part of degree
+            # deg f and multiplicity 1 that is f mod q itself
+            fq = IntPoly(tuple(c % q for c in f.coeffs))
+            if factor_mod_p(f, q) == [(fq, f.degree, 1)]:
                 return True
         return False
 
@@ -189,22 +190,24 @@ class TestCosineMinimalPolynomials:
         assert tuple(f5) == (-1, 1, 1)
 
 
+def mul_mod_p(a, b, p):
+    """The product of coefficient tuples a and b (lowest first) mod p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
 def monic_irreducibles(p, maxdeg):
     """Every monic irreducible polynomial over F_p of degree <= maxdeg, as
     coefficient tuples, lowest first: the monic polynomials that are no
     product of two monic ones of lower degree."""
-    def mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-        return tuple(out)
-
     monic = {n: [tuple(c) + (1,) for c in itertools.product(range(p), repeat=n)]
              for n in range(1, maxdeg + 1)}
     irreducible = []
     for n in range(1, maxdeg + 1):
-        products = {mul(a, b) for k in range(1, n // 2 + 1)
+        products = {mul_mod_p(a, b, p) for k in range(1, n // 2 + 1)
                     for a in monic[k] for b in monic[n - k]}
         irreducible += [g for g in monic[n] if g not in products]
     return irreducible
@@ -222,52 +225,52 @@ class TestFactorModP:
             f = IntPoly(tuple(coeffs))
             if f.degree < 1:
                 continue
-            factors = factor_mod_p(f, p)
-            prod = [f[f.degree] % p]
-            for g, mult in factors:
-                assert g.is_monic()
-                for _ in range(mult):
-                    nxt = [0] * (len(prod) + g.degree)
-                    for i, a in enumerate(prod):
-                        for j, b in enumerate(tuple(g)):
-                            nxt[i + j] = (nxt[i + j] + a * b) % p
-                    prod = nxt
-            want = [c % p for c in tuple(f)]
-            while prod and prod[-1] == 0:
-                prod.pop()
-            assert prod == want
+            parts = factor_mod_p(f, p)
+            assert [(d, e) for _g, d, e in parts] == sorted(
+                {(d, e) for _g, d, e in parts})
+            prod = (f[f.degree] % p,)
+            for g, d, e in parts:
+                assert g.is_monic() and g.degree % d == 0
+                assert all(0 <= c < p for c in g.coeffs)
+                for _ in range(e):
+                    prod = mul_mod_p(prod, tuple(g), p)
+            assert prod == tuple(c % p for c in tuple(f))
             done += 1
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_against_enumerated_irreducibles(self, p):
         # products of known irreducibles with repeated factors, also of
         # multiplicity p and beyond, where the squarefree parts take p-th
-        # roots
+        # roots; each part is the product of the chosen irreducibles of
+        # its degree and multiplicity
         irreducible = monic_irreducibles(p, 4 if p == 2 else 3)
         assert len([g for g in irreducible if len(g) == 4]) == (p**3 - p) // 3
         rng = random.Random(p)
         for _ in range(150):
             want = {}
+            f = (rng.randrange(1, p),)
             for g in rng.sample(irreducible, rng.randint(1, 4)):
-                want[g] = rng.choice([1, 1, 2, 3, p - 1, p, p + 1, 2 * p])
-            f = IntPoly((rng.randrange(1, p),))
-            for g, m in want.items():
-                for _ in range(m):
-                    f = IntPoly(tuple(c % p for c in (f * IntPoly(g)).coeffs))
-            got = factor_mod_p(f, p)
-            assert [(tuple(g), m) for g, m in got] == sorted(
-                want.items(), key=lambda t: (len(t[0]), tuple(reversed(t[0]))))
+                e = rng.choice([1, 1, 2, 3, p - 1, p, p + 1, 2 * p])
+                key = (len(g) - 1, e)
+                want[key] = mul_mod_p(want.get(key, (1,)), g, p)
+                for _ in range(e):
+                    f = mul_mod_p(f, g, p)
+            got = factor_mod_p(IntPoly(f), p)
+            assert [(tuple(g), d, e) for g, d, e in got] == [
+                (g, d, e) for (d, e), g in sorted(want.items())]
 
     def test_linear_factors_match_roots(self):
+        # the d = 1 parts hold one linear factor per root of f mod p
         rng = random.Random(123)
         for _ in range(200):
             p = rng.choice([3, 5, 7, 11, 13])
             deg = rng.randint(1, 6)
             coeffs = [rng.randrange(p) for _ in range(deg)] + [1]
             f = IntPoly(tuple(coeffs))
-            factors = factor_mod_p(f, p)
-            lin = {(-g[0]) % p for g, _ in factors if g.degree == 1}
+            linear = [g for g, d, _e in factor_mod_p(f, p) if d == 1]
+            lin = {r for g in linear for r in range(p) if g(r) % p == 0}
             assert lin == {r for r in range(p) if f(r) % p == 0}
+            assert sum(g.degree for g in linear) == len(lin)
 
 
 class TestSturmIsolation:
