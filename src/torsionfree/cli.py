@@ -126,8 +126,8 @@ def level_find(args):
 # -------------------------------------------------------------------- grh
 
 def grh_threshold_cmd(args):
-    cfg = _config(args)
-    rep = grh_threshold(args.d, args.logd, scan_cap=cfg.prime_scan_cap)
+    _config(args)
+    rep = grh_threshold(args.d, args.logd)
     report = rep.to_json()
     report["paper_discrepancies"] = []
     sys.stdout.write(dumps_report(report))

@@ -154,15 +154,10 @@ def two_adic_condition(c: FieldElement) -> bool:
         _v2(a) >= (d - k) * s for k, a in enumerate(cp) if a)
 
 
-def archimedean_check(c: FieldElement) -> tuple[int, tuple[int, ...]]:
-    """Sign of c at the identity embedding (the one taking the generator
-    to its largest real value) and at every other embedding."""
-    signs = sign_at_embeddings(c)
-    return signs[-1], tuple(signs[:-1])
-
-
 def archimedean_ok(c: FieldElement) -> bool:
-    ident, others = archimedean_check(c)
+    """c is positive at the identity embedding (the one taking the generator
+    to its largest real value) and negative at every other embedding."""
+    *others, ident = sign_at_embeddings(c)
     return ident == 1 and all(s == -1 for s in others)
 
 

@@ -39,7 +39,8 @@ from .polyalg import (
     minpoly_two_cos_conductor,
     sign_at_root,
 )
-from .polyalg.modp import _distinct_degree, gf_divmod, gf_gcd, gf_trim
+from .polyalg.modp import (_distinct_degree, gf_divmod, gf_gcd, gf_mul,
+                           gf_squarefree_parts, gf_trim)
 
 # Largest x (exclusive) for the class-sieve count of a cosine field; the
 # generic route stops at 2^31, the range of the kernels it runs in.
@@ -174,14 +175,14 @@ class FieldElement:
 
 def _dedekind_index_test(f: IntPoly, p: int) -> bool:
     """True when p does NOT divide the index [O : Z[theta]]."""
-    g = IntPoly((1,))
-    for gi, _d, _e in factor_mod_p(f, p):
-        g = g * gi
     fbar = [c % p for c in f.coeffs]
-    gbar = [c % p for c in g.coeffs]
+    gbar = [1]  # the radical of f mod p: the product of its squarefree parts
+    for part, _e in gf_squarefree_parts(fbar, p):
+        gbar = gf_mul(gbar, part, p)
     hbar, rem = gf_divmod(fbar, gbar, p)
     if gf_trim(list(rem)):
         raise TorsionfreeError(f"radical of f mod {p} does not divide f")
+    g = IntPoly(tuple(gbar))
     h = IntPoly(tuple(hbar)) if hbar else IntPoly((1,))
     big = g * h - f
     if any(c % p for c in big.coeffs):

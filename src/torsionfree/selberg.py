@@ -160,15 +160,6 @@ def logarithmic_integral(x):
         return mp.li(mpf(x), offset=True)
 
 
-def li_lower_surrogate(x):
-    """The elementary lower-bound surrogate x / log x."""
-    if x < 2:
-        raise PreconditionError("need x >= 2")
-    from mpmath import mp, mpf, workdps
-    with workdps(_DPS):
-        return mpf(x) / mp.log(x)
-
-
 def _finite(name: str, value):
     """value as an mpf; PreconditionError when it is nan or infinite."""
     from mpmath import mp, mpf

@@ -1,10 +1,12 @@
 """Maximal torsion orders in GL_n over a degree-d field, exactly, plus the
 closed-form bounds they are compared against.
 
-The search maximizes lcm over multisets of distinct prime powers m_i with
-sum of phi(m_i) within the degree budget n*d. That relaxation is exact for
-d = 1 and an upper bound for every degree-d field (the cyclotomic degree
-over k divides phi(m) but never exceeds it). A factor 2 rides free on any
+The order maximizes lcm over sets of prime powers m_i, at most one per
+prime, with sum of phi(m_i) within the degree budget n*d. That relaxation
+is exact for d = 1 and an upper bound for every degree-d field (the
+cyclotomic degree over k divides phi(m) but never exceeds it). It depends
+on the budget alone: a grouped 0/1 knapsack over the odd prime powers, and
+the budget left over buys the largest 2-part. A factor 2 rides free on any
 odd witness since phi(2m) = phi(m) for odd m.
 """
 
@@ -51,14 +53,6 @@ def totient(m: int) -> int:
     return out
 
 
-def totient_sqrt_inequality(ell: int) -> bool:
-    """phi(l) >= sqrt(l/2), checked without floating point."""
-    if ell < 1:
-        raise PreconditionError("need l >= 1")
-    t = totient(ell)
-    return 2 * t * t >= ell
-
-
 def paper_order_bounds(n: int, d: int) -> tuple[int, int]:
     """The statement constant (2) and the proof constant (4), both emitted."""
     if n < 1 or d < 1:
@@ -74,60 +68,34 @@ def max_torsion_order(n: int, d: int) -> TorsionProfile:
     budget = n * d
     if budget > ND_CAP:
         raise ResourceCapError(f"n*d = {budget} exceeds the search cap {ND_CAP}")
-    # odd prime powers r^k with phi(r^k) <= budget, grouped by prime
-    odd_choices: list[list[tuple[int, int]]] = []  # per prime: [(cost, r^k)]
-    for r in primes_upto(budget + 1):
-        if r == 2:
-            continue
+    # best[c]: the largest product of odd prime powers r^k, at most one per
+    # prime r, whose totients sum to at most c (a grouped 0/1 knapsack)
+    best = [1] * (budget + 1)
+    for r in primes_upto(budget + 1)[1:]:
         group = []
         cost, power = r - 1, r
         while cost <= budget:
             group.append((cost, power))
             cost, power = cost * r, power * r
-        if group:
-            odd_choices.append(group)
-
-    best_order = 0
-    best_witness: tuple[int, ...] = ()
-
-    def two_part(rem: int, has_odd: bool) -> tuple[int, int]:
-        # returns (factor, two_power_witness); witness 0 means "merged"
-        if rem >= 2:
-            k = rem.bit_length()  # largest 2^(k-1) <= rem < 2^k
-            return 1 << k, 1 << k
-        if has_odd:
-            return 2, 0
-        if rem >= 1:
-            return 2, 2
-        return 1, 0
-
-    def finish(rem: int, order: int, picks: list[int]) -> None:
-        nonlocal best_order, best_witness
-        factor, tw = two_part(rem, bool(picks))
-        total = order * factor
-        if total <= best_order:
-            return
-        witness = sorted(picks)
-        if tw:
-            witness.append(tw)
-        elif factor == 2:
-            witness[0] *= 2  # phi(2m) = phi(m) for odd m: the 2 rides free
-        best_order = total
-        best_witness = tuple(sorted(witness))
-
-    def dfs(i: int, rem: int, order: int, picks: list[int]) -> None:
-        finish(rem, order, picks)
-        for j in range(i, len(odd_choices)):
-            for cost, power in odd_choices[j]:
-                if cost <= rem:
-                    picks.append(power)
-                    dfs(j + 1, rem - cost, order * power, picks)
-                    picks.pop()
-
-    dfs(0, budget, 1, [])
+        best = [max([b] + [best[c - cost] * power
+                           for cost, power in group if cost <= c])
+                for c, b in enumerate(best)]
+    # the budget left over buys the 2-part 2^t: phi(2^t) = 2^(t-1) <= rem,
+    # and a lone 2 rides free on an odd part since phi(2m) = phi(m)
+    order = 0
+    for c, b in enumerate(best):
+        rem = budget - c
+        t = rem.bit_length() if rem >= 2 else int(rem == 1 or b > 1)
+        order = max(order, b << t)
+    t = (order & -order).bit_length() - 1
+    witness = sorted(q**e for q, e in factorize(order >> t).items())
+    if t == 1 and witness:
+        witness[0] *= 2
+    elif t:
+        witness.append(1 << t)
     stated, proof = paper_order_bounds(n, d)
-    return TorsionProfile(n=n, d=d, exact_max_order=best_order,
-                          witness_orders=best_witness,
+    return TorsionProfile(n=n, d=d, exact_max_order=order,
+                          witness_orders=tuple(sorted(witness)),
                           paper_bound_stated=stated, paper_bound_proof=proof)
 
 
@@ -219,16 +187,6 @@ def matrix_order_is(M, ell: int) -> bool:
 
 
 # ------------------------------------------------------------ volume bounds
-
-def torsion_order_volume_bound(v, c1, c2):
-    """c1 (log v)^c2, the order bound at volume v."""
-    from mpmath import mp, mpf, workdps
-    with workdps(30):
-        vm = mpf(v)
-        if vm <= mp.e:
-            raise PreconditionError("need v > e so that log v > 1")
-        return mpf(c1) * mp.log(vm) ** mpf(c2)
-
 
 def finite_subgroup_bound(v, n: int, jordan_index, c1, c2):
     """jordan_index * (c1 (log v)^c2)^n: abelian-diagonalizable bound times

@@ -5,12 +5,11 @@ import mpmath as mp
 import pytest
 
 from torsionfree.errors import PreconditionError, ResourceCapError
-from torsionfree.torsion import (companion_matrix, finite_subgroup_bound,
+from torsionfree.torsion import (ND_CAP, companion_matrix, finite_subgroup_bound,
                                  mat_mul, mat_pow, matrix_order_is,
                                  max_torsion_order,
                                  naive_max_order, paper_order_bounds, totient,
-                                 torsion_order_volume_bound,
-                                 totient_sqrt_inequality, witness_matrix)
+                                 witness_matrix)
 
 
 class TestTotient:
@@ -21,13 +20,84 @@ class TestTotient:
         assert totient(13) == 12
         assert totient(2**10) == 2**9
 
-    def test_sqrt_inequality_brute(self):
-        # 2 phi(l)^2 >= l for every l up to 10^4
-        for ell in range(1, 10**4 + 1):
-            assert totient_sqrt_inequality(ell)
+
+# (order, witness) at each budget n*d up to ND_CAP, frozen
+FROZEN_BY_BUDGET = {
+    1: (2, (2,)),
+    2: (6, (6,)),
+    3: (6, (6,)),
+    4: (12, (3, 4)),
+    5: (12, (3, 4)),
+    6: (30, (5, 6)),
+    7: (30, (5, 6)),
+    8: (60, (3, 4, 5)),
+    9: (60, (3, 4, 5)),
+    10: (120, (3, 5, 8)),
+    11: (120, (3, 5, 8)),
+    12: (210, (5, 6, 7)),
+    13: (210, (5, 6, 7)),
+    14: (420, (3, 4, 5, 7)),
+    15: (420, (3, 4, 5, 7)),
+    16: (840, (3, 5, 7, 8)),
+    17: (840, (3, 5, 7, 8)),
+    18: (1260, (4, 5, 7, 9)),
+    19: (1260, (4, 5, 7, 9)),
+    20: (2520, (5, 7, 8, 9)),
+    21: (2520, (5, 7, 8, 9)),
+    22: (2520, (5, 7, 8, 9)),
+    23: (2520, (5, 7, 8, 9)),
+    24: (5040, (5, 7, 9, 16)),
+    25: (5040, (5, 7, 9, 16)),
+    26: (9240, (3, 5, 7, 8, 11)),
+    27: (9240, (3, 5, 7, 8, 11)),
+    28: (13860, (4, 5, 7, 9, 11)),
+    29: (13860, (4, 5, 7, 9, 11)),
+    30: (27720, (5, 7, 8, 9, 11)),
+    31: (27720, (5, 7, 8, 9, 11)),
+    32: (32760, (5, 7, 8, 9, 13)),
+    33: (32760, (5, 7, 8, 9, 13)),
+    34: (55440, (5, 7, 9, 11, 16)),
+    35: (55440, (5, 7, 9, 11, 16)),
+    36: (65520, (5, 7, 9, 13, 16)),
+    37: (65520, (5, 7, 9, 13, 16)),
+    38: (120120, (3, 5, 7, 8, 11, 13)),
+    39: (120120, (3, 5, 7, 8, 11, 13)),
+    40: (180180, (4, 5, 7, 9, 11, 13)),
+    41: (180180, (4, 5, 7, 9, 11, 13)),
+    42: (360360, (5, 7, 8, 9, 11, 13)),
+    43: (360360, (5, 7, 8, 9, 11, 13)),
+    44: (360360, (5, 7, 8, 9, 11, 13)),
+    45: (360360, (5, 7, 8, 9, 11, 13)),
+    46: (720720, (5, 7, 9, 11, 13, 16)),
+    47: (720720, (5, 7, 9, 11, 13, 16)),
+    48: (720720, (5, 7, 9, 11, 13, 16)),
+    49: (720720, (5, 7, 9, 11, 13, 16)),
+    50: (942480, (5, 7, 9, 11, 16, 17)),
+    51: (942480, (5, 7, 9, 11, 16, 17)),
+    52: (1113840, (5, 7, 9, 13, 16, 17)),
+    53: (1113840, (5, 7, 9, 13, 16, 17)),
+    54: (2042040, (3, 5, 7, 8, 11, 13, 17)),
+    55: (2042040, (3, 5, 7, 8, 11, 13, 17)),
+    56: (3063060, (4, 5, 7, 9, 11, 13, 17)),
+    57: (3063060, (4, 5, 7, 9, 11, 13, 17)),
+    58: (6126120, (5, 7, 8, 9, 11, 13, 17)),
+    59: (6126120, (5, 7, 8, 9, 11, 13, 17)),
+    60: (6846840, (5, 7, 8, 9, 11, 13, 19)),
+    61: (6846840, (5, 7, 8, 9, 11, 13, 19)),
+    62: (12252240, (5, 7, 9, 11, 13, 16, 17)),
+    63: (12252240, (5, 7, 9, 11, 13, 16, 17)),
+    64: (13693680, (5, 7, 9, 11, 13, 16, 19)),
+}
 
 
 class TestMaxTorsionOrder:
+    def test_frozen_table_every_budget(self):
+        for n in range(1, ND_CAP + 1):
+            for d in range(1, ND_CAP // n + 1):
+                prof = max_torsion_order(n, d)
+                assert (prof.exact_max_order, prof.witness_orders) == \
+                    FROZEN_BY_BUDGET[n * d]
+
     def test_frozen_orders_dim1(self):
         want = {1: 2, 2: 6, 3: 6, 4: 12, 5: 12, 6: 30}
         for n, order in want.items():
@@ -51,6 +121,11 @@ class TestMaxTorsionOrder:
                     continue
                 assert max_torsion_order(n, d).exact_max_order == \
                     naive_max_order(n, d)
+
+    def test_naive_oracle_every_budget_to_32(self):
+        for budget in range(1, 33):
+            assert max_torsion_order(budget, 1).exact_max_order == \
+                naive_max_order(budget, 1)
 
     def test_large_budget(self):
         prof = max_torsion_order(64, 1)
@@ -187,19 +262,20 @@ class TestMatPow:
 
 
 class TestVolumeBounds:
+    # finite_subgroup_bound(v, 1, 1, c1, c2) is the order bound c1 (log v)^c2
     def test_volume_bound_formula(self):
         with mp.workdps(30):
-            v = torsion_order_volume_bound(100, 1.0, 1.0)
+            v = finite_subgroup_bound(100, 1, 1, 1.0, 1.0)
             assert mp.nstr(v, 17) == mp.nstr(mp.log(mp.mpf(100)), 17)
 
     def test_monotone(self):
         with mp.workdps(30):
-            assert torsion_order_volume_bound(200, 1.0, 2.0) > \
-                torsion_order_volume_bound(100, 1.0, 2.0)
+            assert finite_subgroup_bound(200, 1, 1, 1.0, 2.0) > \
+                finite_subgroup_bound(100, 1, 1, 1.0, 2.0)
 
     def test_domain(self):
         with pytest.raises(PreconditionError):
-            torsion_order_volume_bound(2, 1.0, 1.0)
+            finite_subgroup_bound(2, 1, 1, 1.0, 1.0)
 
     def test_finite_subgroup_bound(self):
         with mp.workdps(30):
