@@ -33,7 +33,7 @@ from .numfield import (FieldElement, NumberField, dedekind_index_primes,
                        element_charpoly, make_cosine_field, mul_mod,
                        sign_at_embeddings)
 from .polyalg import compare_root, discriminant, minpoly_two_cos
-from .report import mpf_str
+from .report import MP_DPS, mpf_str
 from .torsion import mat_mul
 
 # largest p that a construction or a sweep accepts; build_construction(503)
@@ -69,7 +69,7 @@ class LatticeConstruction:
 
     def to_json(self) -> dict:
         from mpmath import mpf, workdps
-        with workdps(30):
+        with workdps(MP_DPS):
             formula = mpf(self.p) ** (mpf(self.p - 2) / 2)
         log_v_hat = self.log_volume_estimate
         exponent_matches = self.disc_used == self.p ** ((self.p - 3) // 2)
@@ -291,14 +291,14 @@ def log_volume(p: int, disc: int, a_const, b_const):
     conductor-p field; refuses log disc > p log p."""
     _check_volume_inputs(p, disc, a_const, b_const)
     from mpmath import mp, mpf, workdps
-    with workdps(30):
+    with workdps(MP_DPS):
         return mp.log(mpf(a_const)) + mpf(b_const) * mp.log(mpf(disc))
 
 
 def lower_bound_ratio(p: int, log_v_hat):
     """p log(log v) / log v: the index lower bound exhibited at volume v."""
     from mpmath import mp, mpf, workdps
-    with workdps(30):
+    with workdps(MP_DPS):
         lv = mpf(log_v_hat)
         if lv <= 1:
             raise PreconditionError("need log_v_hat > 1")

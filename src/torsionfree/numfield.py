@@ -355,8 +355,8 @@ def count_prime_ideals(K: NumberField, x: int,
     abelian splitting law; every other field counts in the batched kernels,
     distinct-degree counts of f mod p for p <= sqrt(x) and root counts
     above, with no factorisation mod p; both routes agree on their common
-    domain. A generic field refuses x >= 2^31 (ResourceCapError) before
-    any prime is scanned.
+    domain. A generic field refuses x >= 2^31, and a degree above the
+    kernels' 63, with ResourceCapError before any prime is scanned.
     """
     if unreliable_out is not None:
         unreliable_out.extend(q for q in K.index_primes if q <= x)
@@ -375,6 +375,9 @@ def _count_generic(K: NumberField, x: int) -> int:
     below stay out of the batch."""
     if x + 1 > (1 << 31):
         raise ResourceCapError("prime scan exceeds the kernel range (2^31)")
+    if K.degree > _kernels._MAX_DEGREE:
+        raise ResourceCapError(
+            f"degree {K.degree} exceeds the kernel cap {_kernels._MAX_DEGREE}")
     f, index = K.defining_poly.coeffs, K.index_primes
     B = isqrt(x)
     small = [p for p in primes_upto(B) if p not in index]

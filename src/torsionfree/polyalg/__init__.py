@@ -15,7 +15,6 @@ from .cyclotomic import (
 from .modp import factor_mod_p
 from .roots import (
     compare_root,
-    count_roots_in,
     isolate_real_roots,
     root_bound,
     sign_at_root,
@@ -25,7 +24,6 @@ from .roots import (
 __all__ = [
     "IntPoly",
     "compare_root",
-    "count_roots_in",
     "cyclotomic_poly",
     "discriminant",
     "factor_mod_p",

@@ -5,8 +5,9 @@ lo == hi marks an exact rational root. For a squarefree input the returned
 intervals are pairwise disjoint, ascending, each of width at most
 2^-CELL_BITS, and each contains exactly one real root. Every sign is an
 exact integer evaluation (_sign_at), and every bisection is one _halve
-step; floats never decide anything here. The sign of a linear polynomial
-at a root is one root comparison (sign_at_root).
+step; floats never decide anything here. The Sturm chain is evaluated once
+per point, a root comparison evaluates f only for q inside the cell, and
+the sign of a linear polynomial at a root is one comparison (sign_at_root).
 """
 
 from __future__ import annotations
@@ -54,15 +55,15 @@ def _sign_at(f: IntPoly, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations_at(seq, x: Fraction) -> int:
-    """Sign variations of the chain seq at x, zeros skipped."""
+def _chain_at(seq, x: Fraction) -> tuple[int, int]:
+    """(sign variations of seq at x, zeros skipped; sign of seq[0] at x)"""
+    signs = [_sign_at(p, x) for p in seq]
     count = prev = 0
-    for p in seq:
-        s = _sign_at(p, x)
+    for s in signs:
         if s:
             count += prev == -s
             prev = s
-    return count
+    return count, signs[0]
 
 
 def root_bound(f: IntPoly) -> int:
@@ -72,11 +73,6 @@ def root_bound(f: IntPoly) -> int:
     lc = abs(f.lc)
     m = max(abs(a) for a in f.coeffs[:-1]) if f.degree else 0
     return 1 + (m + lc - 1) // lc + 1
-
-
-def count_roots_in(seq, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]."""
-    return _variations_at(seq, lo) - _variations_at(seq, hi)
 
 
 def _halve(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int) -> Interval:
@@ -91,17 +87,12 @@ def _halve(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int) -> Interval:
     return (lo, mid) if s != s_lo else (mid, hi)
 
 
-def _sign_at_lo(f: IntPoly, lo: Fraction) -> int:
-    s = _sign_at(f, lo)
-    if s == 0:
-        raise PreconditionError("endpoint is a root; pass a degenerate interval")
-    return s
-
-
 def isolate_real_roots(f: IntPoly) -> list[Interval]:
     """Isolating intervals for all real roots of squarefree f, ascending,
     each of width at most 2^-CELL_BITS. The Sturm chain of f ends at
-    gcd(f, f'), so a last element of positive degree refuses f."""
+    gcd(f, f'), so a last element of positive degree refuses f. Each end
+    of an interval carries the chain's variations and the sign of f there,
+    so a midpoint costs one chain evaluation."""
     if f.degree < 0:
         raise PreconditionError("zero polynomial has no isolated roots")
     if f.degree == 0:
@@ -116,26 +107,25 @@ def isolate_real_roots(f: IntPoly) -> list[Interval]:
     precision = Fraction(1, 1 << CELL_BITS)
     out: list[Interval] = []
 
-    def split(lo: Fraction, hi: Fraction, n: int):
+    def split(lo: Fraction, hi: Fraction, at_lo, at_hi):
+        (v_lo, s_lo), (v_hi, s_hi) = at_lo, at_hi
+        n = v_lo - v_hi - (s_hi == 0)  # the caller emits a root at hi
         if n == 0:
             return
-        s_lo, s_hi = _sign_at(f, lo), _sign_at(f, hi)
         if n == 1 and s_lo * s_hi == -1:
             while hi - lo > precision:
                 lo, hi = _halve(f, lo, hi, s_lo)
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        at_mid = 1 if _sign_at(f, mid) == 0 else 0
-        n_left = count_roots_in(seq, lo, mid) - at_mid
-        n_right = n - n_left - at_mid
-        split(lo, mid, n_left)
-        if at_mid:
+        at_mid = _chain_at(seq, mid)
+        split(lo, mid, at_lo, at_mid)
+        if at_mid[1] == 0:
             out.append((mid, mid))
-        split(mid, hi, n_right)
+        split(mid, hi, at_mid, at_hi)
 
     lo, hi = Fraction(-bound), Fraction(bound)
-    split(lo, hi, count_roots_in(seq, lo, hi))
+    split(lo, hi, _chain_at(seq, lo), _chain_at(seq, hi))
     return out
 
 
@@ -144,9 +134,8 @@ def sign_at_root(f: IntPoly, iv: Interval, g) -> int:
 
     g holds rational coefficients (anything Fraction accepts), lowest degree
     first, of degree at most 1. For g[1] != 0 the sign is sign(g[1]) times
-    the side of -g[0]/g[1] on which r lies, one compare_root call, so a
-    non-degenerate iv must not have a root of f at lo. A zero g, g(r) = 0
-    and g of degree 2 or more are refused.
+    the side of -g[0]/g[1] on which r lies: one compare_root call. A zero
+    g, g(r) = 0 and g of degree 2 or more are refused.
     """
     a, b, *rest = (*g, 0, 0)
     if any(rest):
@@ -162,14 +151,17 @@ def compare_root(f: IntPoly, iv: Interval, q: Fraction) -> int:
     """Sign of (root - q) for the unique root of squarefree f inside iv.
 
     Returns +1 if the root exceeds q, -1 if it is below, 0 if the root is
-    exactly the rational q. A non-degenerate iv must not have a root of f
-    at lo.
+    exactly the rational q. A q outside [lo, hi] is decided from the ends,
+    with no evaluation; for q in a non-degenerate [lo, hi], a root of f at
+    lo is refused.
     """
     lo, hi = iv
     q = Fraction(q)
-    if lo != hi:
-        s_lo = _sign_at_lo(f, lo)
-        if lo < q <= hi and _sign_at(f, q) == 0:
+    if lo < hi and lo <= q <= hi:
+        s_lo = _sign_at(f, lo)
+        if s_lo == 0:
+            raise PreconditionError("endpoint is a root; pass a degenerate interval")
+        if lo < q and _sign_at(f, q) == 0:
             return 0
         while lo < q < hi:
             lo, hi = _halve(f, lo, hi, s_lo)

@@ -3,7 +3,8 @@
 Every command emits one JSON document built here so the bytes are stable:
 keys sorted, floats printed through mpmath at a fixed 17 significant digits,
 big integers as decimal strings. mpmath is imported by the first number
-printed, so a report without one never loads it.
+printed, so a report without one never loads it. MP_DPS is the working
+precision of every mpmath computation in the package.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import json
 from . import __version__
 
 GENERATED_BY = f"torsionfree {__version__}"
+MP_DPS = 30
 
 
 def mpf_str(x) -> str:
     from mpmath import mpf, nstr, workdps
-    with workdps(30):
+    with workdps(MP_DPS):
         return nstr(mpf(x), 17)
 
 

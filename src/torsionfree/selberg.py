@@ -1,11 +1,11 @@
 """Torsion-free congruence level selection and the analytic index bounds.
 
 The congruence-level search is exact; the GRH threshold and the volume
-bounds are numeric (mpmath at 30 significant digits, imported by the
-functions that compute them, so a level search never loads it). No unstated constant
-is invented: the error term's 13 and the unconditional level 3 are the only
-fixed numbers, and everything configurable defaults to documented
-illustrative values supplied by the caller.
+bounds are numeric (mpmath at report.MP_DPS significant digits, imported
+by the functions that compute them, so a level search never loads it). No
+unstated constant is invented: the error term's 13 and the unconditional
+level 3 are the only fixed numbers, and everything configurable defaults to
+documented illustrative values supplied by the caller.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime
 from .numfield import NumberField, dedekind_split, least_inertia_degree
+from .report import MP_DPS
 
-_DPS = 30
 _THRESHOLD_CAP = 1 << 64
 ERR_CONSTANT = 13
-# cap on the exponent d * dim H of 3^(d dim H): its decimal form then has at
-# most 3909 digits, within Python's default limit for int-to-str conversion
-UNCONDITIONAL_EXPONENT_CAP = 8192
+# cap on the exponent of an index bound: d * dim H of 3^(d dim H), whose
+# decimal form then has at most 3909 digits, and dim_G of norm^dim_G
+EXPONENT_CAP = 8192
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class CongruenceLevel:
     torsion_free_certificate: bool
     index_bound: int
     dim_G: int
-    # index primes of the field that the scan passed over, ascending
+    # index primes below norm that the scan passed over, ascending
     skipped_index_divisible: tuple[int, ...]
 
     def to_json(self) -> dict:
@@ -90,48 +90,45 @@ def find_congruence_level(K: NumberField, dim_G: int,
                           scan_cap: int = 10**6) -> CongruenceLevel:
     """Smallest-norm prime ideal giving a torsion-free congruence level.
 
-    Scans rational primes in increasing order, in blocks of 64 integers,
-    and keeps the minimal passing norm; ties go to smaller q, then smaller
-    inertia. Index primes of K are skipped, not split, and reported; q = 2
-    never passes (kionke_criterion(2, e) fails for every e >= 1) and is
-    passed over. A prime dividing disc_poly is split by dedekind_split,
-    which supplies its ramification indices. Every other prime is
-    unramified, so only its least inertia degree can win, and only with a
-    norm below the best so far: least_inertia_degree looks for it up to
-    that bound and no further. The scan stops after the block in which no
-    unscanned prime can beat the best norm any more, or raises when the
-    cap is hit first.
+    Scans rational primes q while q is below the best norm so far (no
+    prime ideal above q has a smaller norm), and keeps the minimal passing
+    norm; ties go to smaller q, then smaller inertia.
+    Index primes of K are skipped, not split, and reported; q = 2 never
+    passes (kionke_criterion(2, e) fails for every e >= 1) and is passed
+    over. A prime dividing disc_poly is split by dedekind_split, which
+    supplies its ramification indices. Every other prime is unramified, so
+    only its least inertia degree can win, and only with a norm below the
+    best so far: least_inertia_degree looks for it up to that bound and no
+    further. An answer is returned exactly when its norm is at most
+    scan_cap; a dim_G above EXPONENT_CAP is refused before the scan.
     """
     if dim_G < 1:
         raise PreconditionError("dim_G must be >= 1")
+    if dim_G > EXPONENT_CAP:
+        raise ResourceCapError(f"dim_G = {dim_G} exceeds the cap {EXPONENT_CAP}")
     best: tuple[int, int, int, int] | None = None  # (norm, q, f, e)
     skipped: list[int] = []
-    lo = 2
-    block_span = 64
-    while best is None or lo <= best[0]:
-        if lo > scan_cap:
-            raise ResourceCapError(
-                f"prime scan cap {scan_cap} exceeded without a final answer")
-        hi = min(lo + block_span, scan_cap + 1)
-        # is_prime bounds a block's cost by its 64 members; a sieve of the
-        # block would first list every prime below sqrt(hi)
-        for q in filter(is_prime, range(lo, hi)):
-            if q in K.index_primes:
-                skipped.append(q)
-                continue
-            if q == 2:
-                continue
-            if K.disc_poly % q:
-                f = least_inertia_degree(
-                    K, q, None if best is None else _degree_below(q, best[0]))
-                splits = () if f is None else ((1, f),)
-            else:
-                splits = dedekind_split(K, q)
-            for e, f in splits:
-                cand = (q**f, q, f, e)
-                if kionke_criterion(q, e) and (best is None or cand < best):
-                    best = cand
-        lo = hi
+    for q in filter(is_prime, range(2, scan_cap + 1)):
+        if best is not None and q >= best[0]:
+            break
+        if q in K.index_primes:
+            skipped.append(q)
+            continue
+        if q == 2:
+            continue
+        if K.disc_poly % q:
+            f = least_inertia_degree(
+                K, q, None if best is None else _degree_below(q, best[0]))
+            splits = () if f is None else ((1, f),)
+        else:
+            splits = dedekind_split(K, q)
+        for e, f in splits:
+            cand = (q**f, q, f, e)
+            if kionke_criterion(q, e) and (best is None or cand < best):
+                best = cand
+    if best is None or best[0] > scan_cap:
+        raise ResourceCapError(
+            f"prime scan cap {scan_cap} exceeded without a final answer")
     norm_, q, f, e = best
     return CongruenceLevel(
         rational_prime=q, inertia=f, ramification=e, norm=norm_,
@@ -152,11 +149,11 @@ def _degree_below(q: int, norm: int) -> int:
 
 def logarithmic_integral(x):
     """Li(x) = integral from 2 to x of dt/log t (mpmath's offset li), at
-    _DPS significant digits."""
+    MP_DPS significant digits."""
     if x < 2:
         raise PreconditionError("Li is taken from 2; need x >= 2")
     from mpmath import mp, mpf, workdps
-    with workdps(_DPS):
+    with workdps(MP_DPS):
         return mp.li(mpf(x), offset=True)
 
 
@@ -176,7 +173,7 @@ def grh_error(x, d: int, log_D):
     if d < 1:
         raise PreconditionError("degree must be >= 1")
     from mpmath import mp, mpf, workdps
-    with workdps(_DPS):
+    with workdps(MP_DPS):
         xm = mpf(x)
         return ERR_CONSTANT * mp.sqrt(xm) * (mpf(log_D) + d * mp.log(xm))
 
@@ -196,7 +193,7 @@ def grh_threshold(d: int, log_D, field: NumberField | None = None,
     if d < 1:
         raise PreconditionError("degree must be >= 1")
     from mpmath import mpf, workdps
-    with workdps(_DPS):
+    with workdps(MP_DPS):
         if _finite("log_D", log_D) < 0:
             raise PreconditionError("log_D must be >= 0")
         x = 4
@@ -227,14 +224,14 @@ def grh_threshold(d: int, log_D, field: NumberField | None = None,
 def unconditional_index_bound(d: int, dim_H: int) -> int:
     """3^(d dim H): the level-3 congruence subgroup is always torsion-free.
 
-    Raises ResourceCapError when d dim H exceeds UNCONDITIONAL_EXPONENT_CAP.
+    Raises ResourceCapError when d dim H exceeds EXPONENT_CAP.
     """
     if d < 1 or dim_H < 1:
         raise PreconditionError("d and dim_H must be >= 1")
-    if d * dim_H > UNCONDITIONAL_EXPONENT_CAP:
+    if d * dim_H > EXPONENT_CAP:
         raise ResourceCapError(
             f"d * dim_H = {d * dim_H} exceeds the cap "
-            f"{UNCONDITIONAL_EXPONENT_CAP} on the exponent of 3")
+            f"{EXPONENT_CAP} on the exponent of 3")
     return 3 ** (d * dim_H)
 
 
@@ -243,7 +240,7 @@ def volume_index_bound_grh(v, dim_H: int, epsilon, prasad_c1, prasad_c2, lemma_C
     if dim_H < 1:
         raise PreconditionError("dim_H must be >= 1")
     from mpmath import mp, workdps
-    with workdps(_DPS):
+    with workdps(MP_DPS):
         vm = _finite("v", v)
         if vm <= mp.e:
             raise PreconditionError("need v > e so that log v > 1")
@@ -256,7 +253,7 @@ def volume_index_bound_grh(v, dim_H: int, epsilon, prasad_c1, prasad_c2, lemma_C
 def generator_bound_pipeline(v, alpha, c, f_form: str = "power"):
     """(f(v log^c v) + log log v) / v with f(u) = u^(1-alpha) or (log u)^alpha."""
     from mpmath import mp, workdps
-    with workdps(_DPS):
+    with workdps(MP_DPS):
         vm = _finite("v", v)
         if vm <= mp.e ** mp.e:
             raise PreconditionError("need v > e^e so that log log v > 1")

@@ -20,6 +20,7 @@ from operator import add, mul
 from .errors import PreconditionError, ResourceCapError
 from .ntheory import factorize, primes_upto
 from .polyalg import IntPoly, cyclotomic_poly
+from .report import MP_DPS
 
 ND_CAP = 64
 
@@ -196,7 +197,7 @@ def finite_subgroup_bound(v, n: int, jordan_index, c1, c2):
     if jordan_index < 1:
         raise PreconditionError("jordan_index must be >= 1")
     from mpmath import mp, mpf, workdps
-    with workdps(30):
+    with workdps(MP_DPS):
         vm = mpf(v)
         if vm <= mp.e:
             raise PreconditionError("need v > e so that log v > 1")

@@ -174,6 +174,18 @@ class TestExitCodes:
         payload = json.loads(err.splitlines()[-1])
         assert payload["error"]["type"] == "ResourceCapError"
 
+    def test_level_dimg_cap_is_3(self):
+        # norm^dim_G is refused before the scan, not computed for minutes
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsionfree.cli", "level", "find",
+             str(DATA / "q.poly"), "--dimg", "10000000"],
+            capture_output=True, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert time.monotonic() - start < 30
+        payload = json.loads(proc.stderr.splitlines()[-1])
+        assert payload["error"]["type"] == "ResourceCapError"
+
     def test_unconditional_at_cap_is_0(self):
         code, out, _err = run_cli("bound", "unconditional",
                                   "--d", "8", "--dimh", "1024")

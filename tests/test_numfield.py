@@ -548,9 +548,12 @@ class TestCounting:
                 count_prime_ideals(cosine_fields[13], x)
 
     def test_generic_cap_before_any_work(self, monkeypatch):
-        # x + 1 > 2^31 is refused before a prime is sieved, split or
-        # counted in a kernel
+        # x + 1 > 2^31, and a degree above the kernels' 63, are refused
+        # before a prime is sieved, split or counted in a kernel
         K = make_field(EISENSTEIN_6)
+        x63_plus_2 = make_field(IntPoly((2,) + (0,) * 62 + (1,)))
+        assert count_prime_ideals(x63_plus_2, 1000) == 142
+        x64_plus_2 = make_field(IntPoly((2,) + (0,) * 63 + (1,)))
 
         def no_work(*args):
             raise AssertionError("work started before the cap check")
@@ -562,6 +565,8 @@ class TestCounting:
         for x in (1 << 31, (1 << 31) + 2, 10**12):
             with pytest.raises(ResourceCapError):
                 count_prime_ideals(K, x)
+        with pytest.raises(ResourceCapError):
+            count_prime_ideals(x64_plus_2, 1000)
 
     def test_small_x(self, field_sqrt2):
         assert count_prime_ideals(field_sqrt2, 1) == 0

@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
 
 import mpmath as mp
 import pytest
+from conftest import DATA
 
 from torsionfree.errors import NotSquarefreeError, PreconditionError
 from torsionfree.ntheory import primes_in_range
@@ -356,10 +358,60 @@ class TestSturmIsolation:
         # a root at hi is inside (lo, hi]
         assert compare_root(f, (Fraction(-1, 2), Fraction(0)), Fraction(-1, 4)) == 1
         assert compare_root(f, (Fraction(-1, 2), Fraction(0)), Fraction(0)) == 0
-        # a root at lo must be passed as a degenerate interval
-        for q in (Fraction(0), Fraction(1, 4), Fraction(1)):
+        # a root at lo must be passed as a degenerate interval when q lies
+        # in the cell; a q above the cell is below every root it can hold
+        for q in (Fraction(0), Fraction(1, 4)):
             with pytest.raises(PreconditionError):
                 compare_root(f, (Fraction(0), Fraction(1, 2)), q)
+        assert compare_root(f, (Fraction(0), Fraction(1, 2)), Fraction(1)) == -1
+
+    def test_compare_outside_the_cell_evaluates_nothing(self, monkeypatch):
+        """q outside [lo, hi] is decided from the ends, so even a cell with
+        a root at lo answers; q in [lo, hi] still evaluates f and refuses
+        that root, at q = lo and inside the cell alike."""
+        calls = []
+        sign_at = roots._sign_at
+
+        def counted(f, x):
+            calls.append(x)
+            return sign_at(f, x)
+
+        monkeypatch.setattr(roots, "_sign_at", counted)
+        f = IntPoly((0, -1, 0, 1))  # x^3 - x, roots -1, 0, 1
+        g = IntPoly((-2, 0, 1))
+        for poly, iv in ((f, (Fraction(0), Fraction(1, 2))),
+                         (g, isolate_real_roots(g)[-1])):
+            calls.clear()
+            lo, hi = iv
+            assert compare_root(poly, iv, lo - Fraction(1, 3)) == 1
+            assert compare_root(poly, iv, hi + Fraction(1, 3)) == -1
+            assert compare_root(poly, iv, Fraction(-10**9)) == 1
+            assert sign_at_root(poly, iv, (hi + 1, Fraction(1))) == 1
+            assert sign_at_root(poly, iv, (hi + 1, Fraction(-1))) == 1
+            assert calls == []
+        for q in (Fraction(0), Fraction(1, 8), Fraction(1, 2)):
+            calls.clear()
+            with pytest.raises(PreconditionError):
+                compare_root(f, (Fraction(0), Fraction(1, 2)), q)
+            assert calls == [Fraction(0)]
+
+    def test_frozen_cells(self):
+        """isolate_real_roots reproduces, byte for byte, the cells frozen
+        from the bisection that evaluated f and the Sturm chain separately
+        at every point: random polynomials of degree 2-12, many with
+        rational roots at dyadic midpoints, x^3 - x, cosine minimal
+        polynomials, and degree-20 and degree-40 inputs with 30-digit
+        coefficients."""
+        rows = json.loads((DATA / "real_root_cells.json").read_text())
+        assert len(rows) == 138
+        assert max(len(coeffs) for coeffs, _ in rows) == 41
+        exact = sum(lo == hi for coeffs, cells in rows if len(coeffs) > 2
+                    for lo, hi in cells)
+        assert exact == 28
+        for coeffs, cells in rows:
+            f = IntPoly([int(c) for c in coeffs])
+            got = [[str(lo), str(hi)] for lo, hi in isolate_real_roots(f)]
+            assert got == cells, coeffs
 
     def test_sign_at_root(self):
         # sign of theta - 1 at theta = sqrt(2): positive

@@ -85,6 +85,19 @@ class TestFindCongruenceLevel:
     def test_scan_cap(self, field_q):
         with pytest.raises(ResourceCapError):
             find_congruence_level(field_q, 3, scan_cap=2)
+        assert find_congruence_level(field_q, 3, scan_cap=3).norm == 3
+        # x^4 + 1: the answer 9 = 3^2 is found at q = 3, and returned
+        # exactly when the cap admits its norm
+        K = make_field(IntPoly((1, 0, 0, 0, 1)))
+        assert find_congruence_level(K, 3, scan_cap=9).norm == 9
+        with pytest.raises(ResourceCapError):
+            find_congruence_level(K, 3, scan_cap=8)
+
+    def test_dim_g_cap(self, field_q):
+        lvl = find_congruence_level(field_q, selberg.EXPONENT_CAP)
+        assert lvl.index_bound == 3 ** selberg.EXPONENT_CAP
+        with pytest.raises(ResourceCapError):
+            find_congruence_level(field_q, selberg.EXPONENT_CAP + 1)
 
     def test_json_round_trip(self, field_sqrt2):
         js = find_congruence_level(field_sqrt2, 3).to_json()
@@ -101,11 +114,10 @@ def level_tuple(lvl):
 
 def reference_level(K):
     """The level by splitting every prime with dedekind_split, index primes
-    skipped, up to the end of the 64-integer block (from 2) in which the
-    best norm lies."""
+    skipped, up to the best norm."""
     best, skipped = None, []
     for q in primes_upto(10**4):
-        if best is not None and (q - 2) // 64 > (best[0] - 2) // 64:
+        if best is not None and q >= best[0]:
             break
         if q in K.index_primes:
             skipped.append(q)
