@@ -4,9 +4,8 @@ Everything here is exact and deterministic. Sizes are desk scale. is_prime
 is proven correct below psi_13 = 3317044064679887385961981 (deterministic
 Miller-Rabin witness sets); above it the answer comes from BPSW, which has
 no known counterexample. Factoring is meant for numbers whose prime
-factors are either small or few (discriminants of the fields handled by
-this package are pure prime powers); Pollard rho runs within a fixed
-budget of steps and raises ResourceCapError beyond it.
+factors are either small or few; Pollard rho runs within a fixed budget of
+steps and raises ResourceCapError beyond it.
 
 Primes come from one segmented sieve over an arithmetic progression r + k n
 (progression_blocks), in pure Python on bytearray flags. primes_in_range

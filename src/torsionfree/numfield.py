@@ -38,6 +38,7 @@ from .polyalg import (
     isolate_two_cos_roots,
     minpoly_two_cos_conductor,
     sign_at_root,
+    two_cos_discriminant,
 )
 from .polyalg.modp import (_distinct_degree, gf_divmod, gf_gcd, gf_mul,
                            gf_squarefree_parts, gf_trim)
@@ -212,9 +213,9 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
     for each prime whose square divides the discriminant.
 
     conductor = n declares f the minimal polynomial of 2cos(2pi/n), which is
-    checked; it makes the closed-form embeddings and the abelian splitting
-    law available. Z[2cos(2pi/n)] is the maximal order (Washington, Prop.
-    2.16), so an index prime found there raises TorsionfreeError.
+    checked; then the discriminant is two_cos_discriminant(n), and the cells
+    and splitting come from closed forms. Z[2cos(2pi/n)] is the maximal
+    order (Washington, Prop. 2.16): an index prime there is a TorsionfreeError.
     """
     if not isinstance(f, IntPoly):
         f = IntPoly(tuple(int(c) for c in f))
@@ -225,7 +226,7 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
         raise PreconditionError("defining polynomial must have degree >= 1")
     if not f.is_monic():
         raise PreconditionError("defining polynomial must be monic")
-    disc = discriminant(f)
+    disc = discriminant(f) if conductor is None else two_cos_discriminant(conductor)
     if disc == 0:
         raise NotSquarefreeError("defining polynomial has a repeated factor")
     cells = (isolate_real_roots(f) if conductor is None

@@ -11,6 +11,7 @@ from .cyclotomic import (
     isolate_two_cos_roots,
     minpoly_two_cos,
     minpoly_two_cos_conductor,
+    two_cos_discriminant,
 )
 from .modp import factor_mod_p
 from .roots import (
@@ -35,4 +36,5 @@ __all__ = [
     "root_bound",
     "sign_at_root",
     "sturm_sequence",
+    "two_cos_discriminant",
 ]

@@ -12,17 +12,18 @@ degree phi(N)/2, and 2cos(2pi k/N) for gcd(k, N) = 1 are exactly its roots.
 Those roots are known in closed form, so isolate_two_cos_roots places an
 isolating interval around each from a floating-point value (math.cos) and
 then certifies the intervals in exact arithmetic; the float only guides, the
-exact check decides, and no Sturm sequence is needed unless it fails.
+exact check decides, and no Sturm sequence is needed unless it fails. The
+discriminant is a closed form too (two_cos_discriminant).
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import cos, floor, gcd, pi
+from math import cos, floor, gcd, pi, prod
 
 from ..errors import PreconditionError
-from ..ntheory import is_prime
+from ..ntheory import factorize, is_prime
 from .poly import IntPoly
 from .roots import CELL_BITS, Interval, _sign_at, isolate_real_roots
 
@@ -70,6 +71,21 @@ def minpoly_two_cos_conductor(n: int) -> IntPoly:
     return out
 
 
+def two_cos_discriminant(n: int) -> int:
+    """Discriminant of Q(2cos(2pi/n)) and of minpoly_two_cos_conductor(n),
+    n >= 3, by the conductor-discriminant formula (Washington, ch. 3-4)."""
+    if n < 3:
+        raise PreconditionError("conductor must be >= 3")
+    fac = factorize(n // 2 if n % 4 == 2 else n)  # Q(zeta_n) = Q(zeta_(n/2))
+    (p, a), *more = fac.items()
+    if more:  # Q(zeta_n) is unramified over it: sqrt|disc Q(zeta_n)|
+        phi = prod(q ** (e - 1) * (q - 1) for q, e in fac.items())
+        return prod(q ** ((e * phi - phi // (q - 1)) // 2) for q, e in fac.items())
+    if p == 2:
+        return 2 ** ((a - 1) * 2 ** (a - 2) - 1)
+    return p ** ((a * p ** (a - 1) * (p - 1) - p ** (a - 1) - 1) // 2)
+
+
 def _cells_certified(f: IntPoly, cells: list[int], k: int) -> bool:
     """True when the cells [m, m + 1] / 2^k, m in cells, hold one root of f
     each: there are deg f of them, their interiors are disjoint, and f is
@@ -102,12 +118,10 @@ def isolate_two_cos_roots(n: int) -> list[Interval]:
 
     Each root gets the dyadic cell [m, m + 1] / 2^CELL_BITS of _guide_cells,
     and _cells_certified checks the cells in exact arithmetic. Should that
-    check fail, the Sturm route isolate_real_roots answers instead: an
-    uncertified interval is never returned.
+    check fail (always for the integer root of n = 3, 4, 6), the Sturm route
+    isolate_real_roots answers: an uncertified interval is never returned.
     """
     f = minpoly_two_cos_conductor(n)
-    if f.degree == 1:  # n = 3, 4, 6: the root is an integer
-        return isolate_real_roots(f)
     scale = 1 << CELL_BITS
     cells = _guide_cells(n)
     if not _cells_certified(f, cells, CELL_BITS):

@@ -2,19 +2,17 @@
 
 Representation: a polynomial is an IntPoly wrapping a tuple of Python ints,
 lowest degree first, with no trailing zeros; the zero polynomial is the
-empty tuple. All operations are exact. Resultants use the primitive
-pseudo-remainder sequence with exact rational bookkeeping, so no floating
-point enters any algebraic result.
+empty tuple. All operations are exact; no floating point enters any
+algebraic result.
 
 Division is over Z. pseudo_rem scales the dividend by the divisor's leading
 coefficient instead of dividing by it, and exact_div divides each top
-coefficient by it and refuses when a remainder is left.
+coefficient by it and refuses when a remainder is left. One remainder
+sequence, the subresultant PRS, serves the resultant and the Sturm chain;
+it takes no content gcd, and every scalar division in it is checked exact.
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 from ..errors import PreconditionError
 
@@ -118,23 +116,7 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly([i * a for i, a in enumerate(self.coeffs)][1:])
 
-    # -- content and divisibility ------------------------------------------
-
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for a in self.coeffs:
-            g = math.gcd(g, a)
-            if g == 1:
-                break
-        return g
-
-    def primitive(self) -> "IntPoly":
-        """Primitive part with the sign of the leading coefficient kept."""
-        g = self.content()
-        if g <= 1:
-            return self
-        return IntPoly([a // g for a in self.coeffs])
+    # -- divisibility ------------------------------------------------------
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -178,35 +160,53 @@ class IntPoly:
         return IntPoly(quo)
 
 
+def _exact_quo(a: int, b: int) -> int:
+    """a / b, which must be an integer; ArithmeticError otherwise."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{a} / {b} is not exact")
+    return q
+
+
+def subresultant_prs(a: IntPoly, b: IntPoly) -> tuple[list[IntPoly], list[int], int]:
+    """(chain, signs, h) for deg a >= deg b >= 0, b != 0 (Cohen, GTM 138,
+    Alg. 3.3.1 and 3.3.7). chain: b_0 = a, b_1 = b, b_(i+1) =
+    prem(b_(i-1), b_i) / (g h^delta_i) up to the last nonzero element, where
+    delta_i = deg b_(i-1) - deg b_i, and then g = lc(b_i) and
+    h = g^delta_i / h^(delta_i - 1), from g = h = 1; each division is checked.
+    signs[i] b_i is a positive multiple of S_i, S_(i+1) = -rem(S_(i-1), S_i).
+    h, updated for the last element too, is +-Res(a, b) if that is constant."""
+    chain, signs = [a, b], [1, 1]
+    g = h = 1
+    while True:
+        prev, cur = chain[-2], chain[-1]
+        delta = prev.degree - cur.degree
+        beta = g * h ** delta
+        g = cur.lc
+        if delta:
+            h = _exact_quo(g ** delta, h ** (delta - 1))
+        r = prev.pseudo_rem(cur) if cur.degree > 0 else IntPoly()
+        if r.is_zero():
+            return chain, signs, h
+        chain.append(IntPoly([_exact_quo(c, beta) for c in r.coeffs]))
+        # prem(b_(i-1), b_i) = g^(delta + 1) rem(b_(i-1), b_i), so S_(i+1) =
+        # -rem has the sign -signs[-2] sign(beta) sign(g)^(delta + 1)
+        s = -signs[-2] if beta > 0 else signs[-2]
+        signs.append(-s if g < 0 and delta % 2 == 0 else s)
+
+
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Res(f, g) over Z, exact (primitive PRS with rational bookkeeping)."""
+    """Res(f, g) over Z: the signed last h of the subresultant PRS, 0 when
+    the chain ends at a common factor of positive degree."""
     if f.is_zero() or g.is_zero():
         return 0
-    a, b = f, g
-    acc = Fraction(1)
-    if a.degree < b.degree:
-        if (a.degree * b.degree) % 2:
-            acc = -acc
-        a, b = b, a
-    while True:
-        m, n = a.degree, b.degree
-        if n == 0:
-            val = acc * Fraction(b.lc) ** m
-            break
-        r = a.pseudo_rem(b)
-        if r.is_zero():
-            return 0
-        cont = r.content()
-        rp = IntPoly([c // cont for c in r.coeffs])
-        # Res(a,b) = (-1)^(mn) lc(b)^(m - deg r - n(m-n+1)) cont^n Res(b, rp)
-        if (m * n) % 2:
-            acc = -acc
-        acc *= Fraction(b.lc) ** (m - r.degree - n * (m - n + 1))
-        acc *= Fraction(cont) ** n
-        a, b = b, rp
-    if val.denominator != 1:
-        raise AssertionError("resultant bookkeeping produced a non-integer")
-    return int(val)
+    if f.degree < g.degree:
+        return (-1) ** (f.degree * g.degree) * resultant(g, f)
+    chain, _, h = subresultant_prs(f, g)
+    if chain[-1].degree > 0:
+        return 0
+    odd = sum(a.degree * b.degree % 2 for a, b in zip(chain, chain[1:]))
+    return (-1) ** odd * h
 
 
 def discriminant(f: IntPoly) -> int:
@@ -214,10 +214,4 @@ def discriminant(f: IntPoly) -> int:
     d = f.degree
     if d < 1:
         raise PreconditionError("discriminant needs degree >= 1")
-    if d == 1:
-        return 1
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    res = resultant(f, f.derivative())
-    if res % f.lc:
-        raise AssertionError("Res(f, f') not divisible by lc(f)")
-    return sign * (res // f.lc)
+    return (-1) ** (d * (d - 1) // 2) * _exact_quo(resultant(f, f.derivative()), f.lc)

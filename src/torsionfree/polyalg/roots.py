@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import NotSquarefreeError, PreconditionError
-from .poly import IntPoly
+from .poly import IntPoly, subresultant_prs
 
 Interval = tuple[Fraction, Fraction]
 
@@ -25,23 +25,13 @@ CELL_BITS = 20
 
 
 def sturm_sequence(f: IntPoly) -> list[IntPoly]:
-    """Sturm chain of f; remainders are scaled to primitive integer
-    polynomials (positive scaling preserves the sign variation count)."""
-    seq = [f, f.derivative()]
-    while seq[-1].degree > 0:
-        r = seq[-2].pseudo_rem(seq[-1])
-        # pseudo remainder = lc^k * true remainder; fix the sign when lc < 0
-        # and the multiplier power is odd
-        k = seq[-2].degree - seq[-1].degree + 1
-        if seq[-1].lc < 0 and k % 2:
-            r = -r
-        r = -r.primitive()
-        if r.is_zero():
-            break
-        seq.append(r)
-    if seq[-1].is_zero():
-        seq.pop()
-    return seq
+    """Sturm chain of f up to positive factors: the subresultant PRS of
+    (f, f'), each element times its tracked sign."""
+    df = f.derivative()
+    if df.is_zero():
+        return [f]
+    chain, signs, _ = subresultant_prs(f, df)
+    return [b if s > 0 else -b for b, s in zip(chain, signs)]
 
 
 def _sign_at(f: IntPoly, x: Fraction) -> int:

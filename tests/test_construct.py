@@ -454,6 +454,19 @@ class TestCosineFieldDisc:
         for p, disc, _lv, _r in rows:
             assert disc == make_cosine_field(p).field_disc == p ** ((p - 3) // 2)
 
+    def test_cosine_path_computes_no_remainder_sequence(self, monkeypatch):
+        """Cosine fields and the sweep take the discriminant from the
+        conductor-discriminant formula and the cells from the closed form,
+        so no pseudo-remainder, hence no subresultant chain, is computed."""
+        def refuse(*args):
+            raise AssertionError("remainder sequence on the cosine path")
+        monkeypatch.setattr(IntPoly, "pseudo_rem", refuse)
+        for p in (5, 13, 503):
+            K = make_cosine_field.__wrapped__(p)
+            assert K.disc_poly == p ** ((p - 3) // 2) and not K.index_primes
+        assert [disc for _p, disc, _lv, _r in sweep(13)] == \
+            [FROZEN_DISC[p] for p in PRIMES]
+
     def test_uncertified_discriminant_refused(self, monkeypatch):
         monkeypatch.setattr(construct, "dedekind_index_primes",
                             lambda f, disc: (7,))

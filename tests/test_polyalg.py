@@ -15,8 +15,8 @@ from torsionfree.polyalg import (IntPoly, compare_root,
                                  isolate_real_roots, isolate_two_cos_roots,
                                  minpoly_two_cos, minpoly_two_cos_conductor,
                                  resultant, sign_at_root,
-                                 sturm_sequence)
-from torsionfree.polyalg import cyclotomic, roots
+                                 sturm_sequence, two_cos_discriminant)
+from torsionfree.polyalg import cyclotomic, poly, roots
 
 
 def poly_eval_mpf(coeffs, x):
@@ -65,6 +65,55 @@ class TestResultantDiscriminant:
 
     def test_disc_of_linear(self):
         assert discriminant(IntPoly((5, 1))) == 1
+
+    def test_resultant_against_sympy(self):
+        """Random pairs up to degree 40, both orders, leading coefficients
+        of both signs, and pairs with a common factor. sympy.resultant(f, g)
+        returns Res(g, f) when deg f < deg g and both degrees are odd (sympy
+        1.14: it gives -1 for Res(x, x^3 + 1) = 1), so it is asked only
+        with deg f >= deg g, and the swap sign is pinned by the Sylvester
+        determinant on small pairs."""
+        from sympy import Poly, symbols
+        from sympy import resultant as sympy_resultant
+        from sympy.polys.subresultants_qq_zz import sylvester
+        x = symbols("x")
+
+        def as_sympy(f):
+            return Poly(list(reversed(f.coeffs)), x)
+
+        def oracle(f, g):
+            if f.degree < g.degree:
+                return (-1) ** (f.degree * g.degree) * oracle(g, f)
+            return int(sympy_resultant(as_sympy(f), as_sympy(g)))
+
+        rng = random.Random(2026)
+        swapped = 0
+        for _ in range(80):
+            f = _random_poly(rng, rng.randint(1, 40))
+            g = _random_poly(rng, rng.randint(1, 40))
+            swapped += f.degree < g.degree
+            assert resultant(f, g) == oracle(f, g)
+            h = _random_poly(rng, rng.randint(1, 5))
+            assert resultant(f * h, g * h) == 0
+        assert swapped > 20
+        for _ in range(40):
+            f = _random_poly(rng, rng.randint(1, 8))
+            g = _random_poly(rng, rng.randint(1, 8))
+            det = sylvester(as_sympy(f).as_expr(), as_sympy(g).as_expr(), x).det()
+            assert resultant(f, g) == int(det)
+        assert resultant(IntPoly((0, 1)), IntPoly((1, 0, 0, 1))) == 1
+        assert resultant(IntPoly((1, 0, 0, 1)), IntPoly((0, 1))) == -1
+
+    def test_trinomial_discriminant_closed_form(self):
+        """disc(x^n + a x + b) = (-1)^(n(n-1)/2) (n^n b^(n-1)
+        + (-1)^(n-1) (n-1)^(n-1) a^n), for 30-digit a and b."""
+        rng = random.Random(150)
+        for n in range(2, 151):
+            a, b = (rng.choice((1, -1)) * rng.randrange(10**29, 10**30)
+                    for _ in range(2))
+            want = (-1) ** (n * (n - 1) // 2) * (
+                n**n * b ** (n - 1) + (-1) ** (n - 1) * (n - 1) ** (n - 1) * a**n)
+            assert discriminant(IntPoly([b, a] + [0] * (n - 2) + [1])) == want
 
 
 def _q_divmod(a, b):
@@ -148,6 +197,11 @@ class TestDivision:
         for op in (IntPoly.exact_div, IntPoly.pseudo_rem):
             with pytest.raises(ZeroDivisionError):
                 op(x, IntPoly())
+        # the subresultant chain's scalar divisions are checked by a raise,
+        # which python -O keeps
+        assert poly._exact_quo(-12, 4) == -3
+        with pytest.raises(ArithmeticError):
+            poly._exact_quo(7, 2)
 
 
 class TestCosineMinimalPolynomials:
@@ -183,6 +237,16 @@ class TestCosineMinimalPolynomials:
     def test_known_small_cases(self):
         assert tuple(minpoly_two_cos(5)) == (-1, 1, 1)
         assert tuple(minpoly_two_cos(7)) == (-1, -2, 1, 1)
+
+    def test_discriminant_formula_matches_the_chain(self):
+        conductors = [*range(3, 301), 401, 503]
+        wrong = [n for n in conductors if two_cos_discriminant(n)
+                 != discriminant(minpoly_two_cos_conductor(n))]
+        assert wrong == []
+        assert [two_cos_discriminant(n) for n in (5, 8, 12, 16, 9)] == \
+            [5, 8, 12, 2**11, 3**4]
+        with pytest.raises(PreconditionError):
+            two_cos_discriminant(2)
 
     def test_conductor_variant(self):
         # conductor 2p relates to conductor p by x -> -x up to sign
@@ -277,34 +341,56 @@ class TestFactorModP:
 
 class TestSturmIsolation:
     def test_root_count_matches_sturm(self):
+        """Root counts from the chain's signs at -+infinity, and sign
+        variations at random rationals against sympy.sturm, on monic dense
+        f, on f with a negative or non-unit leading coefficient, and on
+        sparse f whose chain drops degree by 2 or more: those exercise the
+        sign(lc)^(delta + 1) and sign(beta) factors of the tracked signs."""
+        from sympy import Poly, Rational, sturm, symbols
+        x = symbols("x")
         rng = random.Random(5)
-        checked = 0
-        while checked < 60:
+        inputs = []
+        while len(inputs) < 60:
             deg = rng.randint(1, 6)
-            coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [1]
-            f = IntPoly(tuple(coeffs))
+            inputs.append(IntPoly([rng.randint(-9, 9) for _ in range(deg)] + [1]))
+        for lc in (-1, 2, -3, -5):
+            for _ in range(10):
+                deg = rng.randint(2, 9)
+                inputs.append(IntPoly([rng.randint(-9, 9) for _ in range(deg)] + [lc]))
+        inputs += [IntPoly((1, 0, -3, 0, 0, 0, 0, 1)),      # x^7 - 3x^2 + 1
+                   IntPoly((-2, 0, 0, 0, 5, 0, 0, 0, 0, -1)),
+                   IntPoly((1, 0, 0, 0, 0, -4, 0, 0, 0, 0, 0, 3))]
+        for _ in range(20):
+            deg = rng.randint(5, 12)
+            coeffs = [0] * deg + [rng.choice((1, -1, 2, -3))]
+            for i in rng.sample(range(deg), 3):
+                coeffs[i] = rng.choice((1, -1)) * rng.randint(1, 9)
+            inputs.append(IntPoly(coeffs))
+
+        def variations(values):
+            signs = [v for v in values if v]
+            return sum(a * b < 0 for a, b in zip(signs, signs[1:]))
+
+        checked = drops = negative_lc = 0
+        for f in inputs:
             if f.degree < 1 or discriminant(f) == 0:
                 continue
             ivs = isolate_real_roots(f)
             seq = sturm_sequence(f)
             # sign changes at -inf minus at +inf equals real root count
-            def signs_at_inf(sgn):
-                out = []
-                for g in seq:
-                    lead = g[g.degree]
-                    out.append(lead * (sgn ** (g.degree % 2)) if sgn < 0 else lead)
-                changes = 0
-                prev = 0
-                for v in out:
-                    if v == 0:
-                        continue
-                    s = 1 if v > 0 else -1
-                    if prev and s != prev:
-                        changes += 1
-                    prev = s
-                return changes
-            assert len(ivs) == signs_at_inf(-1) - signs_at_inf(1)
+            at_minus = [g.lc * (-1) ** g.degree for g in seq]
+            at_plus = [g.lc for g in seq]
+            assert len(ivs) == variations(at_minus) - variations(at_plus)
+            oracle = sturm(Poly(list(reversed(f.coeffs)), x))
+            for _ in range(10):
+                q = Fraction(rng.randint(-300, 300), rng.randint(1, 40))
+                r = Rational(q.numerator, q.denominator)
+                assert roots._chain_at(seq, q)[0] == \
+                    variations([Fraction(str(g.eval(r))) for g in oracle])
             checked += 1
+            drops += any(a.degree - b.degree >= 2 for a, b in zip(seq, seq[1:]))
+            negative_lc += f.lc < 0
+        assert checked >= 100 and drops >= 10 and negative_lc >= 15
         # the chain of (x - 1)^2 (x + 2) ends at gcd(f, f') = x - 1
         with pytest.raises(NotSquarefreeError):
             isolate_real_roots(IntPoly((2, -3, 0, 1)))
