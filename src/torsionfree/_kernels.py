@@ -3,12 +3,13 @@ and the count of small-degree factors over a list of primes.
 
 The range kernels draw their primes from the package's one sieve,
 ntheory.progression_blocks, as (v, flags) segments: the class count sieves
-only the odd members of the classes r mod n it counts and sums the flags,
-and the root count sieves the odd numbers as the progression 1 + 2k. The
-two polynomial counts are the only numpy code in the package: they work on
-int64 arrays in batches, importing numpy on first use, so no other command
-loads it. IMPLEMENTATION names the one backend; benchmark records carry it
-as their backend stamp.
+only the members prime to 6 of the classes r mod n it counts, as
+progressions mod lcm(n, 6) that share one table of base primes, and
+popcounts the flags; the root count sieves the odd numbers as the
+progression 1 + 2k. The two polynomial counts are the only numpy code in
+the package: they work on int64 arrays in batches, importing numpy on
+first use, so no other command loads it. IMPLEMENTATION names the one
+backend; benchmark records carry it as their backend stamp.
 
 Both polynomial counts rest on one core, _power_gcd_degrees: for a batch of
 columns (p, e) it computes deg gcd(f, x^e - x) over F_p in lockstep. The
@@ -56,16 +57,25 @@ _MAX_DEGREE = 63
 _VALUE_CAP = 1 << 62
 
 
-def _class_count(lo: int, hi: int, n: int, r: int) -> int:
-    """Number of primes p = r (mod n) in [lo, hi), gcd(r, n) = 1. For odd n
-    that is 2 when it lies in the class, plus the odd members, which form
-    the progression r' + 2n k: so no even value is ever sieved."""
-    two = 0
-    if n % 2:
-        two = 2 % n == r and lo <= 2 < hi
-        r, n = (r if r % 2 else r + n), 2 * n
-    return two + sum(flags.count(1) for _v, flags in
-                     progression_blocks(lo, hi, n, r))
+def _class_count(lo: int, hi: int, n: int, classes: set[int]) -> int:
+    """Number of primes p in [lo, hi) with p mod n in classes, each class
+    prime to n.
+
+    The members of a class that are prime to 6 fill the classes mod
+    N = lcm(n, 6) above it that are prime to 6: two of the six above an n
+    prime to 6, so no multiple of 2 or 3 is ever sieved (a wheel mod 6,
+    Pritchard, Acta Inform. 17, 1982). 2 and 3 are counted apart. Every
+    progression shares N and hi, so one base-prime table serves them all.
+    A segment's flags are 0 or 1, so its prime count is the popcount of
+    its bytes read as one integer."""
+    N = n * 6 // gcd(n, 6)
+    total = sum(lo <= q < hi and q % n in classes for q in (2, 3))
+    for r in classes:
+        for s in range(r, r + N, n):
+            if gcd(s, 6) == 1:
+                total += sum(int.from_bytes(flags, "little").bit_count()
+                             for _v, flags in progression_blocks(lo, hi, N, s))
+    return total
 
 
 def prime_count_in_classes(lo: int, hi: int, modulus: int = 1,
@@ -73,23 +83,21 @@ def prime_count_in_classes(lo: int, hi: int, modulus: int = 1,
     """Count primes p in [lo, hi) with p % modulus in residues; hi must be
     at most 2^62.
 
-    modulus 1 counts every prime regardless of residues. Each distinct class
-    r prime to the modulus is sieved on its own; a class sharing the factor
-    g > 1 with the modulus holds no prime but g itself.
+    modulus 1 counts every prime regardless of residues. The distinct
+    classes prime to the modulus go to one _class_count, which builds one
+    base-prime table for all of them; a class sharing the factor g > 1
+    with the modulus holds no prime but g itself.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     if hi > _VALUE_CAP:
         raise ValueError("range cap: values must be <= 2^62")
-    if modulus == 1:
-        return _class_count(lo, hi, 1, 0)
-    total = 0
-    for r in {r % modulus for r in residues}:
+    classes = {r % modulus for r in residues} if modulus > 1 else {0}
+    units = {r for r in classes if gcd(r, modulus) == 1}
+    total = _class_count(lo, hi, modulus, units)
+    for r in classes - units:
         g = gcd(r, modulus)
-        if g == 1:
-            total += _class_count(lo, hi, modulus, r)
-        else:
-            total += g % modulus == r and lo <= g < hi and is_prime(g)
+        total += g % modulus == r and lo <= g < hi and is_prime(g)
     return total
 
 
@@ -111,7 +119,7 @@ def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int) -> in
     if hi > _PRIME_CAP:
         raise ValueError("range cap: primes must be < 2^31")
     if d == 1:
-        return _class_count(lo, hi, 1, 0)
+        return _class_count(lo, hi, 1, {0})
     import numpy as np
 
     total = 0

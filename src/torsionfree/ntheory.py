@@ -9,15 +9,18 @@ steps and raises ResourceCapError beyond it.
 
 Primes come from one segmented sieve over an arithmetic progression r + k n
 (progression_blocks), in pure Python on bytearray flags. primes_in_range
-runs it on the odd numbers 1 + 2k, and the class-count kernel runs it on
-just the classes it counts.
+runs it on the odd numbers 1 + 2k, and the class-count kernel on the
+members prime to 6 of the classes it counts. The base primes of a sieve and
+their inverses mod n sit in a one-entry cache, so the progressions of one
+class count, which share hi and n, build them once.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import compress
+from functools import lru_cache
+from itertools import compress, repeat
 
 from .errors import ResourceCapError
 
@@ -118,18 +121,27 @@ _BLOCK = 1 << 20
 _ZEROS = memoryview(bytes(_BLOCK))
 
 
+@lru_cache(maxsize=1)
+def _base_table(m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(the primes b < m that do not divide n, ascending; u_b = -1/n mod b
+    for each). One entry is kept, so the progressions of one class count,
+    which share m and n, build it once."""
+    base = tuple(b for b in (2, *_odd_primes(3, m)) if b < m and n % b)
+    return base, tuple(-pow(n, -1, b) % b for b in base)
+
+
 def progression_blocks(lo: int, hi: int, n: int, r: int):
     """Yield (v, flags) for the progression r + k n over [lo, hi), one
     segment of at most _BLOCK consecutive indices at a time, ascending:
-    flags is a bytearray with flags[i] == 1 exactly when v + i n is prime.
-    gcd(r, n) must be 1.
+    flags is a bytearray with flags[i] == 1 exactly when v + i n is prime,
+    and every other flag 0. gcd(r, n) must be 1.
 
     This is the package's one sieve: a segmented sieve of Eratosthenes over
     the progression alone (Bays-Hudson, BIT 17, 1977). A base prime
     l <= sqrt(hi - 1) that does not divide n hits the progression at the
-    indices k = -r / n (mod l), and strikes them from the first one whose
-    value is at least l^2, so l itself survives; each base prime carries its
-    next index from one segment to the next.
+    indices k = r u_l (mod l), u_l = -1/n mod l, and strikes them from the
+    first one whose value is at least l^2, so l itself survives; each base
+    prime carries its next index from one segment to the next.
     """
     r %= n
     if math.gcd(r, n) != 1:
@@ -138,24 +150,25 @@ def progression_blocks(lo: int, hi: int, n: int, r: int):
     if hi <= lo:
         return
     k_lo, k_hi = -((r - lo) // n), -((r - hi) // n)
-    m = math.isqrt(hi - 1) + 1
-    base = [b for b in (2, *_odd_primes(3, m)) if b < m and n % b]
+    base, u = _base_table(math.isqrt(hi - 1) + 1, n)
     # first index whose value is >= b^2, ascending in b
     first = [-((r - b * b) // n) for b in base]
-    nxt = []
-    for b, f in zip(base, first):
-        k = max(f, k_lo)
-        nxt.append(k + (-r * pow(n, -1, b) - k) % b)
+    # the first index each base prime strikes: at or past both k_lo and
+    # its first, and = r u_b (mod b)
+    nxt = [k + (r * ub - k) % b
+           for b, ub, k in zip(base, u, map(max, first, repeat(k_lo)))]
     for s in range(k_lo, k_hi, _BLOCK):
         e = min(s + _BLOCK, k_hi)
         flags = bytearray(b"\x01") * (e - s)
-        for j in range(bisect_left(first, e)):
-            k = nxt[j]
+        live = bisect_left(first, e)
+        out = []
+        for b, k in zip(base, nxt[:live]):
             if k < e:
-                b = base[j]
                 c = (e - 1 - k) // b + 1
                 flags[k - s :: b] = _ZEROS[:c]
-                nxt[j] = k + c * b
+                k += c * b
+            out.append(k)
+        nxt[:live] = out
         yield r + n * s, flags
 
 

@@ -1,9 +1,10 @@
+import functools
 import itertools
 import random
 import subprocess
 import sys
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -50,8 +51,8 @@ def product(*factors):
 def brute_class_count(lo, hi, modulus, residues):
     """The class count by trial primality, one integer at a time."""
     classes = {r % modulus for r in residues}
-    return sum(1 for q in range(max(lo, 0), hi) if is_prime(q)
-               and (modulus == 1 or q % modulus in classes))
+    return sum(1 for q in range(max(lo, 0), hi)
+               if (modulus == 1 or q % modulus in classes) and is_prime(q))
 
 
 def progression_primes(lo, hi, n, r):
@@ -134,6 +135,91 @@ class TestPrimeCounts:
                 [q for q in range(max(lo, 0), hi) if is_prime(q)]
             assert prime_count_in_classes(lo, hi, n, residues) == \
                 brute_class_count(lo, hi, n, residues)
+
+    @pytest.mark.parametrize("block", [None, 5, 64])
+    def test_wheel_edges(self, block, monkeypatch):
+        """Moduli on the mod-6 wheel (3 does not divide n: two progressions
+        mod lcm(n, 6) per class) and off it, against trial primality:
+        classes holding 2 or 3, ranges from below 4, and ends within 2 of
+        a value of a progression. With a small block every progression
+        spans at least two segments."""
+        if block is not None:
+            monkeypatch.setattr(ntheory, "_BLOCK", block)
+        segments = []
+
+        def spy(lo, hi, n, r):
+            blocks = list(progression_blocks(lo, hi, n, r))
+            segments.append(len(blocks))
+            return blocks
+
+        monkeypatch.setattr(_kernels, "progression_blocks", spy)
+        rng = random.Random(28)
+        for n in (3, 9, 21, 105, 1, 2, 4, 13, 101, 199):
+            N = n * 6 // gcd(n, 6)
+            classes = [r for r in range(n) if gcd(r, n) == 1]
+            for _ in range(12):
+                r = rng.choice(classes)
+                residues = {r, rng.choice(classes)}
+                residues |= set(rng.sample([2 % n, 3 % n], rng.randint(0, 2)))
+                # a value of one progression mod N of the class r
+                s = next(q for q in range(r, r + N, n) if gcd(q, 6) == 1)
+                lo = rng.choice([0, 1, 2, 3, rng.randint(4, 5 * N)])
+                steps = rng.randint(2 * (block or 1) + 2, 3 * (block or 5))
+                hi = s + N * (lo // N + steps) + rng.randint(-2, 2)
+                segments.clear()
+                assert prime_count_in_classes(lo, hi, n, residues) == \
+                    brute_class_count(lo, hi, n, residues), (lo, hi, n)
+                if block is not None:
+                    assert segments and min(segments) >= 2
+
+    def test_wheel_sieves_values_prime_to_6(self, monkeypatch):
+        """With 3 not dividing n, no flag sits on a multiple of 3 (nor of
+        2), the class count sieves at most about 2/3 of the odd members of
+        its classes, and it builds its base-prime table once."""
+        flagged = []
+
+        def spy(lo, hi, n, r):
+            for v, flags in progression_blocks(lo, hi, n, r):
+                flagged.append((v, n, len(flags)))
+                yield v, flags
+
+        built = []
+        table = ntheory._base_table
+        build = table.__wrapped__
+
+        def counted(m, n):
+            built.append(n)
+            return build(m, n)
+
+        monkeypatch.setattr(_kernels, "progression_blocks", spy)
+        monkeypatch.setattr(ntheory, "_base_table",
+                            functools.lru_cache(**table.cache_parameters())(
+                                counted))
+        for n, lo, hi in [(1, 0, 30_000), (2, 5, 20_000), (4, 3, 40_001),
+                          (13, 2, 100_003), (101, 10**5, 10**6),
+                          (199, 447, 200_000)]:
+            flagged.clear()
+            built.clear()
+            residues = (1, n - 1) if n > 2 else (1,)
+            assert prime_count_in_classes(lo, hi, n, residues) == \
+                brute_class_count(lo, hi, n, residues)
+            N = n * 6 // gcd(n, 6)
+            assert built.count(N) == 1
+            for v, m, length in flagged:
+                assert m == N
+                assert all(q % 2 and q % 3 for q in range(v, v + m * length, m))
+            odd = sum(1 for q in range(max(lo, 2), hi)
+                      if q % 2 and q % n in {r % n for r in residues})
+            sieved = sum(length for _v, _m, length in flagged)
+            assert sieved <= 2 * odd / 3 + 2 * len(residues)
+
+    def test_frozen_grh_rows(self):
+        """The classes +-1 mod n over (sqrt x, x] at x = 2 10^10, for n =
+        101 and 199."""
+        x = 2 * 10**10
+        for n, want in ((101, 17_644_146), (199, 8_912_879)):
+            assert prime_count_in_classes(isqrt(x) + 1, x + 1, n,
+                                          (1, n - 1)) == want
 
     def test_hi_at_square_of_base_prime(self):
         # l^2 is the first value l marks: hi = l^2 leaves l out of the base
