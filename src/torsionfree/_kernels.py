@@ -111,10 +111,17 @@ def _degree(coeffs: tuple[int, ...]) -> int:
     return d
 
 
-def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int) -> int:
+def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int,
+                                disc: int = 1,
+                                dividing: list[int] | None = None) -> int:
     """Sum over primes p in [lo, hi) of the number of distinct roots of f
     mod p. f = sum coeffs[i] x^i must be monic of degree 1..63, and hi at
-    most 2^31."""
+    most 2^31.
+
+    When dividing is a list, the primes of the range that divide disc, the
+    discriminant of f, are appended to it, ascending, read from the
+    residues of disc on the same batches. A linear f has discriminant 1, so
+    none is appended for it."""
     d = _degree(coeffs)
     if hi > _PRIME_CAP:
         raise ValueError("range cap: primes must be < 2^31")
@@ -125,12 +132,16 @@ def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int) -> in
     total = 0
     if lo <= 2 < hi:  # mod 2 the candidate roots are 0 and 1
         total = (coeffs[0] % 2 == 0) + (sum(coeffs) % 2 == 0)
+        if dividing is not None and disc % 2 == 0:
+            dividing.append(2)
     batch = max(1, _BATCH_WORDS // d)
     for v, flags in progression_blocks(lo, hi, 2, 1):
         block = v + 2 * np.flatnonzero(np.frombuffer(flags, np.uint8))
         for i in range(0, len(block), batch):
             P = block[i : i + batch]
             total += int(_power_gcd_degrees(coeffs, P, P).sum())
+            if dividing is not None:
+                dividing.extend(P[_residues(disc, P) == 0].tolist())
     return total
 
 
@@ -212,8 +223,9 @@ def _power_gcd_degrees(coeffs: tuple[int, ...], P, E):
     x^(r - d) (-F) to the d rows below it. Each addition puts at most one
     product of two residues into any row, so with k = _lazy_terms(max(P) -
     1), reducing the product after every k additions keeps every row
-    within k products on top of one residue, inside int64. The gcd is
-    _gcd_degrees.
+    within k products on top of one residue, inside int64. The product, one
+    (d, len(P)) temporary and one row are allocated once per batch, and
+    every step writes into them (ufunc out=). The gcd is _gcd_degrees.
     """
     import numpy as np
 
@@ -221,37 +233,46 @@ def _power_gcd_degrees(coeffs: tuple[int, ...], P, E):
     k = _lazy_terms(int(P.max()) - 1)
     F = np.stack([_residues(c, P) for c in coeffs[:d]])  # f = x^d + F
     G = -F % P  # x^d mod f
-
-    def times_x(a):
-        out = np.empty_like(a)
-        out[0] = 0
-        out[1:] = a[:-1]
-        return (out + a[-1] * G) % P
+    prod = np.empty((2 * d - 1, len(P)), dtype=np.int64)
+    tmp = np.empty((d, len(P)), dtype=np.int64)
+    row = np.empty(len(P), dtype=np.int64)
 
     def square(a):
-        prod = np.zeros((2 * d - 1, len(P)), dtype=np.int64)
-        added = 0
-        for i in range(d):
-            prod[i : i + d] += a[i] * a
+        """a = a^2 mod f, in place."""
+        np.multiply(a[0], a, out=prod[:d])
+        prod[d:] = 0
+        added = 1
+        for i in range(1, d):
+            np.multiply(a[i], a, out=tmp)
+            prod[i : i + d] += tmp
             added += 1
             if added == k:
-                prod %= P
+                np.remainder(prod, P, out=prod)
                 added = 0
         for r in range(2 * d - 2, d - 1, -1):
-            prod[r - d : r] += prod[r] % P * G
+            np.remainder(prod[r], P, out=row)
+            np.multiply(row, G, out=tmp)
+            prod[r - d : r] += tmp
             added += 1
             if added == k:
-                prod[:r] %= P
+                np.remainder(prod[:r], P, out=prod[:r])
                 added = 0
-        return prod[:d] % P
+        np.remainder(prod[:d], P, out=a)
+
+    def times_x(a, where):
+        """a = x a mod f in the columns where is true, in place."""
+        np.multiply(a[-1], G, out=tmp)
+        tmp[1:] += a[:-1]
+        np.remainder(tmp, P, out=tmp)
+        np.copyto(a, tmp, where=where)
 
     # x^e mod f, left to right over the bits of e; above a column's top bit
     # the accumulator stays 1
     acc = np.zeros((d, len(P)), dtype=np.int64)
     acc[0] = 1
     for bit in range(int(E.max()).bit_length() - 1, -1, -1):
-        acc = square(acc)
-        acc = np.where(((E >> bit) & 1) == 1, times_x(acc), acc)
+        square(acc)
+        times_x(acc, ((E >> bit) & 1) == 1)
     acc[1] = (acc[1] - 1) % P
     f = np.vstack([F, np.ones_like(P)])
     return _gcd_degrees(f, np.vstack([acc, np.zeros_like(P)]), P)

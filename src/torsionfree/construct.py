@@ -29,9 +29,8 @@ from math import ceil, cos, floor, pi
 
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime, primes_in_range
-from .numfield import (FieldElement, NumberField, dedekind_index_primes,
-                       element_charpoly, make_cosine_field, mul_mod,
-                       sign_at_embeddings)
+from .numfield import (FieldElement, NumberField, element_charpoly,
+                       make_cosine_field, mul_mod, sign_at_embeddings)
 from .polyalg import compare_root, minpoly_two_cos, two_cos_discriminant
 from .report import MP_DPS, mpf_str
 from .torsion import mat_mul
@@ -361,7 +360,7 @@ def build_construction(p: int, a_const=1.0,
                        b_const=1.0) -> LatticeConstruction:
     _require_construction_prime(p)
     field = make_cosine_field(p)
-    # make_cosine_field refuses an index prime, so disc_poly is the field's
+    # Z[2cos(2pi/p)] is the maximal order, so disc_poly is the field's
     disc = field.disc_poly
     T = choose_T(p)
     half = Fraction(1, 2)
@@ -388,9 +387,11 @@ def build_construction(p: int, a_const=1.0,
 def sweep(pmax: int, a_const=1.0, b_const=1.0) -> list:
     """(p, disc, log_v_hat, ratio) for every prime 5 <= p <= pmax.
 
-    Only the discriminant is certified: two_cos_discriminant(p), which is
-    the polynomial discriminant when no prime fails Dedekind's criterion.
-    No field is built: no remainder sequence, root isolation or T search."""
+    Only the discriminant is certified: two_cos_discriminant(p), the
+    discriminant of Q(2cos(2pi/p)), whose ring of integers is
+    Z[2cos(2pi/p)] (Washington, Introduction to Cyclotomic Fields, Prop.
+    2.16). No field is built and no prime is tested: no remainder sequence,
+    root isolation, Dedekind test or T search."""
     if pmax < 5:
         raise PreconditionError("pmax must be >= 5")
     if pmax > P_CAP:
@@ -398,10 +399,6 @@ def sweep(pmax: int, a_const=1.0, b_const=1.0) -> list:
     rows = []
     for p in primes_in_range(5, pmax + 1):
         disc = two_cos_discriminant(p)
-        if dedekind_index_primes(minpoly_two_cos(p), disc):
-            raise PreconditionError(
-                f"an index prime divides [O : Z[2cos(2pi/{p})]]; the "
-                "polynomial discriminant is not the field discriminant")
         log_v_hat = log_volume(p, disc, a_const, b_const)
         rows.append((p, disc, log_v_hat, lower_bound_ratio(p, log_v_hat)))
     return rows

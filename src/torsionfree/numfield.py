@@ -7,10 +7,13 @@ multiplies the numerators in Z[x] and reduces by the monic f (mul_mod), and
 no Fraction is built until .rep asks for the rational coefficients.
 
 Splitting of rational primes is only read from f mod p away from the primes
-that may divide [O : Z[theta]]. dedekind_index_primes runs Dedekind's
-criterion once for each prime whose square divides the polynomial
-discriminant; make_field keeps the primes that fail it as index_primes, the
-one record of that decision. Real embeddings are isolating intervals,
+that may divide [O : Z[theta]]. is_index_prime decides that for one prime q
+where a caller visits it: q^2 must divide the polynomial discriminant and
+Dedekind's criterion fail at q, and the answer is memoised per field, so the
+criterion runs at most once per (field, q). Splitting, the level scan and
+the generic count ask only at the primes they reach, so building a field
+factors nothing; only dedekind_index_primes, for field_disc and the report,
+factors the whole discriminant. Real embeddings are isolating intervals,
 ordered by ascending embedding value.
 
 Library-built cosine fields Q(2cos(2pi/n)) carry their conductor n and are
@@ -21,7 +24,7 @@ by the abelian law instead of by factorisation mod q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import floor, gcd, isqrt, lcm
@@ -55,14 +58,15 @@ class NumberField:
     disc_poly: int
     real_embeddings: tuple[tuple[Fraction, Fraction], ...]
     conductor: int | None = None    # set for fields built by make_cosine_field
-    # primes that may divide [O : Z[theta]]: those q with q^2 | disc_poly
-    # that fail Dedekind's criterion, decided once by make_field
-    index_primes: tuple[int, ...] = ()
+    # is_index_prime's answers, q -> whether q may divide [O : Z[theta]]
+    _index_memo: dict[int, bool] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
 
     @property
     def field_disc(self) -> int | None:
-        """disc_poly when no prime may divide the index, else None."""
-        return None if self.index_primes else self.disc_poly
+        """disc_poly when no prime may divide the index, else None. A field
+        without a conductor factors disc_poly for it (dedekind_index_primes)."""
+        return None if dedekind_index_primes(self) else self.disc_poly
 
     def element(self, coeffs) -> "FieldElement":
         c = [Fraction(x) for x in coeffs]
@@ -78,12 +82,15 @@ class NumberField:
         return self.element([0, 1])
 
     def to_json(self) -> dict:
+        """The field report; a field without a conductor factors disc_poly
+        for its field_disc and monogenic keys."""
+        index = dedekind_index_primes(self)
         return {
             "poly": list(self.defining_poly.coeffs),
             "degree": self.degree,
             "disc_poly": str(self.disc_poly),
-            "field_disc": None if self.field_disc is None else str(self.field_disc),
-            "monogenic": not self.index_primes,
+            "field_disc": None if index else str(self.disc_poly),
+            "monogenic": not index,
         }
 
 
@@ -194,12 +201,30 @@ def _dedekind_index_test(f: IntPoly, p: int) -> bool:
     return len(d2) == 1
 
 
-def dedekind_index_primes(f: IntPoly, disc: int) -> tuple[int, ...]:
-    """The primes q with q^2 | disc (the discriminant of f) at which
-    Dedekind's criterion fails, ascending: the only primes that may divide
-    [O : Z[theta]]."""
-    return tuple(q for q in square_prime_factors(abs(disc))
-                 if not _dedekind_index_test(f, q))
+def is_index_prime(K: NumberField, q: int) -> bool:
+    """True when the prime q may divide [O : Z[theta]]: q^2 divides
+    disc_poly and Dedekind's criterion fails at q. Z[2cos(2pi/n)] is the
+    maximal order (Washington, Introduction to Cyclotomic Fields, Prop.
+    2.16), so a cosine field has none. The answer is memoised in K, so the
+    criterion runs at most once per (field, q)."""
+    if K.conductor is not None or K.disc_poly % (q * q):
+        return False
+    memo = K._index_memo
+    if q not in memo:
+        memo[q] = not _dedekind_index_test(K.defining_poly, q)
+    return memo[q]
+
+
+def dedekind_index_primes(K: NumberField) -> tuple[int, ...]:
+    """Every prime that may divide [O : Z[theta]], ascending. A field
+    without a conductor factors all of disc_poly for its square primes
+    (square_prime_factors: trial division, then Pollard rho within its
+    budget, with ResourceCapError past it); nothing but field_disc and the
+    field report needs the whole set."""
+    if K.conductor is not None:
+        return ()
+    return tuple(q for q in square_prime_factors(abs(K.disc_poly))
+                 if is_index_prime(K, q))
 
 
 def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> NumberField:
@@ -209,13 +234,12 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
     rejected. The checks run in this order: degree >= 1 and monic; a zero
     discriminant (repeated factor) raises NotSquarefreeError; the real roots
     are isolated; a rational root, which for monic f is an integer inside
-    its cell, raises PreconditionError; last, Dedekind's criterion runs once
-    for each prime whose square divides the discriminant.
+    its cell, raises PreconditionError. No prime is factored or tested
+    here: is_index_prime decides each index prime where it is visited.
 
     conductor = n declares f the minimal polynomial of 2cos(2pi/n), which is
     checked; then the discriminant is two_cos_discriminant(n), and the cells
-    and splitting come from closed forms. Z[2cos(2pi/n)] is the maximal
-    order (Washington, Prop. 2.16): an index prime there is a TorsionfreeError.
+    and splitting come from closed forms.
     """
     if not isinstance(f, IntPoly):
         f = IntPoly(tuple(int(c) for c in f))
@@ -236,18 +260,12 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
     if f.degree >= 2 and any(lo == hi or (floor(hi) > lo and f(floor(hi)) == 0)
                              for lo, hi in cells):
         raise PreconditionError("defining polynomial has a rational root")
-    index_primes = dedekind_index_primes(f, disc)
-    if conductor is not None and index_primes:
-        raise TorsionfreeError(
-            f"{index_primes[0]} divides the index of Z[2cos(2pi/{conductor})], "
-            "which is the maximal order")
     return NumberField(
         defining_poly=f,
         degree=f.degree,
         disc_poly=disc,
         real_embeddings=tuple(cells),
         conductor=conductor,
-        index_primes=index_primes,
     )
 
 
@@ -299,7 +317,7 @@ def dedekind_split(K: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    if p in K.index_primes:
+    if is_index_prime(K, p):
         raise PreconditionError(f"{p} may divide the index [O : Z[theta]]")
     n = K.conductor
     if n is not None and n % p:
@@ -353,38 +371,49 @@ def count_prime_ideals(K: NumberField, x: int,
 
     The index primes q <= x are appended, ascending, to unreliable_out
     instead of silently dropped. Library-built cosine fields count by the
-    abelian splitting law; every other field counts in the batched kernels,
-    distinct-degree counts of f mod p for p <= sqrt(x) and root counts
-    above, with no factorisation mod p; both routes agree on their common
-    domain. A generic field refuses x >= 2^31, and a degree above the
-    kernels' 63, with ResourceCapError before any prime is scanned.
+    abelian splitting law and have no index prime; every other field counts
+    in the batched kernels, distinct-degree counts of f mod p for
+    p <= sqrt(x) and root counts above, with no factorisation mod p; both
+    routes agree on their common domain. A generic field refuses x >= 2^31,
+    and a degree above the kernels' 63, with ResourceCapError before any
+    prime is scanned.
     """
-    if unreliable_out is not None:
-        unreliable_out.extend(q for q in K.index_primes if q <= x)
     if x < 2:
         return 0
     if K.conductor is not None:
         return _count_abelian(K, x)
-    return _count_generic(K, x)
+    return _count_generic(K, x, unreliable_out)
 
 
-def _count_generic(K: NumberField, x: int) -> int:
+def _count_generic(K: NumberField, x: int,
+                   unreliable_out: list[int] | None) -> int:
     """Counting route for a field without a conductor, in the batched
     kernels: a prime p <= sqrt(x) adds its irreducible factors of f mod p
-    with p^deg <= x, a prime above sqrt(x) its roots of f mod p. The root
-    count of an index prime above sqrt(x) is taken back out; index primes
-    below stay out of the batch."""
+    with p^deg <= x, a prime above sqrt(x) its roots of f mod p.
+
+    is_index_prime is asked for every p <= sqrt(x), and index primes stay
+    out of that batch. Above sqrt(x) it is asked only for the primes that
+    divide disc_poly, which the root-count kernel lists from the residues
+    of disc_poly on its own batches; an index prime's roots are taken back
+    out."""
     if x + 1 > (1 << 31):
         raise ResourceCapError("prime scan exceeds the kernel range (2^31)")
     if K.degree > _kernels._MAX_DEGREE:
         raise ResourceCapError(
             f"degree {K.degree} exceeds the kernel cap {_kernels._MAX_DEGREE}")
-    f, index = K.defining_poly.coeffs, K.index_primes
+    f = K.defining_poly.coeffs
     B = isqrt(x)
-    small = [p for p in primes_upto(B) if p not in index]
-    return (_kernels.poly_factor_count(f, small, x)
-            + _kernels.poly_root_count_over_primes(f, B + 1, x + 1)
-            - _kernels.poly_factor_count(f, [q for q in index if q > B], x))
+    small, index = [], []
+    for p in primes_upto(B):
+        (index if is_index_prime(K, p) else small).append(p)
+    dividing: list[int] = []
+    total = (_kernels.poly_factor_count(f, small, x)
+             + _kernels.poly_root_count_over_primes(
+                 f, B + 1, x + 1, disc=K.disc_poly, dividing=dividing))
+    large = [q for q in dividing if is_index_prime(K, q)]
+    if unreliable_out is not None:
+        unreliable_out.extend(index + large)
+    return total - _kernels.poly_factor_count(f, large, x)
 
 
 def _count_abelian(K: NumberField, x: int) -> int:

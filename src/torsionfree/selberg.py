@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime
-from .numfield import NumberField, dedekind_split, least_inertia_degree
+from .numfield import (NumberField, dedekind_split, is_index_prime,
+                       least_inertia_degree)
 from .report import MP_DPS
 
 _THRESHOLD_CAP = 1 << 64
@@ -93,9 +94,10 @@ def find_congruence_level(K: NumberField, dim_G: int,
     Scans rational primes q while q is below the best norm so far (no
     prime ideal above q has a smaller norm), and keeps the minimal passing
     norm; ties go to smaller q, then smaller inertia.
-    Index primes of K are skipped, not split, and reported; q = 2 never
-    passes (kionke_criterion(2, e) fails for every e >= 1) and is passed
-    over. A prime dividing disc_poly is split by dedekind_split, which
+    Index primes of K are skipped, not split, and reported; is_index_prime
+    decides each q the scan reaches, and no other. q = 2 never passes
+    (kionke_criterion(2, e) fails for every e >= 1) and is passed over.
+    A prime dividing disc_poly is split by dedekind_split, which
     supplies its ramification indices. Every other prime is unramified, so
     only its least inertia degree can win, and only with a norm below the
     best so far: least_inertia_degree looks for it up to that bound and no
@@ -111,7 +113,7 @@ def find_congruence_level(K: NumberField, dim_G: int,
     for q in filter(is_prime, range(2, scan_cap + 1)):
         if best is not None and q >= best[0]:
             break
-        if q in K.index_primes:
+        if is_index_prime(K, q):
             skipped.append(q)
             continue
         if q == 2:

@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 import re
 import subprocess
 import sys
@@ -40,6 +41,16 @@ GOLDEN_CASES = {
     "apply_generators.json": ["apply", "generators", "--v", "1000000",
                               "--alpha", "0.5", "--c", "1.0"],
 }
+
+
+def _eisenstein_150():
+    rng = random.Random(150)
+    coeffs = [2 * rng.randint(-2, 2) for _ in range(150)]
+    coeffs[0] = 2 * rng.choice([-1, 1])
+    return ", ".join(map(str, coeffs + [1]))
+
+
+EISENSTEIN_150 = _eisenstein_150()
 
 
 def strip_generated_by(text):
@@ -132,6 +143,34 @@ class TestExitCodes:
         assert time.monotonic() - start < 30
         payload = json.loads(proc.stderr.splitlines()[-1])
         assert payload["error"]["type"] == "ResourceCapError"
+
+    @pytest.mark.parametrize("coeffs, norm, skipped", [
+        # the degree-12 generic-fields input of seed 2001: splitting its
+        # discriminant's 26-digit cofactor takes Pollard rho
+        ("-15, -10, 10, -5, 0, -10, -10, 0, 10, 5, -5, -10, 1", "3", []),
+        # the semiprime above, whose field analyze exits 3; 2 fails
+        # Dedekind's criterion for x^2 - N, N = 1 mod 4
+        (f"{-(10**19 + 51) * (10**19 + 10**6 + 27)}, 0, 1", "7", ["2"]),
+        # a degree-150 2-Eisenstein polynomial: its discriminant has 611
+        # digits, and field analyze exits 3 in rho after about 40 s
+        (EISENSTEIN_150, "11", []),
+    ], ids=("seed-2001-degree-12", "semiprime", "eisenstein-150"))
+    def test_level_find_factors_no_discriminant(self, tmp_path, coeffs, norm,
+                                                skipped):
+        # the level scan decides index primes only at the primes it visits,
+        # so it answers whether or not the discriminant can be factored
+        poly = tmp_path / "f.poly"
+        poly.write_text(coeffs + "\n")
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsionfree.cli", "level", "find",
+             str(poly), "--dimg", "3"], capture_output=True, text=True,
+            env=child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert time.monotonic() - start < 10
+        report = json.loads(proc.stdout)["report"]
+        assert (report["norm"], report["skipped_index_divisible"]) == \
+            (norm, skipped)
 
     def test_discriminant_above_str_digit_limit_prints(self, tmp_path):
         # disc(x^64 - 2^250) has 4,857 digits, above Python's default
@@ -579,8 +618,11 @@ def loaded_modules(*lines):
 
 
 def golden_lines(names):
+    # a check that raises, not an assert, so that the commands also run
+    # under python -O
     return ["from torsionfree.cli import entrypoint"] + [
-        f"assert entrypoint({GOLDEN_CASES[name]!r}) == 0" for name in names]
+        f"if entrypoint({GOLDEN_CASES[name]!r}) != 0: sys.exit(1)"
+        for name in names]
 
 
 class TestImportCost:
@@ -609,7 +651,7 @@ class TestImportCost:
             "from torsionfree.selberg import find_congruence_level",
             "K = make_cosine_field(11)",
             "find_congruence_level(K, 3)",
-            "assert build_construction(11).all_checks_pass()",
+            "if not build_construction(11).all_checks_pass(): sys.exit(1)",
             "count_prime_ideals(K, 10**5)")
 
     def test_generic_pipeline(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from torsionfree import construct
+from torsionfree import construct, numfield
 from torsionfree.construct import (CHECK_NAMES, P_CAP, archimedean_ok,
                                    build_construction, choose_T,
                                    form_preservation_check,
@@ -15,8 +15,8 @@ from torsionfree.construct import (CHECK_NAMES, P_CAP, archimedean_ok,
 from torsionfree.errors import (PreconditionError, ResourceCapError,
                                 TorsionfreeError)
 from torsionfree.ntheory import primes_in_range
-from torsionfree.numfield import (make_cosine_field, make_field,
-                                  sign_at_embeddings)
+from torsionfree.numfield import (dedekind_split, make_cosine_field,
+                                  make_field, sign_at_embeddings)
 from torsionfree.polyalg import (IntPoly, compare_root, isolate_two_cos_roots,
                                  minpoly_two_cos, minpoly_two_cos_conductor)
 from torsionfree.torsion import mat_pow
@@ -463,15 +463,24 @@ class TestCosineFieldDisc:
         monkeypatch.setattr(IntPoly, "pseudo_rem", refuse)
         for p in (5, 13, 503):
             K = make_cosine_field.__wrapped__(p)
-            assert K.disc_poly == p ** ((p - 3) // 2) and not K.index_primes
+            assert K.disc_poly == K.field_disc == p ** ((p - 3) // 2)
         assert [disc for _p, disc, _lv, _r in sweep(13)] == \
             [FROZEN_DISC[p] for p in PRIMES]
 
-    def test_uncertified_discriminant_refused(self, monkeypatch):
-        monkeypatch.setattr(construct, "dedekind_index_primes",
-                            lambda f, disc: (7,))
-        with pytest.raises(PreconditionError):
-            sweep(7)
+    def test_cosine_path_tests_no_prime(self, monkeypatch):
+        """Z[2cos(2pi/p)] is the maximal order, so neither the sweep nor a
+        cosine field runs Dedekind's criterion or looks for the square
+        primes of a discriminant."""
+        def refuse(*args):
+            raise AssertionError("index test on the cosine path")
+        monkeypatch.setattr(numfield, "_dedekind_index_test", refuse)
+        monkeypatch.setattr(numfield, "square_prime_factors", refuse)
+        assert [(p, disc) for p, disc, _lv, _r in sweep(13)] == \
+            sorted(FROZEN_DISC.items())
+        for p in (5, 13, 97):
+            K = make_cosine_field.__wrapped__(p)
+            assert K.field_disc == p ** ((p - 3) // 2)
+            assert dedekind_split(K, p) == (((p - 1) // 2, 1),)
 
 
 class TestFieldBuiltOnce:

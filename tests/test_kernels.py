@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from torsionfree._kernels import (IMPLEMENTATION, poly_factor_count,
 from torsionfree.ntheory import (factorize, is_prime, primes_in_range,
                                  primes_upto, progression_blocks,
                                  square_prime_factors)
-from torsionfree.polyalg import IntPoly
+from torsionfree.polyalg import IntPoly, discriminant
 from torsionfree.polyalg.modp import gf_gcd, gf_powmod, gf_sub, gf_trim
 
 
@@ -335,6 +336,37 @@ class TestRootCounts:
         assert poly_root_count_over_primes(coeffs, lo, hi) == \
             brute_root_count(coeffs, lo, hi)
 
+    def test_frozen_powers_just_below_cap(self):
+        # x^e mod f for random e < 2^31, e = p and e = (p + 1)/2 at the
+        # primes where a square sums two products at a time: the degrees
+        # stay as frozen, with the products written into per-batch buffers
+        data = json.loads((DATA / "power_gcd_boundary.json").read_text())
+        P = np.array(data["primes"], dtype=np.int64)
+        assert _kernels._lazy_terms(int(P.max()) - 1) == 2
+        assert [len(row["coeffs"]) - 1 for row in data["rows"]] == [2, 5, 12, 30]
+        for row in data["rows"]:
+            E = np.array(row["exponents"], dtype=np.int64)
+            got = _kernels._power_gcd_degrees(tuple(row["coeffs"]), P, E)
+            assert got.tolist() == row["degrees"]
+
+    @pytest.mark.parametrize("coeffs, lo, hi", [
+        ((-20402, 0, 1), 2, 20_000),            # disc 2^3 101^2
+        ((-(2**31 - 1), 0, 1), 2**31 - 400, 2**31),
+        ((3, -1, 0, 2, 1, 0, 0, -5, 0, 0, 1, 7, 1), 2, 9000),
+        ((1, 1, 1, 1, 1, 1), 3, 5000)])        # x^6 - 1 over x - 1
+    def test_primes_dividing_disc(self, coeffs, lo, hi, monkeypatch):
+        # the primes of the range that divide disc(f), read on the kernel's
+        # own batches (200 columns here), and the same root count as
+        # without the list
+        monkeypatch.setattr(_kernels, "_BATCH_WORDS", 200 * (len(coeffs) - 1))
+        disc = discriminant(IntPoly(coeffs))
+        dividing: list[int] = []
+        got = poly_root_count_over_primes(coeffs, lo, hi, disc=disc,
+                                          dividing=dividing)
+        assert got == poly_root_count_over_primes(coeffs, lo, hi)
+        assert dividing == [p for p in primes_in_range(lo, hi) if disc % p == 0]
+        assert dividing
+
     def test_lazy_terms_fit_int64(self):
         # k products of residues <= m plus one residue stay in int64, and
         # k + 1 would not
@@ -517,8 +549,10 @@ _NUMPY_CHECKS = {
 def test_sieving_leaves_numpy_unloaded(name):
     work = _NUMPY_CHECKS[name]
     if work.startswith("cli:"):
+        # a check that raises, not an assert, so that the command also
+        # runs under python -O
         work = (f"from torsionfree.cli import entrypoint; "
-                f"assert entrypoint({work[4:].split()!r}) == 0")
+                f"entrypoint({work[4:].split()!r}) == 0 or sys.exit(1)")
     code = f"import sys; {work}; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=child_env())

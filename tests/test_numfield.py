@@ -1,23 +1,26 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import mpmath as mp
 import pytest
-from conftest import factor_degrees_mod_p
+from conftest import DATA, factor_degrees_mod_p
 
 from torsionfree.errors import (NotSquarefreeError, PreconditionError,
-                                ResourceCapError, TorsionfreeError)
-from torsionfree import _kernels, numfield
+                                ResourceCapError)
+from torsionfree import _kernels, ntheory, numfield
 from torsionfree.polyalg import modp
 from torsionfree.construct import choose_T
-from torsionfree.ntheory import primes_in_range, primes_upto
+from torsionfree.ntheory import factorize, primes_in_range, primes_upto
 from torsionfree.numfield import (FieldElement, count_prime_ideals,
-                                  dedekind_split, element_charpoly,
-                                  make_cosine_field, make_field,
-                                  sign_at_embeddings)
-from torsionfree.polyalg import (IntPoly, isolate_real_roots, roots,
-                                 sign_at_root)
+                                  dedekind_index_primes, dedekind_split,
+                                  element_charpoly, make_cosine_field,
+                                  make_field, sign_at_embeddings)
+from torsionfree.polyalg import (IntPoly, isolate_real_roots,
+                                 minpoly_two_cos_conductor, roots,
+                                 sign_at_root, two_cos_discriminant)
 from torsionfree.selberg import find_congruence_level
 
 # x^6 + 2x + 2, Eisenstein at 2
@@ -86,7 +89,7 @@ class TestMakeField:
         want = {5: 5, 7: 49, 11: 11**4, 13: 13**5}
         for p, K in cosine_fields.items():
             assert K.field_disc == want[p] == p ** ((p - 3) // 2)
-            assert K.index_primes == ()
+            assert dedekind_index_primes(K) == ()
             assert K.conductor == p
 
     def test_fields_are_hashable(self, field_sqrt2):
@@ -108,14 +111,19 @@ class TestMakeField:
             make_field(IntPoly((-2, 0, 1)), conductor=2)
         assert count_prime_ideals(make_field(IntPoly((-2, 0, 1))), 1000) == 167
 
-    def test_cosine_field_with_index_prime_refused(self, monkeypatch):
-        # Z[2cos(2pi/n)] is the maximal order, so an index prime there is an
-        # internal fault; __wrapped__ bypasses the per-conductor cache
-        monkeypatch.setattr(numfield, "dedekind_index_primes",
-                            lambda f, disc: (7,))
-        with pytest.raises(TorsionfreeError, match="maximal order") as exc:
-            make_cosine_field.__wrapped__(7)
-        assert not isinstance(exc.value, PreconditionError)
+    def test_cosine_orders_pass_dedekind_at_the_conductor_primes(self):
+        # Z[2cos(2pi/n)] is the maximal order (Washington, Prop. 2.16), so a
+        # cosine field tests no prime. The check behind that: the only
+        # primes of two_cos_discriminant(n) divide n, and each passes
+        # Dedekind's criterion for the minimal polynomial, 3 <= n <= 600
+        for n in range(3, 601):
+            f = minpoly_two_cos_conductor(n)
+            rest = abs(two_cos_discriminant(n))
+            for q in factorize(n):
+                while rest % q == 0:
+                    rest //= q
+                assert numfield._dedekind_index_test(f, q), (n, q)
+            assert rest == 1, n
 
     def test_rationals(self, field_q):
         assert field_q.degree == 1
@@ -292,7 +300,7 @@ class TestRepresentation:
 
 class TestDedekindSplit:
     def test_known_splits_sqrt2(self, field_sqrt2):
-        assert field_sqrt2.index_primes == ()
+        assert dedekind_index_primes(field_sqrt2) == ()
         assert dedekind_split(field_sqrt2, 7) == ((1, 1), (1, 1))
         assert dedekind_split(field_sqrt2, 5) == ((1, 2),)
         assert dedekind_split(field_sqrt2, 2) == ((2, 1),)
@@ -304,7 +312,7 @@ class TestDedekindSplit:
     def test_sum_ef_equals_degree(self, field_q, field_sqrt2, cosine_fields):
         fields = [field_q, field_sqrt2] + list(cosine_fields.values())
         for K in fields:
-            assert K.index_primes == ()
+            assert dedekind_index_primes(K) == ()
             for p in primes_upto(1000):
                 assert sum(e * f for e, f in dedekind_split(K, p)) == K.degree
 
@@ -329,15 +337,16 @@ class TestDedekindSplit:
         # x^3 - x^2 - 2x - 8: 2 divides the index of Z[theta], and the
         # factorization mod 2 cannot be trusted, so it is refused
         K = make_field(IntPoly((-8, -2, -1, 1)))
-        assert K.index_primes == (2,)
+        assert dedekind_index_primes(K) == (2,)
         with pytest.raises(PreconditionError, match="index"):
             dedekind_split(K, 2)
         assert dedekind_split(K, 3) == ((1, 3),)
 
 
 class TestIndexPrimes:
-    """make_field decides each index prime once; splitting, counting and the
-    level search read K.index_primes without running the test again."""
+    """is_index_prime decides a prime only where splitting, counting or the
+    level search visits it, at most once per (field, q); building a field
+    tests nothing."""
 
     # field, index_primes, primes up to 50 that dedekind_split refuses,
     # counts at x = 3 and 10^5 with their unreliable primes, and the level
@@ -353,17 +362,14 @@ class TestIndexPrimes:
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_decided_once_at_build(self, name, monkeypatch):
+    def test_decided_at_most_once_where_visited(self, name, monkeypatch):
         build, index_primes, flagged, small, large, level_norm = self.CASES[name]
-        K = build()
-        assert K.index_primes == index_primes
-        assert K.field_disc == (None if index_primes else K.disc_poly)
-        js = K.to_json()
-        assert js["field_disc"] == (None if index_primes else str(K.disc_poly))
-        assert js["monogenic"] == (not index_primes)
+        calls = Counter()
+        test = numfield._dedekind_index_test
 
-        def no_second_test(f, q):
-            raise AssertionError(f"index test run again at {q}")
+        def counted_test(f, q):
+            calls[q] += 1
+            return test(f, q)
 
         def refused(q):
             try:
@@ -372,7 +378,9 @@ class TestIndexPrimes:
                 return True
             return False
 
-        monkeypatch.setattr(numfield, "_dedekind_index_test", no_second_test)
+        monkeypatch.setattr(numfield, "_dedekind_index_test", counted_test)
+        K = build()
+        assert not calls
         assert [q for q in primes_upto(50) if refused(q)] == flagged
         for x, (count, unreliable) in ((3, small), (10**5, large)):
             seen: list[int] = []
@@ -383,6 +391,64 @@ class TestIndexPrimes:
         lvl = find_congruence_level(K, 3)
         assert lvl.norm == level_norm
         assert lvl.skipped_index_divisible == index_primes
+        # the visits reached every square prime below 10^5 of a generic
+        # field, and a cosine field tests none
+        squares = [q for q in primes_upto(10**5) if K.disc_poly % (q * q) == 0]
+        assert sorted(calls) == ([] if K.conductor else squares)
+        assert dedekind_index_primes(K) == index_primes
+        assert K.field_disc == (None if index_primes else K.disc_poly)
+        js = K.to_json()
+        assert js["field_disc"] == (None if index_primes else str(K.disc_poly))
+        assert js["monogenic"] == (not index_primes)
+        assert set(calls.values()) <= {1}
+
+    def test_no_pollard_rho_where_visited(self, monkeypatch):
+        # the generic-fields inputs of seeds 416, 792, 860 and 2001 include
+        # discriminants that only Pollard rho splits; the count and the
+        # level scan give the frozen answers without it, and so do the
+        # fields whose index primes fall below and above sqrt(x)
+        def no_rho(n, budget):
+            raise AssertionError(f"Pollard rho on {n}")
+
+        monkeypatch.setattr(ntheory, "_pollard_rho", no_rho)
+        rows = json.loads((DATA / "generic_counts.json").read_text())
+        rows = rows["rho_seeds"]
+        assert len(rows) == 28
+        for _seed, coeffs, x, count, unreliable, level in rows:
+            K = make_field(coeffs)
+            seen: list[int] = []
+            assert count_prime_ideals(K, x, seen) == count, coeffs
+            assert seen == unreliable, coeffs
+            lvl = find_congruence_level(K, 3)
+            assert [lvl.norm, lvl.rational_prime, lvl.inertia,
+                    lvl.ramification,
+                    list(lvl.skipped_index_divisible)] == level, coeffs
+        for coeffs, level in (((-63, 0, 1), (7, (3,))),
+                              ((-8, -2, -1, 1), (5, (2,)))):
+            K = make_field(coeffs)
+            lvl = find_congruence_level(K, 3)
+            assert (lvl.norm, lvl.skipped_index_divisible) == level
+            assert count_prime_ideals(K, 10**4) > 0
+        # field analyze still splits the whole discriminant
+        seed_2001_degree_12 = next(coeffs for seed, coeffs, *_ in rows
+                                   if seed == 2001 and len(coeffs) == 13)
+        with pytest.raises(AssertionError, match="Pollard rho"):
+            dedekind_index_primes(make_field(seed_2001_degree_12))
+
+    @pytest.mark.parametrize("coeffs, x, count, unreliable", [
+        # x^2 - 63: the index prime 3 above sqrt(x) for x < 9, below after
+        ((-63, 0, 1), 7, 2, [3]), ((-63, 0, 1), 8, 2, [3]),
+        ((-63, 0, 1), 9, 2, [3]), ((-63, 0, 1), 10, 2, [3]),
+        ((-63, 0, 1), 11, 2, [3]),
+        # Dedekind's cubic: the index prime 2 above sqrt(x) for x < 4
+        ((-8, -2, -1, 1), 2, 0, [2]), ((-8, -2, -1, 1), 3, 0, [2]),
+        ((-8, -2, -1, 1), 4, 0, [2]), ((-8, -2, -1, 1), 5, 1, [2]),
+        ((-8, -2, -1, 1), 6, 1, [2])])
+    def test_frozen_at_the_square_of_an_index_prime(self, coeffs, x, count,
+                                                    unreliable):
+        seen: list[int] = []
+        assert count_prime_ideals(make_field(coeffs), x, seen) == count
+        assert seen == unreliable
 
     def test_square_prime_that_passes_is_not_an_index_prime(self):
         # disc(x^3 - 12) = -3888 = -2^4 3^5; 3 passes Dedekind's criterion
@@ -481,7 +547,7 @@ class TestCounting:
         # sympy.
         f = IntPoly((-20402, 0, 1))
         K = make_field(f)
-        assert K.index_primes == (101,)
+        assert dedekind_index_primes(K) == (101,)
         want = sum(1 for p in primes_upto(x) if p != 101
                    for d in factor_degrees_mod_p(f.coeffs, p) if p**d <= x)
         seen: list[int] = []
@@ -495,7 +561,7 @@ class TestCounting:
         # index prime lies above sqrt(x) for the smallest x and below it
         # after; the reference splits every other prime up to x
         K = make_field(IntPoly(coeffs))
-        assert K.index_primes == index
+        assert dedekind_index_primes(K) == index
         for x in (*range(2, 40), 80, 81, 1000, 4096, 20_000):
             want = sum(1 for p in primes_upto(x) if p not in index
                        for _e, f in dedekind_split(K, p) if p**f <= x)
@@ -514,6 +580,16 @@ class TestCounting:
                 ((3, -3, -3, 6, 3, 3, 3, 0, 6, -3, -3, 1), 20510, 2383),
                 ((2, 4, 2, -2, 4, -2, 2, -4, -4, -2, 2, 0, 1), 19441, 2217)]:
             assert count_prime_ideals(make_field(coeffs), x) == count
+
+    def test_frozen_generic_counts_of_seeds_1_to_10(self):
+        # the 70 generic-fields tasks of seeds 1-10, counts and unreliable
+        # lists as frozen
+        rows = json.loads((DATA / "generic_counts.json").read_text())
+        assert len(rows["counts"]) == 70
+        for coeffs, x, count, unreliable in rows["counts"]:
+            seen: list[int] = []
+            assert count_prime_ideals(make_field(coeffs), x, seen) == count
+            assert seen == unreliable, coeffs
 
     @pytest.mark.parametrize("coeffs", [
         (-2, 0, 1), (6, 3, -6, 0, 0, -6, 6, 1), (-63, 0, 1)])

@@ -9,9 +9,9 @@ from conftest import DATA
 from torsionfree import numfield, selberg
 from torsionfree.errors import PreconditionError, ResourceCapError
 from torsionfree.ntheory import primes_upto
-from torsionfree.numfield import (count_prime_ideals, dedekind_split,
-                                  least_inertia_degree, make_cosine_field,
-                                  make_field)
+from torsionfree.numfield import (count_prime_ideals, dedekind_index_primes,
+                                  dedekind_split, least_inertia_degree,
+                                  make_cosine_field, make_field)
 from torsionfree.polyalg import IntPoly, minpoly_two_cos_conductor
 from torsionfree.selberg import (find_congruence_level, generator_bound_pipeline,
                                  grh_error, grh_threshold, kionke_criterion,
@@ -115,11 +115,11 @@ def level_tuple(lvl):
 def reference_level(K):
     """The level by splitting every prime with dedekind_split, index primes
     skipped, up to the best norm."""
-    best, skipped = None, []
+    best, skipped, index = None, [], dedekind_index_primes(K)
     for q in primes_upto(10**4):
         if best is not None and q >= best[0]:
             break
-        if q in K.index_primes:
+        if q in index:
             skipped.append(q)
             continue
         for e, f in dedekind_split(K, q):
