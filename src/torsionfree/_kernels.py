@@ -28,8 +28,16 @@ m) // m^2 products fit in one int64 sum on top of a residue, and each
 addition puts at most one product into a row, so a square reduces mod P
 once per k additions (k >= 63 below 33,000, k = 2 just below 2^31). The
 largest array is the (2d - 1)-row product, so a batch takes
-_BATCH_WORDS // d columns. The gcd is a lockstep Euclid that takes no
-inverses, O(d^2) products per column.
+_BATCH_WORDS // d columns.
+
+The gcd degree comes from Bernstein-Yang divsteps (Bernstein and Yang,
+"Fast constant-time gcd computation and modular inversion", TCHES
+2019(3)): 2d - 1 steps of the same shape in every column, on the reversed
+pair, each a cross-multiplication h = f(0) g - g(0) f, a masked swap and
+a shift g = h / x. Step n needs only the first min(d + 1, 2d - 1 - n)
+rows, so the rows shrink over the last d steps. Each product of two
+residues is below 2^62, so h stays inside int64 and a step reduces mod P
+once. No inverse is taken and no degree is searched for.
 """
 from __future__ import annotations
 
@@ -56,6 +64,11 @@ _MAX_DEGREE = 63
 # sqrt(hi)) could never be listed.
 _VALUE_CAP = 1 << 62
 
+# Bytes of sieve flags read as one integer by the class count's popcount:
+# a 64 KiB slice costs no more per byte than a whole 1 MiB segment and
+# bounds the copy.
+_POPCOUNT_BYTES = 1 << 16
+
 
 def _class_count(lo: int, hi: int, n: int, classes: set[int]) -> int:
     """Number of primes p in [lo, hi) with p mod n in classes, each class
@@ -67,14 +80,19 @@ def _class_count(lo: int, hi: int, n: int, classes: set[int]) -> int:
     Pritchard, Acta Inform. 17, 1982). 2 and 3 are counted apart. Every
     progression shares N and hi, so one base-prime table serves them all.
     A segment's flags are 0 or 1, so its prime count is the popcount of
-    its bytes read as one integer."""
+    its bytes, read as integers of _POPCOUNT_BYTES bytes at most so that
+    no copy of a whole segment is made."""
     N = n * 6 // gcd(n, 6)
     total = sum(lo <= q < hi and q % n in classes for q in (2, 3))
     for r in classes:
         for s in range(r, r + N, n):
             if gcd(s, 6) == 1:
-                total += sum(int.from_bytes(flags, "little").bit_count()
-                             for _v, flags in progression_blocks(lo, hi, N, s))
+                for _v, flags in progression_blocks(lo, hi, N, s):
+                    view = memoryview(flags)
+                    total += sum(
+                        int.from_bytes(view[i : i + _POPCOUNT_BYTES],
+                                       "little").bit_count()
+                        for i in range(0, len(view), _POPCOUNT_BYTES))
     return total
 
 
@@ -225,7 +243,8 @@ def _power_gcd_degrees(coeffs: tuple[int, ...], P, E):
     1), reducing the product after every k additions keeps every row
     within k products on top of one residue, inside int64. The product, one
     (d, len(P)) temporary and one row are allocated once per batch, and
-    every step writes into them (ufunc out=). The gcd is _gcd_degrees.
+    every step writes into them (ufunc out=). F and x^e - x mod f go to
+    _gcd_degrees as they are.
     """
     import numpy as np
 
@@ -274,43 +293,49 @@ def _power_gcd_degrees(coeffs: tuple[int, ...], P, E):
         square(acc)
         times_x(acc, ((E >> bit) & 1) == 1)
     acc[1] = (acc[1] - 1) % P
-    f = np.vstack([F, np.ones_like(P)])
-    return _gcd_degrees(f, np.vstack([acc, np.zeros_like(P)]), P)
+    return _gcd_degrees(F, acc, P)
 
 
-def _gcd_degrees(a, b, P):
-    """deg gcd(a, b) over F_p for each batch member, p = P[j]: a and b are
-    (n, len(P)) residue arrays, row i the coefficient of x^i, with a nonzero
-    and deg a >= deg b.
+def _gcd_degrees(F, b, P):
+    """deg gcd(f, b) over F_p for each column, p = P[j], f = x^d + F: F and
+    b are (d, len(P)) residue arrays, row i the coefficient of x^i.
 
-    Lockstep Euclid without inverses: a step sets a to
-    lc(b) a - lc(a) x^(deg a - deg b) b, which cancels the top term of a
-    and keeps the gcd, and a and b swap when deg a falls below deg b. A
-    member whose b is zero is finished: a is scaled by 1 and its zero b
-    adds nothing, so later steps leave it unchanged. Each step lowers
-    deg a + deg b of every unfinished member, so at most 2n steps run.
-    Both products stay below 2^62, so a step reduces mod P once.
+    Bernstein-Yang divsteps (TCHES 2019(3)) on the reversed pair, f set to
+    x^d f(1/x) and g to x^(d - 1) b(1/x), from delta = 1. A step forms
+    h = f(0) g - g(0) f; when delta > 0 and g(0) != 0 it sets f to g and
+    delta to 1 - delta, otherwise delta to 1 + delta; then g = h / x. (In
+    the swap the paper takes -h; a unit factor moves no degree.) After
+    2d - 1 steps delta is 2 deg gcd. Every step has the same shape
+    in every column: no degree is searched for and nothing is gathered.
+    Each step reads g(0) and drops one low coefficient of g, so what the
+    steps after step n decide depends only on f and g mod x^(2d - 1 - n),
+    and step n works on the first m = min(d + 1, 2d - 1 - n) rows alone
+    (deg f <= d, deg g < d). f(0) is 1 or an earlier g(0), never 0. Both
+    products stay below 2^62, so a step reduces mod P once.
+    g_n is rows n .. n + m - 1 of one (2d - 1)-row array, so g = h / x is
+    the next view, not a copy.
     """
     import numpy as np
 
-    cols = np.arange(len(P))
-
-    def degree(c):
-        nz = c != 0
-        top = len(c) - 1 - nz[::-1].argmax(axis=0)
-        return np.where(nz.any(axis=0), top, -1)
-
-    da, db = degree(a), degree(b)
-    while (live := db >= 0).any():
-        rows = da.max() + 1  # the rows above are zero in a and b alike
-        a, b = a[:rows], b[:rows]
-        # x^(deg a - deg b) b: a row index below 0 wraps round to a row
-        # above deg b, which is zero; a finished member's b is zero anyway
-        xb = b[np.arange(rows)[:, None] - (da - db), cols]
-        lb = np.where(live, b[db, cols], 1)
-        a = (lb * a - a[da, cols] * xb) % P
-        da = degree(a)
-        swap = da < db
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        da, db = np.maximum(da, db), np.minimum(da, db)
-    return da
+    d = len(F)
+    f = np.empty((d + 1, len(P)), dtype=np.int64)
+    f[0] = 1
+    f[1:] = F[::-1]
+    g = np.zeros((2 * d - 1, len(P)), dtype=np.int64)
+    g[:d] = b[::-1]
+    tmp = np.empty_like(f)
+    f0 = np.empty_like(P)
+    delta = np.ones_like(P)
+    for n in range(2 * d - 1):
+        m = min(d + 1, 2 * d - 1 - n)
+        gn = g[n : n + m]
+        np.multiply(gn[0], f[:m], out=tmp[:m])
+        swap = (delta > 0) & (gn[0] != 0)
+        np.copyto(f0, f[0])
+        np.copyto(f[:m], gn, where=swap)
+        np.multiply(f0, gn, out=gn)
+        gn -= tmp[:m]
+        np.remainder(gn, P, out=gn)
+        delta += 1
+        np.subtract(2, delta, out=delta, where=swap)
+    return delta >> 1

@@ -4,8 +4,9 @@ Everything here is exact and deterministic. Sizes are desk scale. is_prime
 is proven correct below psi_13 = 3317044064679887385961981 (deterministic
 Miller-Rabin witness sets); above it the answer comes from BPSW, which has
 no known counterexample. Factoring is meant for numbers whose prime
-factors are either small or few; Pollard rho runs within a fixed budget of
-steps and raises ResourceCapError beyond it.
+factors are either small or few; Pollard rho runs within a fixed budget,
+in steps charged by the size of the number, and raises ResourceCapError
+beyond it.
 
 Primes come from one segmented sieve over an arithmetic progression r + k n
 (progression_blocks), in pure Python on bytearray flags. primes_in_range
@@ -203,27 +204,36 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-# Pollard-rho steps (one squaring mod n each) that one factorize call may
-# take: about 3 s on a 128-bit n (2 cores), enough to split off a prime
-# factor up to about 1e12 as a rule.
+# Pollard-rho steps (a squaring and a product mod n each) that one
+# factorize call may take on numbers of at most 256 bits: about 3 s on a
+# 128-bit n (2 cores), enough to split off a prime factor up to about 1e12
+# as a rule. The budget bounds time, not steps: a step costs about a
+# constant plus a term in w^2, w the 64-bit words of n (0.42 us at 64 bits,
+# 0.85 at 256, 2.0 at 512, 5.0 at 1024 and 16.8 at 2048 on one 2-core
+# machine), so it is charged (48 + w^2) / 64 steps with w at least 4. That
+# is 1 up to 256 bits, where every input that factored before still does,
+# 4.75 at 1024 bits and 16.75 at 2048; a multiple of 1/64, so the budget's
+# arithmetic is exact.
 _RHO_BUDGET = 1 << 22
 
 
-def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
-    """(a proper factor of n, the steps of budget left). Brent's cycle
-    variant with a deterministic parameter sweep; raises ResourceCapError
-    when the steps run out first."""
+def _pollard_rho(n: int, budget: float) -> tuple[int, float]:
+    """(a proper factor of n, the budget left). Brent's cycle variant with
+    a deterministic parameter sweep; each step is charged by the size of n
+    (_RHO_BUDGET), and ResourceCapError is raised when the budget runs out
+    first."""
     if n % 2 == 0:
         return 2, budget
+    cost = (48 + max(4, -(-n.bit_length() // 64)) ** 2) / 64
     for c in range(1, 50):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
-            budget -= 2 * r  # the next two runs of r steps
+            budget -= 2 * r * cost  # the next two runs of r steps
             if budget < 0:
                 raise ResourceCapError(
                     f"factoring {n} exceeds the Pollard-rho budget of "
-                    f"{_RHO_BUDGET} steps")
+                    f"{_RHO_BUDGET} steps at 256 bits")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -273,7 +283,7 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
 
 def _factor_cofactor(n: int, out: dict[int, int]) -> None:
     """Add the prime factorization of n > 1 to out: perfect powers, then
-    Pollard rho within _RHO_BUDGET steps in all."""
+    Pollard rho within _RHO_BUDGET steps in all, charged by size."""
     budget = _RHO_BUDGET
     stack = [n]
     while stack:
@@ -296,7 +306,8 @@ def _factor_cofactor(n: int, out: dict[int, int]) -> None:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} of n >= 1. Trial division up to
-    1e5, perfect powers, then Pollard rho within _RHO_BUDGET steps in all;
+    1e5, perfect powers, then Pollard rho within _RHO_BUDGET steps in all
+    (a step on a number above 256 bits charged more);
     a cofactor that needs more raises ResourceCapError."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")

@@ -144,6 +144,22 @@ class TestExitCodes:
         payload = json.loads(proc.stderr.splitlines()[-1])
         assert payload["error"]["type"] == "ResourceCapError"
 
+    def test_large_discriminant_exits_3_in_bounded_time(self, tmp_path):
+        # the degree-150 2-Eisenstein input: its discriminant leaves a
+        # 1858-bit cofactor, and rho steps on it are charged by its size,
+        # so the budget runs out within seconds, not after 40 s
+        poly = tmp_path / "f.poly"
+        poly.write_text(EISENSTEIN_150 + "\n")
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsionfree.cli", "field", "analyze",
+             str(poly)], capture_output=True, text=True, env=child_env(),
+            timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert time.monotonic() - start < 15
+        payload = json.loads(proc.stderr.splitlines()[-1])
+        assert payload["error"]["type"] == "ResourceCapError"
+
     @pytest.mark.parametrize("coeffs, norm, skipped", [
         # the degree-12 generic-fields input of seed 2001: splitting its
         # discriminant's 26-digit cofactor takes Pollard rho
@@ -152,7 +168,7 @@ class TestExitCodes:
         # Dedekind's criterion for x^2 - N, N = 1 mod 4
         (f"{-(10**19 + 51) * (10**19 + 10**6 + 27)}, 0, 1", "7", ["2"]),
         # a degree-150 2-Eisenstein polynomial: its discriminant has 611
-        # digits, and field analyze exits 3 in rho after about 40 s
+        # digits, and field analyze exits 3 in rho after about 3 s
         (EISENSTEIN_150, "11", []),
     ], ids=("seed-2001-degree-12", "semiprime", "eisenstein-150"))
     def test_level_find_factors_no_discriminant(self, tmp_path, coeffs, norm,

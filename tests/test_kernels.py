@@ -20,7 +20,8 @@ from torsionfree.ntheory import (factorize, is_prime, primes_in_range,
                                  primes_upto, progression_blocks,
                                  square_prime_factors)
 from torsionfree.polyalg import IntPoly, discriminant
-from torsionfree.polyalg.modp import gf_gcd, gf_powmod, gf_sub, gf_trim
+from torsionfree.polyalg.modp import (gf_gcd, gf_mul, gf_powmod, gf_sub,
+                                      gf_trim)
 
 
 def brute_root_count(coeffs, lo, hi):
@@ -293,6 +294,28 @@ class TestPrimeCounts:
         with pytest.raises(ValueError):
             next(progression_blocks(2, 100, 12, 2))
 
+    @pytest.mark.parametrize("size", [1, 7, 4096])
+    def test_popcount_in_slices(self, size, monkeypatch):
+        # each segment is read in slices of `size` bytes, shorter than the
+        # segment, with a short last slice: the counts are those of reads
+        # in one slice per segment
+        cases = [(2, 3 * 10**6, 1, ()), (10**5, 4 * 10**6 + 3, 13, (1, 12)),
+                 (0, 10**6, 101, (1, 100)), (5, 60, 7, (3,))]
+        want = [prime_count_in_classes(*case) for case in cases]
+        assert want[0] == len(primes_in_range(2, 3 * 10**6))
+        lengths = []
+
+        def spy(lo, hi, n, r):
+            for v, flags in progression_blocks(lo, hi, n, r):
+                lengths.append(len(flags))
+                yield v, flags
+
+        monkeypatch.setattr(_kernels, "progression_blocks", spy)
+        monkeypatch.setattr(_kernels, "_POPCOUNT_BYTES", size)
+        assert [prime_count_in_classes(*case) for case in cases] == want
+        assert max(lengths) > size
+        assert size == 1 or any(n % size for n in lengths)
+
     def test_modulus_one_counts_all(self):
         assert prime_count_in_classes(2, 1000, 1, (0,)) == \
             len(primes_in_range(2, 1000))
@@ -426,6 +449,99 @@ class TestRootCounts:
             poly_root_count_over_primes((1,), 2, 100)  # constant
         with pytest.raises(ValueError):
             poly_root_count_over_primes((-2, 0, 1), 2, (1 << 31) + 1)
+
+
+def random_monic(rng, k, p):
+    return [rng.randrange(p) for _ in range(k)] + [1]
+
+
+class TestGcdDegrees:
+    """_gcd_degrees on its own, column by column against the degree of
+    gf_gcd: each column is a prime p, a monic f of degree d and a b of
+    degree below d."""
+
+    @staticmethod
+    def check(columns, d):
+        P = np.array([p for p, _f, _b in columns], dtype=np.int64)
+        F = np.array([f[:d] for _p, f, _b in columns], dtype=np.int64).T % P
+        B = np.array([b + [0] * (d - len(b)) for _p, _f, b in columns],
+                     dtype=np.int64).T % P
+        got = _kernels._gcd_degrees(F, B, P).tolist()
+        want = [len(gf_gcd(gf_trim([c % p for c in f]),
+                           gf_trim([c % p for c in b]), p)) - 1
+                for p, f, b in columns]
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12, 30, 63])
+    def test_planted_common_factor(self, d):
+        # f = g h and b = g r with g monic of every degree k = 0 .. d, so
+        # deg gcd >= k (more when h and r share a factor by chance)
+        rng = random.Random(d)
+        primes = [2, 3, 5, 7, 101, 65_537, 1_000_003, (1 << 31) - 1]
+        columns, planted = [], []
+        for k in range(d + 1):
+            for p in primes:
+                g = random_monic(rng, k, p)
+                f = gf_mul(g, random_monic(rng, d - k, p), p)
+                r = [rng.randrange(p) for _ in range(d - k)]
+                columns.append((p, f, gf_mul(g, gf_trim(r), p)))
+                planted.append(k)
+        got = self.check(columns, d)
+        assert all(k <= n <= d for k, n in zip(planted, got))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12, 30, 63])
+    def test_zero_and_constant_b(self, d):
+        # b = 0 leaves all of f, so the answer is d; a nonzero constant b
+        # is a unit, so it is 0
+        rng = random.Random(100 + d)
+        columns = [(p, random_monic(rng, d, p), b)
+                   for p in (2, 3, 5, 97, (1 << 31) - 1)
+                   for b in ([], [1], [p - 1])]
+        assert self.check(columns, d) == [d, 0, 0] * 5
+
+    def test_repeated_factors(self):
+        # f = g^3 h^2 s, b = g^2 h t: the gcd keeps only what b holds
+        rng = random.Random(7)
+        for p in (2, 3, 5, 13, 10_007, (1 << 31) - 1):
+            columns = []
+            for _ in range(20):
+                g, h = random_monic(rng, 2, p), random_monic(rng, 1, p)
+                f = gf_mul(gf_mul(gf_mul(g, g, p), gf_mul(g, h, p), p),
+                           gf_mul(h, random_monic(rng, 3, p), p), p)
+                b = gf_mul(gf_mul(g, g, p), gf_mul(h, [rng.randrange(p)
+                                                      for _ in range(4)], p), p)
+                columns.append((p, f, b))
+            assert len(columns[0][1]) == 12
+            self.check(columns, 11)
+        # (x - 1)^6 and x - 1 times every power of it below 6
+        p = 3
+        f = [1]
+        for _ in range(6):
+            f = gf_mul(f, [p - 1, 1], p)
+        b, columns = [1], []
+        for _ in range(6):
+            columns.append((p, f, b))
+            b = gf_mul(b, [p - 1, 1], p)
+        assert self.check(columns, 6) == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_pair_over_small_fields(self, p):
+        # every monic f of degree 3 and every b of degree below 3
+        columns = [(p, list(f) + [1], list(b))
+                   for f in itertools.product(range(p), repeat=3)
+                   for b in itertools.product(range(p), repeat=3)]
+        self.check(columns, 3)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12, 30, 63])
+    def test_int64_extreme(self, d):
+        # every residue p - 1 at the largest primes below 2^31: each
+        # product (p - 1)^2 is just below 2^62
+        primes = [q for q in range(1 << 31, (1 << 31) - 200, -1)
+                  if is_prime(q)][:4]
+        columns = [(p, [p - 1] * d + [1], [p - 1] * d) for p in primes]
+        columns += [(p, [p - 1] * d + [1], [p - 1] * (d - 1)) for p in primes]
+        self.check(columns, d)
 
 
 class TestFactorCounts:
