@@ -18,17 +18,24 @@ root count above sqrt(x) takes e = p. The factor count takes the rows
 x^(p^j) - x) is the sum of deg g over the distinct irreducible factors g of
 f mod p with deg g | j, so Moebius inversion gives the number N_j of those
 of degree j, N_j = (D(j) - sum over i | j, i < j of i N_i) / j (Cohen,
-GTM 138, 3.4.3). Every exponent is at most x < 2^31.
+GTM 138, 3.4.3). Every exponent is at most x < 2^31. A generic field's
+prime-ideal count is one pass: the root count takes the factor rows of
+the primes up to sqrt(x) into its first batch, ahead of its root
+columns, and returns the sum of both counts.
 
-x^e mod f comes from square-and-multiply: a square adds the d shifted rows
-a[i] a of its operand into a (2d - 1)-row product, and its top d - 1 rows
-fold back top-down by x^d = -F, one reduced row at a time. Products are
-summed lazily: with every residue at most m = max(P) - 1, k = (2^63 - 1 -
-m) // m^2 products fit in one int64 sum on top of a residue, and each
-addition puts at most one product into a row, so a square reduces mod P
-once per k additions (k >= 63 below 33,000, k = 2 just below 2^31). The
-largest array is the (2d - 1)-row product, so a batch takes
-_BATCH_WORDS // d columns.
+x^e mod f comes from square-and-multiply (Cohen, GTM 138, 1.2). With
+t = floor(log2 d), the top t bits of every exponent of a batch give a
+power below d, a monomial, so the accumulator starts there and t squares
+are skipped. A square puts a_i^2 on the even rows of a 2d-row product and
+adds each a_i a_j with i < j once, doubled; where the exponent's bit is
+set, the unreduced product moves up one row, which multiplies it by x;
+then its top d rows fold back top-down by x^d = -F, one reduced row at a
+time. Products are summed lazily: with every residue at most
+m = max(P) - 1, k = (2^63 - 1 - m) // m^2 products fit in one int64 sum on
+top of a residue; a doubled product counts as two, and the product is
+reduced mod P before an addition that would pass k (k >= 63 below 33,000,
+k = 2 just below 2^31). The 2d-row product and a 2d-row scratch array are
+the largest arrays, so a batch takes _BATCH_WORDS // d columns.
 
 The gcd degree comes from Bernstein-Yang divsteps (Bernstein and Yang,
 "Fast constant-time gcd computation and modular inversion", TCHES
@@ -41,6 +48,7 @@ once. No inverse is taken and no degree is searched for.
 """
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 
 from .ntheory import is_prime, progression_blocks
@@ -48,8 +56,8 @@ from .ntheory import is_prime, progression_blocks
 IMPLEMENTATION = "pure"
 
 # int64 words in one residue array of a batch: a batch takes
-# _BATCH_WORDS // d columns, so the (2d - 1, len(P)) product of a square,
-# the largest array a batch builds, stays about the same size whatever the
+# _BATCH_WORDS // d columns, so the (2d, len(P)) product of a square, the
+# largest array a batch builds, stays about the same size whatever the
 # degree.
 _BATCH_WORDS = 1 << 15
 
@@ -131,20 +139,23 @@ def _degree(coeffs: tuple[int, ...]) -> int:
 
 def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int,
                                 disc: int = 1,
-                                dividing: list[int] | None = None) -> int:
+                                dividing: list[int] | None = None, *,
+                                factor_primes=()) -> int:
     """Sum over primes p in [lo, hi) of the number of distinct roots of f
-    mod p. f = sum coeffs[i] x^i must be monic of degree 1..63, and hi at
-    most 2^31.
+    mod p, plus poly_factor_count(coeffs, factor_primes, hi - 1). f = sum
+    coeffs[i] x^i must be monic of degree 1..63, and hi at most 2^31.
 
-    When dividing is a list, the primes of the range that divide disc, the
-    discriminant of f, are appended to it, ascending, read from the
-    residues of disc on the same batches. A linear f has discriminant 1, so
-    none is appended for it."""
+    Both counts run in one pass: the factor rows go first, in the first
+    batch, ahead of the root columns. When dividing is a list, the primes
+    of the range that divide disc, the discriminant of f, are appended to
+    it, ascending, read from the residues of disc on the same batches. A
+    linear f has discriminant 1, so none is appended for it."""
     d = _degree(coeffs)
     if hi > _PRIME_CAP:
         raise ValueError("range cap: primes must be < 2^31")
     if d == 1:
-        return _class_count(lo, hi, 1, {0})
+        return (_class_count(lo, hi, 1, {0})
+                + sum(1 for p in factor_primes if p < hi))
     import numpy as np
 
     total = 0
@@ -152,15 +163,10 @@ def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int,
         total = (coeffs[0] % 2 == 0) + (sum(coeffs) % 2 == 0)
         if dividing is not None and disc % 2 == 0:
             dividing.append(2)
-    batch = max(1, _BATCH_WORDS // d)
-    for v, flags in progression_blocks(lo, hi, 2, 1):
-        block = v + 2 * np.flatnonzero(np.frombuffer(flags, np.uint8))
-        for i in range(0, len(block), batch):
-            P = block[i : i + batch]
-            total += int(_power_gcd_degrees(coeffs, P, P).sum())
-            if dividing is not None:
-                dividing.extend(P[_residues(disc, P) == 0].tolist())
-    return total
+    blocks = (v + 2 * np.flatnonzero(np.frombuffer(flags, np.uint8))
+              for v, flags in progression_blocks(lo, hi, 2, 1))
+    return total + _count_pass(coeffs, factor_primes, hi, blocks, disc,
+                               dividing)
 
 
 def poly_factor_count(coeffs: tuple[int, ...], primes, x: int) -> int:
@@ -175,27 +181,33 @@ def poly_factor_count(coeffs: tuple[int, ...], primes, x: int) -> int:
     d = _degree(coeffs)
     if x >= _PRIME_CAP:
         raise ValueError("range cap: x must be < 2^31")
-    primes = [p for p in primes if p <= x]
-    if d == 1 or not primes:
-        return len(primes)
-    import numpy as np
+    if d == 1:
+        return sum(1 for p in primes if p <= x)
+    return _count_pass(coeffs, primes, x + 1, (), 1, None)
 
-    # the rows (p, p^j), j = 1 .. J_p, one prime after another
-    levels, P, E = [], [], []
+
+def _factor_rows(primes, hi: int, d: int):
+    """The rows (p, p^j) with p^j < hi and j <= d, one prime after another,
+    as the lists P and E, and for each prime with a row its number of rows
+    J_p."""
+    P, E, levels = [], [], []
     for p in primes:
-        e = p
-        for j in range(1, d + 1):
+        e, j = p, 0
+        while j < d and e < hi:
             P.append(p)
             E.append(e)
             e *= p
-            if e > x:
-                break
-        levels.append(j)
-    P, E = np.array(P, dtype=np.int64), np.array(E, dtype=np.int64)
-    batch = max(1, _BATCH_WORDS // d)
-    D = np.concatenate([_power_gcd_degrees(coeffs, P[i : i + batch],
-                                           E[i : i + batch])
-                        for i in range(0, len(P), batch)]).tolist()
+            j += 1
+        if j:
+            levels.append(j)
+    return P, E, levels
+
+
+def _moebius_count(D: list[int], levels: list[int]) -> int:
+    """The sum over the primes of _factor_rows of N_1 + ... + N_J, from the
+    gcd degrees D of their rows: N_j = (D(j) - sum over i | j, i < j of
+    i N_i) / j is the number of irreducible factors of degree j (Cohen,
+    GTM 138, 3.4.3)."""
     total = row = 0
     for J in levels:
         N = [0] * (J + 1)
@@ -205,6 +217,66 @@ def poly_factor_count(coeffs: tuple[int, ...], primes, x: int) -> int:
         total += sum(N)
         row += J
     return total
+
+
+def _count_pass(coeffs, primes, hi: int, blocks, disc: int,
+                dividing: list[int] | None) -> int:
+    """The factor count of primes below hi plus the root count over the
+    primes of the int64 arrays blocks, in batches of _BATCH_WORDS // d
+    columns: the factor rows first, then the root columns (p, p); only the
+    last batch is short. dividing, when a list, takes the root primes that
+    divide disc."""
+    import numpy as np
+
+    d = len(coeffs) - 1
+    P, E, levels = _factor_rows(primes, hi, d)
+    rows = len(P)
+    parts = chain([(np.array(P, dtype=np.int64),
+                    np.array(E, dtype=np.int64))],
+                  ((b, b) for b in blocks))
+    D: list[int] = []
+    total = start = 0
+    for P, E in _batches(parts, max(1, _BATCH_WORDS // d)):
+        degrees = _power_gcd_degrees(coeffs, P, E)
+        n = max(0, rows - start)  # the factor rows of this batch
+        start += len(P)
+        D.extend(degrees[:n].tolist())
+        total += int(degrees[n:].sum())
+        if dividing is not None:
+            roots = P[n:]
+            dividing.extend(roots[_residues(disc, roots) == 0].tolist())
+    return total + _moebius_count(D, levels)
+
+
+def _batches(parts, size: int):
+    """Yield the columns of the (P, E) array pairs in parts, in order, as
+    (P, E) batches of size columns; only the last batch is shorter. A batch
+    inside one part is a view of it."""
+    held: list = []  # slices of the next batch, n columns in all
+    n = 0
+    for P, E in parts:
+        i = 0
+        while i < len(P):
+            j = min(len(P), i + size - n)
+            held.append((P[i:j], E[i:j]))
+            n += j - i
+            i = j
+            if n == size:
+                yield _joined(held)
+                held, n = [], 0
+        # what waits for the next part is copied, so this part can be freed
+        held = [(p.copy(), e.copy()) for p, e in held]
+    if held:
+        yield _joined(held)
+
+
+def _joined(held: list):
+    """The (P, E) slices of held as one pair of arrays."""
+    import numpy as np
+
+    if len(held) == 1:
+        return held[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*held))
 
 
 def _residues(c: int, P):
@@ -235,63 +307,74 @@ def _power_gcd_degrees(coeffs: tuple[int, ...], P, E):
     of distinct roots of f mod p.
 
     A residue class mod f is a (d, len(P)) array: row i holds the
-    coefficient of x^i for every column of the batch. A square adds the d
-    shifted rows a[i] a into a (2d - 1, len(P)) product, then folds its top
-    rows back top-down by x^d = -F: row r, reduced, adds its multiple of
-    x^(r - d) (-F) to the d rows below it. Each addition puts at most one
-    product of two residues into any row, so with k = _lazy_terms(max(P) -
-    1), reducing the product after every k additions keeps every row
-    within k products on top of one residue, inside int64. The product, one
-    (d, len(P)) temporary and one row are allocated once per batch, and
-    every step writes into them (ufunc out=). F and x^e - x mod f go to
-    _gcd_degrees as they are.
+    coefficient of x^i for every column of the batch. x^e mod f comes from
+    square-and-multiply over the bits of e, left to right. With
+    t = floor(log2 d) and s the bit length of max(E) less t (at least 0),
+    e >> s is below 2^t <= d, so x^(e >> s) is a monomial: the accumulator
+    starts there, set by one scatter, and the first t squares are skipped.
+    A square a^2 x^b, b the next bit of each column, works in one
+    (2d, len(P)) product: a_i^2 goes to row 2i, each a_i a_j with i < j is
+    added once, as (2 a_i) a_j, to row i + j; where b = 1 the unreduced
+    product moves up one row; then rows 2d - 1 .. d fold back top-down by
+    x^d = -F: row r, reduced, adds its multiple of x^(r - d) (-F) to the d
+    rows below it. A doubled product counts as two products of residues,
+    a fold addition as one. With k = _lazy_terms(max(P) - 1), the product
+    is reduced mod P before an addition that would put more than k of them
+    on top of one residue in a row, so every row stays inside int64. The
+    product, a scratch array of its shape, one row and the bit arrays are
+    allocated once per batch, and every step writes into them (ufunc
+    out=). F and x^e - x mod f go to _gcd_degrees as they are.
     """
     import numpy as np
 
-    d = len(coeffs) - 1
+    d, C = len(coeffs) - 1, len(P)
     k = _lazy_terms(int(P.max()) - 1)
     F = np.stack([_residues(c, P) for c in coeffs[:d]])  # f = x^d + F
     G = -F % P  # x^d mod f
-    prod = np.empty((2 * d - 1, len(P)), dtype=np.int64)
-    tmp = np.empty((d, len(P)), dtype=np.int64)
-    row = np.empty(len(P), dtype=np.int64)
+    prod = np.empty((2 * d, C), dtype=np.int64)
+    # 2a and the fold's temporary, or the moving rows of the product
+    spare = np.empty((2 * d, C), dtype=np.int64)
+    twice, tmp = spare[:d], spare[d:]
+    row = np.empty(C, dtype=np.int64)
+    bit = np.empty_like(E)  # the next bit of each exponent, 0 or 1
+    stay = np.empty_like(E)  # 1 - bit
 
     def square(a):
-        """a = a^2 mod f, in place."""
-        np.multiply(a[0], a, out=prod[:d])
-        prod[d:] = 0
+        """a = a^2 x^bit mod f, in place."""
+        np.multiply(a, a, out=prod[: 2 * d - 1 : 2])
+        prod[1::2] = 0
+        np.add(a, a, out=twice)
         added = 1
-        for i in range(1, d):
-            np.multiply(a[i], a, out=tmp)
-            prod[i : i + d] += tmp
-            added += 1
-            if added == k:
+        for i in range(d - 1):
+            if added + 2 > k:
                 np.remainder(prod, P, out=prod)
                 added = 0
-        for r in range(2 * d - 2, d - 1, -1):
+            n = d - 1 - i
+            np.multiply(twice[i], a[i + 1 :], out=tmp[:n])
+            prod[2 * i + 1 : i + d] += tmp[:n]
+            added += 2
+        # times x where the bit is set: row r becomes row r - 1 there
+        np.multiply(prod[:-1], bit, out=spare[:-1])
+        np.multiply(prod[:-1], stay, out=prod[:-1])
+        prod[1:] += spare[:-1]
+        for r in range(2 * d - 1, d - 1, -1):
+            if added + 1 > k:
+                np.remainder(prod[:r], P, out=prod[:r])
+                added = 0
             np.remainder(prod[r], P, out=row)
             np.multiply(row, G, out=tmp)
             prod[r - d : r] += tmp
             added += 1
-            if added == k:
-                np.remainder(prod[:r], P, out=prod[:r])
-                added = 0
         np.remainder(prod[:d], P, out=a)
 
-    def times_x(a, where):
-        """a = x a mod f in the columns where is true, in place."""
-        np.multiply(a[-1], G, out=tmp)
-        tmp[1:] += a[:-1]
-        np.remainder(tmp, P, out=tmp)
-        np.copyto(a, tmp, where=where)
-
-    # x^e mod f, left to right over the bits of e; above a column's top bit
-    # the accumulator stays 1
-    acc = np.zeros((d, len(P)), dtype=np.int64)
-    acc[0] = 1
-    for bit in range(int(E.max()).bit_length() - 1, -1, -1):
+    s = max(int(E.max()).bit_length() - (d.bit_length() - 1), 0)
+    acc = np.zeros((d, C), dtype=np.int64)
+    acc[E >> s, np.arange(C)] = 1
+    for b in range(s - 1, -1, -1):
+        np.right_shift(E, b, out=bit)
+        np.bitwise_and(bit, 1, out=bit)
+        np.subtract(1, bit, out=stay)
         square(acc)
-        times_x(acc, ((E >> bit) & 1) == 1)
     acc[1] = (acc[1] - 1) % P
     return _gcd_degrees(F, acc, P)
 

@@ -387,15 +387,16 @@ def count_prime_ideals(K: NumberField, x: int,
 
 def _count_generic(K: NumberField, x: int,
                    unreliable_out: list[int] | None) -> int:
-    """Counting route for a field without a conductor, in the batched
-    kernels: a prime p <= sqrt(x) adds its irreducible factors of f mod p
-    with p^deg <= x, a prime above sqrt(x) its roots of f mod p.
+    """Counting route for a field without a conductor, in one pass of the
+    batched root-count kernel: a prime p <= sqrt(x) adds its irreducible
+    factors of f mod p with p^deg <= x, a prime above sqrt(x) its roots of
+    f mod p.
 
     is_index_prime is asked for every p <= sqrt(x), and index primes stay
-    out of that batch. Above sqrt(x) it is asked only for the primes that
-    divide disc_poly, which the root-count kernel lists from the residues
-    of disc_poly on its own batches; an index prime's roots are taken back
-    out."""
+    out of the factor rows. Above sqrt(x) it is asked only for the primes
+    that divide disc_poly, which the root-count kernel lists from the
+    residues of disc_poly on its own batches; an index prime's roots are
+    taken back out."""
     if x + 1 > (1 << 31):
         raise ResourceCapError("prime scan exceeds the kernel range (2^31)")
     if K.degree > _kernels._MAX_DEGREE:
@@ -407,9 +408,9 @@ def _count_generic(K: NumberField, x: int,
     for p in primes_upto(B):
         (index if is_index_prime(K, p) else small).append(p)
     dividing: list[int] = []
-    total = (_kernels.poly_factor_count(f, small, x)
-             + _kernels.poly_root_count_over_primes(
-                 f, B + 1, x + 1, disc=K.disc_poly, dividing=dividing))
+    total = _kernels.poly_root_count_over_primes(
+        f, B + 1, x + 1, disc=K.disc_poly, dividing=dividing,
+        factor_primes=small)
     large = [q for q in dividing if is_index_prime(K, q)]
     if unreliable_out is not None:
         unreliable_out.extend(index + large)

@@ -451,6 +451,69 @@ class TestRootCounts:
             poly_root_count_over_primes((-2, 0, 1), 2, (1 << 31) + 1)
 
 
+def brute_power_gcd(coeffs, p, e):
+    """deg gcd(f, x^e - x) over F_p in list arithmetic."""
+    f = gf_trim([c % p for c in coeffs])
+    b = gf_sub(gf_powmod([0, 1], e, f, p), [0, 1], p)
+    return len(gf_gcd(f, b, p)) - 1
+
+
+# the four largest primes below 2^31, where a sum holds two products
+_TOP_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+
+
+class TestPowerGcdDegrees:
+    """_power_gcd_degrees column by column against gf_powmod and gf_gcd:
+    exponents whose top t = floor(log2 d) bits, which start the power as a
+    monomial, take every value, next to shorter exponents in the same
+    batch."""
+
+    @staticmethod
+    def exponents(rng, d, bits):
+        t = d.bit_length() - 1
+        s = bits - t
+        out = [max(2, v << s | rng.getrandbits(s)) for v in range(1 << t)]
+        out += [1 << (b - 1) | rng.getrandbits(b - 1) for b in range(2, bits)]
+        return out + [2, 3]
+
+    @staticmethod
+    def check(coeffs, primes, exponents):
+        P = np.array([primes[i % len(primes)]
+                      for i in range(len(exponents))], dtype=np.int64)
+        E = np.array(exponents, dtype=np.int64)
+        got = _kernels._power_gcd_degrees(tuple(coeffs), P, E).tolist()
+        assert got == [brute_power_gcd(coeffs, p, e)
+                       for p, e in zip(P.tolist(), exponents)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 15, 16, 63])
+    def test_against_powmod(self, d):
+        rng = random.Random(1000 + d)
+        bits = 12 if d == 63 else 16
+        exponents = self.exponents(rng, d, bits)
+        assert max(exponents).bit_length() == bits
+        assert len({e >> (bits - d.bit_length() + 1) for e in exponents}) \
+            == 1 << d.bit_length() - 1
+        # x - 1, x + 1 and x planted next to random factors; residues p - 1
+        # in F (the coefficients -1) and in -F (the coefficients 1)
+        planted = [(-1, 1), (1, 1), (0, 1)][: min(d, 3)]
+        rest = tuple(rng.randint(-10**6, 10**6) for _ in range(d - 3)) + (1,)
+        polys = [product(*planted, rest), (-1,) * d + (1,), (1,) * (d + 1)]
+        for coeffs in polys if d < 63 else polys[:1]:
+            assert len(coeffs) == d + 1 and coeffs[-1] == 1
+            for primes in ((2, 3, 5, 7, 11, 101, 65_537), _TOP_PRIMES):
+                self.check(coeffs, primes, exponents)
+
+    @pytest.mark.parametrize("d", [4, 16, 63])
+    def test_exponents_below_the_monomial_bits(self, d):
+        # every exponent has at most t bits: the start is x^e itself and
+        # no square runs
+        rng = random.Random(d)
+        coeffs = tuple(rng.randint(-99, 99) for _ in range(d)) + (1,)
+        t = d.bit_length() - 1
+        exponents = list(range(2, 1 << t))
+        self.check(coeffs, (3, 13, (1 << 31) - 1), exponents)
+
+
 def random_monic(rng, k, p):
     return [rng.randrange(p) for _ in range(k)] + [1]
 
@@ -640,6 +703,79 @@ class TestFactorCounts:
             poly_factor_count((-2, 0, 1), [3], 1 << 31)
 
 
+class TestOnePass:
+    """poly_root_count_over_primes with factor_primes: the factor rows ride
+    in the root batches, and the result is the factor count plus the root
+    count."""
+
+    @staticmethod
+    def both(coeffs, lo, hi, primes, **kwargs):
+        got = poly_root_count_over_primes(coeffs, lo, hi,
+                                          factor_primes=primes, **kwargs)
+        assert got == poly_factor_count(coeffs, primes, hi - 1) + \
+            poly_root_count_over_primes(coeffs, lo, hi)
+        return got
+
+    def test_linear(self):
+        for coeffs in ((-1, 1), (7, 1)):
+            assert self.both(coeffs, 11, 1000, primes_upto(10)) == \
+                len(primes_upto(999))
+
+    def test_empty_root_range(self):
+        coeffs = (3, -1, 0, 2, 1, 0, 0, -5, 0, 0, 1, 7, 1)
+        for x in range(4):
+            self.both(coeffs, isqrt(x) + 1, x + 1, primes_upto(isqrt(x)))
+        # rows alone, and a prime above hi that gives none
+        assert self.both(coeffs, 50, 50, primes_upto(7) + [53]) == \
+            brute_factor_count(coeffs, primes_upto(7), 49)
+
+    @pytest.mark.parametrize("batch", [5, 40, 300])
+    def test_several_batches(self, batch, monkeypatch):
+        coeffs = (3, -1, 0, 2, 1, 0, 0, -5, 0, 0, 1, 7, 1)
+        monkeypatch.setattr(_kernels, "_BATCH_WORDS", 12 * batch)
+        x = 2000
+        small = primes_upto(isqrt(x))
+        got = self.both(coeffs, isqrt(x) + 1, x + 1, small)
+        assert got == brute_factor_count(coeffs, small, x) + \
+            brute_root_count(coeffs, isqrt(x) + 1, x + 1)
+
+    @pytest.mark.parametrize("coeffs, x", [((-63, 0, 1), 30),
+                                           ((-20402, 0, 1), 5000)])
+    def test_dividing(self, coeffs, x, monkeypatch):
+        monkeypatch.setattr(_kernels, "_BATCH_WORDS", 2 * 16)
+        disc = discriminant(IntPoly(coeffs))
+        lo, hi = isqrt(x) + 1, x + 1
+        dividing: list[int] = []
+        self.both(coeffs, lo, hi, primes_upto(lo - 1), disc=disc,
+                  dividing=dividing)
+        assert dividing == [p for p in primes_in_range(lo, hi)
+                            if disc % p == 0]
+        assert dividing
+
+    @pytest.mark.parametrize("batch", [7, 50, 1000])
+    def test_one_kernel_call_per_batch(self, batch, monkeypatch):
+        # m root columns and r factor rows fill ceil((m + r) / batch)
+        # kernel calls, every one full but the last
+        d, x = 3, 3000
+        monkeypatch.setattr(_kernels, "_BATCH_WORDS", d * batch)
+        kernel, sizes = _kernels._power_gcd_degrees, []
+
+        def counted(coeffs, P, E):
+            sizes.append(len(P))
+            return kernel(coeffs, P, E)
+
+        monkeypatch.setattr(_kernels, "_power_gcd_degrees", counted)
+        B = isqrt(x)
+        small = primes_upto(B)
+        r = sum(min(d, max(j for j in range(1, 13) if p**j <= x))
+                for p in small)
+        m = len(primes_in_range(B + 1, x + 1))
+        poly_root_count_over_primes((1, 1, 0, 1), B + 1, x + 1,
+                                    factor_primes=small)
+        calls = -(-(m + r) // batch)
+        assert sizes == [batch] * (calls - 1) + [m + r - batch * (calls - 1)]
+
+
 def test_cli_import_leaves_numpy_unloaded():
     code = ("import sys, torsionfree.cli; "
             "print('numpy' in sys.modules)")
@@ -805,3 +941,45 @@ class TestNtheory:
         assert is_prime(p) and is_prime(q) and p * p * q >= 10**15
         assert square_prime_factors(4 * p * p * q) == (2, p)
         assert calls
+
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 12])
+    def test_prime_powers_above_trial_bound(self, k):
+        assert factorize(100003**k) == {100003: k}
+
+    def test_perfect_power_exponents_are_prime(self, monkeypatch):
+        # a 2,013-bit composite with no factor below 1e5: the prime k with
+        # 1e5^k <= n, 2 .. 113, are all that is tried before rho
+        n = (2**127 - 1) * (2**607 - 1) * (2**1279 - 1)
+        iroot, tried = ntheory.iroot, []
+
+        def counted(m, k):
+            tried.append(k)
+            return iroot(m, k)
+
+        class Rho(Exception):
+            pass
+
+        def rho(m, budget):
+            raise Rho
+
+        monkeypatch.setattr(ntheory, "iroot", counted)
+        monkeypatch.setattr(ntheory, "_pollard_rho", rho)
+        with pytest.raises(Rho):
+            factorize(n)
+        assert tried == [k for k in primes_upto(121) if 10**(5 * k) <= n]
+        assert len(tried) <= len(primes_upto(121))
+
+    def test_rho_cap_names_the_bit_length(self):
+        # a cofactor above the default int-to-str limit of 4,300 digits is
+        # named by its bit length, so the cap raises ResourceCapError
+        n = 3**9101
+        assert n > 10**4300
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        lift = getattr(sys, "set_int_max_str_digits", lambda n: None)
+        lift(4300)
+        try:
+            with pytest.raises(ResourceCapError, match=f"{n.bit_length()}-bit"):
+                ntheory._pollard_rho(n, 0)
+        finally:
+            lift(limit)
