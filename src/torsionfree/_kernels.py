@@ -19,9 +19,10 @@ x^(p^j) - x) is the sum of deg g over the distinct irreducible factors g of
 f mod p with deg g | j, so Moebius inversion gives the number N_j of those
 of degree j, N_j = (D(j) - sum over i | j, i < j of i N_i) / j (Cohen,
 GTM 138, 3.4.3). Every exponent is at most x < 2^31. A generic field's
-prime-ideal count is one pass: the root count takes the factor rows of
-the primes up to sqrt(x) into its first batch, ahead of its root
-columns, and returns the sum of both counts.
+prime-ideal count is one pass: the root count puts the factor rows of
+the primes up to sqrt(x) ahead of the primes of its first sieve segment,
+and returns the sum of both counts; the factor count alone is the same
+pass over an empty range.
 
 x^e mod f comes from square-and-multiply (Cohen, GTM 138, 1.2). With
 t = floor(log2 d), the top t bits of every exponent of a batch give a
@@ -35,7 +36,8 @@ m = max(P) - 1, k = (2^63 - 1 - m) // m^2 products fit in one int64 sum on
 top of a residue; a doubled product counts as two, and the product is
 reduced mod P before an addition that would pass k (k >= 63 below 33,000,
 k = 2 just below 2^31). The 2d-row product and a 2d-row scratch array are
-the largest arrays, so a batch takes _BATCH_WORDS // d columns.
+the largest arrays, so each sieve segment is cut into batches of
+_BATCH_WORDS // d columns.
 
 The gcd degree comes from Bernstein-Yang divsteps (Bernstein and Yang,
 "Fast constant-time gcd computation and modular inversion", TCHES
@@ -48,7 +50,6 @@ once. No inverse is taken and no degree is searched for.
 """
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
 
 from .ntheory import is_prime, progression_blocks
@@ -145,11 +146,13 @@ def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int,
     mod p, plus poly_factor_count(coeffs, factor_primes, hi - 1). f = sum
     coeffs[i] x^i must be monic of degree 1..63, and hi at most 2^31.
 
-    Both counts run in one pass: the factor rows go first, in the first
-    batch, ahead of the root columns. When dividing is a list, the primes
-    of the range that divide disc, the discriminant of f, are appended to
-    it, ascending, read from the residues of disc on the same batches. A
-    linear f has discriminant 1, so none is appended for it."""
+    Both counts run in one pass over the sieve segments of [lo, hi): the
+    factor rows go ahead of the primes of the first segment, or stand
+    alone when the sieve yields no segment, and each segment is cut
+    into batches of _BATCH_WORDS // d columns. When dividing is a list,
+    the primes of the range that divide disc, the discriminant of f, are
+    appended to it, ascending, read from the residues of disc on the same
+    batches. A linear f has discriminant 1, so none is appended for it."""
     d = _degree(coeffs)
     if hi > _PRIME_CAP:
         raise ValueError("range cap: primes must be < 2^31")
@@ -163,10 +166,30 @@ def poly_root_count_over_primes(coeffs: tuple[int, ...], lo: int, hi: int,
         total = (coeffs[0] % 2 == 0) + (sum(coeffs) % 2 == 0)
         if dividing is not None and disc % 2 == 0:
             dividing.append(2)
-    blocks = (v + 2 * np.flatnonzero(np.frombuffer(flags, np.uint8))
-              for v, flags in progression_blocks(lo, hi, 2, 1))
-    return total + _count_pass(coeffs, factor_primes, hi, blocks, disc,
-                               dividing)
+    P, E, levels = _factor_rows(factor_primes, hi, d)
+    rows = len(P)  # the factor rows, ahead of the first segment's primes
+    P, E = np.array(P, dtype=np.int64), np.array(E, dtype=np.int64)
+    size = max(1, _BATCH_WORDS // d)
+    D: list[int] = []
+    segments = progression_blocks(lo, hi, 2, 1)
+    segment = next(segments, (1, b""))  # with no segment, the rows alone
+    while segment:
+        v, flags = segment
+        roots = v + 2 * np.flatnonzero(np.frombuffer(flags, np.uint8))
+        P = np.concatenate((P[:rows], roots))
+        E = np.concatenate((E[:rows], roots))
+        for i in range(0, len(P), size):
+            degrees = _power_gcd_degrees(coeffs, P[i : i + size],
+                                         E[i : i + size])
+            n = max(0, rows - i)  # the factor rows of this batch
+            D.extend(degrees[:n].tolist())
+            total += int(degrees[n:].sum())
+            if dividing is not None:
+                roots = P[i + n : i + size]
+                dividing.extend(roots[_residues(disc, roots) == 0].tolist())
+        rows = 0
+        segment = next(segments, None)
+    return total + _moebius_count(D, levels)
 
 
 def poly_factor_count(coeffs: tuple[int, ...], primes, x: int) -> int:
@@ -176,14 +199,11 @@ def poly_factor_count(coeffs: tuple[int, ...], primes, x: int) -> int:
 
     At a prime p that does not divide [O : Z[theta]] this counts the prime
     ideals above p of norm at most x; for p > sqrt(x) it is the number of
-    distinct roots of f mod p.
+    distinct roots of f mod p. It is the root-count pass over the empty
+    range [x + 1, x + 1), so the factor rows stand alone.
     """
-    d = _degree(coeffs)
-    if x >= _PRIME_CAP:
-        raise ValueError("range cap: x must be < 2^31")
-    if d == 1:
-        return sum(1 for p in primes if p <= x)
-    return _count_pass(coeffs, primes, x + 1, (), 1, None)
+    return poly_root_count_over_primes(coeffs, x + 1, x + 1,
+                                       factor_primes=primes)
 
 
 def _factor_rows(primes, hi: int, d: int):
@@ -217,66 +237,6 @@ def _moebius_count(D: list[int], levels: list[int]) -> int:
         total += sum(N)
         row += J
     return total
-
-
-def _count_pass(coeffs, primes, hi: int, blocks, disc: int,
-                dividing: list[int] | None) -> int:
-    """The factor count of primes below hi plus the root count over the
-    primes of the int64 arrays blocks, in batches of _BATCH_WORDS // d
-    columns: the factor rows first, then the root columns (p, p); only the
-    last batch is short. dividing, when a list, takes the root primes that
-    divide disc."""
-    import numpy as np
-
-    d = len(coeffs) - 1
-    P, E, levels = _factor_rows(primes, hi, d)
-    rows = len(P)
-    parts = chain([(np.array(P, dtype=np.int64),
-                    np.array(E, dtype=np.int64))],
-                  ((b, b) for b in blocks))
-    D: list[int] = []
-    total = start = 0
-    for P, E in _batches(parts, max(1, _BATCH_WORDS // d)):
-        degrees = _power_gcd_degrees(coeffs, P, E)
-        n = max(0, rows - start)  # the factor rows of this batch
-        start += len(P)
-        D.extend(degrees[:n].tolist())
-        total += int(degrees[n:].sum())
-        if dividing is not None:
-            roots = P[n:]
-            dividing.extend(roots[_residues(disc, roots) == 0].tolist())
-    return total + _moebius_count(D, levels)
-
-
-def _batches(parts, size: int):
-    """Yield the columns of the (P, E) array pairs in parts, in order, as
-    (P, E) batches of size columns; only the last batch is shorter. A batch
-    inside one part is a view of it."""
-    held: list = []  # slices of the next batch, n columns in all
-    n = 0
-    for P, E in parts:
-        i = 0
-        while i < len(P):
-            j = min(len(P), i + size - n)
-            held.append((P[i:j], E[i:j]))
-            n += j - i
-            i = j
-            if n == size:
-                yield _joined(held)
-                held, n = [], 0
-        # what waits for the next part is copied, so this part can be freed
-        held = [(p.copy(), e.copy()) for p, e in held]
-    if held:
-        yield _joined(held)
-
-
-def _joined(held: list):
-    """The (P, E) slices of held as one pair of arrays."""
-    import numpy as np
-
-    if len(held) == 1:
-        return held[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*held))
 
 
 def _residues(c: int, P):

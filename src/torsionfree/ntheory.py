@@ -6,7 +6,7 @@ Miller-Rabin witness sets); above it the answer comes from BPSW, which has
 no known counterexample. Factoring is meant for numbers whose prime
 factors are either small or few; Pollard rho runs within a fixed budget,
 in steps charged by the size of the number, and raises ResourceCapError
-beyond it.
+beyond it, as does a cofactor above 4,096 bits that is no perfect power.
 
 Primes come from one segmented sieve over an arithmetic progression r + k n
 (progression_blocks), in pure Python on bytearray flags. primes_in_range
@@ -281,10 +281,20 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
     return out, n
 
 
+# The largest cofactor, in bits, that is_prime is run on. One Miller-Rabin
+# base costs about 0.11 s at 4,096 bits and 0.85 s at 8,192 (one 2-core
+# machine), and a prime runs 13 bases plus a Lucas test, so a prime
+# cofactor at the cap costs a few seconds, about what the rho budget
+# allows a composite.
+_PRIME_TEST_BITS = 4096
+
+
 def _factor_cofactor(n: int, out: dict[int, int]) -> None:
     """Add the prime factorization of n > 1, which has no prime factor
-    below _TRIAL_BOUND, to out: perfect powers, then Pollard rho within
-    _RHO_BUDGET steps in all, charged by size.
+    below _TRIAL_BOUND, to out: primality, perfect powers, then Pollard rho
+    within _RHO_BUDGET steps in all, charged by size. A cofactor above
+    _PRIME_TEST_BITS that is no perfect power raises ResourceCapError
+    before any primality test.
 
     A perfect power is a perfect k-th power for a prime k, and every prime
     factor is at least _TRIAL_BOUND, so a cofactor m is tried only at the
@@ -293,7 +303,8 @@ def _factor_cofactor(n: int, out: dict[int, int]) -> None:
     stack = [n]
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        capped = m.bit_length() > _PRIME_TEST_BITS
+        if not capped and is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         # perfect powers first: cheap and common for discriminants
@@ -305,6 +316,10 @@ def _factor_cofactor(n: int, out: dict[int, int]) -> None:
                 stack.extend([r] * k)
                 break
         else:
+            if capped:
+                raise ResourceCapError(
+                    f"a {m.bit_length()}-bit cofactor exceeds the primality "
+                    f"cap of {_PRIME_TEST_BITS} bits")
             d, budget = _pollard_rho(m, budget)
             stack.extend([d, m // d])
 
@@ -313,7 +328,8 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} of n >= 1. Trial division up to
     1e5, perfect powers, then Pollard rho within _RHO_BUDGET steps in all
     (a step on a number above 256 bits charged more);
-    a cofactor that needs more raises ResourceCapError."""
+    a cofactor that needs more, or that is above _PRIME_TEST_BITS and no
+    perfect power, raises ResourceCapError."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out, n = _trial_divide(n)

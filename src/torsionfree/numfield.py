@@ -24,6 +24,7 @@ by the abelian law instead of by factorisation mod q.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -231,18 +232,24 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
     """Build a NumberField from a monic integer polynomial.
 
     Irreducibility is the caller's responsibility; visibly reducible input is
-    rejected. The checks run in this order: degree >= 1 and monic; a zero
-    discriminant (repeated factor) raises NotSquarefreeError; the real roots
-    are isolated; a rational root, which for monic f is an integer inside
-    its cell, raises PreconditionError. No prime is factored or tested
-    here: is_index_prime decides each index prime where it is visited.
+    rejected. A tuple's coefficients must be integers (operator.index), so a
+    float, a string or a Fraction raises PreconditionError. The checks run
+    in this order: degree >= 1 and monic; a zero discriminant (repeated
+    factor) raises NotSquarefreeError; the real roots are isolated; a
+    rational root, which for monic f is an integer inside its cell, raises
+    PreconditionError. No prime is factored or tested here: is_index_prime
+    decides each index prime where it is visited.
 
     conductor = n declares f the minimal polynomial of 2cos(2pi/n), which is
     checked; then the discriminant is two_cos_discriminant(n), and the cells
     and splitting come from closed forms.
     """
     if not isinstance(f, IntPoly):
-        f = IntPoly(tuple(int(c) for c in f))
+        try:
+            f = IntPoly(tuple(map(operator.index, f)))
+        except TypeError as e:
+            raise PreconditionError(
+                f"integer coefficients expected: {e}") from None
     if conductor is not None and f != minpoly_two_cos_conductor(conductor):
         raise PreconditionError(
             f"polynomial is not the minimal polynomial of 2cos(2pi/{conductor})")
@@ -396,7 +403,7 @@ def _count_generic(K: NumberField, x: int,
     out of the factor rows. Above sqrt(x) it is asked only for the primes
     that divide disc_poly, which the root-count kernel lists from the
     residues of disc_poly on its own batches; an index prime's roots are
-    taken back out."""
+    taken back out, by a second pass only when there is one."""
     if x + 1 > (1 << 31):
         raise ResourceCapError("prime scan exceeds the kernel range (2^31)")
     if K.degree > _kernels._MAX_DEGREE:
@@ -414,7 +421,9 @@ def _count_generic(K: NumberField, x: int,
     large = [q for q in dividing if is_index_prime(K, q)]
     if unreliable_out is not None:
         unreliable_out.extend(index + large)
-    return total - _kernels.poly_factor_count(f, large, x)
+    if large:
+        total -= _kernels.poly_factor_count(f, large, x)
+    return total
 
 
 def _count_abelian(K: NumberField, x: int) -> int:

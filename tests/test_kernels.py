@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from itertools import compress
 from math import gcd, isqrt
 
@@ -775,6 +776,40 @@ class TestOnePass:
         calls = -(-(m + r) // batch)
         assert sizes == [batch] * (calls - 1) + [m + r - batch * (calls - 1)]
 
+    @pytest.mark.parametrize("block", [5, 64])
+    @pytest.mark.parametrize("coeffs", [
+        (3, -1, 0, 2, 1, 0, 0, -5, 0, 0, 1, 7, 1),
+        (-(101 * 1009 * 1999), 0, 1)])
+    def test_across_sieve_segments(self, coeffs, block, monkeypatch):
+        # [sqrt(x) + 1, x] spans many sieve segments; the factor rows lead
+        # the kernel calls, and no call passes the batch width
+        monkeypatch.setattr(ntheory, "_BLOCK", block)
+        kernel, calls = _kernels._power_gcd_degrees, []
+
+        def recorded(coeffs, P, E):
+            calls.append((P.tolist(), E.tolist()))
+            return kernel(coeffs, P, E)
+
+        monkeypatch.setattr(_kernels, "_power_gcd_degrees", recorded)
+        x = 2000
+        B = isqrt(x)
+        small = primes_upto(B)
+        disc = discriminant(IntPoly(coeffs))
+        dividing: list[int] = []
+        got = poly_root_count_over_primes(coeffs, B + 1, x + 1,
+                                          factor_primes=small, disc=disc,
+                                          dividing=dividing)
+        assert got == brute_factor_count(coeffs, small, x) + \
+            brute_root_count(coeffs, B + 1, x + 1)
+        roots = primes_in_range(B + 1, x + 1)
+        assert dividing == [p for p in roots if disc % p == 0]
+        width = _kernels._BATCH_WORDS // (len(coeffs) - 1)
+        assert all(len(P) <= width for P, _E in calls)
+        rows = [(p, p**j) for p in small
+                for j in range(1, len(coeffs)) if p**j <= x]
+        columns = [c for P, E in calls for c in zip(P, E)]
+        assert columns == rows + [(p, p) for p in roots]
+
 
 def test_cli_import_leaves_numpy_unloaded():
     code = ("import sys, torsionfree.cli; "
@@ -969,6 +1004,24 @@ class TestNtheory:
             factorize(n)
         assert tried == [k for k in primes_upto(121) if 10**(5 * k) <= n]
         assert len(tried) <= len(primes_upto(121))
+
+    def test_primality_cap_refuses_a_huge_cofactor_at_once(self):
+        # a 14,400-bit odd n with no factor below 1e5 and no perfect power:
+        # refused before any primality test or rho step
+        n = random.Random(14400).getrandbits(14400) | 1 << 14399 | 1
+        while ntheory._trial_divide(n)[1] != n:
+            n += 2
+        assert n.bit_length() == 14400
+        start = time.monotonic()
+        with pytest.raises(ResourceCapError, match="14400-bit"):
+            factorize(n)
+        assert time.monotonic() - start < 2
+
+    def test_perfect_power_above_the_primality_cap(self):
+        p = 100003
+        k = ntheory._PRIME_TEST_BITS // 16 + 1  # p > 2^16
+        assert (p**k).bit_length() > ntheory._PRIME_TEST_BITS
+        assert factorize(7 * p**k) == {7: 1, p: k}
 
     def test_rho_cap_names_the_bit_length(self):
         # a cofactor above the default int-to-str limit of 4,300 digits is

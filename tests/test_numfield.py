@@ -71,6 +71,18 @@ class TestMakeField:
         with pytest.raises(PreconditionError):
             make_field(IntPoly((-2, 0, 2)))
 
+    @pytest.mark.parametrize("coeffs", [(-2.7, 0, 1.0), (-2.0, 0, 1),
+                                        ("-2", "0", "1"),
+                                        (Fraction(-2), 0, 1)])
+    def test_rejects_non_integer_coefficients(self, coeffs):
+        with pytest.raises(PreconditionError, match="integer coefficients"):
+            make_field(coeffs)
+
+    def test_integer_coefficients_pass(self):
+        K = make_field((-2, 0, 1))
+        assert K.defining_poly == IntPoly((-2, 0, 1))
+        assert make_field([-2, 0, 1]) == K
+
     def test_rejects_constant(self):
         with pytest.raises(PreconditionError):
             make_field(IntPoly((1,)))
