@@ -6,13 +6,14 @@ commands (torsion table, construct sweep) emit CSV natively and accept
 --format json.
 
 The parser is the standard library's argparse, so start-up loads no
-command-line framework; every program module is still imported here at load.
+command-line framework, and the package's records are plain classes with
+no generated methods. Every program module is still imported here at load;
+csv only by the commands that print a table.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
@@ -51,6 +52,7 @@ def read_poly_file(path: str) -> tuple[int, ...]:
 
 
 def _csv_lines(header, rows) -> str:
+    import csv  # only the two CSV tables load it
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)

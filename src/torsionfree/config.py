@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
 from math import isfinite
 
 from .errors import PreconditionError
@@ -25,29 +24,35 @@ ENV_VAR = "TORSIONFREE_CONFIG"
 ILLUSTRATIVE = ("prasad_c1", "prasad_c2", "belolipetsky_a", "belolipetsky_b",
                 "epsilon", "lemma_C")
 
+_DEFAULTS = {"prasad_c1": 1.0, "prasad_c2": 1.0, "belolipetsky_a": 1.0,
+            "belolipetsky_b": 1.0, "epsilon": 0.1, "prime_scan_cap": 10**6,
+            "lemma_C": 1.0}
+KEYS = tuple(_DEFAULTS)
 
-@dataclass(frozen=True)
+
 class Config:
-    prasad_c1: float = 1.0
-    prasad_c2: float = 1.0
-    belolipetsky_a: float = 1.0
-    belolipetsky_b: float = 1.0
-    epsilon: float = 0.1
-    prime_scan_cap: int = 10**6
-    lemma_C: float = 1.0
+    """The constants of one run, one attribute per key of KEYS. Each value
+    is checked on construction: numeric and not bool, finite and positive;
+    prime_scan_cap is stored as an int, and a fractional one is refused."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+    __slots__ = KEYS
+
+    def __init__(self, **values):
+        unknown = values.keys() - _DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for name in KEYS:
+            v = values.get(name, _DEFAULTS[name])
             if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise PreconditionError(f"{f.name} must be numeric")
+                raise PreconditionError(f"{name} must be numeric")
             if isinstance(v, float) and not isfinite(v):
-                raise PreconditionError(f"{f.name} must be finite")
+                raise PreconditionError(f"{name} must be finite")
             if v <= 0:
-                raise PreconditionError(f"{f.name} must be positive")
+                raise PreconditionError(f"{name} must be positive")
+            setattr(self, name, v)
         if int(self.prime_scan_cap) != self.prime_scan_cap:
             raise PreconditionError("prime_scan_cap must be an integer")
-        object.__setattr__(self, "prime_scan_cap", int(self.prime_scan_cap))
+        self.prime_scan_cap = int(self.prime_scan_cap)
 
 
 def load_config(path: str | None = None
@@ -71,8 +76,7 @@ def load_config(path: str | None = None
             raise PreconditionError("config file must hold a JSON object")
     else:
         notes.append("no config file given; defaults in effect")
-    known = {f.name for f in fields(Config)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - set(KEYS))
     if unknown:
         raise PreconditionError(f"unknown config keys: {', '.join(unknown)}")
     cfg = Config(**data)

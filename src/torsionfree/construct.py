@@ -22,7 +22,7 @@ they are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import ceil, cos, floor, pi
@@ -45,18 +45,15 @@ CHECK_NAMES = ("interval_ok", "archimedean_ok", "two_adic_ok",
                "form_preserved", "order_verified")
 
 
-@dataclass(frozen=True)
-class LatticeConstruction:
-    p: int
-    field: NumberField
-    T: Fraction
-    c: FieldElement
-    gram: tuple
-    generator: tuple
-    checks: dict
-    disc_used: int
-    a_const: float
-    b_const: float
+class LatticeConstruction(namedtuple("LatticeConstruction", (
+        "p", "field", "T", "c", "gram", "generator", "checks", "disc_used",
+        "a_const", "b_const"))):
+    """build_construction's result for the prime p: the field Q(2cos 2pi/p),
+    the shift T and the element c it gives, the Gram matrix and the order-p
+    generator, the named checks (CHECK_NAMES), the discriminant used and
+    the volume constants a, b."""
+
+    __slots__ = ()
 
     @property
     def log_volume_estimate(self):

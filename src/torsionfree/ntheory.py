@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import compress, repeat, takewhile
+from itertools import compress, islice, repeat, takewhile
 
 from .errors import ResourceCapError
 
@@ -289,6 +289,25 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
 _PRIME_TEST_BITS = 4096
 
 
+# Residue witnesses tried per exponent before a k-th root is taken.
+_POWER_WITNESSES = 4
+
+
+def _kth_root(m: int, k: int) -> int | None:
+    """r with r^k == m, or None, for m with no prime factor below
+    _TRIAL_BOUND. Such an m is prime to every prime q < _TRIAL_BOUND, so if
+    it is a k-th power then m^((q-1)/k) = 1 mod q for each q = 1 (mod k);
+    the first _POWER_WITNESSES such q are tried before iroot runs, and one
+    failure proves m no k-th power. A random m passes one with probability
+    about 1/k, so almost every k is settled without a root."""
+    witnesses = (q for q in range(k + 1, _TRIAL_BOUND, k) if is_prime(q))
+    for q in islice(witnesses, _POWER_WITNESSES):
+        if pow(m, (q - 1) // k, q) != 1:
+            return None
+    r = iroot(m, k)
+    return r if r**k == m else None
+
+
 def _factor_cofactor(n: int, out: dict[int, int]) -> None:
     """Add the prime factorization of n > 1, which has no prime factor
     below _TRIAL_BOUND, to out: primality, perfect powers, then Pollard rho
@@ -298,7 +317,8 @@ def _factor_cofactor(n: int, out: dict[int, int]) -> None:
 
     A perfect power is a perfect k-th power for a prime k, and every prime
     factor is at least _TRIAL_BOUND, so a cofactor m is tried only at the
-    prime k with _TRIAL_BOUND^k <= m: about 240 of them at 24,700 bits."""
+    prime k with _TRIAL_BOUND^k <= m: about 240 of them at 24,700 bits,
+    nearly all settled by _kth_root's residue test without a root."""
     budget = _RHO_BUDGET
     stack = [n]
     while stack:
@@ -311,8 +331,8 @@ def _factor_cofactor(n: int, out: dict[int, int]) -> None:
         # (2^16 < _TRIAL_BOUND, so every such k is below bits / 16)
         for k in takewhile(lambda k: _TRIAL_BOUND**k <= m,
                            primes_upto(m.bit_length() // 16)):
-            r = iroot(m, k)
-            if r**k == m:
+            r = _kth_root(m, k)
+            if r is not None:
                 stack.extend([r] * k)
                 break
         else:

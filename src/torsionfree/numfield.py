@@ -25,7 +25,6 @@ by the abelian law instead of by factorisation mod q.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import floor, gcd, isqrt, lcm
@@ -52,16 +51,38 @@ from .polyalg.modp import (_distinct_degree, gf_divmod, gf_gcd, gf_mul,
 ABELIAN_COUNT_CAP = 1 << 40
 
 
-@dataclass(frozen=True)
 class NumberField:
-    defining_poly: IntPoly
-    degree: int
-    disc_poly: int
-    real_embeddings: tuple[tuple[Fraction, Fraction], ...]
-    conductor: int | None = None    # set for fields built by make_cosine_field
-    # is_index_prime's answers, q -> whether q may divide [O : Z[theta]]
-    _index_memo: dict[int, bool] = field(default_factory=dict, init=False,
-                                         repr=False, compare=False)
+    """Q(theta) for theta a root of the monic defining_poly, of the given
+    degree: disc_poly is the discriminant of defining_poly, and
+    real_embeddings the isolating cells (lo, hi] of its real roots,
+    ascending. conductor is n for a field built by make_cosine_field, else
+    None. Two fields are equal, and hash equally, when these five agree;
+    the memo of index-prime answers takes no part."""
+
+    __slots__ = ("defining_poly", "degree", "disc_poly", "real_embeddings",
+                 "conductor", "_index_memo")
+
+    def __init__(self, defining_poly: IntPoly, degree: int, disc_poly: int,
+                 real_embeddings: tuple[tuple[Fraction, Fraction], ...],
+                 conductor: int | None = None):
+        self.defining_poly = defining_poly
+        self.degree = degree
+        self.disc_poly = disc_poly
+        self.real_embeddings = real_embeddings
+        self.conductor = conductor
+        # is_index_prime's answers, q -> whether q may divide [O : Z[theta]]
+        self._index_memo = {}
+
+    def _key(self) -> tuple:
+        return (self.defining_poly, self.degree, self.disc_poly,
+                self.real_embeddings, self.conductor)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, NumberField)
+                                 and self._key() == other._key())
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def field_disc(self) -> int | None:
@@ -116,26 +137,27 @@ def mul_mod(u, v, f) -> list[int]:
     return prod[:d]
 
 
-@dataclass(frozen=True)
 class FieldElement:
     """(num[0] + num[1] theta + ... + num[d-1] theta^(d-1)) / den.
 
     The constructor requires den > 0 and divides out gcd(den, *num), so zero
     is (0, ..., 0) / 1 and equal elements have equal (num, den).
     """
-    owner: NumberField
-    num: tuple[int, ...]  # length = degree, coefficient of theta^i at i
-    den: int
 
-    def __post_init__(self):
-        num, den = tuple(self.num), self.den
-        if len(num) != self.owner.degree:
+    __slots__ = ("owner", "num", "den")
+
+    def __init__(self, owner: NumberField, num, den: int):
+        num = tuple(num)  # length = degree, coefficient of theta^i at i
+        if len(num) != owner.degree:
             raise PreconditionError("representation length must equal degree")
         if den < 1:
             raise PreconditionError("denominator must be positive")
         g = gcd(den, *num)
-        object.__setattr__(self, "num", tuple(a // g for a in num) if g > 1 else num)
-        object.__setattr__(self, "den", den // g)
+        if g > 1:
+            num, den = tuple(a // g for a in num), den // g
+        self.owner = owner
+        self.num = num
+        self.den = den
 
     @property
     def rep(self) -> tuple[Fraction, ...]:
@@ -280,7 +302,7 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
 def make_cosine_field(n: int) -> NumberField:
     """The field Q(2cos(2pi/n)) = Q(cos(2pi/n)), via its minimal polynomial.
 
-    Built once per conductor: every caller shares the same frozen field."""
+    Built once per conductor: every caller shares the same field."""
     return make_field(minpoly_two_cos_conductor(n), conductor=n)
 
 

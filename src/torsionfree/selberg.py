@@ -10,7 +10,7 @@ documented illustrative values supplied by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime
@@ -25,17 +25,17 @@ ERR_CONSTANT = 13
 EXPONENT_CAP = 8192
 
 
-@dataclass(frozen=True)
-class CongruenceLevel:
-    rational_prime: int
-    inertia: int
-    ramification: int
-    norm: int
-    torsion_free_certificate: bool
-    index_bound: int
-    dim_G: int
-    # index primes below norm that the scan passed over, ascending
-    skipped_index_divisible: tuple[int, ...]
+class CongruenceLevel(namedtuple("CongruenceLevel", (
+        "rational_prime", "inertia", "ramification", "norm",
+        "torsion_free_certificate", "index_bound", "dim_G",
+        "skipped_index_divisible"))):
+    """The level find_congruence_level chose: the prime ideal above
+    rational_prime of inertia degree inertia, ramification index
+    ramification and norm norm, and index_bound = norm^dim_G.
+    skipped_index_divisible holds the index primes below norm that the scan
+    passed over, ascending."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -50,15 +50,14 @@ class CongruenceLevel:
         }
 
 
-@dataclass(frozen=True)
-class GrhReport:
-    d: int
-    log_D: object          # mpf
-    threshold_x: int
-    li_at_threshold: object
-    err_at_threshold: object
-    smallest_actual_prime_norm: int | None
-    config: dict
+class GrhReport(namedtuple("GrhReport", (
+        "d", "log_D", "threshold_x", "li_at_threshold", "err_at_threshold",
+        "smallest_actual_prime_norm", "config"))):
+    """grh_threshold's answer for degree d and log_D: the threshold x, the
+    mpf values li(x) and err(x) there, the smallest prime-ideal norm of the
+    field when one was given (else None) and the constants used."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         from .report import mpf_str

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import mpmath as mp
@@ -15,7 +14,7 @@ import pytest
 
 from conftest import DATA, GOLDEN, child_env, run_cli
 from torsionfree.cli import entrypoint
-from torsionfree.config import Config
+from torsionfree.config import KEYS, Config
 from torsionfree.polyalg import IntPoly, discriminant
 
 SCHEMA = json.loads(
@@ -359,7 +358,12 @@ class TestConfig:
         assert error["type"] == "PreconditionError"
         return error["message"]
 
-    @pytest.mark.parametrize("key", sorted(f.name for f in fields(Config)))
+    def test_keys_are_the_documented_seven(self):
+        assert sorted(KEYS) == ["belolipetsky_a", "belolipetsky_b", "epsilon",
+                                "lemma_C", "prasad_c1", "prasad_c2",
+                                "prime_scan_cap"]
+
+    @pytest.mark.parametrize("key", sorted(KEYS))
     def test_non_finite_value_refused(self, tmp_path, key):
         # json reads NaN, Infinity and 1e400 as non-finite floats
         for value in ("NaN", "Infinity", "-Infinity", "1e400"):
@@ -618,13 +622,14 @@ LOADED_SCRIPT = """
 import contextlib, io, sys
 with contextlib.redirect_stdout(io.StringIO()):
 {body}
-print(" ".join(m for m in ("click", "mpmath", "numpy") if m in sys.modules))
+print(" ".join(m for m in ("click", "mpmath", "numpy", "dataclasses", "inspect")
+               if m in sys.modules))
 """
 
 
 def loaded_modules(*lines):
-    """Which of click, mpmath and numpy a fresh interpreter has loaded after
-    running lines (with stdout discarded)."""
+    """Which of click, mpmath, numpy, dataclasses and inspect a fresh
+    interpreter has loaded after running lines (with stdout discarded)."""
     body = "\n".join("    " + line for line in lines)
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_SCRIPT.format(body=body)],
@@ -642,8 +647,10 @@ def golden_lines(names):
 
 
 class TestImportCost:
-    """Start-up loads no command-line framework, and mpmath only where a
-    number is computed with it; the checks run in fresh interpreters."""
+    """Start-up loads no command-line framework and neither dataclasses nor
+    inspect (the package's records are plain classes), and mpmath only
+    where a number is computed with it; the checks run in fresh
+    interpreters."""
 
     MPMATH_FREE = ("level_find_q.json", "field_analyze_sqrt2.json",
                    "bound_unconditional.json", "torsion_table_n6.csv",
@@ -660,7 +667,7 @@ class TestImportCost:
             {"mpmath"}
 
     def test_cosine_pipeline(self):
-        assert "mpmath" not in loaded_modules(
+        assert loaded_modules(
             "from torsionfree.construct import build_construction",
             "from torsionfree.numfield import count_prime_ideals, "
             "make_cosine_field",
@@ -668,12 +675,13 @@ class TestImportCost:
             "K = make_cosine_field(11)",
             "find_congruence_level(K, 3)",
             "if not build_construction(11).all_checks_pass(): sys.exit(1)",
-            "count_prime_ideals(K, 10**5)")
+            "count_prime_ideals(K, 10**5)") == set()
 
     def test_generic_pipeline(self):
-        assert "mpmath" not in loaded_modules(
+        # numpy itself imports inspect
+        assert loaded_modules(
             "from torsionfree.numfield import count_prime_ideals, make_field",
             "from torsionfree.selberg import find_congruence_level",
             "K = make_field((2, -2, 0, 2, 1))",
             "find_congruence_level(K, 3)",
-            "count_prime_ideals(K, 2000)")
+            "count_prime_ideals(K, 2000)") == {"numpy", "inspect"}

@@ -986,11 +986,11 @@ class TestNtheory:
         # a 2,013-bit composite with no factor below 1e5: the prime k with
         # 1e5^k <= n, 2 .. 113, are all that is tried before rho
         n = (2**127 - 1) * (2**607 - 1) * (2**1279 - 1)
-        iroot, tried = ntheory.iroot, []
+        kth_root, tried = ntheory._kth_root, []
 
         def counted(m, k):
             tried.append(k)
-            return iroot(m, k)
+            return kth_root(m, k)
 
         class Rho(Exception):
             pass
@@ -998,24 +998,52 @@ class TestNtheory:
         def rho(m, budget):
             raise Rho
 
-        monkeypatch.setattr(ntheory, "iroot", counted)
+        monkeypatch.setattr(ntheory, "_kth_root", counted)
         monkeypatch.setattr(ntheory, "_pollard_rho", rho)
         with pytest.raises(Rho):
             factorize(n)
         assert tried == [k for k in primes_upto(121) if 10**(5 * k) <= n]
         assert len(tried) <= len(primes_upto(121))
 
-    def test_primality_cap_refuses_a_huge_cofactor_at_once(self):
-        # a 14,400-bit odd n with no factor below 1e5 and no perfect power:
-        # refused before any primality test or rho step
+    @staticmethod
+    def huge_cofactor():
+        """A 14,400-bit odd n with no factor below 1e5 and no perfect power."""
         n = random.Random(14400).getrandbits(14400) | 1 << 14399 | 1
         while ntheory._trial_divide(n)[1] != n:
             n += 2
         assert n.bit_length() == 14400
+        return n
+
+    def test_primality_cap_refuses_a_huge_cofactor_at_once(self):
+        # refused before any primality test or rho step
+        n = self.huge_cofactor()
         start = time.monotonic()
         with pytest.raises(ResourceCapError, match="14400-bit"):
             factorize(n)
         assert time.monotonic() - start < 2
+
+    def test_power_residues_settle_the_exponents(self, monkeypatch):
+        # 150 prime exponents are tried on the huge cofactor; a k-th power
+        # residue test mod a few primes q = 1 (mod k) rules out all but a
+        # handful before a root is taken (milliseconds each, against
+        # microseconds for a residue test)
+        n = self.huge_cofactor()
+        iroot, rooted = ntheory.iroot, []
+
+        def counted(m, k):
+            rooted.append(k)
+            return iroot(m, k)
+
+        monkeypatch.setattr(ntheory, "iroot", counted)
+        with pytest.raises(ResourceCapError):
+            factorize(n)
+        assert len(rooted) <= 3
+        # a k-th power passes every residue test and is still rooted
+        p = 100003
+        for k in (2, 3, 113):
+            rooted.clear()
+            assert ntheory._kth_root(p**k, k) == p and rooted == [k]
+            assert ntheory._kth_root(p**k * 100019, k) is None
 
     def test_perfect_power_above_the_primality_cap(self):
         p = 100003
