@@ -2,10 +2,10 @@
 bounds, and finite-subgroup bounds for arithmetic lattices.
 
 Everything number-theoretic is exact (Python ints, fractions, interval
-certificates). Floating point reports the analytic estimates, through mpmath
-at fixed working precision, imported only by the functions that compute
-them. Double values also guide the isolating cells of cosine roots and the
-window of the T search, and exact checks decide both.
+certificates). The analytic estimates are computed with the standard
+library's decimal at a fixed working precision (report.PRECISION digits).
+Double values also guide the isolating cells of cosine roots and the window
+of the T search, and exact checks decide both.
 """
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .config import load_config
 from .construct import build_construction, mod2k_isotropy_probe, sweep
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .numfield import make_field
-from .report import dumps_report, mpf_str
+from .report import dumps_report, number_str
 from .selberg import (find_congruence_level, generator_bound_pipeline,
                       grh_threshold, unconditional_index_bound,
                       volume_index_bound_grh)
@@ -142,14 +142,14 @@ def bound_grh(args):
     val = volume_index_bound_grh(args.v, args.dimh, cfg.epsilon,
                                  cfg.prasad_c1, cfg.prasad_c2, cfg.lemma_C)
     report = {
-        "bound": mpf_str(val),
-        "v": mpf_str(args.v),
+        "bound": number_str(val),
+        "v": number_str(args.v),
         "dim_H": args.dimh,
         "constants": {
-            "epsilon": mpf_str(cfg.epsilon),
-            "prasad_c1": mpf_str(cfg.prasad_c1),
-            "prasad_c2": mpf_str(cfg.prasad_c2),
-            "lemma_C": mpf_str(cfg.lemma_C),
+            "epsilon": number_str(cfg.epsilon),
+            "prasad_c1": number_str(cfg.prasad_c1),
+            "prasad_c2": number_str(cfg.prasad_c2),
+            "lemma_C": number_str(cfg.lemma_C),
         },
     }
     sys.stdout.write(dumps_report(report))
@@ -214,12 +214,13 @@ def construct_sweep(args):
     rows = sweep(args.pmax, a_const=cfg.belolipetsky_a,
                  b_const=cfg.belolipetsky_b)
     if args.fmt == "json":
-        out = [{"p": p, "disc": str(disc), "log_v_hat": mpf_str(lv),
-                "ratio": mpf_str(r)} for p, disc, lv, r in rows]
+        out = [{"p": p, "disc": str(disc), "log_v_hat": number_str(lv),
+                "ratio": number_str(r)} for p, disc, lv, r in rows]
         sys.stdout.write(dumps_report({"rows": out}))
         return
     header = ("p", "disc", "log_v_hat", "ratio")
-    csv_rows = [(p, disc, mpf_str(lv), mpf_str(r)) for p, disc, lv, r in rows]
+    csv_rows = [(p, disc, number_str(lv), number_str(r))
+                for p, disc, lv, r in rows]
     sys.stdout.write(_csv_lines(header, csv_rows))
 
 
@@ -229,10 +230,10 @@ def apply_generators(args):
     val = generator_bound_pipeline(args.v, args.alpha, args.c,
                                    f_form=args.f_form)
     report = {
-        "value": mpf_str(val),
-        "v": mpf_str(args.v),
-        "alpha": mpf_str(args.alpha),
-        "c": mpf_str(args.c),
+        "value": number_str(val),
+        "v": number_str(args.v),
+        "alpha": number_str(args.alpha),
+        "c": number_str(args.c),
         "f_form": args.f_form,
     }
     sys.stdout.write(dumps_report(report))

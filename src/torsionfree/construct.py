@@ -16,13 +16,14 @@ cells around the real embeddings of the cosine field, which
 make_cosine_field(p) builds once and every check reads. What decides is
 exact: the interval certificate, the Newton slope, the certified cells,
 signs by one root comparison, and integer field arithmetic for the isometry
-and order checks. mpmath computes only the reported volume estimates, when
-they are read.
+and order checks. The reported volume estimates are decimal values at
+report.PRECISION digits, computed when they are read.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import ceil, cos, floor, pi
@@ -32,7 +33,7 @@ from .ntheory import is_prime, primes_in_range
 from .numfield import (FieldElement, NumberField, element_charpoly,
                        make_cosine_field, mul_mod, sign_at_embeddings)
 from .polyalg import compare_root, minpoly_two_cos, two_cos_discriminant
-from .report import MP_DPS, mpf_str
+from .report import CONTEXT, analytic, number_str
 from .torsion import mat_mul
 
 # largest p that a construction or a sweep accepts; build_construction(503)
@@ -64,14 +65,12 @@ class LatticeConstruction(namedtuple("LatticeConstruction", (
         return all(self.checks[name] for name in CHECK_NAMES)
 
     def to_json(self) -> dict:
-        from mpmath import mpf, workdps
-        with workdps(MP_DPS):
-            formula = mpf(self.p) ** (mpf(self.p - 2) / 2)
+        formula = CONTEXT.power(self.p, CONTEXT.divide(self.p - 2, 2))
         log_v_hat = self.log_volume_estimate
         exponent_matches = self.disc_used == self.p ** ((self.p - 3) // 2)
         discrepancies = [
             "published discriminant formula p^((p-2)/2) = "
-            f"{mpf_str(formula)} differs from the computed field "
+            f"{number_str(formula)} differs from the computed field "
             f"discriminant {self.disc_used} = p^((p-3)/2)",
             "the shifted cosine is negative at every non-identity real "
             "embedding (definiteness needs that sign); the published sign "
@@ -91,13 +90,14 @@ class LatticeConstruction(namedtuple("LatticeConstruction", (
                           for row in self.generator],
             "checks": {name: self.checks[name] for name in CHECK_NAMES},
             "disc_used": str(self.disc_used),
-            "disc_published_formula": mpf_str(formula),
+            "disc_published_formula": number_str(formula),
             "disc_matches_published_formula": (
                 (self.p - 2) % 2 == 0
                 and self.disc_used == self.p ** ((self.p - 2) // 2)),
             "disc_matches_observed_exponent": exponent_matches,
-            "log_volume_estimate": mpf_str(log_v_hat),
-            "lower_bound_ratio": mpf_str(lower_bound_ratio(self.p, log_v_hat)),
+            "log_volume_estimate": number_str(log_v_hat),
+            "lower_bound_ratio": number_str(
+                lower_bound_ratio(self.p, log_v_hat)),
             "paper_discrepancies": discrepancies,
         }
 
@@ -282,23 +282,21 @@ def _check_volume_inputs(p: int, disc: int, a_const, b_const) -> None:
         raise TorsionfreeError(f"log disc exceeds p log p at p = {p}")
 
 
+@analytic
 def log_volume(p: int, disc: int, a_const, b_const):
     """log v_hat = log a + b log disc for the discriminant disc of the
     conductor-p field; refuses log disc > p log p."""
     _check_volume_inputs(p, disc, a_const, b_const)
-    from mpmath import mp, mpf, workdps
-    with workdps(MP_DPS):
-        return mp.log(mpf(a_const)) + mpf(b_const) * mp.log(mpf(disc))
+    return Decimal(a_const).ln() + Decimal(b_const) * Decimal(disc).ln()
 
 
+@analytic
 def lower_bound_ratio(p: int, log_v_hat):
     """p log(log v) / log v: the index lower bound exhibited at volume v."""
-    from mpmath import mp, mpf, workdps
-    with workdps(MP_DPS):
-        lv = mpf(log_v_hat)
-        if lv <= 1:
-            raise PreconditionError("need log_v_hat > 1")
-        return mpf(p) * mp.log(lv) / lv
+    lv = Decimal(log_v_hat)
+    if lv <= 1:
+        raise PreconditionError("need log_v_hat > 1")
+    return p * lv.ln() / lv
 
 
 # ------------------------------------------------------------------- probe

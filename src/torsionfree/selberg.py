@@ -1,8 +1,8 @@
 """Torsion-free congruence level selection and the analytic index bounds.
 
 The congruence-level search is exact; the GRH threshold and the volume
-bounds are numeric (mpmath at report.MP_DPS significant digits, imported
-by the functions that compute them, so a level search never loads it). No
+bounds are numeric, at report.PRECISION significant digits: Li by its
+series on scaled integers, the rest in the standard library's decimal. No
 unstated constant is invented: the error term's 13 and the unconditional
 level 3 are the only fixed numbers, and everything configurable defaults to
 documented illustrative values supplied by the caller.
@@ -11,12 +11,13 @@ documented illustrative values supplied by the caller.
 from __future__ import annotations
 
 from collections import namedtuple
+from decimal import Decimal
 
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime
 from .numfield import (NumberField, dedekind_split, is_index_prime,
                        least_inertia_degree)
-from .report import MP_DPS
+from .report import E, analytic, number_str
 
 _THRESHOLD_CAP = 1 << 64
 ERR_CONSTANT = 13
@@ -54,20 +55,19 @@ class GrhReport(namedtuple("GrhReport", (
         "d", "log_D", "threshold_x", "li_at_threshold", "err_at_threshold",
         "smallest_actual_prime_norm", "config"))):
     """grh_threshold's answer for degree d and log_D: the threshold x, the
-    mpf values li(x) and err(x) there, the smallest prime-ideal norm of the
-    field when one was given (else None) and the constants used."""
+    Decimal values li(x) and err(x) there, the smallest prime-ideal norm of
+    the field when one was given (else None) and the constants used."""
 
     __slots__ = ()
 
     def to_json(self) -> dict:
-        from .report import mpf_str
         norm = self.smallest_actual_prime_norm
         return {
             "d": self.d,
-            "log_D": mpf_str(self.log_D),
+            "log_D": number_str(self.log_D),
             "threshold_x": str(self.threshold_x),
-            "li_at_threshold": mpf_str(self.li_at_threshold),
-            "err_at_threshold": mpf_str(self.err_at_threshold),
+            "li_at_threshold": number_str(self.li_at_threshold),
+            "err_at_threshold": number_str(self.err_at_threshold),
             "smallest_actual_prime_norm": None if norm is None else str(norm),
             "config": dict(self.config),
         }
@@ -148,41 +148,95 @@ def _degree_below(q: int, norm: int) -> int:
 
 # ---------------------------------------------------------------- analytics
 
-def logarithmic_integral(x):
-    """Li(x) = integral from 2 to x of dt/log t (mpmath's offset li), at
-    MP_DPS significant digits."""
-    if x < 2:
-        raise PreconditionError("Li is taken from 2; need x >= 2")
-    from mpmath import mp, mpf, workdps
-    with workdps(MP_DPS):
-        return mp.li(mpf(x), offset=True)
+# Euler's constant gamma and li(2), the offset of Li, to 50 digits
+EULER_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
+LI_2 = Decimal("1.04516378011749278484458888919461313652261557815120")
+# Li is summed on integers scaled by 2^_BITS. 2^-150 < 1e-45, so the floors,
+# a few hundred per value, stay far below the 30 digits kept (the tests hold
+# Li to 28 digits from 2.5 to 2^64).
+_BITS = 150
+_ONE = 1 << _BITS
 
 
-def _finite(name: str, value):
-    """value as an mpf; PreconditionError when it is nan or infinite."""
-    from mpmath import mp, mpf
-    vm = mpf(value)
-    if not mp.isfinite(vm):
+def _finite(name: str, value) -> Decimal:
+    """value (an int, float, str or Decimal) as an exact Decimal;
+    PreconditionError when it is nan or infinite."""
+    vd = Decimal(value)
+    if not vd.is_finite():
         raise PreconditionError(f"{name} must be finite, got {value}")
-    return vm
+    return vd
 
 
+def _scaled(value: Decimal) -> int:
+    """value * 2^_BITS, floored."""
+    num, den = value.as_integer_ratio()
+    return (num << _BITS) // den
+
+
+def _atanh(z: int) -> int:
+    """atanh(z / 2^_BITS), scaled, for 0 <= z <= 2^_BITS / 3: the sum of
+    z^(2k+1) / (2k+1), up to the first power that floors to zero."""
+    z2 = z * z >> _BITS
+    total = power = z
+    k = 1
+    while power:
+        power = power * z2 >> _BITS
+        k += 2
+        total += power // k
+    return total
+
+
+_LN_2 = 2 * _atanh(_ONE // 3)
+_LI_OFFSET = _scaled(EULER_GAMMA) - _scaled(LI_2)
+
+
+def _ln(v: int) -> int:
+    """ln(v / 2^_BITS), scaled, for v > 0: j ln 2 + 2 atanh((r - 1)/(r + 1))
+    with r = v / 2^(j + _BITS) in [1, 2)."""
+    j = v.bit_length() - 1 - _BITS
+    r = v >> j if j >= 0 else v << -j
+    return j * _LN_2 + 2 * _atanh(((r - _ONE) << _BITS) // (r + _ONE))
+
+
+@analytic
+def logarithmic_integral(x):
+    """Li(x) = integral from 2 to x of dt/log t = li(x) - li(2), at
+    report.PRECISION significant digits, with li(x) = gamma + ln L + the sum
+    over k >= 1 of L^k / (k k!), L = ln x. Every step runs on integers
+    scaled by 2^_BITS; the terms are positive, and the sum stops when
+    L^k / k! floors to zero. One decimal division rounds the result."""
+    xd = _finite("x", x)
+    if xd < 2:
+        raise PreconditionError("Li is taken from 2; need x >= 2")
+    if xd == 2:
+        return Decimal(0)
+    L = _ln(_scaled(xd))
+    total = _LI_OFFSET + _ln(L) + L
+    power = L  # L^k / k!
+    k = 1
+    while power:
+        k += 1
+        power = (power * L >> _BITS) // k
+        total += power // k
+    return Decimal(total) / _ONE
+
+
+@analytic
 def grh_error(x, d: int, log_D):
     """Err(x) = 13 sqrt(x) (log D + d log x)."""
     if x < 2:
         raise PreconditionError("need x >= 2")
     if d < 1:
         raise PreconditionError("degree must be >= 1")
-    from mpmath import mp, mpf, workdps
-    with workdps(MP_DPS):
-        xm = mpf(x)
-        return ERR_CONSTANT * mp.sqrt(xm) * (mpf(log_D) + d * mp.log(xm))
+    xd = Decimal(x)
+    return ERR_CONSTANT * xd.sqrt() * (Decimal(log_D) + d * xd.ln())
 
 
 def _grh_holds(x, d, log_D) -> bool:
     return logarithmic_integral(x) > grh_error(x, d, log_D) + d * d
 
 
+@analytic
 def grh_threshold(d: int, log_D, field: NumberField | None = None,
                   scan_cap: int = 10**6) -> GrhReport:
     """Smallest integer x with Li(x) > Err(x) + d^2, by doubling then
@@ -193,33 +247,32 @@ def grh_threshold(d: int, log_D, field: NumberField | None = None,
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
-    from mpmath import mpf, workdps
-    with workdps(MP_DPS):
-        if _finite("log_D", log_D) < 0:
-            raise PreconditionError("log_D must be >= 0")
-        x = 4
-        while not _grh_holds(x, d, log_D):
-            x *= 2
-            if x > _THRESHOLD_CAP:
-                raise ResourceCapError("GRH threshold exceeds 2^64")
-        lo, hi = x // 2, x  # predicate false at lo (or lo < 4), true at hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _grh_holds(mid, d, log_D):
-                hi = mid
-            else:
-                lo = mid
-        if _grh_holds(hi // 2, d, log_D):
-            raise TorsionfreeError("no crossing at half the GRH threshold")
-        norm_ = None
-        if field is not None:
-            norm_ = find_congruence_level(field, 1, scan_cap=scan_cap).norm
-        return GrhReport(
-            d=d, log_D=mpf(log_D), threshold_x=hi,
-            li_at_threshold=logarithmic_integral(hi),
-            err_at_threshold=grh_error(hi, d, log_D),
-            smallest_actual_prime_norm=norm_,
-            config={"err_constant": ERR_CONSTANT, "margin": "d^2"})
+    log_D = _finite("log_D", log_D)
+    if log_D < 0:
+        raise PreconditionError("log_D must be >= 0")
+    x = 4
+    while not _grh_holds(x, d, log_D):
+        x *= 2
+        if x > _THRESHOLD_CAP:
+            raise ResourceCapError("GRH threshold exceeds 2^64")
+    lo, hi = x // 2, x  # predicate false at lo (or lo < 4), true at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _grh_holds(mid, d, log_D):
+            hi = mid
+        else:
+            lo = mid
+    if _grh_holds(hi // 2, d, log_D):
+        raise TorsionfreeError("no crossing at half the GRH threshold")
+    norm_ = None
+    if field is not None:
+        norm_ = find_congruence_level(field, 1, scan_cap=scan_cap).norm
+    return GrhReport(
+        d=d, log_D=log_D, threshold_x=hi,
+        li_at_threshold=logarithmic_integral(hi),
+        err_at_threshold=grh_error(hi, d, log_D),
+        smallest_actual_prime_norm=norm_,
+        config={"err_constant": ERR_CONSTANT, "margin": "d^2"})
 
 
 def unconditional_index_bound(d: int, dim_H: int) -> int:
@@ -236,34 +289,34 @@ def unconditional_index_bound(d: int, dim_H: int) -> int:
     return 3 ** (d * dim_H)
 
 
+@analytic
 def volume_index_bound_grh(v, dim_H: int, epsilon, prasad_c1, prasad_c2, lemma_C):
     """lemma_C * ((c1 + c2) log v)^((2 + eps) dim H), the volume-only form."""
     if dim_H < 1:
         raise PreconditionError("dim_H must be >= 1")
-    from mpmath import mp, workdps
-    with workdps(MP_DPS):
-        vm = _finite("v", v)
-        if vm <= mp.e:
-            raise PreconditionError("need v > e so that log v > 1")
-        base = (_finite("prasad_c1", prasad_c1)
-                + _finite("prasad_c2", prasad_c2)) * mp.log(vm)
-        return _finite("lemma_C", lemma_C) * \
-            base ** ((2 + _finite("epsilon", epsilon)) * dim_H)
+    vd = _finite("v", v)
+    if vd <= E:
+        raise PreconditionError("need v > e so that log v > 1")
+    base = (_finite("prasad_c1", prasad_c1)
+            + _finite("prasad_c2", prasad_c2)) * vd.ln()
+    if base <= 0:
+        raise PreconditionError("need prasad_c1 + prasad_c2 > 0")
+    return _finite("lemma_C", lemma_C) * \
+        base ** ((2 + _finite("epsilon", epsilon)) * dim_H)
 
 
+@analytic
 def generator_bound_pipeline(v, alpha, c, f_form: str = "power"):
     """(f(v log^c v) + log log v) / v with f(u) = u^(1-alpha) or (log u)^alpha."""
-    from mpmath import mp, workdps
-    with workdps(MP_DPS):
-        vm = _finite("v", v)
-        if vm <= mp.e ** mp.e:
-            raise PreconditionError("need v > e^e so that log log v > 1")
-        alpha, c = _finite("alpha", alpha), _finite("c", c)
-        u = vm * mp.log(vm) ** c
-        if f_form == "power":
-            fu = u ** (1 - alpha)
-        elif f_form == "polylog":
-            fu = mp.log(u) ** alpha
-        else:
-            raise PreconditionError(f"unsupported f_form: {f_form!r}")
-        return (fu + mp.log(mp.log(vm))) / vm
+    vd = _finite("v", v)
+    if vd <= E ** E:
+        raise PreconditionError("need v > e^e so that log log v > 1")
+    alpha, c = _finite("alpha", alpha), _finite("c", c)
+    u = vd * vd.ln() ** c
+    if f_form == "power":
+        fu = u ** (1 - alpha)
+    elif f_form == "polylog":
+        fu = u.ln() ** alpha
+    else:
+        raise PreconditionError(f"unsupported f_form: {f_form!r}")
+    return (fu + vd.ln().ln()) / vd

@@ -13,6 +13,7 @@ odd witness since phi(2m) = phi(m) for odd m.
 from __future__ import annotations
 
 from collections import namedtuple
+from decimal import Decimal
 from functools import reduce
 from math import lcm
 from operator import add, mul
@@ -20,7 +21,7 @@ from operator import add, mul
 from .errors import PreconditionError, ResourceCapError
 from .ntheory import factorize, primes_upto
 from .polyalg import IntPoly, cyclotomic_poly
-from .report import MP_DPS
+from .report import E, analytic
 
 ND_CAP = 64
 
@@ -189,6 +190,7 @@ def matrix_order_is(M, ell: int) -> bool:
 
 # ------------------------------------------------------------ volume bounds
 
+@analytic
 def finite_subgroup_bound(v, n: int, jordan_index, c1, c2):
     """jordan_index * (c1 (log v)^c2)^n: abelian-diagonalizable bound times
     the Jordan index."""
@@ -196,9 +198,7 @@ def finite_subgroup_bound(v, n: int, jordan_index, c1, c2):
         raise PreconditionError("n must be >= 1")
     if jordan_index < 1:
         raise PreconditionError("jordan_index must be >= 1")
-    from mpmath import mp, mpf, workdps
-    with workdps(MP_DPS):
-        vm = mpf(v)
-        if vm <= mp.e:
-            raise PreconditionError("need v > e so that log v > 1")
-        return mpf(jordan_index) * (mpf(c1) * mp.log(vm) ** mpf(c2)) ** n
+    vd = Decimal(v)
+    if not vd.is_finite() or vd <= E:
+        raise PreconditionError("need a finite v > e so that log v > 1")
+    return Decimal(jordan_index) * (Decimal(c1) * vd.ln() ** Decimal(c2)) ** n

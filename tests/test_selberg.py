@@ -1,6 +1,8 @@
 import json
+import math
 import random
 import time
+from decimal import Decimal
 
 import mpmath as mp
 import pytest
@@ -12,9 +14,12 @@ from torsionfree.ntheory import primes_upto
 from torsionfree.numfield import (count_prime_ideals, dedekind_index_primes,
                                   dedekind_split, least_inertia_degree,
                                   make_cosine_field, make_field)
-from torsionfree.polyalg import IntPoly, minpoly_two_cos_conductor
-from torsionfree.selberg import (find_congruence_level, generator_bound_pipeline,
-                                 grh_error, grh_threshold, kionke_criterion,
+from torsionfree.polyalg import (IntPoly, minpoly_two_cos_conductor,
+                                 two_cos_discriminant)
+from torsionfree.report import number_str
+from torsionfree.selberg import (EULER_GAMMA, LI_2, find_congruence_level,
+                                 generator_bound_pipeline, grh_error,
+                                 grh_threshold, kionke_criterion,
                                  logarithmic_integral,
                                  unconditional_index_bound,
                                  volume_index_bound_grh)
@@ -237,82 +242,111 @@ class TestLevelScan:
 
 class TestLogarithmicIntegral:
     def test_frozen_value(self):
-        with mp.workdps(30):
-            v = logarithmic_integral(10**6)
-            assert mp.nstr(v, 17) == "78626.503995682064"
+        v = logarithmic_integral(10**6)
+        assert number_str(v) == "78626.503995682064"
 
     def test_against_independent_quadrature(self):
         with mp.workdps(30):
             for x in (10, 1000, 78498, 10**6):
-                mine = logarithmic_integral(x)
+                mine = mp.mpf(str(logarithmic_integral(x)))
                 oracle = mp.quad(lambda t: 1 / mp.log(t), [2, x])
                 assert abs(mine - oracle) / oracle < mp.mpf("1e-6")
 
+    def test_against_mpmath_li(self):
+        # ints and doubles from 2.5 to 2^64, log-uniform, and both ends: the
+        # printed digits agree, and the 30 kept are off by under 1e-28
+        rng = random.Random(2024)
+        xs = [2.5, 3, 2**64] + [
+            2.5 * (2**64 / 2.5) ** rng.random() for _ in range(1500)] + [
+            int(2 ** rng.uniform(2, 64)) for _ in range(1500)]
+        bad = []
+        with mp.workdps(40):
+            for x in xs:
+                mine, want = logarithmic_integral(x), mp.li(x, offset=True)
+                if number_str(mine) != mp.nstr(want, 17) or \
+                        abs(mp.mpf(str(mine)) / want - 1) > 1e-28:
+                    bad.append(x)
+        assert bad == []
+        assert logarithmic_integral(2) == 0
+
+    def test_constants_to_45_digits(self):
+        with mp.workdps(60):
+            tol = mp.mpf(10) ** -45
+            assert abs(mp.mpf(str(EULER_GAMMA)) - mp.euler) < tol
+            assert abs(mp.mpf(str(LI_2)) - mp.li(2)) < tol
+
     def test_against_prime_count(self):
         # pi(1e6) = 78498; Li overshoots by ~0.16%
-        with mp.workdps(30):
-            v = logarithmic_integral(10**6)
-            assert abs(v - 78498) / 78498 < 0.005
+        v = logarithmic_integral(10**6)
+        assert abs(v - 78498) / 78498 < 0.005
 
     def test_surrogate_below(self):
         # the elementary surrogate x / log x stays below Li(x)
-        with mp.workdps(30):
-            for x in (100, 10**4, 10**6):
-                assert x / mp.log(x) < logarithmic_integral(x)
+        for x in (100, 10**4, 10**6):
+            assert x / math.log(x) < logarithmic_integral(x)
 
     def test_domain(self):
-        with pytest.raises(PreconditionError):
-            logarithmic_integral(1)
+        for x in (1, float("inf"), float("nan")):
+            with pytest.raises(PreconditionError):
+                logarithmic_integral(x)
 
     def test_cache_determinism(self):
-        with mp.workdps(30):
-            a = logarithmic_integral(10**6)
-            logarithmic_integral(12345)
-            b = logarithmic_integral(10**6)
-            assert a == b
+        a = logarithmic_integral(10**6)
+        logarithmic_integral(12345)
+        b = logarithmic_integral(10**6)
+        assert a == b
 
 
 class TestGrhMachinery:
     def test_error_term(self):
+        v = grh_error(4, 1, 0)
+        # 13 * 2 * log 4
         with mp.workdps(30):
-            v = grh_error(4, 1, mp.mpf(0))
-            # 13 * 2 * log 4
-            assert mp.nstr(v, 12) == mp.nstr(26 * mp.log(4), 12)
+            assert number_str(v) == mp.nstr(26 * mp.log(4), 17)
 
     def test_threshold_frozen(self):
-        rep = grh_threshold(1, mp.mpf(0))
+        rep = grh_threshold(1, 0)
         assert rep.threshold_x == 9906725
         assert 10**6 < rep.threshold_x < 10**8
-        with mp.workdps(30):
-            assert mp.nstr(rep.li_at_threshold, 17) == "659128.7055786339"
-            assert mp.nstr(rep.err_at_threshold, 17) == "659127.69013013276"
+        assert number_str(rep.li_at_threshold) == "659128.7055786339"
+        assert number_str(rep.err_at_threshold) == "659127.69013013276"
+
+    # grh_threshold((p - 1) / 2, log two_cos_discriminant(p)) for the
+    # cosine field of conductor p
+    THRESHOLDS = {13: 1290160370, 23: 6073790416, 41: 27080980682,
+                  101: 254699818433, 199: 1312951800299,
+                  401: 6948265435520, 503: 11852692657767}
+
+    @pytest.mark.parametrize("p", sorted(THRESHOLDS))
+    def test_threshold_frozen_cosine_fields(self, p):
+        log_D = Decimal(two_cos_discriminant(p)).ln()
+        assert grh_threshold((p - 1) // 2, log_D).threshold_x == \
+            self.THRESHOLDS[p]
 
     def test_threshold_crossing(self):
-        rep = grh_threshold(1, mp.mpf(0))
+        rep = grh_threshold(1, 0)
         x = rep.threshold_x
-        with mp.workdps(30):
-            def margin(y):
-                return logarithmic_integral(y) - grh_error(y, 1, mp.mpf(0)) - 1
-            assert margin(x) > 0
-            assert margin(x - 1) <= 0
+
+        def margin(y):
+            return logarithmic_integral(y) - grh_error(y, 1, 0) - 1
+        assert margin(x) > 0
+        assert margin(x - 1) <= 0
 
     def test_norm_below_threshold_every_field(self, field_q, field_sqrt2,
                                               cosine_fields):
         for K, disc in all_fields(field_q, field_sqrt2, cosine_fields):
-            with mp.workdps(30):
-                rep = grh_threshold(K.degree, mp.log(disc))
+            rep = grh_threshold(K.degree, Decimal(disc).ln())
             lvl = find_congruence_level(K, 3)
             assert lvl.norm <= rep.threshold_x
 
     def test_threshold_monotone_in_degree(self):
-        with mp.workdps(30):
-            t1 = grh_threshold(1, mp.mpf(0)).threshold_x
-            t2 = grh_threshold(2, mp.mpf(0)).threshold_x
-            t3 = grh_threshold(3, mp.mpf(0)).threshold_x
+        t1 = grh_threshold(1, 0).threshold_x
+        t2 = grh_threshold(2, 0).threshold_x
+        t3 = grh_threshold(3, 0).threshold_x
         assert t1 < t2 < t3
 
     def test_report_json(self):
-        js = grh_threshold(1, mp.mpf(0)).to_json()
+        js = grh_threshold(1, 0).to_json()
         assert js["threshold_x"] == "9906725"
         assert js["config"]["err_constant"] == 13
         assert js["d"] == 1
@@ -321,13 +355,12 @@ class TestGrhMachinery:
                                         cosine_fields):
         # the point of the threshold: well beyond d^2 prime ideals exist
         for K, disc in all_fields(field_q, field_sqrt2, cosine_fields):
-            with mp.workdps(30):
-                rep = grh_threshold(K.degree, mp.log(disc))
+            rep = grh_threshold(K.degree, Decimal(disc).ln())
             n = count_prime_ideals(K, rep.threshold_x)
             assert n > K.degree**2
 
     def test_smallest_actual_prime_norm(self, field_q):
-        rep = grh_threshold(1, mp.mpf(0), field=field_q)
+        rep = grh_threshold(1, 0, field=field_q)
         assert rep.smallest_actual_prime_norm == 3
 
 
@@ -346,25 +379,27 @@ class TestIndexBounds:
             unconditional_index_bound(0, 3)
 
     def test_volume_bound_formula(self):
-        with mp.workdps(30):
-            v = volume_index_bound_grh(100, 3, 0.1, 1.0, 1.0, 1.0)
-            assert mp.nstr(v, 17) == "1188329.2418552457"
+        v = volume_index_bound_grh(100, 3, 0.1, 1.0, 1.0, 1.0)
+        assert number_str(v) == "1188329.2418552457"
+
+    def test_volume_bound_rejects(self):
+        with pytest.raises(PreconditionError):
+            volume_index_bound_grh(100, 3, 0.1, -5.0, 1.0, 1.0)
+        with pytest.raises(PreconditionError):
+            volume_index_bound_grh(float("inf"), 3, 0.1, 1.0, 1.0, 1.0)
 
     def test_volume_bound_monotone(self):
-        with mp.workdps(30):
-            a = volume_index_bound_grh(100, 3, 0.1, 1.0, 1.0, 1.0)
-            b = volume_index_bound_grh(200, 3, 0.1, 1.0, 1.0, 1.0)
-            assert b > a
+        a = volume_index_bound_grh(100, 3, 0.1, 1.0, 1.0, 1.0)
+        b = volume_index_bound_grh(200, 3, 0.1, 1.0, 1.0, 1.0)
+        assert b > a
 
     def test_generator_bound_frozen(self):
-        with mp.workdps(30):
-            v = generator_bound_pipeline(10**6, 0.5, 1.0, f_form="power")
-            assert mp.nstr(v, 17) == "0.0037195479807643145"
+        v = generator_bound_pipeline(10**6, 0.5, 1.0, f_form="power")
+        assert number_str(v) == "0.0037195479807643145"
 
     def test_generator_bound_polylog(self):
-        with mp.workdps(30):
-            v = generator_bound_pipeline(10**6, 0.5, 1.0, f_form="polylog")
-            assert v > 0
+        v = generator_bound_pipeline(10**6, 0.5, 1.0, f_form="polylog")
+        assert v > 0
 
     def test_generator_bound_rejects(self):
         with pytest.raises(PreconditionError):
