@@ -9,11 +9,24 @@ The parser is the standard library's argparse, so start-up loads no
 command-line framework, and the package's records are plain classes with
 no generated methods. Every program module is still imported here at load;
 csv only by the commands that print a table.
+
+main runs one command for a process (python -m torsionfree.cli and the
+torsionfree script): it returns entrypoint's exit code and then freezes
+the collector, which moves every tracked object (about 13,700 after
+construct --p 5, most of them the standard library) into the permanent
+generation, so the full collections the interpreter runs while it
+finalizes have nothing to scan; that saved about 7 ms of a 53 ms call on
+a 2-core machine. No object of the tool has a finalizer that needs those
+collections.
+entrypoint is the in-process API for tests and the traced benchmark
+worker: it leaves the collector alone, since a caller that goes on
+running needs its later garbage collected.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import re
@@ -345,5 +358,15 @@ def entrypoint(argv=None) -> int:
         return 2
 
 
+def main(argv=None) -> int:
+    """The process entry: entrypoint(argv), then gc.freeze(), so that the
+    collections at interpreter exit skip the heap; atexit, module teardown
+    and the flush of stdout and stderr still run."""
+    try:
+        return entrypoint(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(entrypoint())
+    sys.exit(main())

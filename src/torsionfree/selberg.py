@@ -232,8 +232,10 @@ def grh_error(x, d: int, log_D):
     return ERR_CONSTANT * xd.sqrt() * (Decimal(log_D) + d * xd.ln())
 
 
-def _grh_holds(x, d, log_D) -> bool:
-    return logarithmic_integral(x) > grh_error(x, d, log_D) + d * d
+def _grh_terms(x, d, log_D):
+    """(Li(x), Err(x)) when Li(x) > Err(x) + d^2, else None."""
+    li, err = logarithmic_integral(x), grh_error(x, d, log_D)
+    return (li, err) if li > err + d * d else None
 
 
 @analytic
@@ -251,26 +253,26 @@ def grh_threshold(d: int, log_D, field: NumberField | None = None,
     if log_D < 0:
         raise PreconditionError("log_D must be >= 0")
     x = 4
-    while not _grh_holds(x, d, log_D):
+    while (at_hi := _grh_terms(x, d, log_D)) is None:
         x *= 2
         if x > _THRESHOLD_CAP:
             raise ResourceCapError("GRH threshold exceeds 2^64")
     lo, hi = x // 2, x  # predicate false at lo (or lo < 4), true at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _grh_holds(mid, d, log_D):
-            hi = mid
+        terms = _grh_terms(mid, d, log_D)
+        if terms is not None:
+            hi, at_hi = mid, terms  # the report's pair: Li and Err at hi
         else:
             lo = mid
-    if _grh_holds(hi // 2, d, log_D):
+    if _grh_terms(hi // 2, d, log_D) is not None:
         raise TorsionfreeError("no crossing at half the GRH threshold")
     norm_ = None
     if field is not None:
         norm_ = find_congruence_level(field, 1, scan_cap=scan_cap).norm
     return GrhReport(
         d=d, log_D=log_D, threshold_x=hi,
-        li_at_threshold=logarithmic_integral(hi),
-        err_at_threshold=grh_error(hi, d, log_D),
+        li_at_threshold=at_hi[0], err_at_threshold=at_hi[1],
         smallest_actual_prime_norm=norm_,
         config={"err_constant": ERR_CONSTANT, "margin": "d^2"})
 

@@ -1,4 +1,8 @@
 import ast
+import contextlib
+import gc
+import importlib
+import io
 import json
 import random
 import re
@@ -13,6 +17,7 @@ import jsonschema
 import pytest
 
 from conftest import DATA, GOLDEN, child_env, run_cli
+from torsionfree import cli
 from torsionfree.cli import entrypoint
 from torsionfree.config import KEYS, Config
 from torsionfree.polyalg import IntPoly, discriminant
@@ -663,6 +668,83 @@ class TestParser:
         assert json.loads(out)["report"]["log_volume_estimate"] == want
         assert "belolipetsky_a" not in err
         assert "belolipetsky_b" in err
+
+
+EXIT_CASES = {  # name: (exit code, arguments)
+    "exit2_missing_file": (2, ["field", "analyze", "/nonexistent.poly"]),
+    "exit3_probe_guard": (3, ["construct", "--p", "5", "--probe-k", "25"]),
+    "exit64_missing_argument": (64, ["level", "find"]),
+}
+
+
+class TestExitPath:
+    """python -m torsionfree.cli runs main, which freezes the collector
+    after the command; the in-process entrypoint leaves it alone. Both
+    give the same exit code, stdout and stderr."""
+
+    CASES = {**{name: (0, args) for name, args in GOLDEN_CASES.items()},
+             **EXIT_CASES}
+
+    @staticmethod
+    def in_process(args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = entrypoint(args)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_process_matches_entrypoint(self, name, monkeypatch):
+        monkeypatch.delenv("TORSIONFREE_CONFIG", raising=False)
+        code, args = self.CASES[name]
+        result = run_cli(*args)
+        assert result[0] == code
+        assert result == self.in_process(args)
+
+    @pytest.mark.parametrize("name", ["bound_unconditional.json",
+                                      "exit2_missing_file",
+                                      "exit64_missing_argument"])
+    def test_entrypoint_leaves_the_collector_alone(self, name, monkeypatch):
+        monkeypatch.delenv("TORSIONFREE_CONFIG", raising=False)
+        frozen = gc.get_freeze_count()
+        self.in_process(self.CASES[name][1])
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("name", ["bound_unconditional.json",
+                                      "exit64_missing_argument"])
+    def test_main_freezes_once_after_the_command(self, name, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        code, args = self.CASES[name]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(args) == code
+        assert calls == ["freeze"]
+
+    def test_module_run_freezes_and_keeps_atexit(self):
+        # the __main__ block runs main; an atexit handler, which runs after
+        # it, still runs and sees the frozen objects
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() "
+            "> 1000, file=sys.stderr))\n"
+            "sys.argv = ['torsionfree', 'bound', 'unconditional', '--d', '1',"
+            " '--dimh', '3']\n"
+            "runpy.run_module('torsionfree.cli', run_name='__main__')\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=child_env(), timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN / "bound_unconditional.json").read_text()
+        assert proc.stderr == "frozen True\n"
+
+    def test_console_script_is_main(self):
+        tomllib = pytest.importorskip("tomllib")  # 3.11 and later
+        pyproject = Path(__file__).parent.parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"] \
+            ["torsionfree"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 LOADED_SCRIPT = """

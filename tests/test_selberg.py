@@ -2,7 +2,7 @@ import json
 import math
 import random
 import time
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import mpmath as mp
 import pytest
@@ -331,6 +331,56 @@ class TestGrhMachinery:
             return logarithmic_integral(y) - grh_error(y, 1, 0) - 1
         assert margin(x) > 0
         assert margin(x - 1) <= 0
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """The x of every call grh_threshold makes to Li and to Err."""
+        li_xs, err_xs = [], []
+        li, err = selberg.logarithmic_integral, selberg.grh_error
+
+        def counted_li(x):
+            li_xs.append(x)
+            return li(x)
+
+        def counted_err(x, d, log_D):
+            err_xs.append(x)
+            return err(x, d, log_D)
+        monkeypatch.setattr(selberg, "logarithmic_integral", counted_li)
+        monkeypatch.setattr(selberg, "grh_error", counted_err)
+        return li_xs, err_xs
+
+    def test_threshold_evaluates_each_x_once(self, monkeypatch):
+        li_xs, err_xs = self.count_calls(monkeypatch)
+        rep = grh_threshold(1, 0)
+        # doubling 4 .. 2^24 (23 points), bisection of (2^23, 2^24]
+        # (23 steps) and the half check; the report takes Li and Err at
+        # the threshold from the bisection step that found it
+        assert li_xs == err_xs
+        assert len(li_xs) == len(set(li_xs)) == 47
+        assert li_xs.count(9906725) == 1
+        assert number_str(rep.li_at_threshold) == "659128.7055786339"
+        assert number_str(rep.err_at_threshold) == "659127.69013013276"
+
+    def test_threshold_on_the_doubling_grid(self, monkeypatch):
+        # log D midway between the crossings at 2^24 - 1 and 2^24, so the
+        # bisection never moves hi and the report keeps the doubling step's
+        # Li and Err
+        def crossing_log_D(x):
+            with localcontext() as ctx:
+                ctx.prec = 40
+                xd = Decimal(x)
+                return (logarithmic_integral(x) - 1) / (13 * xd.sqrt()) \
+                    - xd.ln()
+        x = 2**24
+        log_D = (crossing_log_D(x - 1) + crossing_log_D(x)) / 2
+        assert logarithmic_integral(x) > grh_error(x, 1, log_D) + 1
+        assert logarithmic_integral(x - 1) <= grh_error(x - 1, 1, log_D) + 1
+        li_xs, err_xs = self.count_calls(monkeypatch)
+        rep = grh_threshold(1, log_D)
+        assert rep.threshold_x == x
+        assert li_xs == err_xs and li_xs.count(x) == 1
+        assert rep.li_at_threshold == logarithmic_integral(x)
+        assert rep.err_at_threshold == grh_error(x, 1, log_D)
 
     def test_norm_below_threshold_every_field(self, field_q, field_sqrt2,
                                               cosine_fields):
