@@ -5,11 +5,13 @@ The range kernels draw their primes from the package's one sieve,
 ntheory.progression_blocks, as (v, flags) segments: the class count sieves
 only the members prime to 6 of the classes r mod n it counts, as
 progressions mod lcm(n, 6) that share one table of base primes, and
-popcounts the flags; the root count sieves the odd numbers as the
-progression 1 + 2k. The two polynomial counts are the only numpy code in
-the package: they work on int64 arrays in batches, importing numpy on
-first use, so no other command loads it. IMPLEMENTATION names the one
-backend; benchmark records carry it as their backend stamp.
+sums the 0/1 flags of each segment by Adler-32 checksums of chunks short
+enough that the checksum's low half is the exact sum; the root count
+sieves the odd numbers as the progression 1 + 2k. The two polynomial
+counts are the only numpy code in the package: they work on int64 arrays
+in batches, importing numpy on first use, so no other command loads it.
+zlib, for the checksum, is imported on first use too. IMPLEMENTATION
+names the one backend; benchmark records carry it as their backend stamp.
 
 Both polynomial counts rest on one core, _power_gcd_degrees: for a batch of
 columns (p, e) it computes deg gcd(f, x^e - x) over F_p in lockstep. The
@@ -73,10 +75,22 @@ _MAX_DEGREE = 63
 # sqrt(hi)) could never be listed.
 _VALUE_CAP = 1 << 62
 
-# Bytes of sieve flags read as one integer by the class count's popcount:
-# a 64 KiB slice costs no more per byte than a whole 1 MiB segment and
-# bounds the copy.
-_POPCOUNT_BYTES = 1 << 16
+# Bytes of sieve flags summed by one Adler-32 call in _flag_count. The low
+# half of adler32 is 1 + (byte sum mod 65,521) (RFC 1950), so a chunk of at
+# most 65,519 flags, whose sum is at most 65,519, reads exactly; an
+# all-ones chunk of 65,520 bytes would read as -1.
+_POPCOUNT_BYTES = 65_519
+
+
+def _flag_count(flags) -> int:
+    """The number of 1 bytes in a buffer of 0/1 bytes: the byte sum of each
+    chunk of _POPCOUNT_BYTES, read off its Adler-32 checksum, so no copy of
+    the buffer is made."""
+    from zlib import adler32
+
+    view = memoryview(flags)
+    return sum((adler32(view[i : i + _POPCOUNT_BYTES]) & 0xFFFF) - 1
+               for i in range(0, len(view), _POPCOUNT_BYTES))
 
 
 def _class_count(lo: int, hi: int, n: int, classes: set[int]) -> int:
@@ -88,20 +102,15 @@ def _class_count(lo: int, hi: int, n: int, classes: set[int]) -> int:
     prime to 6, so no multiple of 2 or 3 is ever sieved (a wheel mod 6,
     Pritchard, Acta Inform. 17, 1982). 2 and 3 are counted apart. Every
     progression shares N and hi, so one base-prime table serves them all.
-    A segment's flags are 0 or 1, so its prime count is the popcount of
-    its bytes, read as integers of _POPCOUNT_BYTES bytes at most so that
-    no copy of a whole segment is made."""
+    A segment's flags are 0 or 1, so its prime count is their sum
+    (_flag_count)."""
     N = n * 6 // gcd(n, 6)
     total = sum(lo <= q < hi and q % n in classes for q in (2, 3))
     for r in classes:
         for s in range(r, r + N, n):
             if gcd(s, 6) == 1:
                 for _v, flags in progression_blocks(lo, hi, N, s):
-                    view = memoryview(flags)
-                    total += sum(
-                        int.from_bytes(view[i : i + _POPCOUNT_BYTES],
-                                       "little").bit_count()
-                        for i in range(0, len(view), _POPCOUNT_BYTES))
+                    total += _flag_count(flags)
     return total
 
 

@@ -300,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--d", type=int, required=True, help="Field degree.")
     cmd.add_argument("--dimh", type=int, required=True, help="dim H.")
 
-    cmd = _command(group("torsion", "Exact torsion orders and their "
-                                    "closed-form bounds."),
+    cmd = _command(group("torsion", "Maximal torsion orders, exact for "
+                                    "d = 1 and an upper bound for d > 1, "
+                                    "and their closed-form bounds."),
                    "table", torsion_table)
     cmd.add_argument("--nmax", type=int, required=True)
     cmd.add_argument("--d", type=int, default=1, help="[default: 1]")

@@ -11,17 +11,22 @@ beyond it, as does a cofactor above 4,096 bits that is no perfect power.
 Primes come from one segmented sieve over an arithmetic progression r + k n
 (progression_blocks), in pure Python on bytearray flags. primes_in_range
 runs it on the odd numbers 1 + 2k, and the class-count kernel on the
-members prime to 6 of the classes it counts. The base primes of a sieve and
-their inverses mod n sit in a one-entry cache, so the progressions of one
-class count, which share hi and n, build them once.
+members prime to 6 of the classes it counts. A base prime goes live in
+the first segment that reaches its square; below the range it strikes
+from that segment's first index, inside the range from its square. The
+primes below a bound sit in a one-entry cache, which primes_upto copies
+and a sieve's base table reads, so a count that lists the primes up to
+sqrt(x) and then sieves up to x lists them once. The base primes of a
+sieve and their inverses mod n sit in a one-entry cache too, so the
+progressions of one class count, which share hi and n, build them once.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import compress, islice, repeat, takewhile
+from itertools import compress, islice, takewhile
 
 from .errors import ResourceCapError
 
@@ -123,11 +128,19 @@ _ZEROS = memoryview(bytes(_BLOCK))
 
 
 @lru_cache(maxsize=1)
+def _primes_below(m: int) -> tuple[int, ...]:
+    """The primes below m, ascending. One entry is kept, so a count that
+    lists the primes up to sqrt(x) and then sieves up to x, whose base
+    primes are the same, sieves them once."""
+    return ((2,) if m > 2 else ()) + tuple(_odd_primes(3, m))
+
+
+@lru_cache(maxsize=1)
 def _base_table(m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(the primes b < m that do not divide n, ascending; u_b = -1/n mod b
     for each). One entry is kept, so the progressions of one class count,
     which share m and n, build it once."""
-    base = tuple(b for b in (2, *_odd_primes(3, m)) if b < m and n % b)
+    base = tuple(b for b in _primes_below(m) if n % b)
     return base, tuple(-pow(n, -1, b) % b for b in base)
 
 
@@ -140,9 +153,13 @@ def progression_blocks(lo: int, hi: int, n: int, r: int):
     This is the package's one sieve: a segmented sieve of Eratosthenes over
     the progression alone (Bays-Hudson, BIT 17, 1977). A base prime
     l <= sqrt(hi - 1) that does not divide n hits the progression at the
-    indices k = r u_l (mod l), u_l = -1/n mod l, and strikes them from the
-    first one whose value is at least l^2, so l itself survives; each base
-    prime carries its next index from one segment to the next.
+    indices k = r u_l (mod l), u_l = -1/n mod l. It goes live in the
+    first segment whose last value is at least l^2. A base prime below lo
+    strikes from the first index of that segment: its multiples in the
+    range are all composite, those below l^2 too. One at or above lo
+    strikes from the first index whose value is at least l^2, so l itself
+    survives. Each live base prime carries its next index from one
+    segment to the next.
     """
     r %= n
     if math.gcd(r, n) != 1:
@@ -152,24 +169,28 @@ def progression_blocks(lo: int, hi: int, n: int, r: int):
         return
     k_lo, k_hi = -((r - lo) // n), -((r - hi) // n)
     base, u = _base_table(math.isqrt(hi - 1) + 1, n)
-    # first index whose value is >= b^2, ascending in b
-    first = [-((r - b * b) // n) for b in base]
-    # the first index each base prime strikes: at or past both k_lo and
-    # its first, and = r u_b (mod b)
-    nxt = [k + (r * ub - k) % b
-           for b, ub, k in zip(base, u, map(max, first, repeat(k_lo)))]
+    below = bisect_left(base, lo)
+    nxt: list[int] = []  # the next index each live base prime strikes
     for s in range(k_lo, k_hi, _BLOCK):
         e = min(s + _BLOCK, k_hi)
+        # base[a:live] go live here: b^2 is at most the segment's last
+        # value; base[a:m] lie below lo and base[m:live] do not
+        a = len(nxt)
+        live = bisect_right(base, math.isqrt(r + n * (e - 1)))
+        m = min(live, max(a, below))
+        nxt += [s + (r * ub - s) % b for b, ub in zip(base[a:m], u[a:m])]
+        squares = [-((r - b * b) // n) for b in base[m:live]]
+        nxt += [k + (r * ub - k) % b
+                for b, ub, k in zip(base[m:live], u[m:live], squares)]
         flags = bytearray(b"\x01") * (e - s)
-        live = bisect_left(first, e)
         out = []
-        for b, k in zip(base, nxt[:live]):
+        for b, k in zip(base, nxt):
             if k < e:
                 c = (e - 1 - k) // b + 1
                 flags[k - s :: b] = _ZEROS[:c]
                 k += c * b
             out.append(k)
-        nxt[:live] = out
+        nxt = out
         yield r + n * s, flags
 
 
@@ -186,8 +207,9 @@ def primes_in_range(a: int, b: int) -> list[int]:
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n, ascending."""
-    return primes_in_range(2, n + 1)
+    """All primes <= n, ascending: a new list on every call, from the
+    one-entry cache of _primes_below."""
+    return list(_primes_below(n + 1))
 
 
 def iroot(n: int, k: int) -> int:

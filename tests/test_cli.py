@@ -627,6 +627,11 @@ class TestParser:
         assert entrypoint([*command, "--help"]) == 0
         assert "Usage" in capsys.readouterr().out
 
+    def test_torsion_help_says_upper_bound(self, capsys):
+        # the maximal order is exact for d = 1 and an upper bound above
+        assert entrypoint(["torsion", "--help"]) == 0
+        assert "upper bound" in capsys.readouterr().out
+
     @pytest.mark.parametrize("args", [
         ["torsion", "table", "--nmax", "3", "--format", "xml"],
         ["construct", "sweep", "--pmax", "13", "--format", "yaml"],

@@ -317,6 +317,67 @@ class TestPrimeCounts:
         assert max(lengths) > size
         assert size == 1 or any(n % size for n in lengths)
 
+    @pytest.mark.parametrize("block", [None, 5, 64])
+    def test_base_primes_at_the_range_edge(self, block, monkeypatch):
+        """A base prime b at lo + 1, lo or lo - 1, with hi = b^2 + 1 so that
+        b is the largest base prime and b^2 the last value: inside the
+        range b survives and b^2 is struck; below it, b strikes from the
+        first index of the segment where it goes live."""
+        if block is not None:
+            monkeypatch.setattr(ntheory, "_BLOCK", block)
+        prime = [is_prime(q) for q in range(211 * 211 + 2)]
+        for b in primes_upto(211):
+            hi = b * b + 1
+            for lo in (b - 1, b, b + 1):
+                want = [q for q in range(lo, hi) if prime[q]]
+                assert primes_in_range(lo, hi) == want, (b, lo)
+                for n in (1, 4, 13, 30):
+                    classes = {b % n, (b * b) % n}
+                    assert prime_count_in_classes(lo, hi, n, tuple(classes)) \
+                        == sum(1 for q in want
+                               if n == 1 or q % n in classes), (b, lo, n)
+
+    @pytest.mark.parametrize("n, r", [(2, 1), (78, 7)])
+    def test_base_primes_go_live_at_their_squares(self, n, r, monkeypatch):
+        """Over a range far above sqrt(hi), a base prime strikes nothing
+        before the segment that holds its square: a segment makes at most
+        one strike per base prime b with b^2 at most its last value. A
+        base prime live from the first segment would loop in every one."""
+        lo, hi = 10**4 + 1, 10**6
+        # built, and cached, before the spy counts strikes
+        base, _u = ntheory._base_table(isqrt(hi - 1) + 1, n)
+        monkeypatch.setattr(ntheory, "_BLOCK", 64)
+        strikes = [0]
+
+        class Zeros:
+            def __getitem__(self, key):
+                strikes[-1] += 1
+                return memoryview(bytes(64))[key]
+
+        monkeypatch.setattr(ntheory, "_ZEROS", Zeros())
+        segments = 0
+        for v, flags in progression_blocks(lo, hi, n, r):
+            last = v + n * (len(flags) - 1)
+            assert strikes[-1] <= sum(1 for b in base if b * b <= last)
+            strikes.append(0)
+            segments += 1
+        assert segments > 100 and sum(strikes) > 0
+
+    @pytest.mark.parametrize("length", [0, 1, 32_768, 65_519, 3 * 65_519 + 7])
+    def test_flag_count_all_ones(self, length):
+        # a chunk of at most 65,519 ones sums below the Adler-32 modulus
+        # 65,521 less 1, so its checksum's low half reads exactly
+        assert _kernels._flag_count(bytearray(b"\x01") * length) == length
+        assert _kernels._flag_count(bytearray(length)) == 0
+
+    def test_flag_count_random(self):
+        rng = random.Random(36)
+        low_bit = bytes(i & 1 for i in range(256))
+        for length in (1, 2, 1000, 65_518, 65_519, 65_520, 131_039,
+                       ntheory._BLOCK, ntheory._BLOCK + 3):
+            flags = bytearray(rng.randbytes(length).translate(low_bit))
+            assert _kernels._flag_count(flags) == sum(flags), length
+
     def test_modulus_one_counts_all(self):
         assert prime_count_in_classes(2, 1000, 1, (0,)) == \
             len(primes_in_range(2, 1000))
@@ -820,6 +881,17 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_zlib_unloaded():
+    # -S, since site can import zlib itself (through the .pth files of an
+    # installation); the class count imports it on first use
+    code = ("import sys, torsionfree.cli; "
+            "print('zlib' in sys.modules, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False False"
+
+
 # Only the root-count kernel loads numpy: every command and count that
 # sieves but counts no roots above sqrt(x) runs without it.
 _NUMPY_CHECKS = {
@@ -904,6 +976,9 @@ class TestNtheory:
         ps = primes_upto(100)
         assert len(ps) == 25 and ps[0] == 2 and ps[-1] == 97
         assert primes_upto(1) == [] and primes_upto(2) == [2]
+        # a new list on every call, though the primes are cached
+        ps.append(101)
+        assert primes_upto(100) == ps[:-1] and primes_upto(100) is not ps
 
     def test_primes_in_range_matches(self):
         assert primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]

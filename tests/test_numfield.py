@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath as mp
 import pytest
@@ -541,6 +541,27 @@ class TestCounting:
         monkeypatch.setattr(numfield, "dedekind_split", counting_split)
         assert count_prime_ideals(make_cosine_field(n), 10**6) == want
         assert sorted(seen) == [q for q in primes_upto(n) if n % q == 0]
+
+    @pytest.mark.parametrize("p, x", [(5, 10**4), (13, 10**6 + 1),
+                                      (31, 10**7)])
+    def test_cosine_count_sieves_small_primes_once(self, p, x, monkeypatch):
+        # the inertia loop and the class sieve's base table share one list
+        # of the primes below sqrt(x) + 1
+        want = count_prime_ideals(make_cosine_field(p), x)
+        odd_primes = ntheory._odd_primes
+        ranges = []
+
+        def spy(a, b):
+            ranges.append((a, b))
+            return odd_primes(a, b)
+
+        monkeypatch.setattr(ntheory, "_odd_primes", spy)
+        ntheory._primes_below.cache_clear()
+        ntheory._base_table.cache_clear()
+        assert count_prime_ideals(make_cosine_field(p), x) == want
+        B = isqrt(x)
+        assert sum(1 for a, b in ranges if b == B + 1) == 1
+        assert all(b <= B + 1 for a, b in ranges)
 
     def test_unreliable_reported_not_dropped(self):
         K = make_field(IntPoly((-8, -2, -1, 1)))
