@@ -6,15 +6,19 @@ Course in Computational Algebraic Number Theory, GTM 138, 4.2); a product
 multiplies the numerators in Z[x] and reduces by the monic f (mul_mod), and
 no Fraction is built until .rep asks for the rational coefficients.
 
-Splitting of rational primes is only read from f mod p away from the primes
-that may divide [O : Z[theta]]. is_index_prime decides that for one prime q
-where a caller visits it: q^2 must divide the polynomial discriminant and
-Dedekind's criterion fail at q, and the answer is memoised per field, so the
-criterion runs at most once per (field, q). Splitting, the level scan and
-the generic count ask only at the primes they reach, so building a field
-factors nothing; only dedekind_index_primes, for field_disc and the report,
-factors the whole discriminant. Real embeddings are isolating intervals,
-ordered by ascending embedding value.
+dedekind_split is the one answer to how a rational prime q splits, up to
+an optional bound on the norm. The level scan asks it for every prime it
+visits, and the abelian count for the primes dividing the conductor; the
+count's loop over the other primes reads the same inertia memo directly.
+It reads f mod q away from the primes that may divide [O : Z[theta]].
+is_index_prime decides that for one prime q where a caller visits it: q^2
+must divide the polynomial discriminant and Dedekind's criterion fail at
+q, and the answer is memoised per field, so the criterion runs at most once
+per (field, q). Splitting, the level scan and the generic count ask only at
+the primes they reach, so building a field factors nothing; only
+dedekind_index_primes, for field_disc and the report, factors the whole
+discriminant. Real embeddings are isolating intervals, ordered by ascending
+embedding value.
 
 Library-built cosine fields Q(2cos(2pi/n)) carry their conductor n and are
 built once per conductor. Their real embeddings come from the closed form
@@ -43,8 +47,8 @@ from .polyalg import (
     sign_at_root,
     two_cos_discriminant,
 )
-from .polyalg.modp import (_distinct_degree, gf_divmod, gf_gcd, gf_mul,
-                           gf_squarefree_parts, gf_trim)
+from .polyalg.modp import (gf_divmod, gf_gcd, gf_mul, gf_squarefree_parts,
+                           gf_trim)
 
 # Largest x (exclusive) for the class-sieve count of a cosine field; the
 # generic route stops at 2^31, the range of the kernels it runs in.
@@ -337,22 +341,33 @@ def _charpoly_linear(f: IntPoly, a: int, b: int, den: int) -> tuple[Fraction, ..
     return tuple(Fraction(h[k], den ** (d - k)) for k in range(d + 1))
 
 
-def dedekind_split(K: NumberField, p: int) -> tuple[tuple[int, int], ...]:
+def dedekind_split(K: NumberField, p: int,
+                   below: int | None = None) -> tuple[tuple[int, int], ...]:
     """Shape of p * O as (e_i, f_i) pairs ordered by (f_i, e_i), read from
-    the defining polynomial mod p; an index prime of K, where that reading
-    fails, raises PreconditionError. In a cosine field of conductor n, a
-    prime p not dividing n is unramified with the inertia degree
-    _inertia_degree reads from p mod n, so no factorisation is needed.
+    the defining polynomial mod p; with below, only the primes of norm
+    p^f_i < below, and the distinct-degree walk stops at the largest j
+    with p^j < below. An index prime of K, where that reading fails,
+    raises PreconditionError. In a cosine field of conductor n, a prime p not
+    dividing n is unramified with the inertia degree _inertia_degree reads
+    from p mod n, so no factorisation is needed.
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     if is_index_prime(K, p):
         raise PreconditionError(f"{p} may divide the index [O : Z[theta]]")
+    top = None
+    if below is not None:
+        top, power = 0, p  # the largest top with p^top < below
+        while power < below:
+            top += 1
+            power *= p
     n = K.conductor
     if n is not None and n % p:
         f = _inertia_degree(p % n, n)
+        if top is not None and f > top:
+            return ()
         return ((1, f),) * (K.degree // f)
-    return tuple((e, d) for g, d, e in factor_mod_p(K.defining_poly, p)
+    return tuple((e, d) for g, d, e in factor_mod_p(K.defining_poly, p, top)
                  for _ in range(g.degree // d))
 
 
@@ -367,31 +382,6 @@ def _inertia_degree(c: int, n: int) -> int:
         x = x * c % n
         f += 1
     return f
-
-
-def least_inertia_degree(K: NumberField, p: int,
-                         top: int | None = None) -> int | None:
-    """Least inertia degree f <= top of a prime ideal above a prime p that
-    does not divide disc_poly, or None when every prime above p has a
-    larger one; top defaults to the degree of K.
-
-    Such a p is unramified and no index prime, so the degrees are those of
-    the factors of the squarefree f mod p. A cosine field of conductor n
-    not divisible by p reads f from _inertia_degree; every other field
-    walks the distinct-degree steps of f mod p up to the least degree
-    present, or up to top, with no equal-degree factoring.
-    """
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    if K.disc_poly % p == 0:
-        raise PreconditionError(f"{p} divides the polynomial discriminant")
-    top = K.degree if top is None else top
-    n = K.conductor
-    if n is not None and n % p:
-        f = _inertia_degree(p % n, n)
-        return f if f <= top else None
-    fp = gf_trim([c % p for c in K.defining_poly.coeffs])
-    return next((d for _g, d in _distinct_degree(fp, p, top)), None)
 
 
 def count_prime_ideals(K: NumberField, x: int,
@@ -451,9 +441,11 @@ def _count_generic(K: NumberField, x: int,
 def _count_abelian(K: NumberField, x: int) -> int:
     """Counting route for the real cyclotomic subfield of conductor n.
 
-    A ramified prime (a divisor of n) goes through dedekind_split. An
-    unramified q <= sqrt(x) gives d/f prime ideals of norm q^f, with f read
-    from the inertia memo; they count when q^f <= x, which holds for f <= 2.
+    A ramified prime (a divisor of n) goes through dedekind_split, which
+    keeps the primes above it of norm at most x. An unramified q <= sqrt(x)
+    gives d/f prime ideals of norm q^f, with f read from the inertia memo
+    directly (one dict lookup per prime, against a call of dedekind_split);
+    they count when q^f <= x, which holds for f <= 2.
     An unramified q above sqrt(x) counts only with inertia degree 1, that is
     for q = +-1 mod n, and then with d prime ideals; the class sieve counts
     those primes.
@@ -464,7 +456,7 @@ def _count_abelian(K: NumberField, x: int) -> int:
     B = isqrt(x)
     total = 0
     for q in factorize(n):
-        total += sum(1 for e, f in dedekind_split(K, q) if q**f <= x)
+        total += len(dedekind_split(K, q, x + 1))
     for q in primes_upto(B):
         if n % q:
             f = _inertia_degree(q % n, n)

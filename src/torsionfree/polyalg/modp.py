@@ -4,11 +4,10 @@ Polynomials mod p are plain lists of ints in [0, p), lowest degree first,
 trimmed. The pipeline is squarefree decomposition (each multiplicity read
 by repeated exact division), then distinct-degree splitting (h -> h^p as
 one product with the Frobenius matrix, rows x^(ip) mod f, after the first
-step; lazy, so a caller that needs only the least degree stops there).
-That is all the splitting shape of a prime needs: there is no equal-degree
-stage, no irreducible factor is ever separated, and every step is
-deterministic. Intended scale: degree up to a few dozen, p up to about 1e6
-(larger p works, just slower).
+step), up to an optional bound on the degree. That is all the splitting
+shape of a prime needs: there is no equal-degree stage, no irreducible
+factor is ever separated, and every step is deterministic. Intended scale:
+degree up to a few dozen, p up to about 1e6 (larger p works, just slower).
 """
 
 from __future__ import annotations
@@ -152,8 +151,7 @@ def _distinct_degree(f, p, top=None):
     matrix Q of the modulus g = f* at the second step, whose row i is
     x^(ip) mod g: since c^p = c in F_p, h^p = sum_i h_i x^(ip). The matrix
     is built only when a second step is needed; h stays reduced mod g,
-    which every later f* divides. The steps run as the pairs are asked
-    for, so the first pair costs only the steps up to the least degree.
+    which every later f* divides.
     """
     if top is None:
         top = len(f) - 1
@@ -196,14 +194,17 @@ def _frobenius(h, rows, p):
     return gf_trim([v % p for v in out])
 
 
-def factor_mod_p(f: IntPoly, p: int) -> list[tuple[IntPoly, int, int]]:
+def factor_mod_p(f: IntPoly, p: int,
+                 top: int | None = None) -> list[tuple[IntPoly, int, int]]:
     """Distinct-degree factorization of f mod p as [(g, d, e)]: g is the
     monic product of the irreducible factors of f mod p that have degree d
     and multiplicity e, so it holds deg g / d of them.
 
-    The product of the g^e times (lc(f) mod p) reproduces f mod p. Each
-    (d, e) occurs once; the g are IntPoly with coefficients in [0, p),
-    sorted by (d, e).
+    Each (d, e) occurs once; the g are IntPoly with coefficients in
+    [0, p), sorted by (d, e), and the product of the g^e times (lc(f) mod p)
+    reproduces f mod p. With top, only the pairs with d <= top are
+    returned, and the distinct-degree walk of each squarefree part stops
+    there.
     """
     if not is_prime(p):
         raise PreconditionError(f"modulus {p} is not prime")
@@ -211,6 +212,6 @@ def factor_mod_p(f: IntPoly, p: int) -> list[tuple[IntPoly, int, int]]:
     if not fp:
         raise PreconditionError("polynomial vanishes mod p")
     parts = [(g, d, e) for part, e in gf_squarefree_parts(fp, p)
-             for g, d in _distinct_degree(part, p)]
+             for g, d in _distinct_degree(part, p, top)]
     parts.sort(key=lambda t: (t[1], t[2]))
     return [(IntPoly(g), d, e) for g, d, e in parts]

@@ -15,8 +15,7 @@ from decimal import Decimal
 
 from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime
-from .numfield import (NumberField, dedekind_split, is_index_prime,
-                       least_inertia_degree)
+from .numfield import NumberField, dedekind_split, is_index_prime
 from .report import E, analytic, number_str
 
 _THRESHOLD_CAP = 1 << 64
@@ -96,12 +95,11 @@ def find_congruence_level(K: NumberField, dim_G: int,
     Index primes of K are skipped, not split, and reported; is_index_prime
     decides each q the scan reaches, and no other. q = 2 never passes
     (kionke_criterion(2, e) fails for every e >= 1) and is passed over.
-    A prime dividing disc_poly is split by dedekind_split, which
-    supplies its ramification indices. Every other prime is unramified, so
-    only its least inertia degree can win, and only with a norm below the
-    best so far: least_inertia_degree looks for it up to that bound and no
-    further. An answer is returned exactly when its norm is at most
-    scan_cap; a dim_G above EXPONENT_CAP is refused before the scan.
+    Every other prime is split once by dedekind_split, which returns only
+    the primes above q of norm below the best so far, or of norm at most
+    scan_cap while there is none. An answer is returned exactly when its
+    norm is at most scan_cap, so that first bound drops nothing; a dim_G
+    above EXPONENT_CAP is refused before the scan.
     """
     if dim_G < 1:
         raise PreconditionError("dim_G must be >= 1")
@@ -117,17 +115,12 @@ def find_congruence_level(K: NumberField, dim_G: int,
             continue
         if q == 2:
             continue
-        if K.disc_poly % q:
-            f = least_inertia_degree(
-                K, q, None if best is None else _degree_below(q, best[0]))
-            splits = () if f is None else ((1, f),)
-        else:
-            splits = dedekind_split(K, q)
-        for e, f in splits:
+        for e, f in dedekind_split(
+                K, q, scan_cap + 1 if best is None else best[0]):
             cand = (q**f, q, f, e)
             if kionke_criterion(q, e) and (best is None or cand < best):
                 best = cand
-    if best is None or best[0] > scan_cap:
+    if best is None:
         raise ResourceCapError(
             f"prime scan cap {scan_cap} exceeded without a final answer")
     norm_, q, f, e = best
@@ -135,15 +128,6 @@ def find_congruence_level(K: NumberField, dim_G: int,
         rational_prime=q, inertia=f, ramification=e, norm=norm_,
         torsion_free_certificate=True, index_bound=norm_**dim_G, dim_G=dim_G,
         skipped_index_divisible=tuple(skipped))
-
-
-def _degree_below(q: int, norm: int) -> int:
-    """The largest j >= 0 with q^j < norm."""
-    j, power = 0, q
-    while power < norm:
-        j += 1
-        power *= q
-    return j
 
 
 # ---------------------------------------------------------------- analytics

@@ -193,6 +193,22 @@ class TestExitCodes:
         assert (report["norm"], report["skipped_index_divisible"]) == \
             (norm, skipped)
 
+    def test_level_find_degree_60_in_bounded_time(self, tmp_path):
+        # a degree-60 monic input with 30-digit coefficients: building the
+        # field and the scan's bounded splits take under 1 s on 2 cores
+        rng = random.Random(60)
+        coeffs = [rng.randrange(-10**29, 10**30) for _ in range(60)] + [1]
+        poly = tmp_path / "d60.poly"
+        poly.write_text(", ".join(map(str, coeffs)) + "\n")
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsionfree.cli", "level", "find",
+             str(poly), "--dimg", "3"], capture_output=True, text=True,
+            env=child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert time.monotonic() - start < 5
+        assert json.loads(proc.stdout)["report"]["norm"] == "3"
+
     def test_discriminant_above_str_digit_limit_prints(self, tmp_path):
         # disc(x^64 - 2^250) has 4,857 digits, above Python's default
         # int-to-str limit of 4,300

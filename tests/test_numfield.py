@@ -338,9 +338,9 @@ class TestDedekindSplit:
         want = [dedekind_split(K_gen, q) for q in primes]
         factor = numfield.factor_mod_p
 
-        def factor_only_ramified(f, q):
+        def factor_only_ramified(f, q, top=None):
             assert n % q == 0, f"{q} was factored"
-            return factor(f, q)
+            return factor(f, q, top)
 
         monkeypatch.setattr(numfield, "factor_mod_p", factor_only_ramified)
         assert [dedekind_split(K_ab, q) for q in primes] == want
@@ -534,9 +534,9 @@ class TestCounting:
         split = numfield.dedekind_split
         seen = []
 
-        def counting_split(K, q):
+        def counting_split(K, q, below=None):
             seen.append(q)
-            return split(K, q)
+            return split(K, q, below)
 
         monkeypatch.setattr(numfield, "dedekind_split", counting_split)
         assert count_prime_ideals(make_cosine_field(n), 10**6) == want

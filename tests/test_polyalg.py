@@ -338,6 +338,26 @@ class TestFactorModP:
             assert lin == {r for r in range(p) if f(r) % p == 0}
             assert sum(g.degree for g in linear) == len(lin)
 
+    def test_degree_bound(self):
+        # random products with squared and cubed factors, so the bound
+        # applies to each squarefree part: the bounded factorization is the
+        # unbounded one cut at d <= top
+        rng = random.Random(37)
+        for _ in range(200):
+            p = rng.choice([2, 3, 5, 7, 11, 13])
+            f = (rng.randrange(1, p),)
+            for _ in range(rng.randint(1, 4)):
+                g = tuple(rng.randrange(p) for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.choice([1, 1, 2, 3])):
+                    f = mul_mod_p(f, g + (1,), p)
+            f = IntPoly(f)
+            full = factor_mod_p(f, p)
+            assert factor_mod_p(f, p, 0) == []
+            for top in range(1, f.degree + 2):
+                got = factor_mod_p(f, p, top)
+                assert got == [t for t in full if t[1] <= top], (f, p, top)
+            assert factor_mod_p(f, p, f.degree) == full
+
 
 class TestSturmIsolation:
     def test_root_count_matches_sturm(self):

@@ -12,7 +12,7 @@ from torsionfree import numfield, selberg
 from torsionfree.errors import PreconditionError, ResourceCapError
 from torsionfree.ntheory import primes_upto
 from torsionfree.numfield import (count_prime_ideals, dedekind_index_primes,
-                                  dedekind_split, least_inertia_degree,
+                                  dedekind_split, is_index_prime,
                                   make_cosine_field, make_field)
 from torsionfree.polyalg import (IntPoly, minpoly_two_cos_conductor,
                                  two_cos_discriminant)
@@ -135,9 +135,9 @@ def reference_level(K):
 
 
 class TestLevelScan:
-    """The scan splits only the primes dividing disc_poly; every other
-    prime is unramified and gives only its least inertia degree, sought
-    no further than the best norm found so far."""
+    """The scan splits every prime it visits once, except 2 and the index
+    primes, and asks dedekind_split only for the primes above it of norm
+    below the best found so far, or at most scan_cap before there is one."""
 
     def test_generic_fields_frozen(self):
         # the generic-fields benchmark inputs of seeds 1-50, with the
@@ -191,29 +191,65 @@ class TestLevelScan:
         (-63, 0, 1), (-8, -2, -1, 1), (1, 0, 0, 0, 1),
         (2, -4, 0, -2, -4, 4, 4, 2, 1),
         (2, 4, 2, -2, 4, -2, 2, -4, -4, -2, 2, 0, 1)])
-    def test_factors_only_primes_dividing_disc(self, coeffs, monkeypatch):
+    def test_splits_each_visited_prime_once(self, coeffs, monkeypatch):
+        # the scan visits the primes up to the answer's norm and splits
+        # each once, never 2 or an index prime, always with a finite bound
+        # of at most scan_cap + 1; every factorisation is one of those
+        # splits
         K = make_field(IntPoly(coeffs))
-        want = find_congruence_level(K, 3)
+        scan_cap = 10**4
+        want = find_congruence_level(K, 3, scan_cap)
         factor, split = numfield.factor_mod_p, numfield.dedekind_split
         factored, splits = [], []
 
-        def counted_factor(f, q):
+        def counted_factor(f, q, top=None):
             factored.append(q)
-            return factor(f, q)
+            return factor(f, q, top)
 
-        def counted_split(K, q):
-            splits.append(q)
-            return split(K, q)
+        def counted_split(K, q, below=None):
+            splits.append((q, below))
+            return split(K, q, below)
 
         monkeypatch.setattr(numfield, "factor_mod_p", counted_factor)
         monkeypatch.setattr(numfield, "dedekind_split", counted_split)
         monkeypatch.setattr(selberg, "dedekind_split", counted_split)
-        assert find_congruence_level(K, 3) == want
-        assert factored == splits
-        assert all(K.disc_poly % q == 0 and q != 2 for q in factored)
+        assert find_congruence_level(K, 3, scan_cap) == want
+        visited = [q for q, _below in splits]
+        assert visited == [q for q in primes_upto(want.norm)
+                           if q != 2 and not is_index_prime(K, q)]
+        assert all(below is not None and below <= scan_cap + 1
+                   for _q, below in splits)
+        assert factored == visited
 
-    def test_least_inertia_degree(self):
-        # against the full splitting, for every bound on the degree
+    def test_degree_90_scan_stops_at_the_cap(self, monkeypatch):
+        # h^2 + 3r: 3 divides disc_poly, and f mod 3 has squarefree parts of
+        # degree 45 and more; the first factorisation walks no degree q^j
+        # above scan_cap, where the full one walks them all
+        rng = random.Random(90)
+        h = IntPoly(tuple(rng.randint(-9, 9) for _ in range(45)) + (1,))
+        K = make_field(h * h + IntPoly(tuple(3 * rng.randint(-3, 3)
+                                             for _ in range(90))))
+        assert K.degree == 90 and K.disc_poly % 3 == 0
+        factor, calls = numfield.factor_mod_p, []
+
+        def counted_factor(f, q, top=None):
+            calls.append((q, top))
+            return factor(f, q, top)
+
+        monkeypatch.setattr(numfield, "factor_mod_p", counted_factor)
+        scan_cap = 10**6
+        lvl = find_congruence_level(K, 3, scan_cap)
+        assert level_tuple(lvl) == (5, 5, 1, 1, ())
+        log3 = 0  # the largest j with 3^j <= scan_cap
+        while 3 ** (log3 + 1) <= scan_cap:
+            log3 += 1
+        q, top = calls[0]
+        assert q == 3 and top is not None and top <= log3 == 12
+
+    def test_dedekind_split_below(self):
+        # against the full splitting cut at q^f < below, for every bound
+        # up to q^(d+1): the cut moves only at below = q^j + 1, so 0 and
+        # q^j, q^j + 1 for j <= d + 1 reach every answer
         rng = random.Random(5)
         for _ in range(12):
             d = rng.randint(2, 8)
@@ -223,21 +259,23 @@ class TestLevelScan:
             except PreconditionError:
                 continue
             for q in primes_upto(60):
-                if K.disc_poly % q == 0:
+                if is_index_prime(K, q):
                     with pytest.raises(PreconditionError):
-                        least_inertia_degree(K, q)
+                        dedekind_split(K, q, q)
                     continue
-                least = min(f for _e, f in dedekind_split(K, q))
-                assert least_inertia_degree(K, q) == least
-                for top in range(d + 1):
-                    assert least_inertia_degree(K, q, top) == \
-                        (least if least <= top else None)
+                full = dedekind_split(K, q)
+                for below in {0, 1} | {q**j + k for j in range(1, d + 2)
+                                       for k in (0, 1)}:
+                    assert dedekind_split(K, q, below) == tuple(
+                        (e, f) for e, f in full if q**f < below)
         K = make_cosine_field(13)  # inertia degree 6 at 2 and 3 at 3
-        assert least_inertia_degree(K, 2) == 6
-        assert least_inertia_degree(K, 2, 5) is None
-        assert least_inertia_degree(K, 3, 3) == 3
+        assert dedekind_split(K, 2) == ((1, 6),)
+        assert dedekind_split(K, 2, 2**6) == ()
+        assert dedekind_split(K, 2, 2**6 + 1) == ((1, 6),)
+        assert dedekind_split(K, 3, 3**3 + 1) == ((1, 3),) * 2
+        assert dedekind_split(K, 3, 3**3) == ()
         with pytest.raises(PreconditionError):
-            least_inertia_degree(K, 9)
+            dedekind_split(K, 9, 100)
 
 
 class TestLogarithmicIntegral:

@@ -34,3 +34,11 @@ def test_numfield_factors_through_the_traced_binding():
     from torsionfree import numfield, polyalg
 
     assert numfield.factor_mod_p is polyalg.factor_mod_p
+
+
+def test_level_scan_splits_through_the_traced_binding():
+    # primes_scanned counts dedekind_split spans inside the level scan; a
+    # second splitter bound in selberg would leave it reading 0
+    from torsionfree import numfield, selberg
+
+    assert selberg.dedekind_split is numfield.dedekind_split
