@@ -18,6 +18,7 @@ import os
 from math import isfinite
 
 from .errors import PreconditionError
+from .selberg import PRIME_SCAN_CAP
 
 ENV_VAR = "TORSIONFREE_CONFIG"
 
@@ -25,8 +26,8 @@ ILLUSTRATIVE = ("prasad_c1", "prasad_c2", "belolipetsky_a", "belolipetsky_b",
                 "epsilon", "lemma_C")
 
 _DEFAULTS = {"prasad_c1": 1.0, "prasad_c2": 1.0, "belolipetsky_a": 1.0,
-            "belolipetsky_b": 1.0, "epsilon": 0.1, "prime_scan_cap": 10**6,
-            "lemma_C": 1.0}
+            "belolipetsky_b": 1.0, "epsilon": 0.1,
+            "prime_scan_cap": PRIME_SCAN_CAP, "lemma_C": 1.0}
 KEYS = tuple(_DEFAULTS)
 
 

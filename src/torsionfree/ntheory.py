@@ -379,23 +379,3 @@ def factorize(n: int) -> dict[int, int]:
         _factor_cofactor(n, out)
     return dict(sorted(out.items()))
 
-
-def square_prime_factors(n: int) -> tuple[int, ...]:
-    """The primes q with q^2 | n, ascending, for n >= 1.
-
-    After trial division the cofactor C has no prime factor below
-    _TRIAL_BOUND = 1e5, so a C below 1e15 has at most two: it is 1, a
-    prime, the square of a prime (whose root is the one square prime) or
-    the product of two distinct primes (no square prime), and no rho step
-    runs. A larger C is factored as factorize does, within the same
-    Pollard-rho budget."""
-    if n < 1:
-        raise ValueError("square_prime_factors expects n >= 1")
-    out, c = _trial_divide(n)
-    if c >= _TRIAL_BOUND**3:
-        _factor_cofactor(c, out)
-    elif c > 1:
-        r = math.isqrt(c)
-        if r * r == c:
-            out[r] = 2
-    return tuple(sorted(q for q, e in out.items() if e >= 2))

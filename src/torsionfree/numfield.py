@@ -36,7 +36,7 @@ from math import floor, gcd, isqrt, lcm
 from . import _kernels
 from .errors import (NotSquarefreeError, PreconditionError, ResourceCapError,
                      TorsionfreeError)
-from .ntheory import factorize, is_prime, primes_upto, square_prime_factors
+from .ntheory import factorize, is_prime, primes_upto
 from .polyalg import (
     IntPoly,
     discriminant,
@@ -49,6 +49,7 @@ from .polyalg import (
 )
 from .polyalg.modp import (gf_divmod, gf_gcd, gf_mul, gf_squarefree_parts,
                            gf_trim)
+from .polyalg.poly import _product
 
 # Largest x (exclusive) for the class-sieve count of a cosine field; the
 # generic route stops at 2^31, the range of the kernels it runs in.
@@ -108,31 +109,25 @@ class NumberField:
         return self.element([0, 1])
 
     def to_json(self) -> dict:
-        """The field report; a field without a conductor factors disc_poly
-        for its field_disc and monogenic keys."""
-        index = dedekind_index_primes(self)
+        """The field report; its field_disc and monogenic keys both read the
+        field_disc property."""
+        field_disc = self.field_disc
         return {
             "poly": list(self.defining_poly.coeffs),
             "degree": self.degree,
             "disc_poly": str(self.disc_poly),
-            "field_disc": None if index else str(self.disc_poly),
-            "monogenic": not index,
+            "field_disc": None if field_disc is None else str(field_disc),
+            "monogenic": field_disc is not None,
         }
 
 
 def mul_mod(u, v, f) -> list[int]:
     """u * v reduced modulo the monic f, for integer coefficient vectors u, v
     of length deg f (lowest degree first); the result is integral too. The
-    outer loop runs over the factor with fewer nonzero coefficients and
-    skips its zeros, so a sparse factor costs O(d) on either side."""
-    if sum(map(bool, v)) < sum(map(bool, u)):
-        u, v = v, u
+    product is polyalg's one dense loop, so a sparse factor costs O(d) on
+    either side."""
     d = len(u)
-    prod = [0] * (2 * d - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                prod[i + j] += a * b
+    prod = _product(u, v)
     for k in range(2 * d - 2, d - 1, -1):
         c = prod[k]
         if c:
@@ -243,15 +238,15 @@ def is_index_prime(K: NumberField, q: int) -> bool:
 
 
 def dedekind_index_primes(K: NumberField) -> tuple[int, ...]:
-    """Every prime that may divide [O : Z[theta]], ascending. A field
-    without a conductor factors all of disc_poly for its square primes
-    (square_prime_factors: trial division, then Pollard rho within its
-    budget, with ResourceCapError past it); nothing but field_disc and the
-    field report needs the whole set."""
+    """Every prime that may divide [O : Z[theta]], ascending: the primes
+    whose square divides disc_poly and that is_index_prime keeps. A field
+    without a conductor factors all of disc_poly for them (factorize: trial
+    division, then Pollard rho within its budget, with ResourceCapError past
+    it); nothing but field_disc and the field report needs the whole set."""
     if K.conductor is not None:
         return ()
-    return tuple(q for q in square_prime_factors(abs(K.disc_poly))
-                 if is_index_prime(K, q))
+    return tuple(q for q, e in factorize(abs(K.disc_poly)).items()
+                 if e >= 2 and is_index_prime(K, q))
 
 
 def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> NumberField:
@@ -416,7 +411,7 @@ def _count_generic(K: NumberField, x: int,
     that divide disc_poly, which the root-count kernel lists from the
     residues of disc_poly on its own batches; an index prime's roots are
     taken back out, by a second pass only when there is one."""
-    if x + 1 > (1 << 31):
+    if x + 1 > _kernels._PRIME_CAP:
         raise ResourceCapError("prime scan exceeds the kernel range (2^31)")
     if K.degree > _kernels._MAX_DEGREE:
         raise ResourceCapError(

@@ -12,8 +12,9 @@ degree phi(N)/2, and 2cos(2pi k/N) for gcd(k, N) = 1 are exactly its roots.
 Those roots are known in closed form, so isolate_two_cos_roots places an
 isolating interval around each from a floating-point value (math.cos) and
 then certifies the intervals in exact arithmetic; the float only guides, the
-exact check decides, and no Sturm sequence is needed unless it fails. The
-discriminant is a closed form too (two_cos_discriminant).
+exact check decides, and a failed check is refused (ResourceCapError), with
+no second route. The discriminant is a closed form too
+(two_cos_discriminant).
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import functools
 from fractions import Fraction
 from math import cos, floor, gcd, pi, prod
 
-from ..errors import PreconditionError
+from ..errors import PreconditionError, ResourceCapError
 from ..ntheory import factorize, is_prime
 from .poly import IntPoly
-from .roots import CELL_BITS, Interval, _sign_at, isolate_real_roots
+from .roots import CELL_BITS, Interval, _sign_at
 
 X = IntPoly([0, 1])
 
@@ -116,16 +117,23 @@ def isolate_two_cos_roots(n: int) -> list[Interval]:
     minpoly_two_cos_conductor(n), ascending, as isolate_real_roots returns
     them.
 
-    Each root gets the dyadic cell [m, m + 1] / 2^CELL_BITS of _guide_cells,
-    and _cells_certified checks the cells in exact arithmetic. Should that
-    check fail (always for the integer root of n = 3, 4, 6), the Sturm route
-    isolate_real_roots answers: an uncertified interval is never returned.
+    The degree-1 conductors n = 3, 4, 6 have the integer root r = -1, 0, 1,
+    returned as the degenerate cell (r, r). Every other root gets the dyadic
+    cell [m, m + 1] / 2^CELL_BITS of _guide_cells, and _cells_certified
+    checks the cells in exact arithmetic. Should that check fail, n is
+    refused with ResourceCapError: an uncertified interval is never
+    returned.
     """
     f = minpoly_two_cos_conductor(n)
+    if f.degree == 1:
+        r = Fraction(-f[0])
+        return [(r, r)]
     scale = 1 << CELL_BITS
     cells = _guide_cells(n)
     if not _cells_certified(f, cells, CELL_BITS):
-        return isolate_real_roots(f)
+        raise ResourceCapError(
+            f"the guided root cells of conductor {n} failed their exact check "
+            f"at CELL_BITS = {CELL_BITS}")
     return [(Fraction(m, scale), Fraction(m + 1, scale)) for m in cells]
 
 

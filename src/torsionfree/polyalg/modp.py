@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..errors import PreconditionError
 from ..ntheory import is_prime
-from .poly import IntPoly
+from .poly import IntPoly, _product
 
 
 def gf_trim(a: list[int]) -> list[int]:
@@ -29,14 +29,7 @@ def gf_sub(a, b, p):
 
 
 def gf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return gf_trim([c % p for c in out])
+    return gf_trim([c % p for c in _product(a, b)])
 
 
 def gf_scale(a, c, p):

@@ -3,7 +3,9 @@
 Representation: a polynomial is an IntPoly wrapping a tuple of Python ints,
 lowest degree first, with no trailing zeros; the zero polynomial is the
 empty tuple. All operations are exact; no floating point enters any
-algebraic result.
+algebraic result. One loop, _product, multiplies coefficient sequences:
+IntPoly, the mod-p layer and number-field elements each add only their own
+reduction.
 
 Division is over Z. pseudo_rem scales the dividend by the divisor's leading
 coefficient instead of dividing by it, and exact_div divides each top
@@ -22,6 +24,21 @@ def _trim(coeffs) -> tuple:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
+
+
+def _product(a, b) -> list[int]:
+    """The coefficients of a * b, lowest degree first, for coefficient
+    sequences a and b, untrimmed (all zeros when either is empty). The outer
+    loop runs over the factor with fewer nonzero coefficients and skips its
+    zeros, so a sparse factor costs O(len) on either side."""
+    if sum(map(bool, b)) < sum(map(bool, a)):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 class IntPoly:
@@ -92,22 +109,14 @@ class IntPoly:
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
             return IntPoly([other * a for a in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPoly(out)
+        return IntPoly(_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     # -- evaluation and calculus ------------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction, works for mpf too."""
+        """Horner evaluation; exact for int and Fraction."""
         acc = 0
         for a in reversed(self.coeffs):
             acc = acc * x + a

@@ -19,6 +19,9 @@ from .numfield import NumberField, dedekind_split, is_index_prime
 from .report import E, analytic, number_str
 
 _THRESHOLD_CAP = 1 << 64
+# the largest prime norm a level scan accepts unless told otherwise; the
+# config key prime_scan_cap defaults to it
+PRIME_SCAN_CAP = 10**6
 ERR_CONSTANT = 13
 # cap on the exponent of an index bound: d * dim H of 3^(d dim H), whose
 # decimal form then has at most 3909 digits, and dim_G of norm^dim_G
@@ -86,7 +89,7 @@ def kionke_criterion(q: int, e: int) -> bool:
 
 
 def find_congruence_level(K: NumberField, dim_G: int,
-                          scan_cap: int = 10**6) -> CongruenceLevel:
+                          scan_cap: int = PRIME_SCAN_CAP) -> CongruenceLevel:
     """Smallest-norm prime ideal giving a torsion-free congruence level.
 
     Scans rational primes q while q is below the best norm so far (no
@@ -224,7 +227,7 @@ def _grh_terms(x, d, log_D):
 
 @analytic
 def grh_threshold(d: int, log_D, field: NumberField | None = None,
-                  scan_cap: int = 10**6) -> GrhReport:
+                  scan_cap: int = PRIME_SCAN_CAP) -> GrhReport:
     """Smallest integer x with Li(x) > Err(x) + d^2, by doubling then
     bisection; the doubling-grid half point is re-checked to fail.
 

@@ -469,12 +469,12 @@ class TestCosineFieldDisc:
 
     def test_cosine_path_tests_no_prime(self, monkeypatch):
         """Z[2cos(2pi/p)] is the maximal order, so neither the sweep nor a
-        cosine field runs Dedekind's criterion or looks for the square
-        primes of a discriminant."""
+        cosine field runs Dedekind's criterion or factors a discriminant
+        for its index primes."""
         def refuse(*args):
             raise AssertionError("index test on the cosine path")
         monkeypatch.setattr(numfield, "_dedekind_index_test", refuse)
-        monkeypatch.setattr(numfield, "square_prime_factors", refuse)
+        monkeypatch.setattr(numfield, "factorize", refuse)
         assert [(p, disc) for p, disc, _lv, _r in sweep(13)] == \
             sorted(FROZEN_DISC.items())
         for p in (5, 13, 97):

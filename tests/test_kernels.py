@@ -18,8 +18,7 @@ from torsionfree._kernels import (IMPLEMENTATION, poly_factor_count,
                                   poly_root_count_over_primes,
                                   prime_count_in_classes)
 from torsionfree.ntheory import (factorize, is_prime, primes_in_range,
-                                 primes_upto, progression_blocks,
-                                 square_prime_factors)
+                                 primes_upto, progression_blocks)
 from torsionfree.polyalg import IntPoly, discriminant
 from torsionfree.polyalg.modp import (gf_gcd, gf_mul, gf_powmod, gf_sub,
                                       gf_trim)
@@ -1004,54 +1003,6 @@ class TestNtheory:
         assert is_prime(p) and is_prime(q)
         with pytest.raises(ResourceCapError):
             factorize(p * q)
-
-    def test_square_prime_factors_against_factorize(self):
-        rng = random.Random(15)
-        for _ in range(300):
-            n = 1
-            for _ in range(rng.randint(0, 6)):
-                n *= rng.choice([2, 3, 7, 97, 99991, 100003, 999983,
-                                 rng.randint(2, 10**7)])
-            assert square_prime_factors(n) == \
-                tuple(q for q, e in factorize(n).items() if e >= 2), n
-
-    def test_square_prime_factors_without_rho(self, monkeypatch):
-        # after trial division to 1e5 a cofactor below 1e15 is 1, a prime,
-        # a prime squared or two distinct primes: no rho step is taken
-        def no_rho(n, budget):
-            raise AssertionError(f"rho step on {n}")
-
-        monkeypatch.setattr(ntheory, "_pollard_rho", no_rho)
-        p, q = 999983, 1000003
-        assert is_prime(p) and is_prime(q) and p * q < 10**15
-        assert square_prime_factors(2**3 * 7**2 * 11 * q) == (2, 7)
-        assert square_prime_factors(12 * q * q) == (2, q)
-        assert square_prime_factors(45 * p * q) == (3,)
-        assert square_prime_factors(p * q) == ()
-        assert square_prime_factors(1) == () and square_prime_factors(49) == (7,)
-        # products just below 1e15: primes either side of 10^7.5
-        r, s = 31622743, 31622777
-        assert is_prime(r) and is_prime(s) and r * s < 10**15
-        assert square_prime_factors(r * s) == ()
-        assert square_prime_factors(r * r) == (r,)
-        with pytest.raises(ValueError):
-            square_prime_factors(0)
-
-    def test_square_prime_factors_large_cofactor(self, monkeypatch):
-        # a cofactor of 1e15 or more may have three prime factors, so it is
-        # factored, within the rho budget
-        rho, calls = ntheory._pollard_rho, []
-
-        def counted_rho(n, budget):
-            calls.append(n)
-            return rho(n, budget)
-
-        monkeypatch.setattr(ntheory, "_pollard_rho", counted_rho)
-        p, q = 100003, 100019
-        assert is_prime(p) and is_prime(q) and p * p * q >= 10**15
-        assert square_prime_factors(4 * p * p * q) == (2, p)
-        assert calls
-
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 12])
     def test_prime_powers_above_trial_bound(self, k):

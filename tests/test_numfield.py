@@ -462,6 +462,37 @@ class TestIndexPrimes:
         assert count_prime_ideals(make_field(coeffs), x, seen) == count
         assert seen == unreliable
 
+    # p * q < 1e15 with p, q > 1e5: the cofactor left by trial division,
+    # which only Pollard rho splits
+    P, Q = 999983, 1000003
+
+    @pytest.mark.parametrize("coeffs, disc_poly, index_primes, rho", [
+        ((-63, 0, 1), 252, (3,), False),
+        ((-20402, 0, 1), 81608, (101,), False),
+        ((-27 * P * Q, 0, 1), 107998487994492, (3,), True),
+        ((-3 * P * Q, 0, 1), 11999831999388, (), True)])
+    def test_field_disc_and_monogenic_frozen(self, coeffs, disc_poly,
+                                             index_primes, rho, monkeypatch):
+        # frozen field_disc and monogenic values; the last two
+        # discriminants leave the cofactor P * Q, which only rho splits
+        pollard_rho, calls = ntheory._pollard_rho, []
+
+        def counted_rho(n, budget):
+            calls.append(n)
+            return pollard_rho(n, budget)
+
+        monkeypatch.setattr(ntheory, "_pollard_rho", counted_rho)
+        K = make_field(coeffs)
+        assert K.disc_poly == disc_poly
+        assert dedekind_index_primes(K) == index_primes
+        assert bool(calls) == rho
+        field_disc = None if index_primes else disc_poly
+        assert K.field_disc == field_disc
+        js = K.to_json()
+        assert js["field_disc"] == (None if field_disc is None
+                                    else str(field_disc))
+        assert js["monogenic"] == (field_disc is not None)
+
     def test_square_prime_that_passes_is_not_an_index_prime(self):
         # disc(x^3 - 12) = -3888 = -2^4 3^5; 3 passes Dedekind's criterion
         K = make_field(IntPoly((-12, 0, 0, 1)))

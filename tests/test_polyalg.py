@@ -8,7 +8,8 @@ import mpmath as mp
 import pytest
 from conftest import DATA
 
-from torsionfree.errors import NotSquarefreeError, PreconditionError
+from torsionfree.errors import (NotSquarefreeError, PreconditionError,
+                                ResourceCapError)
 from torsionfree.ntheory import primes_in_range
 from torsionfree.polyalg import (IntPoly, compare_root,
                                  discriminant, factor_mod_p,
@@ -581,7 +582,8 @@ class TestSturmIsolation:
         assert len(ivs) == f.degree
         assert len(isolate_two_cos_roots(29)) == f.degree
         monkeypatch.setattr(cyclotomic, "_cells_certified", lambda *a: False)
-        assert isolate_two_cos_roots(29) == ivs
+        with pytest.raises(ResourceCapError):
+            isolate_two_cos_roots(29)
         cubic = IntPoly((0, -1, 0, 1))
         assert isolate_real_roots(cubic)[1] == (0, 0)
         lo, hi = ivs[3]
@@ -625,12 +627,11 @@ def cells_as_intervals(cells):
 
 class TestTwoCosRoots:
     @pytest.mark.parametrize("n", TWO_COS_CONDUCTORS)
-    def test_overlaps_sturm_isolation(self, n, monkeypatch):
+    def test_overlaps_sturm_isolation(self, n):
+        # the closed form certifies itself: cyclotomic has no Sturm route
+        assert not hasattr(cyclotomic, "isolate_real_roots")
         f = minpoly_two_cos_conductor(n)
         want = isolate_real_roots(f)
-        if f.degree > 1:
-            # the closed form must certify itself, without the Sturm fallback
-            monkeypatch.setattr(cyclotomic, "isolate_real_roots", None)
         got = isolate_two_cos_roots(n)
         if f.degree > 1:
             assert got == cells_as_intervals(mpmath_cells(n))
@@ -662,7 +663,16 @@ class TestTwoCosRoots:
         assert isolate_two_cos_roots(p) == cells_as_intervals(mpmath_cells(p))
 
     def test_refused_guess_falls_back(self, monkeypatch):
+        # cells that fail their exact check are refused, naming n and the
+        # cell width
         monkeypatch.setattr(cyclotomic, "_cells_certified", lambda *a: False)
-        f = minpoly_two_cos_conductor(13)
-        assert isolate_two_cos_roots(13) == isolate_real_roots(f)
+        with pytest.raises(ResourceCapError, match=r"conductor 13 .*CELL_BITS"):
+            isolate_two_cos_roots(13)
+
+    def test_degree_one_conductors_give_their_integer_root(self, monkeypatch):
+        # 2cos(2pi/n) = -1, 0, 1 at n = 3, 4, 6, with no guided cells
+        monkeypatch.setattr(cyclotomic, "_guide_cells", None)
+        for n, r in ((3, -1), (4, 0), (6, 1)):
+            assert minpoly_two_cos_conductor(n) == IntPoly((-r, 1))
+            assert isolate_two_cos_roots(n) == [(Fraction(r), Fraction(r))]
 
