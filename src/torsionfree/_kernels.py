@@ -32,23 +32,43 @@ power below d, a monomial, so the accumulator starts there and t squares
 are skipped. A square puts a_i^2 on the even rows of a 2d-row product and
 adds each a_i a_j with i < j once, doubled; where the exponent's bit is
 set, the unreduced product moves up one row, which multiplies it by x;
-then its top d rows fold back top-down by x^d = -F, one reduced row at a
-time. Products are summed lazily: with every residue at most
-m = max(P) - 1, k = (2^63 - 1 - m) // m^2 products fit in one int64 sum on
-top of a residue; a doubled product counts as two, and the product is
-reduced mod P before an addition that would pass k (k >= 63 below 33,000,
-k = 2 just below 2^31). The 2d-row product and a 2d-row scratch array are
-the largest arrays, so each sieve segment is cut into batches of
-_BATCH_WORDS // d columns.
+then its top d rows fold back top-down by x^d = -F. The 2d-row product
+and a 2d-row scratch array are the largest arrays, so each sieve segment
+is cut into batches of _BATCH_WORDS // d columns.
 
 The gcd degree comes from Bernstein-Yang divsteps (Bernstein and Yang,
 "Fast constant-time gcd computation and modular inversion", TCHES
 2019(3)): 2d - 1 steps of the same shape in every column, on the reversed
 pair, each a cross-multiplication h = f(0) g - g(0) f, a masked swap and
 a shift g = h / x. Step n needs only the first min(d + 1, 2d - 1 - n)
-rows, so the rows shrink over the last d steps. Each product of two
-residues is below 2^62, so h stays inside int64 and a step reduces mod P
-once. No inverse is taken and no degree is searched for.
+rows, so the rows shrink over the last d steps. No inverse is taken and
+no degree is searched for.
+
+Reductions. Every reduction is a truncated remainder, np.fmod, so every
+residue is signed, in (-p, p), and x^d mod f is -F itself. numpy's
+floor-mod np.remainder runs about 2.5 times slower on int64 values of
+mixed sign than on one-signed ones (300 against 105 us for 13 x 2,169
+entries, numpy 2.4 on a 2-core x86 machine), and fmod takes 102-104 us on
+either. With m = max(P) - 1 every residue is at most m in magnitude, and
+a row or array is reduced only when the next product or addition could
+pass _INT64_MAX = 2^63 - 1, by one Python-int bound B on its entries:
+- the cross products of a square count their terms: k = (2^63 - 1 - m) //
+  m^2 of them fit on top of a residue (k >= 63 below 33,000, k = 2 just
+  below 2^31), a doubled product counts as two, and the product is
+  reduced before an addition that would pass k;
+- the fold starts from B = k' m^2 + m for the k' products summed and
+  |x^d mod f| <= g = min(max |coefficient of f|, m). Row r times x^d mod f
+  is at most T g, T = B or m once row r is reduced; the row is reduced
+  when B + B g could pass 2^63 - 1, the rows below it too when B + m g
+  still could, and B becomes B + T g. With small coefficients at the
+  benchmark's primes few fold rows, often none, reduce;
+- the divsteps reduce g(0) at every step, because the swap tests it and
+  it becomes f(0), the next multiplier; so |f(0)|, |g(0)| <= m and
+  |h| <= 2 m B. f and g are reduced when 2 m B could pass 2^63 - 1, from
+  B = m + 1 (the x coefficient of x^e - x mod f may be -p): every second
+  or third step below 33,000, every step just below 2^31.
+The kernel takes one path for every prime below 2^31; everything stays
+int64.
 """
 from __future__ import annotations
 
@@ -249,7 +269,9 @@ def _moebius_count(D: list[int], levels: list[int]) -> int:
 
 
 def _residues(c: int, P):
-    """c mod p for every p in P, by Horner over 31-bit limbs of |c|."""
+    """c mod p for every p in P as a signed residue, in (-p, p) with the
+    sign of c: Horner over 31-bit limbs of |c|, each step a truncated
+    remainder (np.fmod) of a value below 2^62."""
     import numpy as np
 
     r = np.zeros_like(P)
@@ -259,14 +281,14 @@ def _residues(c: int, P):
         limbs.append(m & (_PRIME_CAP - 1))
         m >>= 31
     for limb in reversed(limbs):
-        r = (r * _PRIME_CAP + limb) % P
-    return -r % P if c < 0 else r
+        np.fmod(r * _PRIME_CAP + limb, P, out=r)
+    return -r if c < 0 else r
 
 
 def _lazy_terms(m: int) -> int:
-    """How many products of two residues in [0, m] one int64 sum holds on
-    top of one residue: the largest k with k m^2 + m <= 2^63 - 1. For
-    m <= 2^31 - 2 that is at least 2."""
+    """How many products of two residues of magnitude at most m one int64
+    sum holds on top of one residue: the largest k with
+    k m^2 + m <= _INT64_MAX. For m <= 2^31 - 2 that is at least 2."""
     return (_INT64_MAX - m) // (m * m)
 
 
@@ -276,35 +298,52 @@ def _power_gcd_degrees(coeffs: tuple[int, ...], P, E):
     of distinct roots of f mod p.
 
     A residue class mod f is a (d, len(P)) array: row i holds the
-    coefficient of x^i for every column of the batch. x^e mod f comes from
-    square-and-multiply over the bits of e, left to right. With
-    t = floor(log2 d) and s the bit length of max(E) less t (at least 0),
-    e >> s is below 2^t <= d, so x^(e >> s) is a monomial: the accumulator
-    starts there, set by one scatter, and the first t squares are skipped.
-    A square a^2 x^b, b the next bit of each column, works in one
-    (2d, len(P)) product: a_i^2 goes to row 2i, each a_i a_j with i < j is
-    added once, as (2 a_i) a_j, to row i + j; where b = 1 the unreduced
-    product moves up one row; then rows 2d - 1 .. d fold back top-down by
-    x^d = -F: row r, reduced, adds its multiple of x^(r - d) (-F) to the d
-    rows below it. A doubled product counts as two products of residues,
-    a fold addition as one. With k = _lazy_terms(max(P) - 1), the product
-    is reduced mod P before an addition that would put more than k of them
-    on top of one residue in a row, so every row stays inside int64. The
-    product, a scratch array of its shape, one row and the bit arrays are
-    allocated once per batch, and every step writes into them (ufunc
-    out=). F and x^e - x mod f go to _gcd_degrees as they are.
+    coefficient of x^i for every column of the batch, as a signed residue
+    in (-p, p). Every reduction is a truncated remainder (np.fmod): numpy's
+    floor-mod np.remainder runs about 2.5 times slower on int64 values of
+    mixed sign than on one-signed ones, and signed residues make every
+    value mixed. x^e mod f comes from square-and-multiply over the bits of
+    e, left to right. With t = floor(log2 d) and s the bit length of
+    max(E) less t (at least 0), e >> s is below 2^t <= d, so x^(e >> s) is
+    a monomial: the accumulator starts there, set by one scatter, and the
+    first t squares are skipped. A square a^2 x^b, b the next bit of each
+    column, works in one (2d, len(P)) product: a_i^2 goes to row 2i, each
+    a_i a_j with i < j is added once, as (2 a_i) a_j, to row i + j; where
+    b = 1 the unreduced product moves up one row; then rows 2d - 1 .. d
+    fold back top-down by x^d = G = -F: row r adds its multiple of
+    x^(r - d) G to the d rows below it.
+
+    With m = max(P) - 1, every residue is at most m in magnitude. The
+    cross products count their terms: with k = _lazy_terms(m), the product
+    is reduced before an addition that would put more than k products
+    (a doubled one counts as two) on top of one residue. The fold then
+    carries one Python-int bound B on |entries| of the product, from
+    B = k' m^2 + m for the k' products summed; G is signed too, so
+    |G| <= g = min(max |coefficient|, m). Row r times G is at most T g,
+    with T = B or, once row r is reduced, T = m; the row is reduced when
+    B + B g could pass _INT64_MAX, the rows below it as well when B + m g
+    still could, and then B grows to B + T g. At degree 12 and primes
+    below 21,000, as in the benchmark, that reduces no fold row for
+    coefficients up to 4 and about the last third for coefficients up to
+    10;
+    just below 2^31 it reduces every row, and the rows below it every
+    other row. The product, a scratch array of its shape and the bit
+    arrays are allocated once per batch, and every step writes into them
+    (ufunc out=). F and x^e - x mod f, whose x coefficient may be -p, go
+    to _gcd_degrees as they are.
     """
     import numpy as np
 
     d, C = len(coeffs) - 1, len(P)
-    k = _lazy_terms(int(P.max()) - 1)
+    m = int(P.max()) - 1
+    k = _lazy_terms(m)
+    g = min(max(abs(c) for c in coeffs[:d]), m)  # |G| <= g
     F = np.stack([_residues(c, P) for c in coeffs[:d]])  # f = x^d + F
-    G = -F % P  # x^d mod f
+    G = np.negative(F)  # x^d mod f
     prod = np.empty((2 * d, C), dtype=np.int64)
     # 2a and the fold's temporary, or the moving rows of the product
     spare = np.empty((2 * d, C), dtype=np.int64)
     twice, tmp = spare[:d], spare[d:]
-    row = np.empty(C, dtype=np.int64)
     bit = np.empty_like(E)  # the next bit of each exponent, 0 or 1
     stay = np.empty_like(E)  # 1 - bit
 
@@ -316,7 +355,7 @@ def _power_gcd_degrees(coeffs: tuple[int, ...], P, E):
         added = 1
         for i in range(d - 1):
             if added + 2 > k:
-                np.remainder(prod, P, out=prod)
+                np.fmod(prod, P, out=prod)
                 added = 0
             n = d - 1 - i
             np.multiply(twice[i], a[i + 1 :], out=tmp[:n])
@@ -326,15 +365,19 @@ def _power_gcd_degrees(coeffs: tuple[int, ...], P, E):
         np.multiply(prod[:-1], bit, out=spare[:-1])
         np.multiply(prod[:-1], stay, out=prod[:-1])
         prod[1:] += spare[:-1]
+        bound = added * m * m + m
         for r in range(2 * d - 1, d - 1, -1):
-            if added + 1 > k:
-                np.remainder(prod[:r], P, out=prod[:r])
-                added = 0
-            np.remainder(prod[r], P, out=row)
-            np.multiply(row, G, out=tmp)
+            top = bound
+            if top * g > _INT64_MAX - bound:
+                np.fmod(prod[r], P, out=prod[r])
+                top = m
+                if top * g > _INT64_MAX - bound:
+                    np.fmod(prod[:r], P, out=prod[:r])
+                    bound = m
+            np.multiply(prod[r], G, out=tmp)
             prod[r - d : r] += tmp
-            added += 1
-        np.remainder(prod[:d], P, out=a)
+            bound += top * g
+        np.fmod(prod[:d], P, out=a)
 
     s = max(int(E.max()).bit_length() - (d.bit_length() - 1), 0)
     acc = np.zeros((d, C), dtype=np.int64)
@@ -344,13 +387,14 @@ def _power_gcd_degrees(coeffs: tuple[int, ...], P, E):
         np.bitwise_and(bit, 1, out=bit)
         np.subtract(1, bit, out=stay)
         square(acc)
-    acc[1] = (acc[1] - 1) % P
+    acc[1] -= 1
     return _gcd_degrees(F, acc, P)
 
 
 def _gcd_degrees(F, b, P):
     """deg gcd(f, b) over F_p for each column, p = P[j], f = x^d + F: F and
-    b are (d, len(P)) residue arrays, row i the coefficient of x^i.
+    b are (d, len(P)) arrays of signed residues, row i the coefficient of
+    x^i, each entry in [-p, p].
 
     Bernstein-Yang divsteps (TCHES 2019(3)) on the reversed pair, f set to
     x^d f(1/x) and g to x^(d - 1) b(1/x), from delta = 1. A step forms
@@ -361,15 +405,24 @@ def _gcd_degrees(F, b, P):
     in every column: no degree is searched for and nothing is gathered.
     Each step reads g(0) and drops one low coefficient of g, so what the
     steps after step n decide depends only on f and g mod x^(2d - 1 - n),
-    and step n works on the first m = min(d + 1, 2d - 1 - n) rows alone
-    (deg f <= d, deg g < d). f(0) is 1 or an earlier g(0), never 0. Both
-    products stay below 2^62, so a step reduces mod P once.
-    g_n is rows n .. n + m - 1 of one (2d - 1)-row array, so g = h / x is
-    the next view, not a copy.
+    and step n works on its first rows = min(d + 1, 2d - 1 - n) rows
+    alone (deg f <= d, deg g < d). g_n is rows n .. n + rows - 1 of one
+    (2d - 1)-row array, so g = h / x is the next view, not a copy.
+
+    Every reduction is a truncated remainder (np.fmod), so entries stay
+    signed. g(0) is reduced at every step, since the swap tests it for 0
+    and it becomes f(0), the next multiplier; f(0) is 1 or an earlier g(0),
+    so both are at most m = max(P) - 1 in magnitude. One Python-int bound
+    B on |entries| of f and g, from B = m + 1, covers the rest: |h| is at
+    most 2 m B, so f and g are reduced only when 2 m B could pass
+    _INT64_MAX (B is then m), and after the step B is 2 m B. Below the
+    benchmark's 33,000 that is every second or third step; just below 2^31
+    every step.
     """
     import numpy as np
 
     d = len(F)
+    m = int(P.max()) - 1
     f = np.empty((d + 1, len(P)), dtype=np.int64)
     f[0] = 1
     f[1:] = F[::-1]
@@ -378,16 +431,23 @@ def _gcd_degrees(F, b, P):
     tmp = np.empty_like(f)
     f0 = np.empty_like(P)
     delta = np.ones_like(P)
+    bound = m + 1
     for n in range(2 * d - 1):
-        m = min(d + 1, 2 * d - 1 - n)
-        gn = g[n : n + m]
-        np.multiply(gn[0], f[:m], out=tmp[:m])
+        rows = min(d + 1, 2 * d - 1 - n)
+        gn = g[n : n + rows]
+        if 2 * m * bound > _INT64_MAX:
+            np.fmod(f[:rows], P, out=f[:rows])
+            np.fmod(gn, P, out=gn)
+            bound = m
+        else:
+            np.fmod(gn[0], P, out=gn[0])
+        np.multiply(gn[0], f[:rows], out=tmp[:rows])
         swap = (delta > 0) & (gn[0] != 0)
         np.copyto(f0, f[0])
-        np.copyto(f[:m], gn, where=swap)
+        np.copyto(f[:rows], gn, where=swap)
         np.multiply(f0, gn, out=gn)
-        gn -= tmp[:m]
-        np.remainder(gn, P, out=gn)
+        gn -= tmp[:rows]
+        bound *= 2 * m
         delta += 1
         np.subtract(2, delta, out=delta, where=swap)
     return delta >> 1

@@ -122,17 +122,19 @@ class NumberField:
 
 
 def mul_mod(u, v, f) -> list[int]:
-    """u * v reduced modulo the monic f, for integer coefficient vectors u, v
-    of length deg f (lowest degree first); the result is integral too. The
+    """u * v reduced modulo the monic IntPoly f, whose coefficient tuple the
+    fold reads directly, for integer coefficient vectors u, v of length
+    deg f (lowest degree first); the result is integral too. The
     product is polyalg's one dense loop, so a sparse factor costs O(d) on
     either side."""
     d = len(u)
+    fc = f.coeffs
     prod = _product(u, v)
     for k in range(2 * d - 2, d - 1, -1):
         c = prod[k]
         if c:
             for j in range(d):
-                prod[k - d + j] -= c * f[j]
+                prod[k - d + j] -= c * fc[j]
     return prod[:d]
 
 

@@ -574,6 +574,52 @@ class TestPowerGcdDegrees:
         exponents = list(range(2, 1 << t))
         self.check(coeffs, (3, 13, (1 << 31) - 1), exponents)
 
+    @pytest.mark.parametrize("d", [2, 6, 12, 20])
+    @pytest.mark.parametrize("digits", [1, 30])
+    def test_coefficient_sizes(self, d, digits):
+        # |coefficient| <= 15, where each fold row multiplies the bound by
+        # at most 16, so below 2^16 a fold reduces few rows or none, and
+        # 30-digit coefficients, where |x^d mod f| reaches p - 1 and every
+        # fold row reduces; at small primes, primes just below 33,000 and
+        # the top primes
+        rng = random.Random(100 * d + digits)
+        top = 15 if digits == 1 else 10**30
+        coeffs = tuple(rng.randint(-top, top) for _ in range(d)) + (1,)
+        exponents = self.exponents(rng, d, 31)
+        for primes in ((2, 3, 5, 7, 11, 13, 101),
+                       tuple(primes_in_range(32_900, 33_000)), _TOP_PRIMES):
+            self.check(coeffs, primes, exponents + list(primes))
+
+    def test_every_reduce_branch_under_a_lower_int64_cap(self, monkeypatch):
+        # with _INT64_MAX at 2^40 - 1 the bounds reach it sooner: near 2^15
+        # the fold reduces a row and the divsteps their arrays; near
+        # 741,000 only two products fit on a residue (_lazy_terms is 2),
+        # so the cross products and the fold's rows below row r reduce too.
+        # Each answer still matches the oracle.
+        monkeypatch.setattr(_kernels, "_INT64_MAX", (1 << 40) - 1)
+        calls, fmod = set(), np.fmod
+
+        def spy(x, y, out):
+            caller = sys._getframe(1).f_code.co_name
+            calls.add((caller, out.shape[0] if out.ndim == 2 else None))
+            return fmod(x, y, out=out)
+
+        monkeypatch.setattr(np, "fmod", spy)
+        rng = random.Random(40)
+        d = 12
+        near_cap = tuple(primes_in_range(741_300, 741_455))
+        assert _kernels._lazy_terms(near_cap[-1] - 1) == 2
+        for primes in (tuple(primes_in_range(32_700, 32_768)), near_cap):
+            for top in (15, 10**30):
+                coeffs = tuple(rng.randint(-top, top) for _ in range(d)) + (1,)
+                self.check(coeffs, primes,
+                           self.exponents(rng, d, 31) + list(primes))
+        square = {rows for caller, rows in calls if caller == "square"}
+        assert {None, 2 * d} <= square  # a fold row, the cross products
+        assert any(d < rows < 2 * d for rows in square if rows)  # below r
+        divsteps = {rows for caller, rows in calls if caller == "_gcd_degrees"}
+        assert None in divsteps and len(divsteps) > 1  # g(0), f and g
+
 
 def random_monic(rng, k, p):
     return [rng.randrange(p) for _ in range(k)] + [1]
@@ -585,11 +631,16 @@ class TestGcdDegrees:
     degree below d."""
 
     @staticmethod
-    def check(columns, d):
+    def check(columns, d, signed=False):
         P = np.array([p for p, _f, _b in columns], dtype=np.int64)
         F = np.array([f[:d] for _p, f, _b in columns], dtype=np.int64).T % P
         B = np.array([b + [0] * (d - len(b)) for _p, _f, b in columns],
                      dtype=np.int64).T % P
+        if signed:  # 0 as -p, p - 1 as itself, any other r as r or r - p
+            lift = np.random.default_rng(d).integers(0, 2, (2, d, len(P)))
+            for A, up in zip((F, B), lift):
+                A -= np.where(A == 0, 1, np.where(A == P - 1, 0, up)) * P
+            assert (B >= -P).all() and (B < P).all()
         got = _kernels._gcd_degrees(F, B, P).tolist()
         want = [len(gf_gcd(gf_trim([c % p for c in f]),
                            gf_trim([c % p for c in b]), p)) - 1
@@ -666,6 +717,26 @@ class TestGcdDegrees:
         columns = [(p, [p - 1] * d + [1], [p - 1] * d) for p in primes]
         columns += [(p, [p - 1] * d + [1], [p - 1] * (d - 1)) for p in primes]
         self.check(columns, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12, 30, 63])
+    def test_signed_residues(self, d):
+        # F and b as signed residues in [-p, p), as _power_gcd_degrees
+        # hands them in: -p and p - 1 at the top primes, where 2 m (m + 1)
+        # is just below 2^63, next to random pairs with a planted factor
+        rng = random.Random(300 + d)
+        columns = []
+        for p in (2, 3, 5, 97, 32_987, *_TOP_PRIMES):
+            columns += [(p, [0] * d + [1], []), (p, [0] * d + [1], [1]),
+                        (p, [p - 1] * d + [1], [p - 1] * d),
+                        (p, [0] * d + [1], [p - 1] * d),
+                        (p, [p - 1] * d + [1], [0] * (d - 1) + [1])]
+            for k in range(d + 1):
+                g = random_monic(rng, k, p)
+                f = gf_mul(g, random_monic(rng, d - k, p), p)
+                r = [rng.randrange(p) for _ in range(d - k)]
+                columns.append((p, f, gf_mul(g, gf_trim(r), p)))
+        got = self.check(columns, d, signed=True)
+        assert got[:5] == [d, 0, 0, 0, 0]
 
 
 class TestFactorCounts:
