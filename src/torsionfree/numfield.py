@@ -10,20 +10,21 @@ dedekind_split is the one answer to how a rational prime q splits, up to
 an optional bound on the norm. The level scan asks it for every prime it
 visits, and the abelian count for the primes dividing the conductor; the
 count's loop over the other primes reads the same inertia memo directly.
-It reads f mod q away from the primes that may divide [O : Z[theta]].
-is_index_prime decides that for one prime q where a caller visits it: q^2
-must divide the polynomial discriminant and Dedekind's criterion fail at
-q, and the answer is memoised per field, so the criterion runs at most once
-per (field, q). Splitting, the level scan and the generic count ask only at
-the primes they reach, so building a field factors nothing; only
-dedekind_index_primes, for field_disc and the report, factors the whole
-discriminant. Real embeddings are isolating intervals, ordered by ascending
-embedding value.
+In a field without a conductor it reads f mod q, away from the primes
+that may divide [O : Z[theta]]. is_index_prime decides that for one prime
+q where a caller visits it: q^2 must divide the polynomial discriminant
+and Dedekind's criterion fail at q, and the answer is memoised per field,
+so the criterion runs at most once per (field, q). Splitting, the level
+scan and the generic count ask only at the primes they reach, so building
+a field factors nothing; only dedekind_index_primes, for field_disc and
+the report, factors the whole discriminant. Real embeddings are isolating
+intervals, ordered by ascending embedding value.
 
 Library-built cosine fields Q(2cos(2pi/n)) carry their conductor n and are
 built once per conductor. Their real embeddings come from the closed form
-2cos(2pi k/n) and are certified exactly, and a prime q not dividing n splits
-by the abelian law instead of by factorisation mod q.
+2cos(2pi k/n) and are certified exactly, and every prime q, ramified or
+not, splits by the abelian law instead of by factorisation mod q: a cosine
+field's level scan and count factor nothing.
 """
 
 from __future__ import annotations
@@ -327,14 +328,18 @@ def element_charpoly(alpha: FieldElement) -> tuple[Fraction, ...]:
 def _charpoly_linear(f: IntPoly, a: int, b: int, den: int) -> tuple[Fraction, ...]:
     # the charpoly of (a + b*theta)/den is h(den*x)/den^d, where
     # h(y) = prod (y - a - b*r) over the roots r of f = b^d f((y - a)/b)
-    # = sum f_i b^(d-i) (y - a)^i lies in Z[y] (Horner in y - a; for b = 0
-    # it is (y - a)^d); so the coefficient of x^k is h_k / den^(d-k)
-    d = f.degree
-    t = IntPoly((-a, 1))
-    h, bp = IntPoly((1,)), 1
+    # = sum f_i b^(d-i) (y - a)^i lies in Z[y]: Horner in y - a on a plain
+    # int list, O(d^2) (for b = 0 it is (y - a)^d); so the coefficient of
+    # x^k is h_k / den^(d-k)
+    fc = f.coeffs
+    d = len(fc) - 1
+    h, bp = [1], 1
     for i in range(d - 1, -1, -1):
         bp *= b
-        h = h * t + IntPoly((f[i] * bp,))
+        h.insert(0, fc[i] * bp)   # h <- h y + f_i b^(d-i), then - a h:
+        if a:                     # ascending, h[k + 1] is still old h_k
+            for k in range(len(h) - 1):
+                h[k] -= a * h[k + 1]
     return tuple(Fraction(h[k], den ** (d - k)) for k in range(d + 1))
 
 
@@ -344,9 +349,15 @@ def dedekind_split(K: NumberField, p: int,
     the defining polynomial mod p; with below, only the primes of norm
     p^f_i < below, and the distinct-degree walk stops at the largest j
     with p^j < below. An index prime of K, where that reading fails,
-    raises PreconditionError. In a cosine field of conductor n, a prime p not
-    dividing n is unramified with the inertia degree _inertia_degree reads
-    from p mod n, so no factorisation is needed.
+    raises PreconditionError.
+
+    A cosine field factors nothing: every prime splits by the abelian law
+    (Washington, Introduction to Cyclotomic Fields, Thm 2.13). With N the
+    conductor n, or n/2 for n = 2 mod 4, write N = p^a m with p not
+    dividing m. For m = 1, p is totally ramified, e = phi(p^a)/2 = d;
+    otherwise e = phi(p^a) and f is the order of p in (Z/m)*/{+-1}, which
+    _inertia_degree reads from p mod m. For a = 0 that is e = 1: p is
+    unramified.
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
@@ -359,13 +370,22 @@ def dedekind_split(K: NumberField, p: int,
             top += 1
             power *= p
     n = K.conductor
-    if n is not None and n % p:
-        f = _inertia_degree(p % n, n)
-        if top is not None and f > top:
-            return ()
-        return ((1, f),) * (K.degree // f)
-    return tuple((e, d) for g, d, e in factor_mod_p(K.defining_poly, p, top)
-                 for _ in range(g.degree // d))
+    if n is None:
+        return tuple((e, d) for g, d, e in factor_mod_p(K.defining_poly, p, top)
+                     for _ in range(g.degree // d))
+    if n % 4 == 2:
+        n //= 2  # Q(zeta_n) = Q(zeta_(n/2)); then m = 1 or m >= 3
+    m, pa = n, 1
+    while m % p == 0:
+        m //= p
+        pa *= p
+    if m == 1:
+        e, f = K.degree, 1
+    else:
+        e, f = pa - pa // p, _inertia_degree(p % m, m)
+    if top is not None and f > top:
+        return ()
+    return ((e, f),) * (K.degree // (e * f))
 
 
 @cache

@@ -366,6 +366,26 @@ class TestBuildConstruction:
             build_construction(9)
 
 
+class TestEachCheckOnce:
+    @pytest.mark.parametrize("p", (5, 7, 11, 43, 199))
+    def test_construction_records_the_search_verdicts(self, p, monkeypatch):
+        # build_construction takes interval_ok and two_adic_ok from the T
+        # search: it evaluates them exactly as often as choose_T alone
+        calls = []
+        for name in ("interval_certificate", "two_adic_condition"):
+            def spy(*args, _name=name, _check=getattr(construct, name)):
+                calls.append(_name)
+                return _check(*args)
+            monkeypatch.setattr(construct, name, spy)
+        T = choose_T(p)
+        alone = sorted(calls)
+        calls.clear()
+        con = build_construction(p)
+        assert sorted(calls) == alone
+        assert con.T == T
+        assert con.checks["interval_ok"] is con.checks["two_adic_ok"] is True
+
+
 class TestLargePrimes:
     @pytest.mark.parametrize("p", sorted(LARGE_T))
     def test_frozen_T_and_all_checks(self, p):

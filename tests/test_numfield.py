@@ -12,7 +12,7 @@ from torsionfree.errors import (NotSquarefreeError, PreconditionError,
                                 ResourceCapError)
 from torsionfree import _kernels, ntheory, numfield
 from torsionfree.polyalg import modp
-from torsionfree.construct import choose_T
+from torsionfree.construct import build_construction, choose_T
 from torsionfree.ntheory import factorize, primes_in_range, primes_upto
 from torsionfree.numfield import (FieldElement, count_prime_ideals,
                                   dedekind_index_primes, dedekind_split,
@@ -27,6 +27,11 @@ from torsionfree.selberg import find_congruence_level
 EISENSTEIN_6 = IntPoly((2, 2, 0, 0, 0, 0, 1))
 # a prime above 2^32
 BIG_PRIME = 2**32 + 15
+
+
+def refuse_factoring(f, q, top=None):
+    """Stands in for factor_mod_p where no prime may be factored."""
+    raise AssertionError(f"{q} was factored")
 
 
 class TestMakeField:
@@ -331,19 +336,46 @@ class TestDedekindSplit:
     @pytest.mark.parametrize("n", (5, 7, 9, 11, 12, 13, 15, 16, 20, 21, 24))
     def test_abelian_law_matches_factorisation(self, n, monkeypatch):
         # the conductor hint switches dedekind_split to the abelian law for
-        # q prime to n; without it every q is factored mod q
+        # every q, ramified or not; without it every q is factored mod q
         K_ab = make_cosine_field(n)
         K_gen = make_field(K_ab.defining_poly)
         primes = primes_upto(2000)
         want = [dedekind_split(K_gen, q) for q in primes]
-        factor = numfield.factor_mod_p
 
-        def factor_only_ramified(f, q, top=None):
-            assert n % q == 0, f"{q} was factored"
-            return factor(f, q, top)
-
-        monkeypatch.setattr(numfield, "factor_mod_p", factor_only_ramified)
+        monkeypatch.setattr(numfield, "factor_mod_p", refuse_factoring)
         assert [dedekind_split(K_ab, q) for q in primes] == want
+
+    def test_ramified_law_matches_factorisation(self, monkeypatch):
+        # every q | n for 3 <= n <= 200: n = 2 mod 4 at q = 2 (unramified),
+        # powers of 2 and of odd primes (totally ramified), and composite
+        # conductors (e = phi(q^a), f from q mod n/q^a). The generic side is
+        # make_field(K.defining_poly) without the root isolation, which
+        # splitting does not read
+        cases = []
+        for n in range(3, 201):
+            K_ab = make_cosine_field(n)
+            K_gen = numfield.NumberField(K_ab.defining_poly, K_ab.degree,
+                                         K_ab.disc_poly, K_ab.real_embeddings)
+            for q in factorize(n):
+                f = dedekind_split(K_gen, q)[0][1]
+                for below in (None, q**f, q**f + 1):
+                    cases.append((K_ab, q, below,
+                                  dedekind_split(K_gen, q, below)))
+
+        monkeypatch.setattr(numfield, "factor_mod_p", refuse_factoring)
+        for K_ab, q, below, want in cases:
+            assert dedekind_split(K_ab, q, below) == want, \
+                (K_ab.conductor, q, below)
+        shapes = {(K.conductor, q): dedekind_split(K, q)
+                  for K, q, _below, _want in cases}
+        assert shapes[(6, 2)] == shapes[(6, 3)] == ((1, 1),)
+        assert shapes[(30, 2)] == ((1, 4),)
+        assert shapes[(128, 2)] == ((32, 1),)
+        assert shapes[(125, 5)] == ((50, 1),)
+        assert shapes[(60, 2)] == ((2, 4),)
+        assert shapes[(63, 7)] == ((6, 3),)
+        assert shapes[(91, 7)] == ((6, 6),)
+        assert shapes[(39, 3)] == ((2, 3), (2, 3))
 
     def test_index_divisible_classical_cubic(self):
         # x^3 - x^2 - 2x - 8: 2 divides the index of Z[theta], and the
@@ -678,6 +710,30 @@ class TestCounting:
                             counted("factor", modp.factor_mod_p))
         assert count_prime_ideals(K, 10**4) == want
         assert calls == []
+
+    @pytest.mark.parametrize("p", (5, 31, 83))
+    def test_cosine_task_factors_nothing(self, p, monkeypatch):
+        # a whole cosine task, field to count, splits every prime by the
+        # abelian law, the primes dividing the conductor included
+        monkeypatch.setattr(numfield, "factor_mod_p", refuse_factoring)
+        monkeypatch.setattr(modp, "factor_mod_p", refuse_factoring)
+        K = make_cosine_field.__wrapped__(p)
+        level = find_congruence_level(K, 3)
+        con = build_construction(p)
+        count = count_prime_ideals(K, 10**6)
+        assert con.all_checks_pass() and level.norm > 0 and count > 0
+
+    @pytest.mark.parametrize("n", (9, 15, 16, 20, 60))
+    def test_cosine_scan_and_count_factor_nothing(self, n, monkeypatch):
+        # the level scan and the count alone, at conductors with a prime
+        # power or two primes, and with 2 | n
+        K = make_cosine_field(n)
+        want = (find_congruence_level(K, 3), count_prime_ideals(K, 10**6))
+
+        monkeypatch.setattr(numfield, "factor_mod_p", refuse_factoring)
+        monkeypatch.setattr(modp, "factor_mod_p", refuse_factoring)
+        assert (find_congruence_level(K, 3), count_prime_ideals(K, 10**6)) \
+            == want
 
     def test_scan_cap(self, field_sqrt2, cosine_fields):
         with pytest.raises(ResourceCapError):
