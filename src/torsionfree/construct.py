@@ -15,9 +15,10 @@ numerators that choose_T tries at each denominator, and place the dyadic
 cells around the real embeddings of the cosine field, which
 make_cosine_field(p) builds once and every check reads. What decides is
 exact: the interval certificate, the Newton slope, the certified cells,
-signs by one root comparison, and integer field arithmetic for the isometry
-and order checks. The reported volume estimates are decimal values at
-report.PRECISION digits, computed when they are read.
+signs by bisection over them, one root comparison per step, and integer
+field arithmetic for the isometry and order checks. The reported volume
+estimates are decimal values at report.PRECISION digits, computed when
+they are read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .report import CONTEXT, analytic, number_str
 from .torsion import mat_mul
 
 # largest p that a construction or a sweep accepts; build_construction(503)
-# takes about 0.17 s, its field build included (0.06 s without), in a fresh
+# takes about 0.16 s, its field build included (0.06 s without), in a fresh
 # interpreter on a 2-core Intel Xeon (median of 11)
 P_CAP = 503
 PROBE_K_CAP = 20

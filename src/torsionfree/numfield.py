@@ -9,7 +9,8 @@ no Fraction is built until .rep asks for the rational coefficients.
 dedekind_split is the one answer to how a rational prime q splits, up to
 an optional bound on the norm. The level scan asks it for every prime it
 visits, and the abelian count for the primes dividing the conductor; the
-count's loop over the other primes reads the same inertia memo directly.
+count reads the other primes from the same inertia memo directly, one by
+one up to cbrt(x) and once per residue class above.
 In a field without a conductor it reads f mod q, away from the primes
 that may divide [O : Z[theta]]. is_index_prime decides that for one prime
 q where a caller visits it: q^2 must divide the polynomial discriminant
@@ -30,6 +31,8 @@ field's level scan and count factor nothing.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import floor, gcd, isqrt, lcm
@@ -37,7 +40,7 @@ from math import floor, gcd, isqrt, lcm
 from . import _kernels
 from .errors import (NotSquarefreeError, PreconditionError, ResourceCapError,
                      TorsionfreeError)
-from .ntheory import factorize, is_prime, primes_upto
+from .ntheory import factorize, iroot, is_prime, primes_upto
 from .polyalg import (
     IntPoly,
     discriminant,
@@ -168,6 +171,9 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return not any(self.num)
+
+    def __bool__(self) -> bool:
+        return any(self.num)
 
     def _same_field(self, other: "FieldElement") -> None:
         if self.owner is not other.owner and self.owner != other.owner:
@@ -393,7 +399,10 @@ def _inertia_degree(c: int, n: int) -> int:
     """Inertia degree in Q(2cos(2pi/n)), n >= 3, of every prime q = c
     (mod n), gcd(c, n) = 1: the order of c in (Z/n)*/{+-1} (Washington,
     Introduction to Cyclotomic Fields, Thm 2.13). Memoised per conductor
-    and residue class, so each class met is walked once."""
+    and residue class, so each class met is walked once. A class sharing
+    a factor with n has no such order and raises PreconditionError."""
+    if gcd(c, n) != 1:
+        raise PreconditionError(f"{c} is not a unit mod {n}")
     x, f = c, 1
     while x != 1 and x != n - 1:
         x = x * c % n
@@ -459,10 +468,12 @@ def _count_abelian(K: NumberField, x: int) -> int:
     """Counting route for the real cyclotomic subfield of conductor n.
 
     A ramified prime (a divisor of n) goes through dedekind_split, which
-    keeps the primes above it of norm at most x. An unramified q <= sqrt(x)
-    gives d/f prime ideals of norm q^f, with f read from the inertia memo
-    directly (one dict lookup per prime, against a call of dedekind_split);
-    they count when q^f <= x, which holds for f <= 2.
+    keeps the primes above it of norm at most x. An unramified q gives d/f
+    prime ideals of norm q^f, f its inertia degree, which count when
+    q^f <= x. Only a q <= cbrt(x) can count with f >= 3, so only those are
+    read one by one from the inertia memo. The primes in (cbrt(x), sqrt(x)]
+    are tallied by their class mod n: each class prime to n reads its f
+    once and adds its tally times d/f when f <= 2.
     An unramified q above sqrt(x) counts only with inertia degree 1, that is
     for q = +-1 mod n, and then with d prime ideals; the class sieve counts
     those primes.
@@ -474,11 +485,18 @@ def _count_abelian(K: NumberField, x: int) -> int:
     total = 0
     for q in factorize(n):
         total += len(dedekind_split(K, q, x + 1))
-    for q in primes_upto(B):
+    primes = primes_upto(B)
+    cut = bisect_right(primes, iroot(x, 3))
+    for q in primes[:cut]:
         if n % q:
             f = _inertia_degree(q % n, n)
             if f <= 2 or q**f <= x:
                 total += d // f
+    for c, k in Counter(q % n for q in primes[cut:]).items():
+        if gcd(c, n) == 1:
+            f = _inertia_degree(c, n)
+            if f <= 2:
+                total += k * (d // f)
     if x > B:
         total += d * _kernels.prime_count_in_classes(
             B + 1, x + 1, n, (1, n - 1))
@@ -487,12 +505,23 @@ def _count_abelian(K: NumberField, x: int) -> int:
 
 def sign_at_embeddings(alpha: FieldElement) -> tuple[int, ...]:
     """Exact sign of the linear element alpha = (a + b theta)/den at every
-    real embedding, ascending embedding order: one root comparison each."""
+    real embedding, ascending embedding order. a + b r is monotone in the
+    root r, so the signs are a run of -up, then one of up (1 for b > 0,
+    else -1; for b = 0 one run is empty): bisection finds the switch in
+    ceil(log2(r + 1)) sign_at_root calls for r real embeddings."""
     if alpha.is_zero():
         raise PreconditionError("sign of the zero element")
     K = alpha.owner
-    if not K.real_embeddings:
+    cells = K.real_embeddings
+    if not cells:
         raise PreconditionError("field has no real embedding")
     g = _linear_parts(alpha)
-    f = K.defining_poly
-    return tuple(sign_at_root(f, iv, g) for iv in K.real_embeddings)
+    up = 1 if g[1] > 0 else -1
+    lo, hi = 0, len(cells)  # the first cell with sign up lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sign_at_root(K.defining_poly, cells[mid], g) == up:
+            hi = mid
+        else:
+            lo = mid + 1
+    return (-up,) * lo + (up,) * (len(cells) - lo)

@@ -28,16 +28,6 @@ from ..ntheory import factorize, is_prime
 from .poly import IntPoly
 from .roots import CELL_BITS, Interval, _sign_at
 
-X = IntPoly([0, 1])
-
-
-def _v_basis(upto: int) -> list[IntPoly]:
-    """V_0 .. V_upto with V_k(2cos t) = 2cos(k t)."""
-    vs = [IntPoly([2]), X]
-    while len(vs) <= upto:
-        vs.append(X * vs[-1] - vs[-2])
-    return vs[: upto + 1]
-
 
 @functools.cache
 def cyclotomic_poly(n: int) -> IntPoly:
@@ -61,12 +51,16 @@ def minpoly_two_cos_conductor(n: int) -> IntPoly:
         raise PreconditionError("conductor must be >= 3")
     phi = cyclotomic_poly(n)
     m = phi.degree // 2
-    # palindromic: phi coefficients a_k with a_k == a_{deg-k}
+    # palindromic: phi coefficients a_k with a_k == a_{deg-k}, so
+    # Psi_N = a_m + sum_k a_{m+k} V_k, summed on plain int lists
     a = phi.coeffs
-    vs = _v_basis(m)
-    out = IntPoly([a[m]])
+    acc, v_prev, v = [a[m]] + [0] * m, [2], [0, 1]
     for k in range(1, m + 1):
-        out = out + a[m + k] * vs[k]
+        for i, c in enumerate(v):
+            acc[i] += a[m + k] * c
+        # V_{k+1} = x V_k - V_{k-1}
+        v_prev, v = v, [c - e for c, e in zip([0] + v, v_prev + [0, 0])]
+    out = IntPoly(acc)
     if not out.is_monic() or out.degree != m:
         raise AssertionError("cosine minimal polynomial construction failed")
     return out

@@ -16,7 +16,7 @@ from collections import namedtuple
 from decimal import Decimal
 from functools import reduce
 from math import lcm
-from operator import add, mul
+from operator import add
 
 from .errors import PreconditionError, ResourceCapError
 from .ntheory import factorize, primes_upto
@@ -156,11 +156,17 @@ def witness_matrix(witness_orders: tuple[int, ...], size: int) -> list[list[int]
 
 
 def mat_mul(A, B) -> tuple[tuple, ...]:
-    """A B for square matrices over any ring: ints or field elements. Each
-    sum starts from its first product, not from the int 0."""
+    """A B for square matrices over any ring: ints or field elements.
+    Terms with a zero factor are skipped; an entry whose terms all have one
+    is its first product, so a zero keeps the operands' type, never the
+    int 0."""
     cols = tuple(zip(*B))
-    return tuple(tuple(reduce(add, map(mul, row, col)) for col in cols)
-                 for row in A)
+    return tuple(tuple(_dot(row, col) for col in cols) for row in A)
+
+
+def _dot(row, col):
+    return reduce(add, [a * b for a, b in zip(row, col) if a and b]
+                  or [row[0] * col[0]])
 
 
 def mat_pow(A, e: int) -> tuple[tuple, ...]:

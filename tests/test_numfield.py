@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 import mpmath as mp
@@ -583,6 +584,50 @@ class TestCounting:
                         (31, 5, 3), (21, 2, 6), (13, 2, 6)):
             assert dedekind_split(make_cosine_field(n), q)[0] == (1, f)
 
+    def test_inertia_degree_refuses_a_non_unit_class(self):
+        # 2 mod 12 would cycle 2 -> 4 -> 8 -> 4 without reaching +-1
+        for c, n in ((2, 12), (3, 12), (0, 12), (4, 12), (5, 15), (0, 7)):
+            with pytest.raises(PreconditionError):
+                numfield._inertia_degree(c, n)
+        assert numfield._inertia_degree(11, 12) == 1
+        assert numfield._inertia_degree(5, 12) == 2
+        assert numfield._inertia_degree(2, 7) == 3
+
+    def test_class_tally_matches_per_prime_loop_dense(self, monkeypatch):
+        # every conductor 3 <= n <= 60 and every x <= 3000, against the
+        # per-prime loop over all q <= sqrt(x). The class sieve above
+        # sqrt(x) has its own tests; an exact count from a prime list
+        # stands in for it on both sides, so the grid runs in seconds.
+        primes = set(primes_upto(3001))
+
+        @cache
+        def below(n, residues):
+            # below(n, residues)[v]: the primes q < v with q % n in residues
+            out = [0]
+            for v in range(3001):
+                out.append(out[-1] + (v in primes and v % n in residues))
+            return out
+
+        def listed_class_count(lo, hi, n, residues):
+            return below(n, residues)[hi] - below(n, residues)[lo]
+
+        monkeypatch.setattr(_kernels, "prime_count_in_classes",
+                            listed_class_count)
+        for n in range(3, 61):
+            K = make_cosine_field(n)
+            got = [count_prime_ideals(K, x) for x in range(2, 3001)]
+            want = [_per_prime_count(K, x) for x in range(2, 3001)]
+            assert got == want, n
+
+    def test_class_tally_at_the_cube_root_cut(self):
+        # x = q^3 - 1, q^3, q^3 + 1 puts q on each side of the cbrt(x) cut
+        xs = [q**3 + e for q in primes_upto(50) for e in (-1, 0, 1)]
+        for n in range(3, 61):
+            K = make_cosine_field(n)
+            for x in xs:
+                assert count_prime_ideals(K, x) == _per_prime_count(K, x), \
+                    (n, x)
+
     def test_frozen_workload_counts(self):
         # taken from the route that split every prime below sqrt(x) with
         # dedekind_split
@@ -803,6 +848,37 @@ class TestEmbeddings:
         assert [before] == _oracle_signs(11, [alpha.rep[:2]])
         assert set(before) == {1, -1}
 
+    @pytest.mark.parametrize("K", [
+        *(make_cosine_field(p) for p in primes_in_range(3, 44)),
+        make_field(IntPoly((-2, 0, 1))), make_field(IntPoly((-5, 0, 0, 1))),
+        make_field(IntPoly((-1, -4, 0, 1))),
+        make_field(IntPoly((1, 0, -5, 0, 1)))],
+        ids=lambda K: (f"cos{K.conductor}" if K.conductor
+                       else ",".join(map(str, K.defining_poly.coeffs))))
+    def test_bisection_matches_every_cell(self, K, monkeypatch):
+        # every (a + b theta)/den with |a| <= 6, |b| <= 3, den in {1, 2, 8}
+        # against sign_at_root on each cell, in at most ceil(log2 r) + 1
+        # sign_at_root calls for r real embeddings
+        f, cells = K.defining_poly, K.real_embeddings
+        bs = range(-3, 4) if K.degree > 1 else (0,)
+        elements = [(a, b, den) for a in range(-6, 7) for b in bs
+                    for den in (1, 2, 8) if a or b]
+        want = [tuple(sign_at_root(f, iv, (Fraction(a, den), Fraction(b, den)))
+                      for iv in cells) for a, b, den in elements]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sign_at_root(*args)
+
+        monkeypatch.setattr(numfield, "sign_at_root", counted)
+        bound = (len(cells) - 1).bit_length() + 1  # ceil(log2 r) + 1
+        for (a, b, den), w in zip(elements, want):
+            calls.clear()
+            coeffs = [Fraction(a, den), Fraction(b, den)][:K.degree]
+            assert sign_at_embeddings(K.element(coeffs)) == w, (a, b, den)
+            assert 1 <= len(calls) <= bound, (a, b, den)
+
     def test_signs_match_oracle(self):
         # every construction prime up to 199, and P_CAP: the c of choose_T
         # and ten seeded random linear elements, against 2cos(2pi k/p) at
@@ -816,6 +892,25 @@ class TestEmbeddings:
                                    rng.randint(1, 64))) for _ in range(10)]
             got = [sign_at_embeddings(K.element(ab)) for ab in elements]
             assert got == _oracle_signs(p, elements), p
+
+
+def _per_prime_count(K, x):
+    """count_prime_ideals for the cosine field K by the earlier route: the
+    primes dividing the conductor by dedekind_split, every other q <= sqrt(x)
+    one by one with d/f prime ideals when q^f <= x, and d for each prime
+    above sqrt(x) that is +-1 mod n."""
+    n, d = K.conductor, K.degree
+    B = isqrt(x)
+    total = sum(len(dedekind_split(K, q, x + 1)) for q in factorize(n))
+    for q in primes_upto(B):
+        if n % q:
+            f = numfield._inertia_degree(q % n, n)
+            if f <= 2 or q**f <= x:
+                total += d // f
+    if x > B:
+        total += d * _kernels.prime_count_in_classes(
+            B + 1, x + 1, n, (1, n - 1))
+    return total
 
 
 def _oracle_signs(n, elements):

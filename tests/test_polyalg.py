@@ -249,6 +249,19 @@ class TestCosineMinimalPolynomials:
         with pytest.raises(PreconditionError):
             two_cos_discriminant(2)
 
+    def test_palindromic_rewrite_gives_back_phi(self):
+        # z^m Psi_n(z + 1/z) = sum_i c_i z^(m-i) (z^2 + 1)^i must be Phi_n,
+        # which fixes Psi_n, for every 3 <= n < 400
+        for n in range(3, 400):
+            c = minpoly_two_cos_conductor(n).coeffs
+            m = len(c) - 1
+            acc, power = [0] * (2 * m + 1), [1]  # power = (z^2 + 1)^i
+            for i, ci in enumerate(c):
+                for j, pj in enumerate(power):
+                    acc[m - i + j] += ci * pj
+                power = [a + b for a, b in zip(power + [0, 0], [0, 0] + power)]
+            assert IntPoly(acc) == cyclotomic.cyclotomic_poly(n), n
+
     def test_conductor_variant(self):
         # conductor 2p relates to conductor p by x -> -x up to sign
         f10 = minpoly_two_cos_conductor(10)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -5,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from torsionfree.errors import PreconditionError, ResourceCapError
+from torsionfree.numfield import FieldElement
 from torsionfree.report import number_str
 from torsionfree.torsion import (ND_CAP, companion_matrix, finite_subgroup_bound,
                                  mat_mul, mat_pow, matrix_order_is,
@@ -260,6 +262,64 @@ class TestMatPow:
             for e in range(1, 40):
                 assert mat_pow(M, e) == acc
                 acc = mat_mul(acc, M)
+
+
+class TestZeroSkip:
+    @pytest.mark.parametrize("size", (3, 5))
+    def test_sparse_int_products_match_dense(self, size):
+        rng = random.Random(size)
+
+        def sparse():
+            # at least half the entries are zero
+            cells = rng.sample(range(size * size), (size * size) // 2)
+            M = [[rng.randint(-9, 9) for _ in range(size)]
+                 for _ in range(size)]
+            for c in cells:
+                M[c // size][c % size] = 0
+            return M
+
+        for _ in range(200):
+            A, B = sparse(), sparse()
+            assert mat_mul(A, B) == tuple(
+                tuple(sum(A[i][k] * B[k][j] for k in range(size))
+                      for j in range(size)) for i in range(size))
+
+    def test_no_product_with_a_zero_factor(self):
+        products = []
+
+        class Counted(int):
+            def __mul__(self, other):
+                products.append((int(self), int(other)))
+                return Counted(int(self) * int(other))
+
+            def __add__(self, other):
+                return Counted(int(self) + int(other))
+
+        A = [[Counted(v) for v in row]
+             for row in ((1, 0, 2), (0, 0, 3), (4, 0, 0))]
+        B = [[Counted(v) for v in row]
+             for row in ((0, 5, 0), (6, 0, 0), (0, 0, 7))]
+        C = [[Counted(0)] * 3 for _ in range(3)]
+        assert mat_mul(A, B) == ((0, 5, 14), (0, 0, 21), (0, 20, 0))
+        # four nonzero terms, and one zero product each for the five
+        # entries with no nonzero term
+        assert sorted(p for p in products if 0 not in p) == \
+            [(1, 5), (2, 7), (3, 7), (4, 5)]
+        assert len(products) == 4 + 5
+        products.clear()
+        assert mat_mul(C, A) == ((0,) * 3,) * 3
+        assert len(products) == 9
+
+    def test_zero_field_products_keep_the_field_type(self, cosine_fields):
+        K = cosine_fields[7]
+        zero, th = K.element([0]), K.generator()
+        assert not zero and th and not (th - th)
+        A = ((th, zero), (zero, zero))
+        B = ((zero, zero), (zero, th))
+        for prod in (mat_mul(A, B), mat_mul(B, A),
+                     mat_mul(((zero, zero), (zero, zero)), A)):
+            for e in (e for row in prod for e in row):
+                assert isinstance(e, FieldElement) and e == K.element([0])
 
 
 class TestVolumeBounds:
