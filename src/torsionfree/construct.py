@@ -33,7 +33,8 @@ from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import is_prime, primes_in_range
 from .numfield import (FieldElement, NumberField, element_charpoly,
                        make_cosine_field, mul_mod, sign_at_embeddings)
-from .polyalg import compare_root, minpoly_two_cos, two_cos_discriminant
+from .polyalg import (compare_root, minpoly_two_cos_conductor,
+                      two_cos_discriminant)
 from .report import CONTEXT, analytic, number_str
 from .torsion import mat_mul
 
@@ -41,7 +42,6 @@ from .torsion import mat_mul
 # takes about 0.16 s, its field build included (0.06 s without), in a fresh
 # interpreter on a 2-core Intel Xeon (median of 11)
 P_CAP = 503
-PROBE_K_CAP = 20
 PROBE_CANDIDATE_BITS = 30
 
 CHECK_NAMES = ("interval_ok", "archimedean_ok", "two_adic_ok",
@@ -143,7 +143,7 @@ def two_adic_condition(c: FieldElement) -> bool:
     place and still all be odd) but it avoids any prime-by-prime valuation
     machinery.
     """
-    if c.is_zero():
+    if not c:
         raise PreconditionError("c must be nonzero")
     cp = element_charpoly(c)
     d = len(cp) - 1
@@ -220,7 +220,7 @@ def order_p_element(p: int, field: NumberField):
     construction's gram matrix with entries in Z[2w]."""
     if not is_prime(p) or p == 2:
         raise PreconditionError("p must be an odd prime")
-    if field.defining_poly != minpoly_two_cos(p):
+    if field.defining_poly != minpoly_two_cos_conductor(p):
         raise PreconditionError("field must be generated by 2cos(2pi/p)")
     zero, one = field.element([0]), field.element([1])
     theta = field.generator()
@@ -316,13 +316,14 @@ def mod2k_isotropy_probe(c: FieldElement, k: int) -> list:
     Falsification probe: coordinates run over polynomials in the generator
     of degree < d with coefficients mod 2^k, primitive meaning not every
     coefficient even. Empty output for growing k is evidence for 2-adic
-    anisotropy; any hit at large k flags the construction.
+    anisotropy; any hit at large k flags the construction. The search
+    visits 2^(3dk) candidate triples, and any k with 3dk above
+    PROBE_CANDIDATE_BITS is refused with ResourceCapError before anything
+    is built.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    if k > PROBE_K_CAP:
-        raise ResourceCapError(f"probe capped at k <= {PROBE_K_CAP}")
-    if c.is_zero():
+    if not c:
         raise PreconditionError("c must be nonzero")
     K = c.owner
     d = K.degree

@@ -38,8 +38,7 @@ from functools import cache
 from math import floor, gcd, isqrt, lcm
 
 from . import _kernels
-from .errors import (NotSquarefreeError, PreconditionError, ResourceCapError,
-                     TorsionfreeError)
+from .errors import PreconditionError, ResourceCapError, TorsionfreeError
 from .ntheory import factorize, iroot, is_prime, primes_upto
 from .polyalg import (
     IntPoly,
@@ -169,9 +168,6 @@ class FieldElement:
         """Rational coefficients of theta^0 .. theta^(d-1)."""
         return tuple(Fraction(a, self.den) for a in self.num)
 
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def __bool__(self) -> bool:
         return any(self.num)
 
@@ -264,11 +260,13 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
     Irreducibility is the caller's responsibility; visibly reducible input is
     rejected. A tuple's coefficients must be integers (operator.index), so a
     float, a string or a Fraction raises PreconditionError. The checks run
-    in this order: degree >= 1 and monic; a zero discriminant (repeated
-    factor) raises NotSquarefreeError; the real roots are isolated; a
-    rational root, which for monic f is an integer inside its cell, raises
-    PreconditionError. No prime is factored or tested here: is_index_prime
-    decides each index prime where it is visited.
+    in this order: degree >= 1 and monic; the discriminant; the real roots,
+    isolated on the Sturm chain, which ends at gcd(f, f') and so refuses a
+    repeated factor with NotSquarefreeError; a rational root, which for
+    monic f is an integer inside its cell, raises PreconditionError. The
+    discriminant and the Sturm chain share one remainder sequence of
+    (f, f'). No prime is factored or tested here: is_index_prime decides
+    each index prime where it is visited.
 
     conductor = n declares f the minimal polynomial of 2cos(2pi/n), which is
     checked; then the discriminant is two_cos_discriminant(n), and the cells
@@ -288,8 +286,6 @@ def make_field(f: IntPoly | tuple[int, ...], conductor: int | None = None) -> Nu
     if not f.is_monic():
         raise PreconditionError("defining polynomial must be monic")
     disc = discriminant(f) if conductor is None else two_cos_discriminant(conductor)
-    if disc == 0:
-        raise NotSquarefreeError("defining polynomial has a repeated factor")
     cells = (isolate_real_roots(f) if conductor is None
              else isolate_two_cos_roots(conductor))
     # a cell (lo, hi] is narrower than 1, so the one integer it can hold is
@@ -509,7 +505,7 @@ def sign_at_embeddings(alpha: FieldElement) -> tuple[int, ...]:
     root r, so the signs are a run of -up, then one of up (1 for b > 0,
     else -1; for b = 0 one run is empty): bisection finds the switch in
     ceil(log2(r + 1)) sign_at_root calls for r real embeddings."""
-    if alpha.is_zero():
+    if not alpha:
         raise PreconditionError("sign of the zero element")
     K = alpha.owner
     cells = K.real_embeddings

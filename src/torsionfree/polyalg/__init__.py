@@ -9,7 +9,6 @@ from .poly import (
 from .cyclotomic import (
     cyclotomic_poly,
     isolate_two_cos_roots,
-    minpoly_two_cos,
     minpoly_two_cos_conductor,
     two_cos_discriminant,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "factor_mod_p",
     "isolate_real_roots",
     "isolate_two_cos_roots",
-    "minpoly_two_cos",
     "minpoly_two_cos_conductor",
     "resultant",
     "root_bound",

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import cos, floor, gcd, pi, prod
 
 from ..errors import PreconditionError, ResourceCapError
-from ..ntheory import factorize, is_prime
+from ..ntheory import factorize
 from .poly import IntPoly
 from .roots import CELL_BITS, Interval, _sign_at
 
@@ -129,10 +129,3 @@ def isolate_two_cos_roots(n: int) -> list[Interval]:
             f"the guided root cells of conductor {n} failed their exact check "
             f"at CELL_BITS = {CELL_BITS}")
     return [(Fraction(m, scale), Fraction(m + 1, scale)) for m in cells]
-
-
-def minpoly_two_cos(p: int) -> IntPoly:
-    """Minimal polynomial of 2cos(2pi/p), p an odd prime; degree (p-1)/2."""
-    if p % 2 == 0 or not is_prime(p):
-        raise PreconditionError(f"odd prime required, got {p}")
-    return minpoly_two_cos_conductor(p)

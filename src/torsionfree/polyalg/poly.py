@@ -12,9 +12,13 @@ coefficient instead of dividing by it, and exact_div divides each top
 coefficient by it and refuses when a remainder is left. One remainder
 sequence, the subresultant PRS, serves the resultant and the Sturm chain;
 it takes no content gcd, and every scalar division in it is checked exact.
+Its one-entry memo lets the discriminant and the Sturm chain of the same
+polynomial share one run.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ..errors import PreconditionError
 
@@ -61,9 +65,6 @@ class IntPoly:
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def lc(self) -> int:
@@ -134,7 +135,7 @@ class IntPoly:
         """Pseudo remainder r: lc(other)^(da-db+1) * self = q*other + r with
         deg r < deg other, for some q in Z[x] that is never formed; self
         itself when da < db."""
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("pseudo division by zero polynomial")
         da, db = self.degree, other.degree
         if da < db:
@@ -154,7 +155,7 @@ class IntPoly:
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact quotient over Z; PreconditionError unless other divides self
         in Z[x]."""
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         db, lc_b = other.degree, other.lc
         rem = list(self.coeffs)
@@ -177,6 +178,7 @@ def _exact_quo(a: int, b: int) -> int:
     return q
 
 
+@lru_cache(maxsize=1)
 def subresultant_prs(a: IntPoly, b: IntPoly) -> tuple[list[IntPoly], list[int], int]:
     """(chain, signs, h) for deg a >= deg b >= 0, b != 0 (Cohen, GTM 138,
     Alg. 3.3.1 and 3.3.7). chain: b_0 = a, b_1 = b, b_(i+1) =
@@ -184,7 +186,11 @@ def subresultant_prs(a: IntPoly, b: IntPoly) -> tuple[list[IntPoly], list[int], 
     delta_i = deg b_(i-1) - deg b_i, and then g = lc(b_i) and
     h = g^delta_i / h^(delta_i - 1), from g = h = 1; each division is checked.
     signs[i] b_i is a positive multiple of S_i, S_(i+1) = -rem(S_(i-1), S_i).
-    h, updated for the last element too, is +-Res(a, b) if that is constant."""
+    h, updated for the last element too, is +-Res(a, b) if that is constant.
+
+    One entry is kept, so the discriminant and the Sturm chain of one f,
+    which both ask for the chain of (f, f'), compute it once. A repeated
+    call returns the same lists: callers read them and never mutate them."""
     chain, signs = [a, b], [1, 1]
     g = h = 1
     while True:
@@ -195,7 +201,7 @@ def subresultant_prs(a: IntPoly, b: IntPoly) -> tuple[list[IntPoly], list[int], 
         if delta:
             h = _exact_quo(g ** delta, h ** (delta - 1))
         r = prev.pseudo_rem(cur) if cur.degree > 0 else IntPoly()
-        if r.is_zero():
+        if not r:
             return chain, signs, h
         chain.append(IntPoly([_exact_quo(c, beta) for c in r.coeffs]))
         # prem(b_(i-1), b_i) = g^(delta + 1) rem(b_(i-1), b_i), so S_(i+1) =
@@ -207,7 +213,7 @@ def subresultant_prs(a: IntPoly, b: IntPoly) -> tuple[list[IntPoly], list[int], 
 def resultant(f: IntPoly, g: IntPoly) -> int:
     """Res(f, g) over Z: the signed last h of the subresultant PRS, 0 when
     the chain ends at a common factor of positive degree."""
-    if f.is_zero() or g.is_zero():
+    if not f or not g:
         return 0
     if f.degree < g.degree:
         return (-1) ** (f.degree * g.degree) * resultant(g, f)

@@ -28,7 +28,7 @@ def sturm_sequence(f: IntPoly) -> list[IntPoly]:
     """Sturm chain of f up to positive factors: the subresultant PRS of
     (f, f'), each element times its tracked sign."""
     df = f.derivative()
-    if df.is_zero():
+    if not df:
         return [f]
     chain, signs, _ = subresultant_prs(f, df)
     return [b if s > 0 else -b for b, s in zip(chain, signs)]

@@ -19,7 +19,7 @@ from torsionfree.ntheory import primes_in_range
 from torsionfree.numfield import (dedekind_split, make_cosine_field,
                                   make_field, sign_at_embeddings)
 from torsionfree.polyalg import (IntPoly, compare_root, isolate_two_cos_roots,
-                                 minpoly_two_cos, minpoly_two_cos_conductor)
+                                 minpoly_two_cos_conductor)
 from torsionfree.report import number_str
 from torsionfree.torsion import mat_pow
 
@@ -126,7 +126,7 @@ class TestIntervalCertificate:
         # conductor-2p minimal polynomial, 2cos(2pi/p) as the largest root
         # of the conductor-p one
         f2p, iv2 = minpoly_two_cos_conductor(2 * p), isolate_two_cos_roots(2 * p)[-2]
-        fp, ivp = minpoly_two_cos(p), isolate_two_cos_roots(p)[-1]
+        fp, ivp = minpoly_two_cos_conductor(p), isolate_two_cos_roots(p)[-1]
 
         def two_field(T):
             q = -2 * T
@@ -328,7 +328,7 @@ class TestBuildConstruction:
             for i in range(3):
                 for j in range(3):
                     assert G[i][j] == G[j][i]
-            assert not _det(G).is_zero()
+            assert _det(G)
 
     def test_generator_entries_dyadic(self, constructions):
         # matrix entries live in Z[theta, 1/2]
@@ -565,6 +565,24 @@ class TestIsotropyProbe:
         c13 = K13.element([FROZEN_T[13], Fraction(1, 2)])
         with pytest.raises(ResourceCapError):
             mod2k_isotropy_probe(c13, 2)
+
+    def test_candidate_guard_is_the_one_bound(self, cosine_fields,
+                                              monkeypatch):
+        # at p = 5 (d = 2) the 2^30 guard admits k <= 5 and refuses every
+        # larger k before a coordinate is listed
+        class Built(Exception):
+            pass
+
+        def refuse(*_args, **_kw):
+            raise Built
+
+        monkeypatch.setattr(construct, "product", refuse)
+        c = cosine_fields[5].element([Fraction(1, 8), Fraction(1, 2)])
+        for k in (6, 11, 21, 10**6):
+            with pytest.raises(ResourceCapError, match=r"2\^30 search guard"):
+                mod2k_isotropy_probe(c, k)
+        with pytest.raises(Built):
+            mod2k_isotropy_probe(c, 5)
 
     def test_non_dyadic_denominator_rejected(self, cosine_fields):
         K = cosine_fields[5]

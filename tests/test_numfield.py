@@ -20,8 +20,8 @@ from torsionfree.numfield import (FieldElement, count_prime_ideals,
                                   element_charpoly, make_cosine_field,
                                   make_field, sign_at_embeddings)
 from torsionfree.polyalg import (IntPoly, isolate_real_roots,
-                                 minpoly_two_cos_conductor, roots,
-                                 sign_at_root, two_cos_discriminant)
+                                 minpoly_two_cos_conductor, poly, resultant,
+                                 roots, sign_at_root, two_cos_discriminant)
 from torsionfree.selberg import find_congruence_level
 
 # x^6 + 2x + 2, Eisenstein at 2
@@ -64,7 +64,7 @@ class TestMakeField:
             assert len(make_field(f).real_embeddings) == real
 
     def test_repeated_rational_root_is_not_squarefree(self):
-        # (x - 1)^2: the zero discriminant is refused before any root test
+        # (x - 1)^2: the Sturm chain refuses it before any root test
         with pytest.raises(NotSquarefreeError):
             make_field(IntPoly((1, -2, 1)))
 
@@ -146,6 +146,58 @@ class TestMakeField:
     def test_rationals(self, field_q):
         assert field_q.degree == 1
         assert field_q.field_disc == 1
+
+
+class TestOneChain:
+    """make_field reads the remainder sequence of (f, f') once: the
+    discriminant computes it, and the Sturm chain reads it from the
+    one-entry memo of subresultant_prs."""
+
+    @staticmethod
+    def eisenstein(rng, d):
+        coeffs = [2 * rng.randint(-3, 3) for _ in range(d)] + [1]
+        coeffs[0] = 2 * rng.choice((-1, 1, -3, 3))
+        return IntPoly(coeffs)
+
+    def test_make_field_computes_the_chain_once(self, monkeypatch):
+        f = self.eisenstein(random.Random(42), 12)
+        make_field(EISENSTEIN_6)  # the memo now holds another chain
+        calls = []
+        pseudo_rem = IntPoly.pseudo_rem
+
+        def counted(a, b):
+            calls.append(b)
+            return pseudo_rem(a, b)
+
+        monkeypatch.setattr(IntPoly, "pseudo_rem", counted)
+        make_field(f)
+        in_field = len(calls)
+        calls.clear()
+        poly.subresultant_prs.__wrapped__(f, f.derivative())
+        assert in_field == len(calls) >= 11
+
+    def test_memo_keeps_each_field_its_own(self, monkeypatch):
+        from sympy import Poly, discriminant as sympy_discriminant, symbols
+        from sympy import resultant as sympy_resultant
+        x = symbols("x")
+
+        def as_sympy(f):
+            return Poly(list(reversed(f.coeffs)), x)
+
+        rng = random.Random(7)
+        f, g, h = (self.eisenstein(rng, d) for d in (30, 2, 17))
+        fields = [make_field(k) for k in (f, g, f, h)]
+        monkeypatch.setattr(roots, "subresultant_prs",
+                            poly.subresultant_prs.__wrapped__)
+        for k, K in zip((f, g, f, h), fields):
+            assert K.disc_poly == int(sympy_discriminant(as_sympy(k)))
+            assert K.real_embeddings == tuple(isolate_real_roots(k))
+        # Res(b, a) reads the chain of Res(a, b) and flips its sign, since
+        # both degrees are odd
+        a, b = self.eisenstein(rng, 7), self.eisenstein(rng, 5)
+        want = int(sympy_resultant(as_sympy(a), as_sympy(b)))
+        assert resultant(a, b) == want
+        assert resultant(b, a) == -want
 
 
 class TestElements:

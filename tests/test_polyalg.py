@@ -14,7 +14,7 @@ from torsionfree.ntheory import primes_in_range
 from torsionfree.polyalg import (IntPoly, compare_root,
                                  discriminant, factor_mod_p,
                                  isolate_real_roots, isolate_two_cos_roots,
-                                 minpoly_two_cos, minpoly_two_cos_conductor,
+                                 minpoly_two_cos_conductor,
                                  resultant, sign_at_root,
                                  sturm_sequence, two_cos_discriminant)
 from torsionfree.polyalg import cyclotomic, poly, roots
@@ -224,7 +224,7 @@ class TestCosineMinimalPolynomials:
         for p in primes_upto(100):
             if p < 5:
                 continue
-            f = minpoly_two_cos(p)
+            f = minpoly_two_cos_conductor(p)
             assert f.degree == (p - 1) // 2
             assert f.is_monic()
             assert self.small_prime_irreducible(f)
@@ -236,8 +236,8 @@ class TestCosineMinimalPolynomials:
                 assert abs(poly_eval_mpf(tuple(f), x)) < mp.mpf("1e-30") * size
 
     def test_known_small_cases(self):
-        assert tuple(minpoly_two_cos(5)) == (-1, 1, 1)
-        assert tuple(minpoly_two_cos(7)) == (-1, -2, 1, 1)
+        assert tuple(minpoly_two_cos_conductor(5)) == (-1, 1, 1)
+        assert tuple(minpoly_two_cos_conductor(7)) == (-1, -2, 1, 1)
 
     def test_discriminant_formula_matches_the_chain(self):
         conductors = [*range(3, 301), 401, 503]
@@ -430,7 +430,7 @@ class TestSturmIsolation:
             isolate_real_roots(IntPoly((2, -3, 0, 1)))
 
     def test_intervals_bracket_roots(self):
-        f = minpoly_two_cos(11)
+        f = minpoly_two_cos_conductor(11)
         ivs = isolate_real_roots(f)
         assert len(ivs) == 5
         def ev(q):
