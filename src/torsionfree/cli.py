@@ -212,12 +212,12 @@ def construct(args):
                              b_const=cfg.belolipetsky_b)
     report = con.to_json()
     if args.probe_k is not None:
-        sols = mod2k_isotropy_probe(con.c, args.probe_k)
+        count, sample = mod2k_isotropy_probe(con.c, args.probe_k, keep=8)
         report["isotropy_probe"] = {
             "k": args.probe_k,
-            "solution_count": len(sols),
+            "solution_count": count,
             "solutions_sample": [[list(x), list(y), list(z)]
-                                 for x, y, z in sols[:8]],
+                                 for x, y, z in sample],
         }
     sys.stdout.write(dumps_report(report))
 

@@ -139,9 +139,23 @@ def _primes_below(m: int) -> tuple[int, ...]:
 def _base_table(m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(the primes b < m that do not divide n, ascending; u_b = -1/n mod b
     for each). One entry is kept, so the progressions of one class count,
-    which share m and n, build it once."""
+    which share m and n, build it once.
+
+    u_b comes from an inverse mod n, not mod b: with y = 1/b mod n in
+    [1, n], b y = 1 + n u for an integer u in [0, b), and n u = -1 mod b,
+    so u = (b y - 1) / n is u_b. The inverses are tabled by residue as the
+    b mod n are met, so a table takes at most phi(n) inversions mod n,
+    however many base primes it has."""
     base = tuple(b for b in _primes_below(m) if n % b)
-    return base, tuple(-pow(n, -1, b) % b for b in base)
+    inv = [0] * n  # inv[r] = 1/r mod n, or 0 while not yet met
+    u = []
+    for b in base:
+        r = b % n
+        y = inv[r]
+        if not y:
+            y = inv[r] = pow(r, -1, n) or 1  # 0 only for n = 1; 1 serves
+        u.append((b * y - 1) // n)
+    return base, tuple(u)
 
 
 def progression_blocks(lo: int, hi: int, n: int, r: int):

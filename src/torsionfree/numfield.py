@@ -348,10 +348,12 @@ def _charpoly_linear(f: IntPoly, a: int, b: int, den: int) -> tuple[Fraction, ..
 def dedekind_split(K: NumberField, p: int,
                    below: int | None = None) -> tuple[tuple[int, int], ...]:
     """Shape of p * O as (e_i, f_i) pairs ordered by (f_i, e_i), read from
-    the defining polynomial mod p; with below, only the primes of norm
-    p^f_i < below, and the distinct-degree walk stops at the largest j
-    with p^j < below. An index prime of K, where that reading fails,
-    raises PreconditionError.
+    the defining polynomial mod p. With below, only the least primes of
+    norm p^f_i < below: a prime is least when no prime above p with
+    another pair (e, f) has both f <= f_i and e <= e_i. The distinct-degree
+    walk then stops at the largest j with p^j < below, and within each
+    multiplicity at the first degree with a prime (factor_mod_p). An index
+    prime of K, where that reading fails, raises PreconditionError.
 
     A cosine field factors nothing: every prime splits by the abelian law
     (Washington, Introduction to Cyclotomic Fields, Thm 2.13). With N the
@@ -359,7 +361,8 @@ def dedekind_split(K: NumberField, p: int,
     dividing m. For m = 1, p is totally ramified, e = phi(p^a)/2 = d;
     otherwise e = phi(p^a) and f is the order of p in (Z/m)*/{+-1}, which
     _inertia_degree reads from p mod m. For a = 0 that is e = 1: p is
-    unramified.
+    unramified. The field is Galois, so every prime above p has this one
+    (e, f), and all of them are least.
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")

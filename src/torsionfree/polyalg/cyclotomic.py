@@ -26,7 +26,7 @@ from math import cos, floor, gcd, pi, prod
 from ..errors import PreconditionError, ResourceCapError
 from ..ntheory import factorize
 from .poly import IntPoly
-from .roots import CELL_BITS, Interval, _sign_at
+from .roots import CELL_BITS, Interval
 
 
 @functools.cache
@@ -85,14 +85,21 @@ def _cells_certified(f: IntPoly, cells: list[int], k: int) -> bool:
     """True when the cells [m, m + 1] / 2^k, m in cells, hold one root of f
     each: there are deg f of them, their interiors are disjoint, and f is
     nonzero with opposite signs at the two ends of every cell. Each cell
-    then holds an odd number of roots, and deg f cells leave room for one."""
-    if len(cells) != f.degree or any(b <= a for a, b in zip(cells, cells[1:])):
+    then holds an odd number of roots, and deg f cells leave room for one.
+
+    The sign of f at an end m / 2^k is that of the integer
+    2^(kd) f(m / 2^k) = sum_i (f_i 2^(k(d - i))) m^i, d = deg f: Horner in m
+    on the coefficients shifted once, a product and a sum per step."""
+    d = f.degree
+    if len(cells) != d or any(b <= a for a, b in zip(cells, cells[1:])):
         return False
+    shifted = [c << k * (d - i) for i, c in enumerate(f.coeffs)][::-1]
     signs = {}
-    for m in cells:
-        for end in (m, m + 1):
-            if end not in signs:
-                signs[end] = _sign_at(f, Fraction(end, 1 << k))
+    for end in {*cells, *(m + 1 for m in cells)}:
+        acc = 0
+        for c in shifted:
+            acc = acc * end + c
+        signs[end] = (acc > 0) - (acc < 0)
     return all(signs[m] * signs[m + 1] == -1 for m in cells)
 
 

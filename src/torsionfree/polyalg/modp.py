@@ -195,16 +195,25 @@ def factor_mod_p(f: IntPoly, p: int,
 
     Each (d, e) occurs once; the g are IntPoly with coefficients in
     [0, p), sorted by (d, e), and the product of the g^e times (lc(f) mod p)
-    reproduces f mod p. With top, only the pairs with d <= top are
-    returned, and the distinct-degree walk of each squarefree part stops
-    there.
+    reproduces f mod p.
+
+    With top, only the least pairs with d <= top are returned: those that
+    no other pair precedes with both degree <= d and multiplicity <= e. The
+    squarefree parts are walked by ascending multiplicity, each up to its
+    first degree with a factor, and top falls below every degree found,
+    since a later part's factors of that degree or more are not least.
     """
     if not is_prime(p):
         raise PreconditionError(f"modulus {p} is not prime")
     fp = gf_trim([c % p for c in f.coeffs])
     if not fp:
         raise PreconditionError("polynomial vanishes mod p")
-    parts = [(g, d, e) for part, e in gf_squarefree_parts(fp, p)
-             for g, d in _distinct_degree(part, p, top)]
+    parts = []
+    for part, e in sorted(gf_squarefree_parts(fp, p), key=lambda t: t[1]):
+        for g, d in _distinct_degree(part, p, top):
+            parts.append((g, d, e))
+            if top is not None:
+                top = d - 1
+                break
     parts.sort(key=lambda t: (t[1], t[2]))
     return [(IntPoly(g), d, e) for g, d, e in parts]

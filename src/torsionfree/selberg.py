@@ -99,10 +99,14 @@ def find_congruence_level(K: NumberField, dim_G: int,
     decides each q the scan reaches, and no other. q = 2 never passes
     (kionke_criterion(2, e) fails for every e >= 1) and is passed over.
     Every other prime is split once by dedekind_split, which returns only
-    the primes above q of norm below the best so far, or of norm at most
-    scan_cap while there is none. An answer is returned exactly when its
-    norm is at most scan_cap, so that first bound drops nothing; a dim_G
-    above EXPONENT_CAP is refused before the scan.
+    the least primes above q of norm below the best so far, or of norm at
+    most scan_cap while there is none. Least primes suffice: a prime above
+    q passes exactly when e <= q - 2, and among those above q a smaller f,
+    then a smaller e, wins; so a prime whose e and f are both no smaller
+    than another's never wins, for when it passes so does the other. An
+    answer is returned exactly when its norm is at most scan_cap, so that
+    first bound drops nothing; a dim_G above EXPONENT_CAP is refused before
+    the scan.
     """
     if dim_G < 1:
         raise PreconditionError("dim_G must be >= 1")

@@ -626,6 +626,28 @@ class TestProbeReport:
         _c, out, _e = run_cli("construct", "--p", "5")
         assert "isotropy_probe" not in json.loads(out)["report"]
 
+    def test_probe_k5_runs_in_bounded_memory(self):
+        # k = 5 at p = 5 finds 1,572,864 solutions; they are counted, not
+        # kept, so the CLI's peak RSS stays that of a small command. The
+        # CLI runs as the only child of a fresh interpreter, whose
+        # RUSAGE_CHILDREN then reads that one process
+        script = (
+            "import resource, subprocess, sys, json\n"
+            "proc = subprocess.run([sys.executable, '-m', 'torsionfree.cli',"
+            " 'construct', '--p', '5', '--probe-k', '5'],"
+            " capture_output=True, text=True)\n"
+            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(json.dumps([proc.returncode, rss, proc.stdout]))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=child_env(), timeout=120)
+        code, rss_kb, out = json.loads(proc.stdout)
+        assert code == 0
+        assert rss_kb < 64 * 1024
+        probe = json.loads(out)["report"]["isotropy_probe"]
+        assert probe["solution_count"] == 1_572_864
+        assert len(probe["solutions_sample"]) == 8
+
 
 class TestParser:
     COMMANDS = [[], ["field"], ["field", "analyze"], ["level"],

@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 import pytest
@@ -250,13 +251,21 @@ class TestOrderElement:
         assert not verify_order(I3, 5)
 
     def test_matches_matrix_power(self):
-        # the 3 x 3 power is the oracle: g^p = I and g != I
+        # the 3 x 3 power is the oracle: g^p = I and g != I. The generator
+        # has det 1 and takes the two-product square; twice its block
+        # (det 4) and [[theta, 1], [1, 0]] (det -1) take the general one
         for p in primes_in_range(5, 200):
             K = make_cosine_field(p)
             g = order_p_element(p, K)
             one, zero = K.element([1]), K.element([0])
+            theta = K.generator()
             I3 = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-            assert verify_order(g, p) == (mat_pow(g, p) == I3 and g != I3)
+            doubled = tuple((2 * a, 2 * b, c) for a, b, c in g[:2]) + g[2:]
+            flip = ((theta, one, zero), (one, zero, zero), g[2])
+            for m in (g, doubled, flip):
+                assert verify_order(m, p) == (mat_pow(m, p) == I3
+                                              and m != I3)
+            assert verify_order(g, p)
 
     def test_wrong_orders_fail(self):
         primes = primes_in_range(5, 212)    # 211 follows 199
@@ -304,6 +313,50 @@ class TestFormPreservation:
         one = K.element([1])
         G = ((one, zero, zero), (zero, one, zero), (zero, zero, -one))
         assert not form_preservation_check(M, G)
+
+
+class TestDet:
+    @staticmethod
+    def cofactors(M):
+        return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+                - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+                + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
+
+    def test_generator_takes_at_most_three_products(self, monkeypatch):
+        K = make_cosine_field(31)
+        g = order_p_element(31, K)
+        mul, calls = numfield.FieldElement.__mul__, []
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(numfield.FieldElement, "__mul__", counted)
+        assert construct._det(g) == K.element([1])
+        assert 0 < len(calls) <= 3
+
+    def test_matches_the_cofactor_expansion(self, cosine_fields):
+        # dense matrices, matrices with zeros in every pattern the skips
+        # read, and integer ones
+        rng = random.Random(31)
+        K = cosine_fields[13]
+        d = K.degree
+
+        def entry(zero_rate):
+            if rng.random() < zero_rate:
+                return K.element([0])
+            return K.element([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                              for _ in range(d)])
+
+        for zero_rate in (0, 0.3, 0.6, 1):
+            for _ in range(40):
+                M = tuple(tuple(entry(zero_rate) for _ in range(3))
+                          for _ in range(3))
+                assert construct._det(M) == self.cofactors(M)
+        for _ in range(500):
+            M = [[rng.choice((0, 0, 1, -2, 5)) for _ in range(3)]
+                 for _ in range(3)]
+            assert construct._det(M) == self.cofactors(M)
 
 
 class TestBuildConstruction:
@@ -514,21 +567,21 @@ class TestFieldBuiltOnce:
 class TestIsotropyProbe:
     def test_rational_control_cases(self, field_q):
         # c = 3: x^2 + y^2 = 3 z^2 has no primitive 2-adic solution
-        assert mod2k_isotropy_probe(field_q.element([3]), 3) == []
+        assert mod2k_isotropy_probe(field_q.element([3]), 3) == (0, [])
         # c = 7 likewise
-        assert mod2k_isotropy_probe(field_q.element([7]), 3) == []
+        assert mod2k_isotropy_probe(field_q.element([7]), 3) == (0, [])
         # c = 1 is isotropic: (1, 0, 1) works
-        sols = mod2k_isotropy_probe(field_q.element([1]), 3)
+        count, sols = mod2k_isotropy_probe(field_q.element([1]), 3)
         assert ((1,), (0,), (1,)) in sols
-        assert len(sols) == 64
+        assert count == len(sols) == 64
 
     def test_construction_counts_grow(self, constructions):
         # the published inference would predict these to be empty;
         # the counts below document the observed behavior instead
         con = constructions[5]
         c5 = con.field.element([Fraction(1, 8), Fraction(1, 2)])
-        assert len(mod2k_isotropy_probe(c5, 1)) == 15
-        assert len(mod2k_isotropy_probe(c5, 2)) == 192
+        assert mod2k_isotropy_probe(c5, 1)[0] == 15
+        assert mod2k_isotropy_probe(c5, 2)[0] == 192
 
     def test_probe_matches_bruteforce(self, cosine_fields):
         # independent check of the meet-in-the-middle enumeration
@@ -553,9 +606,21 @@ class TestIsotropyProbe:
                         zi = tuple(int(q) for q in z.rep)
                         if any(v & 1 for v in xi + yi + zi):
                             brute.add((xi, yi, zi))
-        got = set(mod2k_isotropy_probe(c, k))
-        assert got == brute
-        assert len(got) == 192
+        count, sols = mod2k_isotropy_probe(c, k)
+        assert set(sols) == brute
+        assert count == len(sols) == 192
+
+    def test_keep_is_a_prefix_of_the_search_order(self, cosine_fields):
+        # the kept triples are the first ones found, z then x then y, and
+        # the count does not depend on how many are kept
+        c = cosine_fields[5].element([Fraction(1, 8), Fraction(1, 2)])
+        count, sols = mod2k_isotropy_probe(c, 3)
+        assert count == len(sols) > 8
+        index = {u: i for i, u in enumerate(product(range(8), repeat=2))}
+        assert sols == sorted(sols, key=lambda s: (index[s[2]], index[s[0]],
+                                                   index[s[1]]))
+        for keep in (0, 1, 8, count, count + 5):
+            assert mod2k_isotropy_probe(c, 3, keep) == (count, sols[:keep])
 
     def test_caps(self, field_q, cosine_fields):
         with pytest.raises(ResourceCapError):

@@ -1042,6 +1042,15 @@ class TestNtheory:
             assert not ntheory._strong_lucas(n)
         assert all(ntheory._strong_lucas(q) for q in primes_in_range(43, 5000))
 
+    def test_base_table_inverts_mod_n(self):
+        # u_b from the inverse of b mod n is -1/n mod b, for every n up to
+        # 1000 and every base prime below 2000
+        primes = primes_upto(2000)
+        for n in range(1, 1001):
+            base, u = ntheory._base_table(2001, n)
+            assert base == tuple(b for b in primes if n % b)
+            assert u == tuple(-pow(n, -1, b) % b for b in base), n
+
     def test_primes_upto(self):
         ps = primes_upto(100)
         assert len(ps) == 25 and ps[0] == 2 and ps[-1] == 97

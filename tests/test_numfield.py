@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -596,6 +597,15 @@ class TestCounting:
         # 1 ramified + 2 inert of norm <= 100 + 11 split pairs
         assert count_prime_ideals(field_sqrt2, 100) == 25
         assert count_prime_ideals(cosine_fields[13], 100) == 19
+
+    def test_frozen_multi_segment_count(self):
+        # p = 23 at x = 6,073,790,416: each of the four progressions mod 138
+        # that the class sieve runs spans 42 segments of 2^20 indices, a
+        # path no benchmark workload reaches; under 1 s on a 2-core machine
+        start = time.perf_counter()
+        assert count_prime_ideals(make_cosine_field(23),
+                                  6_073_790_416) == 282_827_154
+        assert time.perf_counter() - start < 10
 
     def test_monotone(self, field_sqrt2):
         prev = 0

@@ -14,7 +14,7 @@ from torsionfree.ntheory import primes_upto
 from torsionfree.numfield import (count_prime_ideals, dedekind_index_primes,
                                   dedekind_split, is_index_prime,
                                   make_cosine_field, make_field)
-from torsionfree.polyalg import (IntPoly, minpoly_two_cos_conductor,
+from torsionfree.polyalg import (IntPoly, minpoly_two_cos_conductor, modp,
                                  two_cos_discriminant)
 from torsionfree.report import number_str
 from torsionfree.selberg import (EULER_GAMMA, LI_2, find_congruence_level,
@@ -246,10 +246,34 @@ class TestLevelScan:
         q, top = calls[0]
         assert q == 3 and top is not None and top <= log3 == 12
 
+    def test_degree_90_first_split_stops_at_degree_1(self, monkeypatch):
+        # f mod 3 has the simple root 0, and no later prime beats its norm
+        # 3: the one split walks degree 1 and builds no Frobenius matrix,
+        # which a degree-2 step would need
+        rng = random.Random(90)
+        K = make_field(tuple(rng.randint(-9, 9) for _ in range(90)) + (1,))
+        assert K.degree == 90 and K.disc_poly % 3
+        walk, walked = modp._distinct_degree, []
+
+        def spy(f, q, top=None):
+            for g, d in walk(f, q, top):
+                walked.append((q, d))
+                yield g, d
+
+        def refuse(*_args):
+            raise AssertionError("the walk reached degree 2")
+
+        monkeypatch.setattr(modp, "_distinct_degree", spy)
+        monkeypatch.setattr(modp, "_frobenius_rows", refuse)
+        lvl = find_congruence_level(K, 3, 10**6)
+        assert level_tuple(lvl) == (3, 3, 1, 1, ())
+        assert walked == [(3, 1)]
+
     def test_dedekind_split_below(self):
-        # against the full splitting cut at q^f < below, for every bound
-        # up to q^(d+1): the cut moves only at below = q^j + 1, so 0 and
-        # q^j, q^j + 1 for j <= d + 1 reach every answer
+        # against the full splitting cut at q^f < below, less the primes
+        # that another prime of no larger e and f precedes, for every
+        # bound up to q^(d+1): the cut moves only at below = q^j + 1, so 0
+        # and q^j, q^j + 1 for j <= d + 1 reach every answer
         rng = random.Random(5)
         for _ in range(12):
             d = rng.randint(2, 8)
@@ -267,7 +291,9 @@ class TestLevelScan:
                 for below in {0, 1} | {q**j + k for j in range(1, d + 2)
                                        for k in (0, 1)}:
                     assert dedekind_split(K, q, below) == tuple(
-                        (e, f) for e, f in full if q**f < below)
+                        (e, f) for e, f in full if q**f < below
+                        and not any((e2, f2) != (e, f) and e2 <= e
+                                    and f2 <= f for e2, f2 in full))
         K = make_cosine_field(13)  # inertia degree 6 at 2 and 3 at 3
         assert dedekind_split(K, 2) == ((1, 6),)
         assert dedekind_split(K, 2, 2**6) == ()
