@@ -31,6 +31,7 @@ import io
 import json
 import re
 import sys
+from itertools import islice
 
 from .config import load_config
 from .construct import build_construction, mod2k_isotropy_probe, sweep
@@ -212,10 +213,11 @@ def construct(args):
                              b_const=cfg.belolipetsky_b)
     report = con.to_json()
     if args.probe_k is not None:
-        count, sample = mod2k_isotropy_probe(con.c, args.probe_k, keep=8)
+        sols = mod2k_isotropy_probe(con.c, args.probe_k)
+        sample = list(islice(sols, 8))
         report["isotropy_probe"] = {
             "k": args.probe_k,
-            "solution_count": count,
+            "solution_count": len(sample) + sum(1 for _ in sols),
             "solutions_sample": [[list(x), list(y), list(z)]
                                  for x, y, z in sample],
         }

@@ -24,6 +24,7 @@ they are read.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -230,25 +231,19 @@ def order_p_element(p: int, field: NumberField):
 
 
 def _det(M):
-    """det M for a 3 x 3 matrix, by cofactors along the first row. A term
-    with a zero factor is skipped, as in torsion.mat_mul: the generator of
-    order_p_element takes two products, not nine."""
+    """det M for a 3 x 3 matrix: the six signed products of the Leibniz
+    formula. A product with a zero factor is skipped, as in torsion.mat_mul:
+    the generator of order_p_element takes two field products, not nine."""
     if len(M) != 3:
         raise PreconditionError("determinant implemented for 3 x 3 only")
     (a, b, c), (d, e, f), (g, h, i) = M
-    det = a - a  # zero, of the entries' type
-    for x, sign, (u, v, w, z) in ((a, 1, (e, i, f, h)), (b, -1, (d, i, f, g)),
-                                  (c, 1, (d, h, e, g))):
-        if not x:
-            continue
-        if u and v:  # the minor u v - w z
-            minor = u * v - w * z if w and z else u * v
-        elif w and z:
-            minor = -(w * z)
-        else:
-            continue
-        det = det + x * minor if sign > 0 else det - x * minor
-    return det
+    zero = a - a  # of the entries' type
+
+    def total(terms):
+        return sum((x * y * z for x, y, z in terms if x and y and z), zero)
+
+    return total(((a, e, i), (b, f, g), (c, d, h))) - total(
+        ((c, e, g), (a, f, h), (b, d, i)))
 
 
 def verify_order(g, p: int) -> bool:
@@ -259,10 +254,10 @@ def verify_order(g, p: int) -> bool:
     polynomial chi = x^2 - t x + n with t = tr M and n = det M. Write
     x^p = q chi + r0 + r1 x in K[x]; by Cayley-Hamilton chi(M) = 0, so
     M^p = r0 I + r1 M. The remainder comes from left-to-right
-    square-and-multiply in K[x]/(chi): a square of u0 + u1 x takes the
-    products u0^2, u0 u1 and u1^2 and folds x^2 = t x - n; a step by x
+    square-and-multiply in K[x]/(chi): folding x^2 = t x - n, the square
+    of u0 + u1 x is (u0^2 - n u1^2) + u1 (2 u0 + t u1) x, and a step by x
     folds once. When n = 1, as for every generator order_p_element builds,
-    the square is (u0 - u1)(u0 + u1) + u1 (2 u0 + t u1) x, two dense
+    the constant term is (u0 - u1)(u0 + u1), so the square takes two dense
     products and one by t. So g^p = I exactly when r0 I + r1 M = I, and
     since p is prime, g^p = I with g != I means g has order p (Cohen,
     GTM 138).
@@ -280,11 +275,8 @@ def verify_order(g, p: int) -> bool:
     unit = n == one
     r0, r1 = zero, one    # x, the leading bit of p
     for bit in bin(p)[3:]:
-        if unit:
-            r0, r1 = (r0 - r1) * (r0 + r1), r1 * (2 * r0 + t * r1)
-        else:
-            s1 = r1 * r1
-            r0, r1 = r0 * r0 - n * s1, 2 * (r0 * r1) + t * s1
+        r0, r1 = ((r0 - r1) * (r0 + r1) if unit
+                  else r0 * r0 - n * (r1 * r1)), r1 * (2 * r0 + t * r1)
         if bit == "1":
             r0, r1 = -(n * r1), r0 + t * r1
     return ((a, b, c, d) != (one, zero, zero, one)
@@ -331,11 +323,9 @@ def lower_bound_ratio(p: int, log_v_hat):
 
 # ------------------------------------------------------------------- probe
 
-def mod2k_isotropy_probe(c: FieldElement, k: int,
-                         keep: int | None = None) -> tuple[int, list]:
-    """(count, kept): the number of primitive triples with
-    x^2 + y^2 = c z^2 mod 2^k, and the first keep of them (all of them when
-    keep is None), in search order: z, then x, then y.
+def mod2k_isotropy_probe(c: FieldElement, k: int) -> Iterator[tuple]:
+    """The primitive triples (x, y, z) with x^2 + y^2 = c z^2 mod 2^k, one
+    at a time, in search order: z, then x, then y.
 
     Falsification probe: coordinates run over polynomials in the generator
     of degree < d with coefficients mod 2^k, primitive meaning not every
@@ -343,10 +333,10 @@ def mod2k_isotropy_probe(c: FieldElement, k: int,
     anisotropy; any hit at large k flags the construction. The search
     visits 2^(3dk) candidate triples, and any k with 3dk above
     PROBE_CANDIDATE_BITS is refused with ResourceCapError before anything
-    is built. The solutions are counted as they are found, from a table of
-    the 2^(dk) coordinates by their square: for each z and x the y are the
-    coordinates whose square is c z^2 - x^2. So memory grows with 2^(dk)
-    and keep, not with the number of solutions.
+    is built. The solutions are found from a table of the 2^(dk)
+    coordinates by their square: for each z and x the y are the coordinates
+    whose square is c z^2 - x^2. So memory grows with 2^(dk), not with the
+    number of solutions.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
@@ -376,17 +366,16 @@ def mod2k_isotropy_probe(c: FieldElement, k: int,
     roots: dict[tuple, list] = {}  # a square -> its roots, in search order
     for y, sy, oy in zip(coords, squares, odd):
         roots.setdefault(sy, []).append((y, oy))
-    count, kept = 0, []
-    for z, sz, oz in zip(coords, squares, odd):
-        target = pmul(cc, sz)
-        for x, sx, ox in zip(coords, squares, odd):
-            ys = roots.get(tuple((a - b) % mod for a, b in zip(target, sx)))
-            if ys:
-                hits = [y for y, oy in ys if oz or ox or oy]
-                count += len(hits)
-                if keep is None or len(kept) < keep:
-                    kept += [(x, y, z) for y in hits]
-    return count, kept if keep is None else kept[:keep]
+
+    def solutions():
+        for z, sz, oz in zip(coords, squares, odd):
+            target = pmul(cc, sz)
+            for x, sx, ox in zip(coords, squares, odd):
+                key = tuple((a - b) % mod for a, b in zip(target, sx))
+                for y, oy in roots.get(key, ()):
+                    if oz or ox or oy:
+                        yield x, y, z
+    return solutions()
 
 
 # ------------------------------------------------------------ full pipeline

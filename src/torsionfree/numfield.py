@@ -348,12 +348,17 @@ def _charpoly_linear(f: IntPoly, a: int, b: int, den: int) -> tuple[Fraction, ..
 def dedekind_split(K: NumberField, p: int,
                    below: int | None = None) -> tuple[tuple[int, int], ...]:
     """Shape of p * O as (e_i, f_i) pairs ordered by (f_i, e_i), read from
-    the defining polynomial mod p. With below, only the least primes of
-    norm p^f_i < below: a prime is least when no prime above p with
-    another pair (e, f) has both f <= f_i and e <= e_i. The distinct-degree
-    walk then stops at the largest j with p^j < below, and within each
-    multiplicity at the first degree with a prime (factor_mod_p). An index
-    prime of K, where that reading fails, raises PreconditionError.
+    the defining polynomial mod p. An index prime of K, where that reading
+    fails, raises PreconditionError.
+
+    below serves the level scan (selberg.find_congruence_level), whose
+    answer is always a least prime, and is not a plain norm cut: with it,
+    only the least primes of norm p^f_i < below are returned, a prime being
+    least when no prime above p with another pair (e, f) has both f <= f_i
+    and e <= e_i. The distinct-degree walk then stops at the largest j with
+    p^j < below, and within each multiplicity at the first degree with a
+    prime (factor_mod_p). To count every prime below a norm, split without
+    below and filter.
 
     A cosine field factors nothing: every prime splits by the abelian law
     (Washington, Introduction to Cyclotomic Fields, Thm 2.13). With N the
@@ -466,8 +471,8 @@ def _count_generic(K: NumberField, x: int,
 def _count_abelian(K: NumberField, x: int) -> int:
     """Counting route for the real cyclotomic subfield of conductor n.
 
-    A ramified prime (a divisor of n) goes through dedekind_split, which
-    keeps the primes above it of norm at most x. An unramified q gives d/f
+    A ramified prime (a divisor of n) goes through dedekind_split, and its
+    primes of norm at most x count. An unramified q gives d/f
     prime ideals of norm q^f, f its inertia degree, which count when
     q^f <= x. Only a q <= cbrt(x) can count with f >= 3, so only those are
     read one by one from the inertia memo. The primes in (cbrt(x), sqrt(x)]
@@ -483,7 +488,7 @@ def _count_abelian(K: NumberField, x: int) -> int:
     B = isqrt(x)
     total = 0
     for q in factorize(n):
-        total += len(dedekind_split(K, q, x + 1))
+        total += sum(q**f <= x for _e, f in dedekind_split(K, q))
     primes = primes_upto(B)
     cut = bisect_right(primes, iroot(x, 3))
     for q in primes[:cut]:

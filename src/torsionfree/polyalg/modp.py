@@ -197,11 +197,13 @@ def factor_mod_p(f: IntPoly, p: int,
     [0, p), sorted by (d, e), and the product of the g^e times (lc(f) mod p)
     reproduces f mod p.
 
-    With top, only the least pairs with d <= top are returned: those that
-    no other pair precedes with both degree <= d and multiplicity <= e. The
-    squarefree parts are walked by ascending multiplicity, each up to its
-    first degree with a factor, and top falls below every degree found,
-    since a later part's factors of that degree or more are not least.
+    top is not a plain degree cut: with it, only the least pairs with
+    d <= top are returned, those that no other pair precedes with both
+    degree <= d and multiplicity <= e; other pairs of degree <= top may be
+    left out. The squarefree parts are walked by ascending multiplicity,
+    each up to its first degree with a factor, and top falls below every
+    degree found, since a later part's factors of that degree or more are
+    not least. This is what the level scan needs (dedekind_split's below).
     """
     if not is_prime(p):
         raise PreconditionError(f"modulus {p} is not prime")

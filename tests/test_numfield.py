@@ -963,7 +963,8 @@ def _per_prime_count(K, x):
     above sqrt(x) that is +-1 mod n."""
     n, d = K.conductor, K.degree
     B = isqrt(x)
-    total = sum(len(dedekind_split(K, q, x + 1)) for q in factorize(n))
+    total = sum(q**f <= x for q in factorize(n)
+                for _e, f in dedekind_split(K, q))
     for q in primes_upto(B):
         if n % q:
             f = numfield._inertia_degree(q % n, n)
