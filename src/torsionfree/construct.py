@@ -175,16 +175,14 @@ def _T_windows(p: int) -> tuple[int, list[range]]:
                   for j in range(last + 1)]
 
 
-def choose_T(p: int, checks_out: dict | None = None) -> Fraction:
+def choose_T(p: int) -> Fraction:
     """First T = a/2^j (j ascending, then |a| ascending, + before -) inside
     the cosine interval that also passes the 2-adic test.
 
     For each j only the numerators of _T_windows are tried, those that a
     double value of the interval puts inside plus one of slack on each side;
     interval_certificate and two_adic_condition still decide every
-    candidate. Their verdicts on the returned T are written to checks_out,
-    when given, under interval_ok and two_adic_ok: build_construction
-    records them as its checks and does not evaluate them again.
+    candidate, and a T is returned only when both pass.
 
     The search ends at the first odd j >= 3 with 2^j (hi - lo) > 2. That
     window holds two consecutive integers, so an odd a with a/2^j inside
@@ -202,13 +200,8 @@ def choose_T(p: int, checks_out: dict | None = None) -> Fraction:
         numerators = [a for a in window if a % 2 and abs(a) < den]
         for a in sorted(numerators, key=lambda a: (abs(a), a < 0)):
             T = Fraction(a, den)
-            interval_ok = interval_certificate(p, T)
-            two_adic_ok = interval_ok and two_adic_condition(
-                field.element([T, half]))
-            if two_adic_ok:
-                if checks_out is not None:
-                    checks_out.update(interval_ok=interval_ok,
-                                      two_adic_ok=two_adic_ok)
+            if interval_certificate(p, T) and two_adic_condition(
+                    field.element([T, half])):
                 return T
     raise ResourceCapError(
         f"no feasible T with denominator <= 2^{last} for p = {p}")
@@ -231,19 +224,11 @@ def order_p_element(p: int, field: NumberField):
 
 
 def _det(M):
-    """det M for a 3 x 3 matrix: the six signed products of the Leibniz
-    formula. A product with a zero factor is skipped, as in torsion.mat_mul:
-    the generator of order_p_element takes two field products, not nine."""
     if len(M) != 3:
         raise PreconditionError("determinant implemented for 3 x 3 only")
-    (a, b, c), (d, e, f), (g, h, i) = M
-    zero = a - a  # of the entries' type
-
-    def total(terms):
-        return sum((x * y * z for x, y, z in terms if x and y and z), zero)
-
-    return total(((a, e, i), (b, f, g), (c, d, h))) - total(
-        ((c, e, g), (a, f, h), (b, d, i)))
+    return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
 
 
 def verify_order(g, p: int) -> bool:
@@ -386,8 +371,7 @@ def build_construction(p: int, a_const=1.0,
     field = make_cosine_field(p)
     # Z[2cos(2pi/p)] is the maximal order, so disc_poly is the field's
     disc = field.disc_poly
-    found = {}
-    T = choose_T(p, found)
+    T = choose_T(p)
     half = Fraction(1, 2)
     omega = field.element([0, half])
     c = field.element([T, half])
@@ -396,10 +380,12 @@ def build_construction(p: int, a_const=1.0,
             (omega, one, zero),
             (zero, zero, -c))
     g = order_p_element(p, field)
+    # choose_T returns a T only once interval_certificate and
+    # two_adic_condition both pass on it, and raises otherwise
     checks = {
-        "interval_ok": found["interval_ok"],
+        "interval_ok": True,
         "archimedean_ok": archimedean_ok(c),
-        "two_adic_ok": found["two_adic_ok"],
+        "two_adic_ok": True,
         "form_preserved": form_preservation_check(g, gram),
         "order_verified": verify_order(g, p),
     }

@@ -2,12 +2,20 @@
 
 Polynomials mod p are plain lists of ints in [0, p), lowest degree first,
 trimmed. The pipeline is squarefree decomposition (each multiplicity read
-by repeated exact division), then distinct-degree splitting (h -> h^p as
-one product with the Frobenius matrix, rows x^(ip) mod f, after the first
-step), up to an optional bound on the degree. That is all the splitting
-shape of a prime needs: there is no equal-degree stage, no irreducible
-factor is ever separated, and every step is deterministic. Intended scale:
-degree up to a few dozen, p up to about 1e6 (larger p works, just slower).
+by repeated exact division), then distinct-degree splitting (each step one
+powering h -> h^p mod f*, about log2 p products mod f*), up to an optional
+bound on the degree. That is all the splitting shape of a prime needs:
+there is no equal-degree stage, no irreducible factor is ever separated,
+and every step is deterministic. Intended scale: degree up to a few dozen,
+p up to about 1e6 (larger p works, just slower).
+
+The level scan, the one caller in the package, always passes a bound and
+stops at the first degree with a factor. A walk with no bound is slower at
+large p than one product per step with a Frobenius matrix (rows x^(ip)
+mod f*) would be: on a 2-core x86 machine, degree 12 takes about
+1.0 / 2.5 / 3.5 ms and degree 30 about 7.5 / 23.0 / 32.3 ms at
+p = 101 / 65,537 / 999,983, against 0.6 / 1.2 / 1.4 and 4.8 / 8.4 / 9.8 ms
+with the matrix (median of five random monic inputs).
 """
 
 from __future__ import annotations
@@ -74,13 +82,18 @@ def gf_gcd(a, b, p):
 
 
 def gf_powmod(a, e: int, f, p):
-    result = [1]
+    """a^e mod f, left to right: one squaring per bit of e after the
+    leading one, and one product by a per further set bit. Each step of
+    _distinct_degree is one powering, mostly at small p in the level scan,
+    where a spare squaring or a product by 1 would be a large share."""
+    if not e:
+        return [1]
     base = gf_mod(a, f, p)
-    while e:
-        if e & 1:
+    result = base
+    for bit in bin(e)[3:]:
+        result = gf_mod(gf_mul(result, result, p), f, p)
+        if bit == "1":
             result = gf_mod(gf_mul(result, base, p), f, p)
-        base = gf_mod(gf_mul(base, base, p), f, p)
-        e >>= 1
     return result
 
 
@@ -138,13 +151,10 @@ def _distinct_degree(f, p, top=None):
     """Yield (product_of_irreducibles_of_degree_d, d) for monic squarefree
     f, d ascending; with top, only the d <= top, and the walk stops there.
 
-    Step d takes h = x^(p^(d-1)) to h^p and splits off gcd(h - x, f*), the
-    product of the factors of degree d. The first step is one powering,
-    h = x^p mod f*. Every later step is one product with the Frobenius
-    matrix Q of the modulus g = f* at the second step, whose row i is
-    x^(ip) mod g: since c^p = c in F_p, h^p = sum_i h_i x^(ip). The matrix
-    is built only when a second step is needed; h stays reduced mod g,
-    which every later f* divides.
+    Step d takes h = x^(p^(d-1)) to h^p mod f*, one powering of about
+    log2 p products mod f*, and splits off gcd(h - x, f*), the product of
+    the factors of degree d. h stays reduced mod the f* it was raised
+    under, which every later f* divides.
     """
     if top is None:
         top = len(f) - 1
@@ -153,13 +163,7 @@ def _distinct_degree(f, p, top=None):
     d = 0
     while len(fstar) - 1 >= 2 * (d + 1) and d < top:
         d += 1
-        if d == 1:
-            h = gf_powmod(h, p, fstar, p)
-        else:
-            if d == 2:
-                h = gf_mod(h, fstar, p)
-                frob = _frobenius_rows(h, fstar, p)
-            h = _frobenius(h, frob, p)
+        h = gf_powmod(h, p, fstar, p)
         g = gf_gcd(gf_sub(h, [0, 1], p), fstar, p)
         if len(g) > 1:
             yield g, d
@@ -167,24 +171,6 @@ def _distinct_degree(f, p, top=None):
     # f* has no factor of degree <= d: below 2(d + 1) it is irreducible
     if 1 < len(fstar) <= top + 1:
         yield fstar, len(fstar) - 1
-
-
-def _frobenius_rows(xp, g, p):
-    """Rows x^(ip) mod g for 0 <= i < deg g, from xp = x^p mod g."""
-    rows = [[1]]
-    for _ in range(len(g) - 2):
-        rows.append(gf_mod(gf_mul(rows[-1], xp, p), g, p))
-    return rows
-
-
-def _frobenius(h, rows, p):
-    """h^p mod g as sum_i h_i x^(ip), with rows from _frobenius_rows."""
-    out = [0] * len(rows)
-    for c, row in zip(h, rows):
-        if c:
-            for j, r in enumerate(row):
-                out[j] += c * r
-    return gf_trim([v % p for v in out])
 
 
 def factor_mod_p(f: IntPoly, p: int,
@@ -197,13 +183,11 @@ def factor_mod_p(f: IntPoly, p: int,
     [0, p), sorted by (d, e), and the product of the g^e times (lc(f) mod p)
     reproduces f mod p.
 
-    top is not a plain degree cut: with it, only the least pairs with
-    d <= top are returned, those that no other pair precedes with both
-    degree <= d and multiplicity <= e; other pairs of degree <= top may be
-    left out. The squarefree parts are walked by ascending multiplicity,
-    each up to its first degree with a factor, and top falls below every
-    degree found, since a later part's factors of that degree or more are
-    not least. This is what the level scan needs (dedekind_split's below).
+    top is not a plain degree cut: with it, only the least pairs (d, e)
+    with d <= top are returned, by the rule that numfield.dedekind_split
+    states for its below. The squarefree parts are walked by ascending
+    multiplicity, each up to its first degree with a factor, and top then
+    drops below that degree.
     """
     if not is_prime(p):
         raise PreconditionError(f"modulus {p} is not prime")

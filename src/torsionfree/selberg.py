@@ -98,15 +98,15 @@ def find_congruence_level(K: NumberField, dim_G: int,
     Index primes of K are skipped, not split, and reported; is_index_prime
     decides each q the scan reaches, and no other. q = 2 never passes
     (kionke_criterion(2, e) fails for every e >= 1) and is passed over.
-    Every other prime is split once by dedekind_split, which returns only
-    the least primes above q of norm below the best so far, or of norm at
-    most scan_cap while there is none. Least primes suffice: a prime above
-    q passes exactly when e <= q - 2, and among those above q a smaller f,
-    then a smaller e, wins; so a prime whose e and f are both no smaller
-    than another's never wins, for when it passes so does the other. An
-    answer is returned exactly when its norm is at most scan_cap, so that
-    first bound drops nothing; a dim_G above EXPONENT_CAP is refused before
-    the scan.
+    Every other prime is split once by dedekind_split, whose below keeps
+    only the least primes above q (the rule is stated there) of norm below
+    the best so far, or of norm at most scan_cap while there is none. Least
+    primes suffice: a prime above q passes exactly when e <= q - 2, and
+    among those above q a smaller f, then a smaller e, wins; so a prime
+    that is not least never wins, for when it passes so does a least one.
+    An answer is returned exactly when its norm is at most scan_cap, so
+    that first bound drops nothing; a dim_G above EXPONENT_CAP is refused
+    before the scan.
     """
     if dim_G < 1:
         raise PreconditionError("dim_G must be >= 1")

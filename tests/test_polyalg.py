@@ -339,6 +339,35 @@ class TestFactorModP:
             assert [(tuple(g), d, e) for g, d, e in got] == [
                 (g, d, e) for (d, e), g in sorted(want.items())]
 
+    @pytest.mark.parametrize("p", [65537, 999983])
+    def test_unbounded_walk_at_large_p(self, p):
+        # walks of many steps at large p, against sympy's factorisation:
+        # its irreducible factors, grouped by (degree, multiplicity),
+        # multiply to the parts
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_factor
+        rng = random.Random(p)
+        walked = set()
+        for mults in ((1, 2), (2, 3), (1, 1, 2), (1, 3), (2, 2, 4), (1, 2, 3)):
+            f = (1,)
+            while not 12 <= len(f) - 1 <= 30:
+                f = (1,)
+                for e in mults:
+                    g = tuple(rng.randrange(p)
+                              for _ in range(rng.randint(1, 7))) + (1,)
+                    for _ in range(e):
+                        f = mul_mod_p(f, g, p)
+            want = {}
+            for g, e in gf_factor([ZZ(c) for c in reversed(f)], p, ZZ)[1]:
+                key = (len(g) - 1, e)
+                g = tuple(int(c) for c in reversed(g))
+                want[key] = mul_mod_p(want.get(key, (1,)), g, p)
+            got = factor_mod_p(IntPoly(f), p)
+            assert [(tuple(g), d, e) for g, d, e in got] == [
+                (g, d, e) for (d, e), g in sorted(want.items())]
+            walked.update(d for _g, d, _e in got)
+        assert max(walked) >= 4
+
     def test_linear_factors_match_roots(self):
         # the d = 1 parts hold one linear factor per root of f mod p
         rng = random.Random(123)
