@@ -13,12 +13,14 @@ Primes come from one segmented sieve over an arithmetic progression r + k n
 runs it on the odd numbers 1 + 2k, and the class-count kernel on the
 members prime to 6 of the classes it counts. A base prime goes live in
 the first segment that reaches its square; below the range it strikes
-from that segment's first index, inside the range from its square. The
-primes below a bound sit in a one-entry cache, which primes_upto copies
-and a sieve's base table reads, so a count that lists the primes up to
-sqrt(x) and then sieves up to x lists them once. The base primes of a
-sieve and their inverses mod n sit in a one-entry cache too, so the
-progressions of one class count, which share hi and n, build them once.
+from that segment's first index, inside the range from its square. Every
+segment computes each live base prime's first index from u_b = -1/n
+mod b, so no state passes from one segment to the next. The primes
+below a bound sit in a one-entry cache, which primes_upto copies and a
+sieve's base table reads, so a count that lists the primes up to sqrt(x)
+and then sieves up to x lists them once. The base primes of a sieve and
+their inverses mod n sit in a one-entry cache too, so the progressions
+of one class count, which share hi and n, build them once.
 """
 
 from __future__ import annotations
@@ -123,8 +125,6 @@ def _strong_lucas(n: int) -> bool:
 # Indices per segment: 2^20 flags (1 MB) stay in cache while every base
 # prime strides over them.
 _BLOCK = 1 << 20
-# Zero bytes for striking: a stride of c flags takes _ZEROS[:c].
-_ZEROS = memoryview(bytes(_BLOCK))
 
 
 @lru_cache(maxsize=1)
@@ -172,8 +172,8 @@ def progression_blocks(lo: int, hi: int, n: int, r: int):
     strikes from the first index of that segment: its multiples in the
     range are all composite, those below l^2 too. One at or above lo
     strikes from the first index whose value is at least l^2, so l itself
-    survives. Each live base prime carries its next index from one
-    segment to the next.
+    survives. Every segment computes each live base prime's first index
+    from u_l afresh, so nothing passes from one segment to the next.
     """
     r %= n
     if math.gcd(r, n) != 1:
@@ -184,27 +184,23 @@ def progression_blocks(lo: int, hi: int, n: int, r: int):
     k_lo, k_hi = -((r - lo) // n), -((r - hi) // n)
     base, u = _base_table(math.isqrt(hi - 1) + 1, n)
     below = bisect_left(base, lo)
-    nxt: list[int] = []  # the next index each live base prime strikes
     for s in range(k_lo, k_hi, _BLOCK):
-        e = min(s + _BLOCK, k_hi)
-        # base[a:live] go live here: b^2 is at most the segment's last
-        # value; base[a:m] lie below lo and base[m:live] do not
-        a = len(nxt)
-        live = bisect_right(base, math.isqrt(r + n * (e - 1)))
-        m = min(live, max(a, below))
-        nxt += [s + (r * ub - s) % b for b, ub in zip(base[a:m], u[a:m])]
-        squares = [-((r - b * b) // n) for b in base[m:live]]
-        nxt += [k + (r * ub - k) % b
-                for b, ub, k in zip(base[m:live], u[m:live], squares)]
-        flags = bytearray(b"\x01") * (e - s)
-        out = []
-        for b, k in zip(base, nxt):
-            if k < e:
-                c = (e - 1 - k) // b + 1
-                flags[k - s :: b] = _ZEROS[:c]
-                k += c * b
-            out.append(k)
-        nxt = out
+        size = min(_BLOCK, k_hi - s)
+        # base[:live] are live here: b^2 is at most the segment's last
+        # value. b strikes from t + (r u_b - t) mod b, its first index at
+        # or past t: s, or the index of b^2 if later and b is not below
+        # lo. starts holds these less s.
+        live = bisect_right(base, math.isqrt(r + n * (s + size - 1)))
+        starts = [(r * ub - s) % b
+                  for b, ub in zip(base[:min(below, live)], u)]
+        starts += [t - s + (r * ub - t) % b
+                   for b, ub in zip(base[below:live], u[below:live])
+                   for t in (max(s, -((r - b * b) // n)),)]
+        flags = bytearray(b"\x01") * size
+        for b, i in zip(base, starts):
+            if i < size:
+                # a bytearray source: CPython copies any other one first
+                flags[i::b] = bytearray((size - 1 - i) // b + 1)
         yield r + n * s, flags
 
 

@@ -348,12 +348,14 @@ class TestPrimeCounts:
         monkeypatch.setattr(ntheory, "_BLOCK", 64)
         strikes = [0]
 
-        class Zeros:
-            def __getitem__(self, key):
+        def counting(*args):
+            # a strike's source is bytearray(c); the flags come from
+            # bytearray(b"\x01")
+            if len(args) == 1 and type(args[0]) is int:
                 strikes[-1] += 1
-                return memoryview(bytes(64))[key]
+            return bytearray(*args)
 
-        monkeypatch.setattr(ntheory, "_ZEROS", Zeros())
+        monkeypatch.setattr(ntheory, "bytearray", counting, raising=False)
         segments = 0
         for v, flags in progression_blocks(lo, hi, n, r):
             last = v + n * (len(flags) - 1)
@@ -361,6 +363,32 @@ class TestPrimeCounts:
             strikes.append(0)
             segments += 1
         assert segments > 100 and sum(strikes) > 0
+
+    @pytest.mark.parametrize("block", [64, 1000])
+    def test_each_segment_stands_alone(self, block, monkeypatch):
+        """No state passes from one segment to the next: every segment of
+        a range is the one segment of the range it covers, and its flags
+        are is_prime on its values, with lo below, among or above the
+        base primes."""
+        monkeypatch.setattr(ntheory, "_BLOCK", block)
+        rng = random.Random(45)
+        multi = 0  # ranges of three segments or more
+        for _ in range(100):
+            n = rng.choice([1, 2, 6, 13, 30, 78, rng.randint(1, 200)])
+            r = rng.choice([r for r in range(n) if gcd(r, n) == 1])
+            hi = rng.randint(100, 40_000)
+            root = isqrt(hi - 1)
+            lo = rng.choice([rng.randint(0, 2), rng.randint(3, root),
+                             rng.randint(root + 1, hi)])
+            segments = list(progression_blocks(lo, hi, n, r))
+            multi += len(segments) > 2
+            for v, flags in segments:
+                end = v + n * len(flags)
+                assert list(progression_blocks(v, end, n, r)) == \
+                    [(v, flags)], (lo, hi, n, r, v)
+                assert flags == bytearray(
+                    is_prime(q) for q in range(v, end, n)), (lo, hi, n, r, v)
+        assert multi > 20
 
     @pytest.mark.parametrize("length", [0, 1, 32_768, 65_519, 3 * 65_519 + 7])
     def test_flag_count_all_ones(self, length):
